@@ -4,13 +4,13 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 10
+PR ?= 12
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
 # the pulling-model Reference/Sparse pairs, the bit-sliced
-# Reference/Sliced pairs, and the live-runtime Reference/Optimized
-# round-engine pairs.
+# Reference/Sliced pairs, and the unpaired live round-engine cells
+# (tracked against the previous artifact by the baseline diff).
 BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live)_
 BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live
 
@@ -18,7 +18,7 @@ BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live
 # its optional gate (0 = report only; cross-run ns/op diffs are noisy
 # across machines, so the enforced gates live in bench-smoke's
 # same-machine ratios instead).
-BASELINE ?= BENCH_7.json
+BASELINE ?= BENCH_10.json
 MIN_SPEEDUP ?= 0
 
 # staticcheck release the lint job pins; `make lint` soft-skips when the
@@ -41,8 +41,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Full kernel + fast-forward + pull + bitslice + live benchmark run,
-# recorded as the repo's benchmark trajectory artifact (BENCH_10.json
-# for this PR; override with PR=n).
+# recorded as the repo's benchmark trajectory artifact (BENCH_$(PR).json;
+# override with PR=n).
 bench-json:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=2s $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_$(PR).json
@@ -59,27 +59,22 @@ bench-json:
 #     trajectory shows >= 9x on every cell), when the sparse pull
 #     kernel's advantage over the per-node reference loop drops below
 #     1.5x on any pull pair (the committed trajectory shows >= 2.3x),
-#     when the bit-sliced kernel's advantage over the reference
+#     or when the bit-sliced kernel's advantage over the reference
 #     loop drops below 2x on any bitslice pair (the committed
 #     trajectory shows >= 4x on the randomised cells and far more on
-#     the deterministic ones), or when the batched live round engine's
-#     advantage over the four-hop reference engine drops below 3x on
-#     any live pair (the committed trajectory shows >= 4.3x at n=32
-#     and >= 6x at n=128).
+#     the deterministic ones).
 #     Ratios are immune to absolute machine speed but not to scheduler
 #     noise; 10 iterations per side keeps a single descheduled trial
-#     from flipping the gates on shared CI runners. The live pairs run
-#     full multi-goroutine soaks, so they use fewer iterations via the
-#     shared -benchtime and their gate sits well under the committed
-#     ratio.
+#     from flipping the gates on shared CI runners.
 #  2. baseline diff — the same run diffed against the previous
-#     committed trajectory artifact benchmark by benchmark
-#     (informational by default: cross-run ns/op comparisons are
-#     machine-sensitive; set MIN_SPEEDUP to enforce a floor).
+#     committed trajectory artifact benchmark by benchmark, the live
+#     round-engine cells included (informational by default: cross-run
+#     ns/op comparisons are machine-sensitive; set MIN_SPEEDUP to
+#     enforce a floor).
 bench-smoke:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=10x $(BENCH_PKGS) > "$$tmp" && \
-	$(GO) run ./cmd/benchjson -min-speedup 1.5 -min-ff-speedup 5 -min-pull-speedup 1.5 -min-bitslice-speedup 2 -min-live-speedup 3 < "$$tmp" && \
+	$(GO) run ./cmd/benchjson -min-speedup 1.5 -min-ff-speedup 5 -min-pull-speedup 1.5 -min-bitslice-speedup 2 < "$$tmp" && \
 	$(GO) run ./cmd/benchjson -baseline $(BASELINE) -min-speedup $(MIN_SPEEDUP) < "$$tmp"
 
 # Standalone baseline diff: reruns the benchmarks and compares against
@@ -182,10 +177,9 @@ kernel-race-smoke:
 # PASS verdict (exit code) asserts every burst re-stabilised within the
 # stack's declared bound; the byte-diffs assert the chaos timeline and
 # the per-fault recovery-latency records replay identically across real
-# goroutine concurrency; the ingest closes the loop into resultdb.
-# A third soak drives the retained four-hop reference engine on the
-# same seed and byte-diffs its timeline and NDJSON against the batched
-# engine's: the two data paths must be observationally identical.
+# goroutine concurrency; the ingest closes the loop into resultdb. (The
+# package suite pins the engine byte-identical to its single-goroutine
+# lockstep model, internal/live/lockstep_test.go.)
 live-smoke:
 	$(GO) test -race ./internal/live
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -197,12 +191,8 @@ live-smoke:
 	$$tmp/liverun $$args -ndjson $$tmp/soak-a.ndjson && \
 	$$tmp/liverun $$args -ndjson $$tmp/soak-b.ndjson && \
 	cmp $$tmp/soak-a.ndjson $$tmp/soak-b.ndjson && \
-	$$tmp/liverun $$args -engine reference -timeline > $$tmp/timeline-ref.txt && \
-	$$tmp/liverun $$args -engine reference -ndjson $$tmp/soak-ref.ndjson && \
-	cmp $$tmp/timeline-a.txt $$tmp/timeline-ref.txt && \
-	cmp $$tmp/soak-a.ndjson $$tmp/soak-ref.ndjson && \
 	$(GO) run ./cmd/resultdb ingest -db $$tmp/store $$tmp/soak-a.ndjson && \
-	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically on both engines"
+	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically"
 
 # Static analysis at a pinned staticcheck release. Soft-skips when the
 # binary is absent (this repo never installs tools implicitly); CI

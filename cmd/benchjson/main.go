@@ -22,17 +22,15 @@
 //     (kind "bitslice": the scalar reference loop against the
 //     bit-sliced vote kernel)
 //
-//   - BenchmarkLive_Reference_<case> vs BenchmarkLive_Optimized_<case>
-//     (kind "live": the four-hop reference round engine against the
-//     batched arena engine in internal/live)
+// Other rows — the BenchmarkLive_* round-engine cells among them — are
+// recorded unpaired and tracked across artifacts by -baseline:
 //
-//     go test -run '^$' -bench '^Benchmark(Kernel|FF|Pull|Bitslice|Live)_' -benchmem \
-//     ./internal/sim ./internal/pull ./internal/live | benchjson -pr 10 -out BENCH_10.json
+//	go test -run '^$' -bench '^Benchmark(Kernel|FF|Pull|Bitslice|Live)_' -benchmem \
+//	./internal/sim ./internal/pull ./internal/live | benchjson -pr 12 -out BENCH_12.json
 //
 // With -min-speedup S (kernel pairs), -min-ff-speedup S (fastforward
-// pairs), -min-pull-speedup S (pull pairs), -min-bitslice-speedup S
-// (bitslice pairs) and -min-live-speedup S (live pairs) it exits
-// non-zero when any paired case speeds up
+// pairs), -min-pull-speedup S (pull pairs) and -min-bitslice-speedup S
+// (bitslice pairs) it exits non-zero when any paired case speeds up
 // by less than S× — the `make bench-smoke` CI job runs the benchmarks
 // at a reduced count and uses this to catch regressions without
 // flaking on absolute timings, since both sides of a pair run on the
@@ -114,14 +112,11 @@ const (
 	pullSpPrefix  = "BenchmarkPull_Sparse_"
 	bsRefPrefix   = "BenchmarkBitslice_Reference_"
 	bsSlPrefix    = "BenchmarkBitslice_Sliced_"
-	liveRefPrefix = "BenchmarkLive_Reference_"
-	liveOptPrefix = "BenchmarkLive_Optimized_"
 
 	kindKernel      = "kernel"
 	kindFastForward = "fastforward"
 	kindPull        = "pull"
 	kindBitslice    = "bitslice"
-	kindLive        = "live"
 )
 
 func main() {
@@ -131,7 +126,6 @@ func main() {
 	minFFSpeedup := flag.Float64("min-ff-speedup", 0, "fail unless every fast-forward Off/On pair speeds up at least this much")
 	minPullSpeedup := flag.Float64("min-pull-speedup", 0, "fail unless every pull Reference/Sparse pair speeds up at least this much")
 	minBitsliceSpeedup := flag.Float64("min-bitslice-speedup", 0, "fail unless every bitslice Reference/Sliced pair speeds up at least this much")
-	minLiveSpeedup := flag.Float64("min-live-speedup", 0, "fail unless every live Reference/Optimized pair speeds up at least this much")
 	baseline := flag.String("baseline", "", "previous BENCH_<k>.json artifact to diff this run against benchmark by benchmark")
 	flag.Parse()
 
@@ -191,7 +185,6 @@ func main() {
 	gate(kindFastForward, "-min-ff-speedup", *minFFSpeedup)
 	gate(kindPull, "-min-pull-speedup", *minPullSpeedup)
 	gate(kindBitslice, "-min-bitslice-speedup", *minBitsliceSpeedup)
-	gate(kindLive, "-min-live-speedup", *minLiveSpeedup)
 	for _, d := range report.BaselineDiffs {
 		status := ""
 		if *minSpeedup > 0 {
@@ -320,7 +313,6 @@ var pairings = []struct {
 	{kindFastForward, ffOffPrefix, ffOnPrefix},
 	{kindPull, pullRefPrefix, pullSpPrefix},
 	{kindBitslice, bsRefPrefix, bsSlPrefix},
-	{kindLive, liveRefPrefix, liveOptPrefix},
 }
 
 // pair matches the slow-side row of each pairing with its fast-side

@@ -82,35 +82,23 @@ BenchmarkPull_Reference_Gossip_n10000_k32-8 1  826244834 ns/op  12910075 ns/roun
 BenchmarkPull_Sparse_Gossip_n10000_k32-8    4  255457132 ns/op   3991517 ns/round
 BenchmarkBitslice_Reference_RandAgree_n64_f15-8 100  24000000 ns/op  11718 ns/round
 BenchmarkBitslice_Sliced_RandAgree_n64_f15-8    400   5400000 ns/op   2636 ns/round
-BenchmarkLive_Reference_FaultFree_n32-8          74  29599155 ns/op  115622 ns/round  7500577 B/op  26763 allocs/op
 BenchmarkLive_Optimized_FaultFree_n32-8         345   6799787 ns/op   26562 ns/round   267208 B/op    420 allocs/op
-BenchmarkLive_EndToEndRef_Ecount_n32-8           10 100000000 ns/op
 BenchmarkLive_EndToEndOpt_Ecount_n32-8           20  50000000 ns/op
 PASS
 `
 
-// TestPairKinds checks that kernel, fast-forward, pull, bitslice and
-// live pairs are matched under their own kinds and unpaired rows —
-// including the deliberately unpaired live end-to-end cells — stay out.
+// TestPairKinds checks that kernel, fast-forward, pull and bitslice
+// pairs are matched under their own kinds and unpaired rows — including
+// the live round-engine cells — stay out.
 func TestPairKinds(t *testing.T) {
 	report, err := parse(bufio.NewScanner(strings.NewReader(ffSample)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Comparisons) != 5 {
-		t.Fatalf("paired %d comparisons, want 5: %+v", len(report.Comparisons), report.Comparisons)
+	if len(report.Comparisons) != 4 {
+		t.Fatalf("paired %d comparisons, want 4: %+v", len(report.Comparisons), report.Comparisons)
 	}
-	kernel, ff, pl := report.Comparisons[0], report.Comparisons[1], report.Comparisons[2]
-	bs, lv := report.Comparisons[3], report.Comparisons[4]
-	if lv.Kind != "live" || lv.Case != "FaultFree_n32" {
-		t.Fatalf("live pair = %+v", lv)
-	}
-	if lv.Speedup < 4.3 || lv.Speedup > 4.4 {
-		t.Fatalf("live speedup = %f, want ~4.35", lv.Speedup)
-	}
-	if lv.RefNsPerRound != 115622 || lv.VecNsPerRound != 26562 {
-		t.Fatalf("live ns/round not carried: %+v", lv)
-	}
+	kernel, ff, pl, bs := report.Comparisons[0], report.Comparisons[1], report.Comparisons[2], report.Comparisons[3]
 	if bs.Kind != "bitslice" || bs.Case != "RandAgree_n64_f15" {
 		t.Fatalf("bitslice pair = %+v", bs)
 	}
@@ -138,8 +126,9 @@ func TestPairKinds(t *testing.T) {
 }
 
 // TestDiffBaseline checks the -baseline mode: benchmarks shared with
-// the previous artifact produce per-benchmark speedups; disjoint or
-// empty baselines fail loudly.
+// the previous artifact produce per-benchmark speedups — the unpaired
+// live cells included, which is how their trajectory carries on from
+// BENCH_10.json — and disjoint or empty baselines fail loudly.
 func TestDiffBaseline(t *testing.T) {
 	report, err := parse(bufio.NewScanner(strings.NewReader(ffSample)))
 	if err != nil {
@@ -161,6 +150,7 @@ func TestDiffBaseline(t *testing.T) {
 		PR: 4,
 		Benchmarks: []Benchmark{
 			{Name: "BenchmarkKernel_Vectorized_ECount_n64_f7", Metrics: map[string]float64{"ns/op": 87663754}},
+			{Name: "BenchmarkLive_Optimized_FaultFree_n32", Metrics: map[string]float64{"ns/op": 6799787}},
 			{Name: "BenchmarkOnlyInBaseline", Metrics: map[string]float64{"ns/op": 1}},
 		},
 	})
@@ -170,12 +160,15 @@ func TestDiffBaseline(t *testing.T) {
 	if report.BaselinePR != 4 {
 		t.Fatalf("baseline PR = %d, want 4", report.BaselinePR)
 	}
-	if len(report.BaselineDiffs) != 1 {
-		t.Fatalf("diffs = %+v, want exactly the shared benchmark", report.BaselineDiffs)
+	if len(report.BaselineDiffs) != 2 {
+		t.Fatalf("diffs = %+v, want exactly the two shared benchmarks", report.BaselineDiffs)
 	}
 	d := report.BaselineDiffs[0]
 	if d.Name != "BenchmarkKernel_Vectorized_ECount_n64_f7" || d.Speedup < 1.9 || d.Speedup > 2.1 {
 		t.Fatalf("diff = %+v, want ~2x on the shared benchmark", d)
+	}
+	if d := report.BaselineDiffs[1]; d.Name != "BenchmarkLive_Optimized_FaultFree_n32" || d.Speedup != 1 {
+		t.Fatalf("diff = %+v, want the unchanged live cell at 1x", d)
 	}
 
 	disjoint := writeBaseline("disjoint.json", Report{

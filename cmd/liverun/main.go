@@ -13,7 +13,6 @@
 //	liverun -faults crash,loss,partition -bursts 2 -budget 30s -ndjson soak.ndjson
 //	liverun -seed 7 -timeline            # print the fault schedule and exit
 //	liverun -seeds 5 -ndjson sweep.ndjson  # 5 seeded soaks, one NDJSON stream
-//	liverun -engine reference            # drive the retained reference engine
 //	liverun -cpuprofile cpu.pprof        # pprof the soak's hot path
 package main
 
@@ -50,7 +49,6 @@ type liveFlags struct {
 	n, f, c                 int
 	seed                    int64
 	seeds                   int
-	engine                  string
 	faults                  string
 	warmup, burstLen, gap   uint64
 	bursts, crashes         int
@@ -97,9 +95,6 @@ func validateFlags(fl *liveFlags) error {
 	if fl.budget < 0 {
 		return fmt.Errorf("-budget %v is negative: give 0 to run the full horizon", fl.budget)
 	}
-	if fl.engine != "reference" && fl.engine != "optimized" {
-		return fmt.Errorf("-engine %q: the round engine is reference or optimized", fl.engine)
-	}
 	if fl.seeds < 1 {
 		return fmt.Errorf("-seeds %d: a sweep needs at least one seed", fl.seeds)
 	}
@@ -117,7 +112,6 @@ func run() error {
 	flag.IntVar(&fl.c, "c", 8, "counter modulus")
 	flag.Int64Var(&fl.seed, "seed", 1, "run seed: node states, coins and the chaos timeline all derive from it")
 	flag.IntVar(&fl.seeds, "seeds", 1, "seeded soaks to run back to back (seeds seed..seed+K-1), all appended to one -ndjson stream")
-	flag.StringVar(&fl.engine, "engine", "optimized", "round engine: optimized | reference (identical seeded behaviour, different data path)")
 	flag.StringVar(&fl.faults, "faults", "crash,loss,partition", "comma-separated chaos kinds: crash | loss | corrupt | dup | delay | partition | stall")
 	flag.Uint64Var(&fl.warmup, "warmup", 0, "fault-free prefix rounds (0 = bound + window + 8)")
 	flag.IntVar(&fl.bursts, "bursts", 3, "fault bursts to inject (0 = fault-free soak)")
@@ -229,7 +223,6 @@ func run() error {
 			RoundTimeout: fl.timeout,
 			Schedule:     sched,
 			WallBudget:   fl.budget,
-			Reference:    fl.engine == "reference",
 		})
 		if err != nil {
 			return err

@@ -14,7 +14,7 @@ import (
 func goodFlags() *liveFlags {
 	return &liveFlags{
 		algName: "ecount", n: 32, f: 3, c: 8, seed: 1, seeds: 1,
-		engine: "optimized", faults: "crash,loss,partition",
+		faults: "crash,loss,partition",
 		bursts: 3, burstLen: 8, timeout: time.Second,
 	}
 }
@@ -40,7 +40,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative window", func(fl *liveFlags) { fl.window = -1 }, "-window"},
 		{"zero timeout", func(fl *liveFlags) { fl.timeout = 0 }, "-timeout"},
 		{"negative budget", func(fl *liveFlags) { fl.budget = -time.Second }, "-budget"},
-		{"unknown engine", func(fl *liveFlags) { fl.engine = "turbo" }, "-engine"},
 		{"zero seeds", func(fl *liveFlags) { fl.seeds = 0 }, "-seeds"},
 		{"profile collision", func(fl *liveFlags) {
 			fl.cpuprofile, fl.memprofile = "p.pprof", "p.pprof"
@@ -56,11 +55,6 @@ func TestValidateFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantMsg) {
 			t.Errorf("%s: error %q does not name the offending flag %q", tc.name, err, tc.wantMsg)
 		}
-	}
-	ref := goodFlags()
-	ref.engine = "reference"
-	if err := validateFlags(ref); err != nil {
-		t.Errorf("reference engine rejected: %v", err)
 	}
 }
 

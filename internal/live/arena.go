@@ -2,7 +2,7 @@ package live
 
 import "sync/atomic"
 
-// epochArena owns every slice the optimized engine hands to node
+// epochArena owns every slice the round engine hands to node
 // goroutines for one round: the shared decoded broadcast batch, the
 // per-receiver skip and patch lists carved for chaos-touched receivers,
 // and the frame-size byte buffers backing corrupted and delayed frames.
@@ -48,24 +48,12 @@ func (a *epochArena) grab() []byte {
 	return b
 }
 
-// corrupt is corruptFrame rewritten onto arena storage: the copy the
-// reference router allocates per corruption comes from the epoch's
-// buffer pool instead. Decision logic is byte-identical to corruptFrame
-// for full-size frames (the only kind honest senders produce).
+// corrupt returns a corrupted copy of a full frame in an epoch buffer,
+// leaving the shared original intact.
 func (a *epochArena) corrupt(fr []byte, word, space uint64) []byte {
 	out := a.grab()
 	copy(out, fr)
-	if word&1 == 0 {
-		// Forge: rewrite the state word with an arbitrary in-space value
-		// and reseal, so the frame authenticates as a Byzantine value.
-		resealFrame(out, word%space)
-		return out
-	}
-	flip := byte(word >> 32)
-	if flip == 0 {
-		flip = 0x01
-	}
-	out[int(word>>8)%len(out)] ^= flip
+	corruptFrame(out, word, space)
 	return out
 }
 

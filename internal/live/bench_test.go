@@ -2,29 +2,28 @@ package live
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/registry"
 )
 
 // benchLive drives full seeded runs of a fixed horizon per iteration.
-// cmd/benchjson pairs the Reference_/Optimized_ variants and
-// bench-smoke gates the ratio.
 //
-// The gated cells run maxstep, whose Step is allocation-free and
-// near-instant, so the pair measures the round engine — barriers,
-// routing, decoding, arena — and not the algorithm riding it. The
-// ungated ecount cell (BenchmarkLive_EndToEnd_*) reports the end-to-end
-// soak stack instead, where ecount's own Step dominates both engines.
-func benchLive(b *testing.B, reference bool, name string, n, f int, kinds []string) {
+// The maxstep cells run a Step that is allocation-free and near-instant,
+// so they measure the round engine — barriers, routing, decoding, arena
+// — and not the algorithm riding it. The ecount cell reports the
+// end-to-end soak stack instead, where ecount's own Step dominates. The
+// names carry the Optimized_/EndToEndOpt_ tags of BENCH_10.json, whose
+// reference-engine pairs they were measured against, so `make
+// bench-diff` keeps tracking them across trajectory artifacts.
+func benchLive(b *testing.B, name string, n, f int, kinds []string) {
 	a, err := registry.Build(name, registry.Params{N: n, F: f, C: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
 	horizon := uint64(256)
 	if n >= 128 {
-		horizon = 128 // the reference n=128 cell pays n² decodes per round
+		horizon = 128
 	}
 	newSched := func() *Schedule {
 		if kinds == nil {
@@ -45,7 +44,7 @@ func benchLive(b *testing.B, reference bool, name string, n, f int, kinds []stri
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(Config{Alg: a, Seed: 1, Rounds: horizon, Schedule: newSched(), Reference: reference})
+		rt, err := New(Config{Alg: a, Seed: 1, Rounds: horizon, Schedule: newSched()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,47 +63,30 @@ func benchLive(b *testing.B, reference bool, name string, n, f int, kinds []stri
 	}
 }
 
-func BenchmarkLive_Reference_FaultFree_n32(b *testing.B) {
-	benchLive(b, true, "maxstep", 32, 0, nil)
-}
 func BenchmarkLive_Optimized_FaultFree_n32(b *testing.B) {
-	benchLive(b, false, "maxstep", 32, 0, nil)
+	benchLive(b, "maxstep", 32, 0, nil)
 }
 
-func BenchmarkLive_Reference_CrashPartition_n32(b *testing.B) {
-	benchLive(b, true, "maxstep", 32, 0, []string{"crash", "partition"})
-}
 func BenchmarkLive_Optimized_CrashPartition_n32(b *testing.B) {
-	benchLive(b, false, "maxstep", 32, 0, []string{"crash", "partition"})
+	benchLive(b, "maxstep", 32, 0, []string{"crash", "partition"})
 }
 
-// The n=128 soak cell: where the reference engine's per-receiver
-// decoding (n-1 CRC checks per broadcast) hurts most.
-func BenchmarkLive_Reference_FaultFree_n128(b *testing.B) {
-	benchLive(b, true, "maxstep", 128, 0, nil)
-}
 func BenchmarkLive_Optimized_FaultFree_n128(b *testing.B) {
-	benchLive(b, false, "maxstep", 128, 0, nil)
+	benchLive(b, "maxstep", 128, 0, nil)
 }
 
-// End-to-end pair on the PR 9 soak stack (ecount n=32 f=3 c=8): not
-// paired by the benchjson live gate (its Step cost — codec field
-// extraction and vote tallies — dominates both engines identically),
-// reported so the trajectory keeps an honest end-to-end number.
-func BenchmarkLive_EndToEndRef_Ecount_n32(b *testing.B) {
-	benchLive(b, true, "ecount", 32, 3, nil)
-}
+// The PR 9 soak stack (ecount n=32 f=3 c=8), end to end.
 func BenchmarkLive_EndToEndOpt_Ecount_n32(b *testing.B) {
-	benchLive(b, false, "ecount", 32, 3, nil)
+	benchLive(b, "ecount", 32, 3, nil)
 }
 
-// The arena contract, pinned: a fault-free optimized round allocates
+// The arena contract, pinned: a fault-free round allocates
 // (approximately) nothing once the ring is warm. Two horizons differing
 // by 256 rounds cancel all per-run setup (goroutines, channels, node
 // scratch), leaving the pure per-round marginal cost. maxstep is the
 // allocation-free Step on purpose — ecount's Step allocates internally,
 // which would charge algorithm costs to the transport budget.
-func TestOptimizedFaultFreeAllocsPerRound(t *testing.T) {
+func TestFaultFreeAllocsPerRound(t *testing.T) {
 	a := buildAlg(t, "maxstep", 8, 0, 8)
 	measure := func(rounds uint64) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -125,31 +107,6 @@ func TestOptimizedFaultFreeAllocsPerRound(t *testing.T) {
 	long := measure(320)
 	perRound := (long - short) / 256
 	if perRound > 2 {
-		t.Errorf("optimized fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
-	}
-}
-
-// The same differencing on the reference engine documents what the
-// arena buys; it is informational (logged), not gated — the reference
-// path is allowed to allocate.
-func TestAllocsPerRoundComparison(t *testing.T) {
-	if testing.Short() {
-		t.Skip("comparison is informational")
-	}
-	a := buildAlg(t, "maxstep", 8, 0, 8)
-	for _, reference := range []bool{true, false} {
-		measure := func(rounds uint64) float64 {
-			return testing.AllocsPerRun(3, func() {
-				rt, err := New(Config{Alg: a, Seed: 5, Rounds: rounds, Window: 12, Reference: reference})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := rt.Run(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		perRound := (measure(320) - measure(64)) / 256
-		t.Log(fmt.Sprintf("reference=%v: %.2f allocs/round", reference, perRound))
+		t.Errorf("fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
 	}
 }

@@ -344,9 +344,9 @@ func (s *Schedule) Timeline() string {
 }
 
 // maxDelayBy returns the deepest delay any window in the schedule can
-// impose on a frame. The optimized engine sizes its arena ring by it: an
-// epoch's bytes may be referenced until every round a held frame could
-// still land in has completed.
+// impose on a frame. The engine sizes its arena ring by it: an epoch's
+// bytes may be referenced until every round a held frame could still
+// land in has completed.
 func (s *Schedule) maxDelayBy() uint64 {
 	var d uint64
 	for _, w := range s.Windows {
@@ -407,20 +407,19 @@ func chaosWord(seed int64, round uint64, from, to int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// corruptFrame returns a corrupted copy of the frame (the original is
-// shared with other recipients and must stay intact). Half the
-// corruption word's decisions forge an authentic-looking frame carrying
-// an arbitrary in-space state — the Byzantine-value injection the
-// counting stacks are built to survive — and the other half flip raw
-// bytes, producing a frame the receiver's checksum/decode hardening
-// must reject as loss without panicking.
-func corruptFrame(fr []byte, word, space uint64) []byte {
-	out := append([]byte(nil), fr...)
-	if word&1 == 0 && len(out) == frameSize {
+// corruptFrame damages a full frame in place, as the corruption word
+// decides; callers corrupt a private copy, since the original is shared
+// with other recipients. Half the decisions forge an authentic-looking
+// frame carrying an arbitrary in-space state — the Byzantine-value
+// injection the counting stacks are built to survive — and the other
+// half flip raw bytes, producing a frame the receiver's checksum/decode
+// hardening must reject as loss without panicking.
+func corruptFrame(fr []byte, word, space uint64) {
+	if word&1 == 0 {
 		// Forge: rewrite the state word with an arbitrary in-space value
 		// and recompute the checksum so the frame authenticates.
-		resealFrame(out, word%space)
-		return out
+		resealFrame(fr, word%space)
+		return
 	}
 	// Bit-flip: damage one byte anywhere in the frame; the CRC (or the
 	// decoder's range checks) catches it and the receiver treats the
@@ -429,6 +428,5 @@ func corruptFrame(fr []byte, word, space uint64) []byte {
 	if flip == 0 {
 		flip = 0x01
 	}
-	out[int(word>>8)%len(out)] ^= flip
-	return out
+	fr[int(word>>8)%len(fr)] ^= flip
 }

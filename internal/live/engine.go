@@ -9,17 +9,19 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// The optimized engine (runOptimized) re-plans the reference data path
-// around three ideas, keeping the observable protocol — reports, chaos
-// timelines, NDJSON — byte-identical per seed (pinned by the
-// differential suite in engine_differential_test.go):
+// The round engine. Per round the synchroniser collects every live
+// node's broadcast, routes it through the chaos schedule and hands each
+// node one message to merge and step on. Three ideas keep it cheap
+// while the protocol it implements stays the plain lockstep reading in
+// lockstep_test.go, which the differential suite pins it to byte for
+// byte:
 //
 //  1. Decode memo + shared broadcast base: the router CRC-checks and
 //     decodes each on-time broadcast once into a wireEntry, and every
-//     receiver merges the same immutable base slice. The reference path
-//     decodes each frame n-1 times. Chaos-touched edges are expressed
-//     as per-receiver patches: a drops list (senders whose base entry
-//     the receiver must skip) plus a priv list of extra deliveries —
+//     receiver merges the same immutable base slice instead of decoding
+//     n-1 frames itself. Chaos-touched edges are expressed as
+//     per-receiver patches: a drops list (senders whose base entry the
+//     receiver must skip) plus a priv list of extra deliveries —
 //     router-verified entries for clean duplicates/delays, raw bytes
 //     for corrupted frames, which the receiver still CRC-checks itself
 //     (the untrusted-transport invariant: only bytes that never left
@@ -28,14 +30,12 @@ import (
 //     epochArena and is recycled once the rounds that could still hold
 //     it (bounded by the schedule's max delay) have retired, so a
 //     fault-free round allocates nothing.
-//  3. One handoff per node per round: the reference engine runs a
-//     four-hop start→send→batch→done protocol with two timed barriers.
-//     Here the node's send doubles as the previous round's done (it can
-//     only send round r+1 after merging round r), so the synchroniser
-//     delivers one roundMsg and collects one sendMsg per node per
-//     round, halving channel traffic and timer churn while keeping the
-//     graceful-degradation semantics (non-blocking handoffs, per-round
-//     deadline, stragglers rejoin at the newest round).
+//  3. One handoff per node per round: the node's send doubles as the
+//     previous round's done marker (it can only send round r+1 after
+//     merging round r), so the synchroniser delivers one roundMsg and
+//     collects one sendMsg per node per round, with non-blocking
+//     handoffs, a per-round deadline, and stragglers rejoining at the
+//     newest round.
 
 // wireEntry is one router-decoded broadcast: the decode memo's unit.
 type wireEntry struct {
@@ -74,9 +74,8 @@ type roundMsg struct {
 	epoch  *epochArena
 }
 
-// fastHandle is the synchroniser's view of one optimized-engine node
-// incarnation.
-type fastHandle struct {
+// nodeHandle is the synchroniser's view of one node incarnation.
+type nodeHandle struct {
 	id, inc int
 	ch      chan roundMsg
 	quit    chan struct{}
@@ -103,30 +102,14 @@ func rearm(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// finishReport closes the books on a run (both engines share it).
-func finishReport(rep *Report, track *tracker, start time.Time) *Report {
-	track.finish()
-	rep.Recoveries = track.recoveries
-	rep.Stabilised = track.firstConfirmed
-	rep.FirstStabilised = track.firstStable
-	rep.Violations = track.violations
-	rep.Elapsed = time.Since(start)
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		rep.RoundsPerSec = float64(rep.Rounds) / s
-	}
-	return rep
-}
-
-// runOptimized drives the network with the batched zero-allocation
-// round engine. Chaos decisions are the same pure hashes the reference
-// router evaluates, walked in the same sender/receiver/window order, so
-// the injected timeline — and with it the whole report — replays the
-// reference run byte-for-byte on the same seed (stall chaos excepted:
-// wall-clock stragglers are nondeterministic under both engines).
-func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
+// run drives the network with the round engine. Chaos decisions are
+// pure hashes of (seed, round, link), walked in sender/receiver/window
+// order, so the injected timeline — and with it the whole report —
+// replays identically on the same seed.
+func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 	sched := rt.cfg.Schedule
 	rep := &Report{}
-	track := newTracker(rt.cfg.Alg.C(), rt.window)
+	track := newTracker(rt.cfg.Alg.C(), rt.cfg.Window)
 
 	depth := int(rt.maxDelay) + 2
 	ring := newArenaRing(depth)
@@ -138,11 +121,10 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 	}
 
 	// stallsAt loads the stall durations scheduled for a round into
-	// stallFor. The pipelined engine has no start message to carry a
-	// stall, so the sleep rides the handoff of the round before (or the
-	// spawn, for a node joining at that round); the Stalls counter and
-	// fault tracking still happen at the scheduled round, like the
-	// reference engine.
+	// stallFor. The pipeline has no start message to carry a stall, so
+	// the sleep rides the handoff of the round before (or the spawn, for
+	// a node joining at that round); the Stalls counter and fault
+	// tracking still happen at the scheduled round.
 	stallFor := make([]time.Duration, rt.n)
 	stallsAt := func(round uint64) {
 		for i := range stallFor {
@@ -158,10 +140,10 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		}
 	}
 
-	handles := make([]*fastHandle, rt.n)
+	handles := make([]*nodeHandle, rt.n)
 	stallsAt(0)
 	for i := range handles {
-		handles[i] = rt.spawnFast(i, 0, 0, stallFor[i])
+		handles[i] = rt.spawn(i, 0, 0, stallFor[i])
 	}
 	defer func() {
 		for _, h := range handles {
@@ -184,8 +166,8 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		expect = make([]bool, rt.n)
 		// deadInc/deadRound tombstone the last crash per node: a crashed
 		// node's pipelined eager send for the crash round is an artefact
-		// the reference engine never produces (its nodes only send after
-		// a start message), so it is discarded without counting.
+		// of the pipeline (the node was dead for that round), so it is
+		// discarded without counting.
 		deadInc   = make([]int, rt.n)
 		deadRound = make([]uint64, rt.n)
 
@@ -211,7 +193,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 	start := time.Now()
 	for round := uint64(0); round < rt.horizon; round++ {
 		if err := ctx.Err(); err != nil {
-			return finishReport(rep, track, start), err
+			return track.finish(rep, start), err
 		}
 		if rt.cfg.WallBudget > 0 && time.Since(start) >= rt.cfg.WallBudget {
 			rep.BudgetExhausted = true
@@ -221,7 +203,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		ep := ring.epochFor(round)
 
 		// Node-level chaos fires at the round boundary, in schedule
-		// order exactly like the reference engine. stallFor still holds
+		// order. stallFor still holds
 		// this round's stalls (loaded during the previous delivery
 		// phase), which restart spawns consume.
 		if sched != nil {
@@ -239,7 +221,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 					}
 				case EventRestart:
 					if handles[ev.Node] == nil {
-						handles[ev.Node] = rt.spawnFast(ev.Node, int(rep.Restarts)+1, round, stallFor[ev.Node])
+						handles[ev.Node] = rt.spawn(ev.Node, int(rep.Restarts)+1, round, stallFor[ev.Node])
 						expect[ev.Node] = true
 						rep.Restarts++
 						track.fault(round, ev.Burst)
@@ -259,7 +241,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 			}
 		}
 		if liveCount == 0 {
-			return finishReport(rep, track, start), fmt.Errorf("live: round %d: no live nodes remain — the schedule crashed the whole network", round)
+			return track.finish(rep, start), fmt.Errorf("live: round %d: no live nodes remain — the schedule crashed the whole network", round)
 		}
 
 		// Collect this round's broadcasts: one message per node whose
@@ -272,7 +254,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 			}
 		}
 		if expected == 0 {
-			return finishReport(rep, track, start), fmt.Errorf("live: round %d: all %d live nodes have fallen more than %d rounds behind the synchroniser", round, liveCount, ctrlDepth)
+			return track.finish(rep, start), fmt.Errorf("live: round %d: all %d live nodes have fallen more than %d rounds behind the synchroniser", round, liveCount, ctrlDepth)
 		}
 		for i := range haveSend {
 			haveSend[i] = false
@@ -315,7 +297,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 				case <-timer.C:
 					break collect
 				case <-ctx.Done():
-					return finishReport(rep, track, start), ctx.Err()
+					return track.finish(rep, start), ctx.Err()
 				}
 			}
 			h := handles[m.node]
@@ -332,7 +314,7 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		}
 		rep.TimedOutRounds += uint64(expected - onTime)
 		if onTime == 0 {
-			return finishReport(rep, track, start), fmt.Errorf("live: round %d: all %d live nodes missed the %v round deadline — aborting the run instead of stalling the synchroniser", round, expected, rt.timeout)
+			return track.finish(rep, start), fmt.Errorf("live: round %d: all %d live nodes missed the %v round deadline — aborting the run instead of stalling the synchroniser", round, expected, rt.timeout)
 		}
 
 		// Observe the start-of-round outputs of the on-time live nodes.
@@ -355,9 +337,9 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		rep.Rounds = round + 1
 
 		// Decode memo: validate each on-time broadcast once. A frame
-		// that fails here (unreachable for honest in-process senders,
-		// kept for parity) is routed raw to every receiver instead, so
-		// the per-receiver decode accounting matches the reference.
+		// that fails here (unreachable for honest in-process senders) is
+		// routed raw to every receiver instead, so each receiver still
+		// accounts its own decode failure.
 		anyBad := false
 		for s := 0; s < rt.n; s++ {
 			entryOK[s] = false
@@ -374,10 +356,10 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 		}
 		base := ep.entries[:len(ep.entries):len(ep.entries)]
 
-		// Route through the chaos layer: identical hash decisions in
-		// identical sender/receiver/window order as the reference
-		// router, but expressed as base + patches instead of per-edge
-		// frame slices. Untouched edges cost nothing.
+		// Route through the chaos layer: the lockstep model's hash
+		// decisions in its sender/receiver/window order, expressed as
+		// base + patches instead of per-edge frame slices. Untouched
+		// edges cost nothing.
 		for v := 0; v < rt.n; v++ {
 			scratchDrops[v] = scratchDrops[v][:0]
 			scratchPriv[v] = scratchPriv[v][:0]
@@ -541,5 +523,5 @@ func (rt *Runtime) runOptimized(ctx context.Context) (*Report, error) {
 			expect[v] = true
 		}
 	}
-	return finishReport(rep, track, start), nil
+	return track.finish(rep, start), nil
 }

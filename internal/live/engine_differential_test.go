@@ -8,38 +8,28 @@ import (
 	"time"
 )
 
-// obs is one OnRound observation; the differential suite compares the
-// full per-round streams of the two engines, not just the final report,
-// so a divergence is caught at the round it first appears.
-type obs struct {
-	round  uint64
-	agree  bool
-	common int
-	onTime int
-}
-
-// runEngine soaks one seeded chaos configuration on the selected engine
-// and returns the report (wall-clock fields zeroed) plus the per-round
-// observation trace and the canonical chaos timeline.
-func runEngine(t *testing.T, reference bool, seed int64, kinds []string) (*Report, []obs, string) {
+// diffCase builds one seeded n=8 soak: the algorithm, the schedule and
+// the confirmation window.
+func diffCase(t *testing.T, name string, f, c int, seed int64, kinds []string) Config {
 	t.Helper()
-	a := buildAlg(t, "ecount", 8, 1, 8)
 	cfg, window := soakConfig(seed, kinds)
 	sched, err := NewSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return Config{Alg: buildAlg(t, name, 8, f, c), Seed: seed, Window: window, Schedule: sched}
+}
+
+// runRuntime soaks the configuration on the concurrent runtime and
+// returns the report (wall-clock fields zeroed) plus the per-round
+// observation stream.
+func runRuntime(t *testing.T, cfg Config) (*Report, []obs) {
+	t.Helper()
 	var trace []obs
-	rt, err := New(Config{
-		Alg:       a,
-		Seed:      seed,
-		Window:    window,
-		Schedule:  sched,
-		Reference: reference,
-		OnRound: func(round uint64, agree bool, common, onTime int) {
-			trace = append(trace, obs{round, agree, common, onTime})
-		},
-	})
+	cfg.OnRound = func(round uint64, agree bool, common, onTime int) {
+		trace = append(trace, obs{round, agree, common, onTime})
+	}
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +38,16 @@ func runEngine(t *testing.T, reference bool, seed int64, kinds []string) (*Repor
 		t.Fatal(err)
 	}
 	rep.Elapsed, rep.RoundsPerSec = 0, 0
-	return rep, trace, sched.Timeline()
+	return rep, trace
 }
 
-// The tentpole contract: per seed, the optimized engine replays the
-// reference engine byte-for-byte — same chaos timeline, same report
-// (every counter, every recovery record), same per-round observation
-// stream — under every deterministic chaos kind alone and combined.
+// The engine contract: per seed, the concurrent runtime replays the
+// single-goroutine lockstep model byte for byte — same report (every
+// counter, every recovery record) and same per-round observation
+// stream — under every deterministic chaos kind alone and combined, on
+// a deterministic stack and on a randomised one whose per-node coins
+// must be drawn in the same order. The chaos timeline both replay is
+// pinned per seed by TestScheduleDeterministic.
 func TestEngineDifferential(t *testing.T) {
 	kindSets := [][]string{
 		nil, // burst windows with nothing in them: a fault-free soak
@@ -66,28 +59,31 @@ func TestEngineDifferential(t *testing.T) {
 		{"partition"},
 		{"crash", "loss", "corrupt", "dup", "delay", "partition"},
 	}
-	seeds := []int64{7, 99}
-	for _, kinds := range kindSets {
-		for _, seed := range seeds {
-			name := fmt.Sprintf("%v/seed=%d", kinds, seed)
-			t.Run(name, func(t *testing.T) {
-				refRep, refTrace, refTL := runEngine(t, true, seed, kinds)
-				optRep, optTrace, optTL := runEngine(t, false, seed, kinds)
-				if refTL != optTL {
-					t.Fatalf("chaos timelines diverge:\n%s\nvs\n%s", refTL, optTL)
-				}
-				if !reflect.DeepEqual(refRep, optRep) {
-					t.Fatalf("reports diverge:\nreference: %+v\noptimized: %+v", refRep, optRep)
-				}
-				if !reflect.DeepEqual(refTrace, optTrace) {
-					for i := range refTrace {
-						if i < len(optTrace) && refTrace[i] != optTrace[i] {
-							t.Fatalf("observation streams diverge at round %d: reference %+v, optimized %+v", refTrace[i].round, refTrace[i], optTrace[i])
-						}
+	stacks := []struct {
+		name string
+		f, c int
+	}{{"ecount", 1, 8}, {"randagree", 1, 2}}
+	for _, stack := range stacks {
+		for _, kinds := range kindSets {
+			for _, seed := range []int64{7, 99} {
+				name := fmt.Sprintf("%s/%v/seed=%d", stack.name, kinds, seed)
+				t.Run(name, func(t *testing.T) {
+					cfg := diffCase(t, stack.name, stack.f, stack.c, seed, kinds)
+					wantRep, wantTrace := lockstep(t, cfg)
+					gotRep, gotTrace := runRuntime(t, cfg)
+					if !reflect.DeepEqual(wantRep, gotRep) {
+						t.Fatalf("reports diverge:\nlockstep: %+v\nruntime:  %+v", wantRep, gotRep)
 					}
-					t.Fatalf("observation streams diverge in length: %d vs %d", len(refTrace), len(optTrace))
-				}
-			})
+					if !reflect.DeepEqual(wantTrace, gotTrace) {
+						for i := range wantTrace {
+							if i < len(gotTrace) && wantTrace[i] != gotTrace[i] {
+								t.Fatalf("observation streams diverge at round %d: lockstep %+v, runtime %+v", wantTrace[i].round, wantTrace[i], gotTrace[i])
+							}
+						}
+						t.Fatalf("observation streams diverge in length: %d vs %d", len(wantTrace), len(gotTrace))
+					}
+				})
+			}
 		}
 	}
 }
@@ -95,7 +91,7 @@ func TestEngineDifferential(t *testing.T) {
 // The combined-kind soak must actually inject every deterministic chaos
 // family, or the differential above proves less than it claims.
 func TestEngineDifferentialCoversAllKinds(t *testing.T) {
-	rep, _, _ := runEngine(t, false, 99, []string{"crash", "loss", "corrupt", "dup", "delay", "partition"})
+	rep, _ := lockstep(t, diffCase(t, "ecount", 1, 8, 99, []string{"crash", "loss", "corrupt", "dup", "delay", "partition"}))
 	if rep.Crashes == 0 || rep.Restarts == 0 || rep.Dropped == 0 ||
 		rep.Corrupted == 0 || rep.Duplicated == 0 || rep.Delayed == 0 || rep.Suppressed == 0 {
 		t.Fatalf("combined soak left a chaos family uninjected: %+v", rep)
@@ -105,49 +101,38 @@ func TestEngineDifferentialCoversAllKinds(t *testing.T) {
 	}
 }
 
-// Stall chaos is wall-clock and excluded from the byte-diff contract
-// (the reference engine runs two timed barriers per round, the batched
-// engine one, so straggler accounting differs structurally). Both
-// engines must still inject the scheduled stalls, degrade gracefully
+// Stall chaos is wall-clock and outside the byte-diff contract: the
+// runtime must still inject the scheduled stalls, degrade gracefully
 // and recover.
 func TestEngineStallBehavioural(t *testing.T) {
-	for _, reference := range []bool{true, false} {
-		name := "optimized"
-		if reference {
-			name = "reference"
-		}
-		t.Run(name, func(t *testing.T) {
-			a := buildAlg(t, "ecount", 8, 1, 8)
-			cfg, window := soakConfig(11, []string{"stall"})
-			cfg.StallDur = 80 * time.Millisecond
-			sched, err := NewSchedule(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt, err := New(Config{
-				Alg:          a,
-				Seed:         11,
-				Window:       window,
-				Schedule:     sched,
-				RoundTimeout: 20 * time.Millisecond,
-				Reference:    reference,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := rt.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Stalls != 2 {
-				t.Fatalf("injected %d stalls, want one per burst (2)", rep.Stalls)
-			}
-			if rep.TimedOutRounds == 0 {
-				t.Fatal("stalled nodes never missed a barrier — the stall must exceed the round deadline")
-			}
-			if err := rep.CheckRecovery(declaredBound(t, a)); err != nil {
-				t.Fatal(err)
-			}
-		})
+	a := buildAlg(t, "ecount", 8, 1, 8)
+	cfg, window := soakConfig(11, []string{"stall"})
+	cfg.StallDur = 80 * time.Millisecond
+	sched, err := NewSchedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{
+		Alg:          a,
+		Seed:         11,
+		Window:       window,
+		Schedule:     sched,
+		RoundTimeout: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stalls != 2 {
+		t.Fatalf("injected %d stalls, want one per burst (2)", rep.Stalls)
+	}
+	if rep.TimedOutRounds == 0 {
+		t.Fatal("stalled nodes never missed a barrier — the stall must exceed the round deadline")
+	}
+	if err := rep.CheckRecovery(declaredBound(t, a)); err != nil {
+		t.Fatal(err)
 	}
 }

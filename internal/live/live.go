@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // DefaultRoundTimeout is the per-barrier deadline when Config leaves it
@@ -34,10 +35,10 @@ import (
 // dead node costs one timeout rather than a hang.
 const DefaultRoundTimeout = time.Second
 
-// DefaultWindowFor mirrors the simulator's confirmation window: two
-// full counter cycles plus slack, so accidental agreement is never
-// mistaken for stabilisation.
-func DefaultWindowFor(c int) uint64 { return uint64(2*c + 16) }
+// DefaultWindowFor is the simulator's confirmation window
+// (sim.DefaultWindowFor): two full counter cycles plus slack, so
+// accidental agreement is never mistaken for stabilisation.
+func DefaultWindowFor(c int) uint64 { return sim.DefaultWindowFor(c) }
 
 // Config describes one live run.
 type Config struct {
@@ -76,14 +77,6 @@ type Config struct {
 	// agreement verdict over on-time live nodes and how many made the
 	// barrier. Used by tests; keep it fast.
 	OnRound func(round uint64, agree bool, common int, onTime int)
-
-	// Reference selects the retained four-hop reference engine instead
-	// of the batched zero-allocation engine (the default). Both produce
-	// byte-identical reports, timelines and NDJSON per seed — pinned by
-	// the differential suite — but the reference path decodes every
-	// frame per receiver and allocates per round; it exists as the
-	// semantic anchor, per the repo's runReference convention.
-	Reference bool
 }
 
 // Runtime is a live network: n node goroutines, a router applying the
@@ -93,7 +86,6 @@ type Runtime struct {
 	n        int
 	space    uint64
 	timeout  time.Duration
-	window   uint64
 	horizon  uint64
 	maxDelay uint64 // largest schedule DelayBy: bounds arena epoch lifetime
 
@@ -101,7 +93,6 @@ type Runtime struct {
 
 	// Shared with node goroutines.
 	sendCh       chan sendMsg
-	doneCh       chan doneMsg
 	wg           sync.WaitGroup
 	decodeErrors atomic.Uint64
 	staleBatches atomic.Uint64
@@ -141,10 +132,6 @@ func New(cfg Config) (*Runtime, error) {
 	if timeout <= 0 {
 		timeout = DefaultRoundTimeout
 	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultWindowFor(cfg.Alg.C())
-	}
 	var maxDelay uint64
 	if cfg.Schedule != nil {
 		maxDelay = cfg.Schedule.maxDelayBy()
@@ -154,12 +141,10 @@ func New(cfg Config) (*Runtime, error) {
 		n:        n,
 		space:    cfg.Alg.StateSpace(),
 		timeout:  timeout,
-		window:   window,
 		horizon:  horizon,
 		maxDelay: maxDelay,
 		cells:    make([]ReadCell, n),
 		sendCh:   make(chan sendMsg, 4*n),
-		doneCh:   make(chan doneMsg, 4*n),
 	}, nil
 }
 
@@ -176,293 +161,17 @@ func (rt *Runtime) Read(node int) (round uint64, value int, ok bool) {
 // N returns the network size.
 func (rt *Runtime) N() int { return rt.n }
 
-// heldFrame is a delayed frame awaiting its delivery round.
-type heldFrame struct {
-	to    int
-	frame []byte
-}
-
 // Run drives the network to the configured horizon and returns the
 // measured report. On a synchroniser abort (every live node missing a
 // barrier, or no live nodes left) the partial report is returned
 // alongside the error. Run may be called once per Runtime.
 //
-// By default Run uses the batched zero-allocation engine; Config.
-// Reference selects the retained reference path. Per seed the two
-// produce byte-identical reports (stall chaos excepted — wall-clock
-// stragglers are nondeterministic under either engine).
+// Per seed a run replays the lockstep model in lockstep_test.go byte
+// for byte — report, per-round observations, chaos timeline — except
+// under stall chaos, whose wall-clock stragglers are nondeterministic.
 func (rt *Runtime) Run(ctx context.Context) (*Report, error) {
 	if !rt.running.CompareAndSwap(false, true) {
 		return nil, errors.New("live: Run already called on this runtime")
 	}
-	if rt.cfg.Reference {
-		return rt.runReference(ctx)
-	}
-	return rt.runOptimized(ctx)
-}
-
-// runReference is the original four-hop (start→send→batch→done) engine,
-// retained verbatim as the semantic anchor the differential suite pins
-// runOptimized against.
-func (rt *Runtime) runReference(ctx context.Context) (*Report, error) {
-	sched := rt.cfg.Schedule
-	rep := &Report{}
-	track := newTracker(rt.cfg.Alg.C(), rt.window)
-
-	handles := make([]*nodeHandle, rt.n)
-	for i := range handles {
-		handles[i] = rt.spawn(i, 0)
-	}
-	defer func() {
-		for _, h := range handles {
-			if h != nil {
-				close(h.quit)
-			}
-		}
-		rt.wg.Wait()
-		rep.DecodeErrors = rt.decodeErrors.Load()
-		rep.StaleBatches = rt.staleBatches.Load()
-	}()
-
-	var (
-		gotSend  = make([]*sendMsg, rt.n)
-		stallFor = make([]time.Duration, rt.n)
-		batches  = make([][][]byte, rt.n)
-		gotDone  = make([]bool, rt.n)
-		held     = map[uint64][]heldFrame{}
-		windows  []*Window
-	)
-
-	start := time.Now()
-	finish := func() *Report { return finishReport(rep, track, start) }
-
-	for round := uint64(0); round < rt.horizon; round++ {
-		if err := ctx.Err(); err != nil {
-			return finish(), err
-		}
-		if rt.cfg.WallBudget > 0 && time.Since(start) >= rt.cfg.WallBudget {
-			rep.BudgetExhausted = true
-			break
-		}
-
-		// Node-level chaos fires at the round boundary.
-		if sched != nil {
-			for _, ev := range sched.eventsAt(round) {
-				switch ev.Kind {
-				case EventCrash:
-					if h := handles[ev.Node]; h != nil {
-						close(h.quit)
-						handles[ev.Node] = nil
-						rep.Crashes++
-						track.fault(round, ev.Burst)
-					}
-				case EventRestart:
-					if handles[ev.Node] == nil {
-						handles[ev.Node] = rt.spawn(ev.Node, int(rep.Restarts)+1)
-						rep.Restarts++
-						track.fault(round, ev.Burst)
-					}
-				case EventStall:
-					if handles[ev.Node] != nil {
-						stallFor[ev.Node] = ev.Stall
-						rep.Stalls++
-						track.fault(round, ev.Burst)
-					}
-				}
-			}
-		}
-		liveCount := 0
-		for _, h := range handles {
-			if h != nil {
-				liveCount++
-			}
-		}
-		if liveCount == 0 {
-			return finish(), fmt.Errorf("live: round %d: no live nodes remain — the schedule crashed the whole network", round)
-		}
-
-		// Barrier 1: release the round and collect broadcasts.
-		expected := 0
-		for i, h := range handles {
-			if h == nil {
-				continue
-			}
-			msg := startMsg{round: round, stall: stallFor[i]}
-			stallFor[i] = 0
-			select {
-			case h.start <- msg:
-				expected++
-			default:
-				rep.ControlDrops++
-			}
-		}
-		if expected == 0 {
-			return finish(), fmt.Errorf("live: round %d: all %d live nodes have fallen more than %d rounds behind the synchroniser", round, liveCount, ctrlDepth)
-		}
-		for i := range gotSend {
-			gotSend[i] = nil
-		}
-		onTime := 0
-		timer := time.NewTimer(rt.timeout)
-	collectSends:
-		for onTime < expected {
-			select {
-			case m := <-rt.sendCh:
-				h := handles[m.node]
-				if h == nil || m.inc != h.inc || m.round != round || gotSend[m.node] != nil {
-					rep.StaleMessages++
-					continue
-				}
-				mm := m
-				gotSend[m.node] = &mm
-				onTime++
-			case <-timer.C:
-				break collectSends
-			case <-ctx.Done():
-				timer.Stop()
-				return finish(), ctx.Err()
-			}
-		}
-		timer.Stop()
-		rep.TimedOutRounds += uint64(expected - onTime)
-		if onTime == 0 {
-			return finish(), fmt.Errorf("live: round %d: all %d live nodes missed the %v round deadline — aborting the run instead of stalling the synchroniser", round, expected, rt.timeout)
-		}
-
-		// Observe the start-of-round outputs of the on-time live nodes.
-		agree := true
-		common := -1
-		for i := 0; i < rt.n; i++ {
-			if gotSend[i] == nil {
-				continue
-			}
-			if common == -1 {
-				common = gotSend[i].out
-			} else if gotSend[i].out != common {
-				agree = false
-			}
-		}
-		track.observe(round, agree, common)
-		if rt.cfg.OnRound != nil {
-			rt.cfg.OnRound(round, agree, common, onTime)
-		}
-		rep.Rounds = round + 1
-
-		// Route the broadcasts through the chaos layer. Senders are
-		// walked in id order and link decisions are pure hashes of
-		// (seed, round, link), so delivery — and therefore the whole
-		// protocol evolution — is deterministic per seed.
-		for v := range batches {
-			batches[v] = batches[v][:0]
-		}
-		windows = windows[:0]
-		var seed int64
-		if sched != nil {
-			windows = sched.windowsAt(round, windows)
-			seed = sched.Seed
-		}
-		interferedBurst := -1
-		for s := 0; s < rt.n; s++ {
-			if gotSend[s] == nil {
-				continue
-			}
-			fr := gotSend[s].frame
-			for v := 0; v < rt.n; v++ {
-				if v == s || handles[v] == nil {
-					continue
-				}
-				out, delivered := fr, true
-				for _, w := range windows {
-					if w.Group != nil {
-						if w.Group[s] != w.Group[v] {
-							rep.Suppressed++
-							interferedBurst = w.Burst
-							delivered = false
-						}
-						continue
-					}
-					if w.Drop > 0 && chaosHash(seed, round, s, v, saltDrop) < w.Drop {
-						rep.Dropped++
-						interferedBurst = w.Burst
-						delivered = false
-						continue
-					}
-					if w.Corrupt > 0 && chaosHash(seed, round, s, v, saltCorrupt) < w.Corrupt {
-						out = corruptFrame(out, chaosWord(seed, round, s, v), rt.space)
-						rep.Corrupted++
-						interferedBurst = w.Burst
-					}
-					if w.Delay > 0 && chaosHash(seed, round, s, v, saltDelay) < w.Delay {
-						held[round+w.DelayBy] = append(held[round+w.DelayBy], heldFrame{to: v, frame: out})
-						rep.Delayed++
-						interferedBurst = w.Burst
-						delivered = false
-						continue
-					}
-					if w.Dup > 0 && chaosHash(seed, round, s, v, saltDup) < w.Dup {
-						batches[v] = append(batches[v], out)
-						rep.Duplicated++
-						interferedBurst = w.Burst
-					}
-				}
-				if delivered {
-					batches[v] = append(batches[v], out)
-				}
-			}
-		}
-		if late := held[round]; late != nil {
-			for _, hf := range late {
-				if handles[hf.to] != nil {
-					batches[hf.to] = append(batches[hf.to], hf.frame)
-				}
-			}
-			delete(held, round)
-		}
-		if interferedBurst >= 0 {
-			track.fault(round, interferedBurst)
-		}
-
-		// Barrier 2: deliver batches (the end-of-round marker) and wait
-		// for the steps to land.
-		delivered := 0
-		for v, h := range handles {
-			if h == nil {
-				continue
-			}
-			frames := make([][]byte, len(batches[v]))
-			copy(frames, batches[v])
-			select {
-			case h.batch <- batchMsg{round: round, frames: frames}:
-				delivered++
-				gotDone[v] = false
-			case <-h.quit:
-			default:
-				rep.ControlDrops++
-				gotDone[v] = true // nothing to wait for
-			}
-		}
-		doneCount := 0
-		timer = time.NewTimer(rt.timeout) //nolint:staticcheck // fresh timer per phase
-	collectDones:
-		for doneCount < delivered {
-			select {
-			case m := <-rt.doneCh:
-				h := handles[m.node]
-				if h == nil || m.inc != h.inc || m.round != round || gotDone[m.node] {
-					rep.StaleMessages++
-					continue
-				}
-				gotDone[m.node] = true
-				doneCount++
-			case <-timer.C:
-				break collectDones
-			case <-ctx.Done():
-				timer.Stop()
-				return finish(), ctx.Err()
-			}
-		}
-		timer.Stop()
-		rep.TimedOutRounds += uint64(delivered - doneCount)
-	}
-	return finish(), nil
+	return rt.run(ctx)
 }

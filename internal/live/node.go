@@ -7,38 +7,14 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// Control-plane messages between the synchroniser and a node goroutine.
-type startMsg struct {
-	round uint64
-	stall time.Duration
-}
-
-type batchMsg struct {
-	round  uint64
-	frames [][]byte
-}
-
+// sendMsg is a node's broadcast for one round, collected by the
+// synchroniser: it doubles as the node's done marker for the round
+// before.
 type sendMsg struct {
 	node, inc int
 	round     uint64
 	out       int
 	frame     []byte
-}
-
-type doneMsg struct {
-	node, inc int
-	round     uint64
-}
-
-// nodeHandle is the synchroniser's view of one node incarnation. The
-// control channels are buffered and the synchroniser sends on them with
-// a non-blocking select, so a lagging node can never stall the round
-// loop — it drops off the barrier instead (graceful degradation).
-type nodeHandle struct {
-	id, inc int
-	start   chan startMsg
-	batch   chan batchMsg
-	quit    chan struct{}
 }
 
 // ctrlDepth is the control-channel backlog a straggler may accumulate
@@ -56,122 +32,11 @@ func nodeSeed(seed int64, node, inc int) int64 {
 	return int64(z >> 1)
 }
 
-// nodeLoop is one live node: an unmodified registry algorithm run as a
-// goroutine. Per round it publishes its output to the lock-free read
-// cell, broadcasts its codec-encoded state through the router, waits
-// for its (chaos-filtered) round batch, reduces the received frames
-// into the full receive vector — peers it has not heard from this round
-// are stepped on their last authenticated state — and applies the
-// transition function.
-//
-// The loop owns no shared memory: everything it touches is either
-// node-local (state, lastSeen, rng), immutable (the algorithm, per the
-// alg.Algorithm concurrency contract), a channel, or an atomic counter.
-func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, lastRound []uint64, heard []bool) {
-	defer rt.wg.Done()
-	n, a, space := rt.n, rt.cfg.Alg, rt.space
-	recv := make([]alg.State, n)
-	var buf []byte
-	for {
-		var sm startMsg
-		select {
-		case sm = <-h.start:
-		case <-h.quit:
-			return
-		}
-		// Collapse any backlog: a straggler rejoins at the newest round
-		// instead of replaying barriers it already missed.
-	drain:
-		for {
-			select {
-			case sm = <-h.start:
-			default:
-				break drain
-			}
-		}
-		if sm.stall > 0 {
-			t := time.NewTimer(sm.stall)
-			select {
-			case <-t.C:
-			case <-h.quit:
-				t.Stop()
-				return
-			}
-		}
-
-		out := a.Output(h.id, state)
-		rt.cells[h.id].publish(sm.round, out)
-
-		buf = appendFrame(buf[:0], h.id, sm.round, state, space)
-		frame := append([]byte(nil), buf...) // the router may hold it past this round
-		select {
-		case rt.sendCh <- sendMsg{node: h.id, inc: h.inc, round: sm.round, out: out, frame: frame}:
-		case <-h.quit:
-			return
-		}
-
-		var bm batchMsg
-		for {
-			select {
-			case bm = <-h.batch:
-			case <-h.quit:
-				return
-			}
-			if bm.round >= sm.round {
-				break
-			}
-			rt.staleBatches.Add(1)
-		}
-		for _, fr := range bm.frames {
-			from, rnd, st, err := decodeFrame(fr, n, space)
-			if err != nil {
-				// Untrusted bytes that fail validation are loss, not a
-				// crash: count loudly and step on the last good state.
-				rt.decodeErrors.Add(1)
-				continue
-			}
-			if from == h.id {
-				continue
-			}
-			if !heard[from] || rnd >= lastRound[from] {
-				heard[from] = true
-				lastRound[from] = rnd
-				lastSeen[from] = st
-			}
-		}
-		copy(recv, lastSeen)
-		recv[h.id] = state
-		state = a.Step(h.id, recv, rng)
-
-		select {
-		case rt.doneCh <- doneMsg{node: h.id, inc: h.inc, round: bm.round}:
-		case <-h.quit:
-			return
-		}
-	}
-}
-
-// spawn starts incarnation inc of a node. Its state and its view of
-// every peer are drawn arbitrarily from the incarnation seed: a restart
-// is exactly the transient fault — arbitrary memory, correct behaviour
-// from now on — that the self-stabilisation bound quantifies over.
-func (rt *Runtime) spawn(id, inc int) *nodeHandle {
-	state, rng, lastSeen, lastRound, heard := rt.incarnate(id, inc)
-	h := &nodeHandle{
-		id:    id,
-		inc:   inc,
-		start: make(chan startMsg, ctrlDepth),
-		batch: make(chan batchMsg, ctrlDepth),
-		quit:  make(chan struct{}),
-	}
-	rt.wg.Add(1)
-	go rt.nodeLoop(h, state, rng, lastSeen, lastRound, heard)
-	return h
-}
-
-// incarnate draws the arbitrary initial memory of one node incarnation.
-// Both engines draw from the same seed in the same order, so a restart
-// lands in the identical state whichever engine drives it.
+// incarnate draws the arbitrary initial memory of one node incarnation:
+// its state and its view of every peer, from the incarnation seed. A
+// restart is exactly the transient fault — arbitrary memory, correct
+// behaviour from now on — that the self-stabilisation bound quantifies
+// over.
 func (rt *Runtime) incarnate(id, inc int) (alg.State, *rand.Rand, []alg.State, []uint64, []bool) {
 	rng := rand.New(rand.NewSource(nodeSeed(rt.cfg.Seed, id, inc)))
 	state := alg.UniformState(rng, rt.space)
@@ -196,26 +61,28 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 	}
 }
 
-// fastNodeLoop is the optimized-engine node: same algorithm contract,
-// one channel hop per round. It merges the shared decoded base (minus
-// its drops list) and its private patches — raw patch bytes still go
-// through decodeFrame with the same loud accounting as the reference —
-// then steps, publishes, and eagerly broadcasts the next round's frame
-// into its one persistent buffer. The router is provably done with the
-// previous frame bytes before the handoff that triggers the overwrite
-// was delivered, so the buffer is reused without a copy.
+// nodeLoop is one live node: an unmodified registry algorithm run as a
+// goroutine, one channel hop per round. It merges the shared decoded
+// base (minus its drops list) and its private patches — raw patch bytes
+// go through decodeFrame, and frames that fail it count as loss — into
+// its view of every peer (peers it has not heard from this round are
+// stepped on their last authenticated state), then steps, publishes to
+// its lock-free read cell, and eagerly broadcasts the next round's
+// frame into its one persistent buffer. The router is provably done
+// with the previous frame bytes before the handoff that triggers the
+// overwrite was delivered, so the buffer is reused without a copy.
 //
 // The hot path runs on plain channel operations, no selects: shutdown
 // and crash arrive in-band as a poison roundMsg (the synchroniser's
 // len-guarded handoff keeps one slot free, so the poison send never
 // blocks), and FIFO order guarantees every handoff delivered before the
 // poison is processed first — the decode accounting a crash interrupts
-// is therefore deterministic, matching the reference engine's done
-// barrier. The broadcast send is plain too: each incarnation has at
-// most one frame in flight (the collect phase consumes or discards it
-// before the handoff that triggers the next), so sendCh, sized 4n,
-// cannot fill. h.quit only interrupts stall sleeps.
-func (rt *Runtime) fastNodeLoop(h *fastHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, lastRound []uint64, heard []bool, round uint64, stall time.Duration) {
+// is therefore deterministic. The broadcast send is plain too: each
+// incarnation has at most one frame in flight (the collect phase
+// consumes or discards it before the handoff that triggers the next),
+// so sendCh, sized 4n, cannot fill. h.quit only interrupts stall
+// sleeps.
+func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, lastRound []uint64, heard []bool, round uint64, stall time.Duration) {
 	defer rt.wg.Done()
 	n, a, space := rt.n, rt.cfg.Alg, rt.space
 	recv := make([]alg.State, n)
@@ -321,20 +188,18 @@ func (rt *Runtime) fastNodeLoop(h *fastHandle, state alg.State, rng *rand.Rand, 
 	}
 }
 
-// spawnFast starts incarnation inc of an optimized-engine node, joining
-// at firstRound (0 at boot, the restart round after a crash). The node
-// publishes and broadcasts its arbitrary initial state immediately —
-// the reference engine's start message for the same round would trigger
-// the identical send.
-func (rt *Runtime) spawnFast(id, inc int, firstRound uint64, stall time.Duration) *fastHandle {
+// spawn starts incarnation inc of a node, joining at firstRound (0 at
+// boot, the restart round after a crash). The node publishes and
+// broadcasts its arbitrary initial state immediately.
+func (rt *Runtime) spawn(id, inc int, firstRound uint64, stall time.Duration) *nodeHandle {
 	state, rng, lastSeen, lastRound, heard := rt.incarnate(id, inc)
-	h := &fastHandle{
+	h := &nodeHandle{
 		id:   id,
 		inc:  inc,
 		ch:   make(chan roundMsg, ctrlDepth+1), // +1: reserved poison slot
 		quit: make(chan struct{}),
 	}
 	rt.wg.Add(1)
-	go rt.fastNodeLoop(h, state, rng, lastSeen, lastRound, heard, firstRound, stall)
+	go rt.nodeLoop(h, state, rng, lastSeen, lastRound, heard, firstRound, stall)
 	return h
 }

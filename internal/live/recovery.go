@@ -3,6 +3,8 @@ package live
 import (
 	"fmt"
 	"time"
+
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // Recovery is the measured response to one fault burst: how many rounds
@@ -27,34 +29,20 @@ type Recovery struct {
 	Confirmed bool `json:"confirmed"`
 }
 
-// tracker performs online stabilisation and recovery detection over the
-// per-round agreement observations of the live runtime. It is the
-// repeated-confirmation counterpart of internal/sim's Detector: every
-// injected fault re-arms the window, and each burst yields one Recovery
+// tracker measures per-burst recovery on a sim.Detector in its
+// re-arming mode — the simulator's confirmation rule, so the two
+// runtimes cannot disagree on what "stabilised" means. Every injected
+// fault re-arms the detector, and each burst yields one Recovery
 // measured from its last actual fault.
 type tracker struct {
-	c      int
-	window uint64
-
-	// Current streak of correct counting rounds.
-	have  bool
-	start uint64
-	prev  int
-
-	// Outstanding fault burst awaiting re-confirmation.
-	pending   bool
-	burst     int
-	lastFault uint64
-
-	firstConfirmed bool
-	firstStable    uint64
-	violations     uint64
-
+	det        *sim.Detector
+	burst      int
 	recoveries []Recovery
 }
 
+// newTracker confirms over window rounds (zero takes DefaultWindowFor).
 func newTracker(c int, window uint64) *tracker {
-	return &tracker{c: c, window: window}
+	return &tracker{det: sim.NewDetector(c, window)}
 }
 
 // fault records that chaos actually interfered in the given round's
@@ -62,91 +50,49 @@ func newTracker(c int, window uint64) *tracker {
 // faults of the same burst slide the reference point forward, so the
 // recovery is measured from the burst's last injected fault.
 func (t *tracker) fault(round uint64, burst int) {
-	t.pending = true
+	t.det.Rearm(round)
 	t.burst = burst
-	t.lastFault = round
 }
 
 // observe records one round's outputs: whether every on-time live node
 // agreed, and on what value. Rounds with no on-time nodes are observed
 // as disagreement.
 func (t *tracker) observe(round uint64, agree bool, common int) {
-	ok := false
-	switch {
-	case !agree:
-		t.have = false
-	case !t.have:
-		t.have = true
-		t.start = round
-		t.prev = common
-		ok = true
-	case common != (t.prev+1)%t.c:
-		// The counter jumped or stalled: this round can seed a fresh
-		// streak but does not extend the old one.
-		t.start = round
-		t.prev = common
-		ok = false
-	default:
-		t.prev = common
-		ok = true
-	}
-
-	// A break with no outstanding injected fault is a violation of the
-	// counting contract — only meaningful once the run has stabilised at
-	// least once (initial convergence is not a violation).
-	if !ok && !t.pending && t.firstConfirmed {
-		t.violations++
-	}
-
-	if !t.have {
-		return
-	}
-	if t.pending {
-		// The post-fault streak can only start after the fault round.
-		from := t.start
-		if from <= t.lastFault {
-			from = t.lastFault + 1
-		}
-		if round >= from && round-from+1 >= t.window {
-			t.recoveries = append(t.recoveries, Recovery{
-				Burst:       t.burst,
-				FaultRound:  t.lastFault,
-				RecoveredAt: from,
-				Latency:     from - t.lastFault - 1,
-				Confirmed:   true,
-			})
-			t.pending = false
-			if !t.firstConfirmed {
-				t.firstConfirmed = true
-				t.firstStable = from
-			}
-		}
-		return
-	}
-	if !t.firstConfirmed && round-t.start+1 >= t.window {
-		t.firstConfirmed = true
-		t.firstStable = t.start
+	fault, pending := t.det.Outstanding()
+	t.det.Observe(round, agree, common)
+	if _, still := t.det.Outstanding(); pending && !still {
+		from := t.det.LastConfirmed()
+		t.recoveries = append(t.recoveries, Recovery{
+			Burst:       t.burst,
+			FaultRound:  fault,
+			RecoveredAt: from,
+			Latency:     from - fault - 1,
+			Confirmed:   true,
+		})
 	}
 }
 
-// finish closes the books at the end of the run: an outstanding fault
-// burst that never re-confirmed is recorded unconfirmed, with the
-// streak-in-progress (if any) as its tentative recovery point.
-func (t *tracker) finish() {
-	if !t.pending {
-		return
-	}
-	rec := Recovery{Burst: t.burst, FaultRound: t.lastFault}
-	if t.have {
-		from := t.start
-		if from <= t.lastFault {
-			from = t.lastFault + 1
+// finish closes the books on a run: an outstanding fault burst that
+// never re-confirmed is recorded unconfirmed, with the streak in
+// progress (if any) as its tentative recovery point.
+func (t *tracker) finish(rep *Report, start time.Time) *Report {
+	if fault, pending := t.det.Outstanding(); pending {
+		rec := Recovery{Burst: t.burst, FaultRound: fault}
+		if from, ok := t.det.CurrentStreakStart(); ok {
+			rec.RecoveredAt = from
+			rec.Latency = from - fault - 1
 		}
-		rec.RecoveredAt = from
-		rec.Latency = from - t.lastFault - 1
+		t.recoveries = append(t.recoveries, rec)
 	}
-	t.recoveries = append(t.recoveries, rec)
-	t.pending = false
+	rep.Recoveries = t.recoveries
+	rep.Stabilised = t.det.Stabilised()
+	rep.FirstStabilised = t.det.Time()
+	rep.Violations = t.det.Violations()
+	rep.Elapsed = time.Since(start)
+	if s := rep.Elapsed.Seconds(); s > 0 {
+		rep.RoundsPerSec = float64(rep.Rounds) / s
+	}
+	return rep
 }
 
 // Report is the outcome of one live run.
@@ -172,8 +118,8 @@ type Report struct {
 	// Synchroniser and transport health counters.
 	TimedOutRounds uint64 `json:"timed_out_rounds"` // node-rounds past a barrier deadline
 	StaleMessages  uint64 `json:"stale_messages"`   // late/defunct-incarnation messages discarded
-	StaleBatches   uint64 `json:"stale_batches"`    // superseded round batches skipped by nodes
-	ControlDrops   uint64 `json:"control_drops"`    // start/batch handoffs refused by a lagging node
+	StaleBatches   uint64 `json:"stale_batches"`    // superseded round handoffs skipped by nodes
+	ControlDrops   uint64 `json:"control_drops"`    // round handoffs refused by a lagging node
 	DecodeErrors   uint64 `json:"decode_errors"`    // frames rejected by the wire validation
 
 	// Chaos accounting (what was actually injected).

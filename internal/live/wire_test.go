@@ -114,11 +114,12 @@ func TestCorruptFrameLeavesOriginalIntact(t *testing.T) {
 	const space = uint64(1000)
 	fr := appendFrame(nil, 1, 2, 3, space)
 	orig := append([]byte(nil), fr...)
+	var ep epochArena
 	sawForge, sawFlip := false, false
 	for word := uint64(0); word < 64; word++ {
-		out := corruptFrame(fr, word*0x9e3779b97f4a7c15, space)
+		out := ep.corrupt(fr, word*0x9e3779b97f4a7c15, space)
 		if string(fr) != string(orig) {
-			t.Fatal("corruptFrame mutated the shared original frame")
+			t.Fatal("corruption mutated the shared original frame")
 		}
 		if _, _, _, err := decodeFrame(out, 8, space); err == nil {
 			sawForge = true

@@ -99,3 +99,64 @@ func TestDetectorCurrentStreak(t *testing.T) {
 		t.Fatalf("streak start = %d,%v want 1,true", start, ok)
 	}
 }
+
+// The re-arming mode: a fault demands a fresh window that starts after
+// it, the rounds it breaks are not violations, and a streak already in
+// progress only counts from the round after the fault.
+func TestDetectorRearm(t *testing.T) {
+	d := NewDetector(4, 3)
+	for r := uint64(0); r < 3; r++ {
+		d.Observe(r, true, int(r%4))
+	}
+	if !d.Stabilised() || d.Time() != 0 || d.LastConfirmed() != 0 {
+		t.Fatalf("first window: stabilised=%v time=%d last=%d", d.Stabilised(), d.Time(), d.LastConfirmed())
+	}
+	d.Rearm(3)
+	if fault, ok := d.Outstanding(); !ok || fault != 3 {
+		t.Fatalf("Outstanding = %d,%v want 3,true", fault, ok)
+	}
+	d.Observe(3, true, 3) // the streak survives the fault but restarts at 4
+	d.Observe(4, false, 0)
+	d.Observe(5, true, 2)
+	d.Rearm(5) // a later fault of the burst slides the reference point
+	d.Observe(6, true, 3)
+	if start, ok := d.CurrentStreakStart(); !ok || start != 6 {
+		t.Fatalf("streak start = %d,%v want 6 (moved past the fault)", start, ok)
+	}
+	d.Observe(7, true, 0)
+	if _, ok := d.Outstanding(); !ok {
+		t.Fatal("re-confirmed before a full window after the last fault")
+	}
+	d.Observe(8, true, 1)
+	if _, ok := d.Outstanding(); ok {
+		t.Fatal("rounds 6..8 should re-confirm with window 3")
+	}
+	if d.LastConfirmed() != 6 || d.Time() != 0 {
+		t.Fatalf("LastConfirmed = %d, Time = %d; want 6 and the latched 0", d.LastConfirmed(), d.Time())
+	}
+	if d.Violations() != 0 {
+		t.Fatalf("%d violations blamed on rounds an outstanding fault broke", d.Violations())
+	}
+	d.Observe(9, false, 0) // no fault outstanding: a violation again
+	if d.Violations() != 1 {
+		t.Fatalf("Violations = %d, want 1", d.Violations())
+	}
+}
+
+// A fault before the first confirmation delays it: the first window
+// must start after the fault.
+func TestDetectorRearmBeforeFirstConfirmation(t *testing.T) {
+	d := NewDetector(4, 3)
+	d.Observe(0, true, 0)
+	d.Rearm(1)
+	for r := uint64(1); r < 4; r++ {
+		d.Observe(r, true, int(r%4))
+	}
+	if d.Stabilised() {
+		t.Fatal("confirmed on a window that straddles the fault")
+	}
+	d.Observe(4, true, 0)
+	if !d.Stabilised() || d.Time() != 2 {
+		t.Fatalf("stabilised=%v time=%d, want the window 2..4", d.Stabilised(), d.Time())
+	}
+}

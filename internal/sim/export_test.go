@@ -1,11 +1,43 @@
 package sim
 
-// RunReference exposes the retained scalar reference loop to the
-// external test package: the kernel-equivalence differential suite
-// (kernel_differential_test.go) and the BenchmarkKernel_* comparisons
-// hold the vectorized kernel bit-identical to — and measure it against
-// — this path. It honours cfg.StopEarly as set by the caller.
-func RunReference(cfg Config) (Result, error) { return runReference(cfg) }
+import (
+	"fmt"
+
+	"github.com/synchcount/synchcount/internal/adversary"
+	"github.com/synchcount/synchcount/internal/alg"
+)
+
+// RunReference runs the simulation on the scalar reference loop: the
+// kernel-equivalence differential suite (kernel_differential_test.go)
+// and the BenchmarkKernel_* comparisons hold the vectorized kernel
+// bit-identical to — and measure it against — this path. It honours
+// cfg.StopEarly as set by the caller.
+func RunReference(cfg Config) (Result, error) { return runMode(cfg, scalarRound) }
+
+// scalarRound is the historical scalar loop: a fresh O(n) receive
+// vector per receiver, one adversary call per (faulty sender, receiver)
+// pair and one interface Step call per correct node.
+func scalarRound(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error {
+	states, next, recv, faulty := sc.states, sc.next, sc.recv, sc.faulty
+	for v := range states {
+		if faulty[v] {
+			next[v] = states[v]
+			continue
+		}
+		for u := range states {
+			if faulty[u] {
+				recv[u] = adv.Message(view, u, v) % space
+			} else {
+				recv[u] = states[u]
+			}
+		}
+		next[v] = a.Step(v, recv, sc.nodeRngs[v])
+		if next[v] >= space {
+			return fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
+		}
+	}
+	return nil
+}
 
 // FastForwardEligible exposes the fast-forward gate to the external
 // test package: the eligibility tests pin exactly which configurations

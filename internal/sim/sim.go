@@ -157,18 +157,19 @@ func RunFull(cfg Config) (Result, error) {
 // shared receive base per round (correct nodes broadcast, so all
 // receivers observe the same state from them) plus per-receiver
 // patches of the ≤ f faulty slots — O(n·(f+1)) message fan-out instead
-// of the reference loop's O(n²) per-receiver copies — with batch
+// of the O(n²) per-receiver copies of a naive loop — with batch
 // stepping for algorithms implementing alg.BatchStepper.
-func run(cfg Config) (Result, error) { return runMode(cfg, true) }
+func run(cfg Config) (Result, error) { return runMode(cfg, nil) }
 
-// runReference executes the simulation on the historical scalar loop:
-// a fresh O(n) receive vector and an interface Step call per receiver
-// per round. It is the semantic reference the kernel is held
-// bit-identical to (see kernel_differential_test.go) and the baseline
-// the BenchmarkKernel_* comparisons measure against.
-func runReference(cfg Config) (Result, error) { return runMode(cfg, false) }
+// roundFunc delivers one round of messages and steps every correct
+// node from sc.states into sc.next.
+type roundFunc func(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error
 
-func runMode(cfg Config, vectorized bool) (Result, error) {
+// runMode runs the simulation on the kernel, or — when scalar is
+// non-nil — on that round function alone, with the bit-sliced path and
+// fast-forward off: the test-only scalar reference loop of
+// export_test.go enters here.
+func runMode(cfg Config, scalar roundFunc) (Result, error) {
 	a := cfg.Alg
 	if a == nil {
 		return Result{}, errors.New("sim: nil algorithm")
@@ -217,7 +218,7 @@ func runMode(cfg Config, vectorized bool) (Result, error) {
 	// reseeding is skipped — the node seeds are the tail of the master
 	// derivation, leaving all other streams bit-identical.
 	advBase := sc.seedAll(cfg.Seed, n, !alg.IsDeterministic(a))
-	initRng, advRng, nodeRngs := sc.initRng, sc.advRng, sc.nodeRngs
+	initRng, advRng := sc.initRng, sc.advRng
 
 	space := a.StateSpace()
 	states := sc.states
@@ -238,7 +239,6 @@ func runMode(cfg Config, vectorized bool) (Result, error) {
 	}
 
 	next := sc.next
-	recv := sc.recv
 	outputs := sc.outputs
 
 	correctCount := 0
@@ -264,7 +264,7 @@ func runMode(cfg Config, vectorized bool) (Result, error) {
 	var batch alg.BatchStepper
 	var sliced alg.BitSliceStepper
 	var ff *ffEngine
-	if vectorized {
+	if scalar == nil {
 		batch, _ = a.(alg.BatchStepper)
 		sc.preparePatches(n)
 		if !cfg.NoBitSlice {
@@ -275,8 +275,8 @@ func runMode(cfg Config, vectorized bool) (Result, error) {
 				}
 			}
 		}
-		// The fast-forward engine only rides the vectorized kernel; the
-		// scalar reference loop stays the plain semantic baseline the
+		// The fast-forward engine only rides the kernel; the scalar
+		// reference loop stays the plain semantic baseline the
 		// differential suites compare both against.
 		if ff = sc.ff.arm(&cfg, adv, faulty); ff != nil {
 			defer sc.ff.disarm()
@@ -329,28 +329,14 @@ func runMode(cfg Config, vectorized bool) (Result, error) {
 
 		// Deliver messages and step every correct node.
 		view.Round = round
-		if vectorized {
-			if err := kernelRound(a, batch, sliced, adv, view, sc, space); err != nil {
-				return Result{}, err
-			}
+		var err error
+		if scalar != nil {
+			err = scalar(a, adv, view, sc, space)
 		} else {
-			for v := 0; v < n; v++ {
-				if faulty[v] {
-					next[v] = states[v]
-					continue
-				}
-				for u := 0; u < n; u++ {
-					if faulty[u] {
-						recv[u] = adv.Message(view, u, v) % space
-					} else {
-						recv[u] = states[u]
-					}
-				}
-				next[v] = a.Step(v, recv, nodeRngs[v])
-				if next[v] >= space {
-					return Result{}, fmt.Errorf("sim: node %d stepped outside state space (%d >= %d)", v, next[v], space)
-				}
-			}
+			err = kernelRound(a, batch, sliced, adv, view, sc, space)
+		}
+		if err != nil {
+			return Result{}, err
 		}
 		copy(states, next)
 	}
