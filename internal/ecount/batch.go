@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/alg"
-	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
 // Batch stepping for the 1508.02535 counter. A round of the derived
@@ -19,8 +18,11 @@ import (
 // interface dispatch or allocations (the working set is pooled on the
 // Counter).
 //
-// Bit-identicality to per-node Step is pinned by the kernel
-// differential suite and TestBatchStepMatchesStep.
+// StepAll and per-node Step share the per-receiver tail stepReceiver;
+// both are held bit-identical to the map-backed oracle stepReference
+// (export_test.go) by TestBatchStepMatchesStep, TestStepMatchesReference
+// and FuzzECountTransition, and to each other by the kernel
+// differential suite.
 var _ alg.BatchStepper = (*Counter)(nil)
 
 type batchScratch struct {
@@ -154,54 +156,16 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 			sc.regTally.Add(dec)
 		}
 
-		own := base[v]
-		var match [2]bool
-		var instr [2]uint64
-		var nextP [2]uint64
+		var r [2]uint64
+		var ok [2]bool
 		for bi := 0; bi < 2; bi++ {
-			pp := e.cdc.Field(own, fieldP0+bi)
-			var r uint64
-			var ok bool
 			if sc.blockFault[bi] {
-				r, ok = e.readClockTally(bi, sc.clockTally[bi])
+				r[bi], ok[bi] = e.readClockTally(bi, sc.clockTally[bi])
 			} else {
-				r, ok = sc.sharedR[bi], sc.sharedOK[bi]
-			}
-			start := e.windowStart(bi)
-			if pp < e.tau && ok && r == (start+pp)%e.period {
-				match[bi] = true
-				instr[bi] = pp
-			}
-			switch {
-			case ok && r == (start+e.period-1)%e.period:
-				nextP[bi] = 0
-			case match[bi] && pp+1 < e.tau:
-				nextP[bi] = pp + 1
-			default:
-				nextP[bi] = e.pointerIdle()
+				r[bi], ok[bi] = sc.sharedR[bi], sc.sharedOK[bi]
 			}
 		}
-
-		regs := e.Registers(own)
-		if match[0] || match[1] {
-			ins := instr[0]
-			if !match[0] {
-				ins = instr[1]
-			}
-			king := int(phaseking.KingOf(ins % e.tau))
-			var kingA uint64
-			if c := sc.colOf[king]; c != 0 {
-				kingA = sc.patchReg[c-1]
-			} else {
-				kingA = sc.regDec[king]
-			}
-			regs = e.cons.StepCounts(regs, ins, sc.regTally, kingA)
-		} else {
-			regs.A = phaseking.Increment(regs.A, e.c)
-		}
-		aField, dField := regs.Encode(e.c)
-		sc.pack[0], sc.pack[1], sc.pack[2], sc.pack[3], sc.pack[4] = sc.newSub[v], nextP[0], nextP[1], aField, dField
-		next[v] = e.cdc.MustPack(sc.pack[:]...)
+		next[v] = e.stepReceiver(sc, base[v], sc.newSub[v], r, ok, nil)
 
 		for col, u := range p.Senders {
 			sc.clockTally[e.BlockOf(u)].Remove(sc.patchClock[col])
@@ -210,16 +174,29 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 	}
 }
 
-// readClockTally is ReadClock over a prebuilt (and possibly patched)
-// tally: the counter output reported by an absolute majority of the
-// block's nodes that also clears the block's quorum, reduced modulo
-// the schedule period.
+// readClockTally reads block bi's clock from a prebuilt (and possibly
+// patched) tally of its nodes' reported counter outputs: the output
+// reported by an absolute majority of the block's nodes that also
+// clears the block's quorum n_i - f_i, reduced modulo the schedule
+// period. A stabilised within-budget block yields the same read at
+// every correct node; a corrupt block can fail the quorum, but its
+// faulty members alone can never assemble one.
 func (e *Counter) readClockTally(bi int, tally *alg.DenseTally) (uint64, bool) {
 	val, ok := tally.Majority()
 	if !ok || tally.Count(val) < e.quora[bi] {
 		return 0, false
 	}
 	return val % e.period, true
+}
+
+// report returns sender u's decoded consensus-register report in the
+// current receiver's view: its patched value if u is a faulty sender,
+// otherwise the round's shared decode.
+func (sc *batchScratch) report(u int) uint64 {
+	if c := sc.colOf[u]; c != 0 {
+		return sc.patchReg[c-1]
+	}
+	return sc.regDec[u]
 }
 
 // batchSubSteps advances both blocks' counters, sharing one extracted

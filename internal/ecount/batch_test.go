@@ -9,10 +9,12 @@ import (
 
 // TestBatchStepMatchesStep drives the counter's StepAll and per-node
 // Step over random configurations — arbitrary states, fault sets and
-// per-receiver forged values — and requires identical next states, on
-// both recursion shapes (the balanced split recurses through nested
-// ecount counters, the chain split through a MaxStep leaf every
-// level).
+// per-receiver forged values — and requires both to produce the next
+// states of the map-backed stepReference, on both recursion shapes
+// (the balanced split recurses through nested ecount counters, the
+// chain split through a MaxStep leaf every level). Step and StepAll
+// share their per-receiver tail, so each is pinned to the independent
+// oracle rather than to the other.
 func TestBatchStepMatchesStep(t *testing.T) {
 	balanced, err := New(10, 3, 6)
 	if err != nil {
@@ -34,10 +36,19 @@ func TestBatchStepMatchesStep(t *testing.T) {
 			n := a.N()
 			space := a.StateSpace()
 			rng := rand.New(rand.NewSource(31))
+			traj := trajectory(a, int(a.StabilisationBound()+a.Period()))
+			var sweeps int
 			for trial := 0; trial < 96; trial++ {
-				states := make([]alg.State, n)
-				for i := range states {
-					states[i] = rng.Uint64() % space
+				// Odd trials start from a sweep configuration, where
+				// the consensus branch runs.
+				var states []alg.State
+				if trial%2 == 1 {
+					states = sweepView(a, traj, rng)
+				} else {
+					states = make([]alg.State, n)
+					for i := range states {
+						states[i] = rng.Uint64() % space
+					}
 				}
 				faulty := make([]bool, n)
 				var senders []int
@@ -69,17 +80,27 @@ func TestBatchStepMatchesStep(t *testing.T) {
 					}
 					copy(recv, states)
 					p.Apply(recv, v)
-					wantNext[v] = a.Step(v, recv, nil)
+					if matches(a, v, recv) > 0 {
+						sweeps++
+					}
+					wantNext[v] = a.stepReference(v, recv, nil)
+					if got := a.Step(v, recv, nil); got != wantNext[v] {
+						t.Fatalf("trial %d: node %d: Step %d, stepReference %d (faults %v)",
+							trial, v, got, wantNext[v], senders)
+					}
 				}
 
 				gotNext := make([]alg.State, n)
 				a.StepAll(gotNext, states, p, make([]*rand.Rand, n))
 				for v := 0; v < n; v++ {
 					if !faulty[v] && gotNext[v] != wantNext[v] {
-						t.Fatalf("trial %d: node %d: StepAll %d, Step %d (faults %v)",
+						t.Fatalf("trial %d: node %d: StepAll %d, stepReference %d (faults %v)",
 							trial, v, gotNext[v], wantNext[v], senders)
 					}
 				}
+			}
+			if sweeps == 0 {
+				t.Fatal("no receiver executed a sweep instruction")
 			}
 		})
 	}

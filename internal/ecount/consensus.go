@@ -106,35 +106,19 @@ func (c *Consensus) Init(v uint64) phaseking.Registers {
 	return phaseking.Registers{A: v % c.mod, D: 0}
 }
 
-// Step executes instruction r (reduced modulo Rounds()) on regs.
-// observed[u] is the register value node u reported this round in
-// encoded form: values in [0, mod) are proposals, anything >= mod is
-// the reset state ⊥. The king of instruction r is node ⌊r/3⌋. The
-// function is pure and total: arbitrary observed values are legal.
-func (c *Consensus) Step(regs phaseking.Registers, r uint64, observed []uint64) phaseking.Registers {
-	r %= c.Rounds()
-	tally := alg.NewTally(len(observed))
-	for _, a := range observed {
-		tally.Add(c.decode(a))
-	}
-	var kingA uint64 = phaseking.Infinity
-	if king := int(phaseking.KingOf(r)); king < len(observed) {
-		kingA = c.decode(observed[king])
-	}
-	return phaseking.Step(c.cfg, regs, r, tally, kingA)
-}
-
-// StepCounts is Step for callers that already hold the round's tally
-// of decoded register reports (keys as produced by DecodeReport) and
-// the king's decoded report — the entry point of the vectorized round
-// kernel, which shares one pooled tally across all receivers instead
-// of rebuilding a map per node.
+// StepCounts executes instruction r (reduced modulo Rounds()) on regs,
+// given the round's tally of decoded register reports (keys as
+// produced by DecodeReport) and the king's decoded report; the king of
+// instruction r is node ⌊r/3⌋. Callers keep the tally in pooled
+// storage — the counter shares one across all receivers of a batch
+// round — so no map is built per node. The function is pure and total:
+// arbitrary reports are legal.
 func (c *Consensus) StepCounts(regs phaseking.Registers, r uint64, tally alg.Counts, kingA uint64) phaseking.Registers {
 	return phaseking.Step(c.cfg, regs, r%c.Rounds(), tally, kingA)
 }
 
 // DecodeReport maps an encoded register report to the tally key space
-// consumed by Step/StepCounts: finite proposals are their own key,
+// consumed by StepCounts: finite proposals are their own key,
 // anything at or above the modulus is the reset state ⊥ (Infinity).
 func (c *Consensus) DecodeReport(a uint64) uint64 { return c.decode(a) }
 

@@ -79,8 +79,9 @@ type Counter struct {
 	cdc   *codec.Codec // fields: block state, p0 ∈ [τ+1], p1 ∈ [τ+1], a ∈ [c+1], d ∈ {0,1}
 	bound uint64
 
-	// pool recycles the batch-stepping working set (see batch.go)
-	// across rounds and concurrent campaign trials.
+	// pool recycles the working set of Step and StepAll (see
+	// batch.go) across rounds, live node goroutines and concurrent
+	// campaign trials.
 	pool sync.Pool
 }
 
@@ -247,35 +248,63 @@ func (e *Counter) windowStart(i int) uint64 {
 // progress" (valid progress values are [0, τ)).
 func (e *Counter) pointerIdle() uint64 { return e.tau }
 
-// Step implements alg.Algorithm.
+// Step implements alg.Algorithm. It runs on the pooled batch scratch
+// (see batch.go), so a step allocates nothing: both block clocks are
+// read through dense tallies, the own block's sub-view recurses
+// through the block counter's Step, and the shared per-receiver tail
+// tallies the consensus registers only when a sweep instruction
+// actually executes.
 func (e *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
+	sc := e.getScratch()
+	defer e.pool.Put(sc)
 	i := e.BlockOf(v)
-	lo, size := e.blockRange(i)
-	sub := e.sub[i]
-	space := sub.StateSpace()
-	subRecv := make([]alg.State, size)
-	for j := 0; j < size; j++ {
-		subRecv[j] = e.cdc.Field(recv[lo+j], fieldBlock) % space
+	var newSub alg.State
+	var r [2]uint64
+	var ok [2]bool
+	for b := 0; b < 2; b++ {
+		lo, size := e.blockRange(b)
+		sub := e.sub[b]
+		space := sub.StateSpace()
+		tally := sc.clockTally[b]
+		tally.Reset()
+		for j := 0; j < size; j++ {
+			s := e.cdc.Field(recv[lo+j], fieldBlock) % space
+			sc.subBase[j] = s
+			tally.Add(uint64(sub.Output(j, s)))
+		}
+		if b == i {
+			newSub = sub.Step(v-lo, sc.subBase[:size], rng)
+		}
+		r[b], ok[b] = e.readClockTally(b, tally)
 	}
-	newSub := sub.Step(v-lo, subRecv, rng)
+	return e.stepReceiver(sc, recv[v], newSub, r, ok, recv)
+}
 
-	// Observe both block clocks and resolve each sweep pointer: does
-	// it match this round (its block's clock arrived exactly at the
-	// pointed-to window offset), and what is its next value?
+// stepReceiver is the per-receiver tail shared by Step and StepAll.
+// Given the receiver's own state, its block-counter result newSub and
+// its reads r/ok of both block clocks, it resolves each sweep pointer
+// — does it match this round (its block's clock arrived exactly at the
+// pointed-to window offset), and what is its next value? — executes
+// the matched consensus instruction (block 0 taking priority) or the
+// common increment, and packs the next state.
+//
+// The consensus instruction votes over sc.regTally with the king's
+// report from sc.report. StepAll builds both for the whole round and
+// passes a nil view; per-node Step passes its received vector, which
+// is tallied into them only when an instruction runs.
+func (e *Counter) stepReceiver(sc *batchScratch, own, newSub alg.State, r [2]uint64, ok [2]bool, view []alg.State) alg.State {
 	var match [2]bool
 	var instr [2]uint64
 	var nextP [2]uint64
-	own := recv[v]
 	for b := 0; b < 2; b++ {
 		p := e.cdc.Field(own, fieldP0+b)
-		r, ok := e.ReadClock(b, recv)
 		start := e.windowStart(b)
-		if p < e.tau && ok && r == (start+p)%e.period {
+		if p < e.tau && ok[b] && r[b] == (start+p)%e.period {
 			match[b] = true
 			instr[b] = p
 		}
 		switch {
-		case ok && r == (start+e.period-1)%e.period:
+		case ok[b] && r[b] == (start+e.period-1)%e.period:
 			// The clock sits one short of the window: arm.
 			nextP[b] = 0
 		case match[b] && p+1 < e.tau:
@@ -286,48 +315,35 @@ func (e *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 	}
 
 	regs := e.Registers(own)
-	switch {
-	case match[0]:
-		regs = e.cons.Step(regs, instr[0], e.observedRegisters(recv))
-	case match[1]:
-		regs = e.cons.Step(regs, instr[1], e.observedRegisters(recv))
-	default:
+	if match[0] || match[1] {
+		ins := instr[0]
+		if !match[0] {
+			ins = instr[1]
+		}
+		if view != nil {
+			e.tallyReports(sc, view)
+		}
+		king := int(phaseking.KingOf(ins))
+		regs = e.cons.StepCounts(regs, ins, sc.regTally, sc.report(king))
+	} else {
 		regs.A = phaseking.Increment(regs.A, e.c)
 	}
 	aField, dField := regs.Encode(e.c)
-	return e.cdc.MustPack(newSub, nextP[0], nextP[1], aField, dField)
+	sc.pack = [5]uint64{newSub, nextP[0], nextP[1], aField, dField}
+	return e.cdc.MustPack(sc.pack[:]...)
 }
 
-// observedRegisters extracts the consensus-register reports from a
-// received vector, in the encoded form Consensus.Step consumes.
-func (e *Counter) observedRegisters(recv []alg.State) []uint64 {
-	observed := make([]uint64, e.n)
+// tallyReports rebuilds sc.regTally and sc.regDec from one receiver's
+// full received vector. The scratch carries no patched senders then
+// (StepAll clears colOf before returning it to the pool), so
+// sc.report reads every sender's report from regDec.
+func (e *Counter) tallyReports(sc *batchScratch, view []alg.State) {
+	sc.regTally.Reset()
 	for u := 0; u < e.n; u++ {
-		observed[u] = e.cdc.Field(recv[u], fieldA)
+		dec := e.cons.DecodeReport(e.cdc.Field(view[u], fieldA))
+		sc.regDec[u] = dec
+		sc.regTally.Add(dec)
 	}
-	return observed
-}
-
-// ReadClock reads block i's clock from a received vector: the counter
-// output reported by at least n_i - f_i of the block's nodes (and by
-// an absolute majority), or no read. A stabilised within-budget block
-// yields the same read at every correct node; a corrupt block can
-// fail the quorum, but its ≤ f_i+… faulty members alone can never
-// assemble one.
-func (e *Counter) ReadClock(i int, recv []alg.State) (uint64, bool) {
-	lo, size := e.blockRange(i)
-	sub := e.sub[i]
-	space := sub.StateSpace()
-	tally := alg.NewTally(size)
-	for j := 0; j < size; j++ {
-		s := e.cdc.Field(recv[lo+j], fieldBlock) % space
-		tally.Add(uint64(sub.Output(j, s)))
-	}
-	val, ok := tally.Majority()
-	if !ok || tally.Count(val) < e.quora[i] {
-		return 0, false
-	}
-	return val % e.period, true
 }
 
 // Output implements alg.Algorithm: the consensus register, with the

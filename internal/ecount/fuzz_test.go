@@ -24,10 +24,11 @@ var fuzzGrid = []struct {
 }
 
 // FuzzECountTransition feeds the ecount state-transition function
-// arbitrary own states and received vectors: it must never panic, and
-// the next state must stay inside the declared state space (the
-// paper's state-bit budget S = ceil(log2 |X|)). The consensus
-// building block is fuzzed under the same inputs.
+// arbitrary own states and received vectors: it must never panic, the
+// next state must stay inside the declared state space (the paper's
+// state-bit budget S = ceil(log2 |X|)), and it must equal the
+// map-backed stepReference. The consensus building block is fuzzed
+// under the same inputs.
 func FuzzECountTransition(f *testing.F) {
 	f.Add(uint8(0), uint16(0), int64(1), []byte{0x01, 0x02})
 	f.Add(uint8(1), uint16(3), int64(7), []byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77})
@@ -68,6 +69,10 @@ func FuzzECountTransition(f *testing.F) {
 			if next >= space {
 				t.Fatalf("Step escaped the state space: %d >= %d (n=%d f=%d c=%d)",
 					next, space, c.N(), c.F(), c.C())
+			}
+			if want := c.stepReference(v, in, rng); next != want {
+				t.Fatalf("Step %d, stepReference %d (n=%d f=%d c=%d node %d recv %v)",
+					next, want, c.N(), c.F(), c.C(), v, in)
 			}
 		}
 

@@ -12,7 +12,8 @@ import (
 // The maxstep cells run a Step that is allocation-free and near-instant,
 // so they measure the round engine — barriers, routing, decoding, arena
 // — and not the algorithm riding it. The ecount cell reports the
-// end-to-end soak stack instead, where ecount's own Step dominates. The
+// end-to-end soak stack instead, where ecount's own Step is the
+// largest per-round cost. The
 // names carry the Optimized_/EndToEndOpt_ tags of BENCH_10.json, whose
 // reference-engine pairs they were measured against, so `make
 // bench-diff` keeps tracking them across trajectory artifacts.
@@ -83,30 +84,45 @@ func BenchmarkLive_EndToEndOpt_Ecount_n32(b *testing.B) {
 // The arena contract, pinned: a fault-free round allocates
 // (approximately) nothing once the ring is warm. Two horizons differing
 // by 256 rounds cancel all per-run setup (goroutines, channels, node
-// scratch), leaving the pure per-round marginal cost. maxstep is the
-// allocation-free Step on purpose — ecount's Step allocates internally,
-// which would charge algorithm costs to the transport budget.
+// scratch), leaving the pure per-round marginal cost. maxstep's Step is
+// near-instant, so its cell isolates the transport; the ecount n=32 f=3
+// cell is the soak stack, whose per-node Step runs on the counter's
+// pooled scratch and is held to the same budget.
 func TestFaultFreeAllocsPerRound(t *testing.T) {
-	a := buildAlg(t, "maxstep", 8, 0, 8)
-	measure := func(rounds uint64) float64 {
-		return testing.AllocsPerRun(5, func() {
-			rt, err := New(Config{Alg: a, Seed: 5, Rounds: rounds, Window: 12})
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		n, f, c int
+		pooled  bool // Step runs on sync.Pool scratch
+	}{
+		{"maxstep", 8, 0, 8, false},
+		{"ecount", 32, 3, 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.pooled && raceEnabled {
+				t.Skip("sync.Pool drops pooled scratch at random under the race detector")
 			}
-			rep, err := rt.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
+			a := buildAlg(t, tc.name, tc.n, tc.f, tc.c)
+			measure := func(rounds uint64) float64 {
+				return testing.AllocsPerRun(5, func() {
+					rt, err := New(Config{Alg: a, Seed: 5, Rounds: rounds, Window: 12})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := rt.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.Rounds != rounds {
+						t.Fatalf("ran %d rounds, want %d", rep.Rounds, rounds)
+					}
+				})
 			}
-			if rep.Rounds != rounds {
-				t.Fatalf("ran %d rounds, want %d", rep.Rounds, rounds)
+			short := measure(64)
+			long := measure(320)
+			perRound := (long - short) / 256
+			if perRound > 2 {
+				t.Errorf("fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
 			}
 		})
-	}
-	short := measure(64)
-	long := measure(320)
-	perRound := (long - short) / 256
-	if perRound > 2 {
-		t.Errorf("fault-free path allocates %.2f objects/round (runs of 64 vs 320 rounds: %.0f vs %.0f allocs) — the arena budget is ~0, allowing 2 for runtime noise", perRound, short, long)
 	}
 }
