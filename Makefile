@@ -105,15 +105,21 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCodecDecode$$' -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s ./internal/live
 
+# The smoke targets below build the synchcount binary once into their
+# temp dir and drive every step through it, so each step is one process
+# — the way a sharded campaign runs on separate machines.
+
 # One campaign as two shards in separate processes, merged, and diffed
 # byte-for-byte against the unsharded run.
 shard-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sc=$$tmp/synchcount; \
 	args="-alg optimal -f 1 -c 4 -faults 2 -adversary splitvote -trials 8 -seed 7"; \
-	$(GO) run ./cmd/countsim $$args -json $$tmp/full.json -ndjson $$tmp/full.ndjson && \
-	$(GO) run ./cmd/countsim $$args -shard 0/2 -json $$tmp/shard0.json && \
-	$(GO) run ./cmd/countsim $$args -shard 1/2 -json $$tmp/shard1.json && \
-	$(GO) run ./cmd/countsim -merge $$tmp/shard0.json,$$tmp/shard1.json \
+	$(GO) build -o $$sc ./cmd/synchcount && \
+	$$sc countsim $$args -json $$tmp/full.json -ndjson $$tmp/full.ndjson && \
+	$$sc countsim $$args -shard 0/2 -json $$tmp/shard0.json && \
+	$$sc countsim $$args -shard 1/2 -json $$tmp/shard1.json && \
+	$$sc countsim -merge $$tmp/shard0.json,$$tmp/shard1.json \
 		-json $$tmp/merged.json -ndjson $$tmp/merged.ndjson && \
 	cmp $$tmp/full.json $$tmp/merged.json && \
 	cmp $$tmp/full.ndjson $$tmp/merged.ndjson && \
@@ -124,11 +130,13 @@ shard-smoke:
 # against the unsharded run.
 compare-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sc=$$tmp/synchcount; \
 	args="-algs ecount,theorem2 -f 1 -c 6 -trials 6 -seed 9"; \
-	$(GO) run ./cmd/compare $$args -json $$tmp/full.json -ndjson $$tmp/full.ndjson -table $$tmp/full.csv && \
-	$(GO) run ./cmd/compare $$args -shard 0/2 -json $$tmp/shard0.json && \
-	$(GO) run ./cmd/compare $$args -shard 1/2 -json $$tmp/shard1.json && \
-	$(GO) run ./cmd/compare $$args -merge $$tmp/shard0.json,$$tmp/shard1.json \
+	$(GO) build -o $$sc ./cmd/synchcount && \
+	$$sc compare $$args -json $$tmp/full.json -ndjson $$tmp/full.ndjson -table $$tmp/full.csv && \
+	$$sc compare $$args -shard 0/2 -json $$tmp/shard0.json && \
+	$$sc compare $$args -shard 1/2 -json $$tmp/shard1.json && \
+	$$sc compare $$args -merge $$tmp/shard0.json,$$tmp/shard1.json \
 		-json $$tmp/merged.json -ndjson $$tmp/merged.ndjson -table $$tmp/merged.csv && \
 	cmp $$tmp/full.json $$tmp/merged.json && \
 	cmp $$tmp/full.ndjson $$tmp/merged.ndjson && \
@@ -144,16 +152,18 @@ compare-smoke:
 # order; the compare-table path enforces grid order itself.)
 resultdb-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sc=$$tmp/synchcount; \
 	args="-algs ecount,theorem2 -f 1 -c 6 -trials 6 -seed 9"; \
-	$(GO) run ./cmd/compare $$args -table $$tmp/live.csv -csv $$tmp/live-trials.csv >/dev/null && \
-	$(GO) run ./cmd/compare $$args -shard 0/3 -ndjson $$tmp/s0.ndjson >/dev/null && \
-	$(GO) run ./cmd/compare $$args -shard 1/3 -ndjson $$tmp/s1.ndjson >/dev/null && \
-	$(GO) run ./cmd/compare $$args -shard 2/3 -ndjson $$tmp/s2.ndjson >/dev/null && \
-	$(GO) run ./cmd/resultdb ingest -db $$tmp/store $$tmp/s1.ndjson $$tmp/s0.ndjson $$tmp/s2.ndjson && \
-	$(GO) run ./cmd/resultdb ingest -db $$tmp/store $$tmp/s0.ndjson && \
-	$(GO) run ./cmd/resultdb compare-table -db $$tmp/store -algs ecount,theorem2 -f 1 -c 6 -seed 9 -table $$tmp/store.csv >/dev/null && \
+	$(GO) build -o $$sc ./cmd/synchcount && \
+	$$sc compare $$args -table $$tmp/live.csv -csv $$tmp/live-trials.csv >/dev/null && \
+	$$sc compare $$args -shard 0/3 -ndjson $$tmp/s0.ndjson >/dev/null && \
+	$$sc compare $$args -shard 1/3 -ndjson $$tmp/s1.ndjson >/dev/null && \
+	$$sc compare $$args -shard 2/3 -ndjson $$tmp/s2.ndjson >/dev/null && \
+	$$sc resultdb ingest -db $$tmp/store $$tmp/s1.ndjson $$tmp/s0.ndjson $$tmp/s2.ndjson && \
+	$$sc resultdb ingest -db $$tmp/store $$tmp/s0.ndjson && \
+	$$sc resultdb compare-table -db $$tmp/store -algs ecount,theorem2 -f 1 -c 6 -seed 9 -table $$tmp/store.csv >/dev/null && \
 	cmp $$tmp/live.csv $$tmp/store.csv && \
-	$(GO) run ./cmd/resultdb query -db $$tmp/store -campaign compare -out csv -o $$tmp/store-trials.csv && \
+	$$sc resultdb query -db $$tmp/store -campaign compare -out csv -o $$tmp/store-trials.csv && \
 	cmp $$tmp/live-trials.csv $$tmp/store-trials.csv && \
 	echo "resultdb-smoke: store-reconstructed table and trial CSV are byte-identical to the live run"
 
@@ -164,7 +174,9 @@ resultdb-smoke:
 # (8n^2 B = 74 GB) cannot pass it.
 pull-smoke:
 	$(GO) test -run='^TestPullKernel' ./internal/pull
-	timeout 300 $(GO) run ./cmd/pullbench -scale -scale-n 100000 -trials 2 -budget-mb 64
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/synchcount ./cmd/synchcount && \
+	timeout 300 $$tmp/synchcount pullbench -scale -scale-n 100000 -trials 2 -budget-mb 64
 
 # The kernel differential suite under the race detector: the three-way
 # reference/vectorized/bit-sliced grid, the concurrent-campaign
@@ -178,8 +190,8 @@ kernel-race-smoke:
 	$(GO) test -race -run 'SlicedMatches' ./internal/counter
 
 # Live-runtime gate: the package suite under the race detector, then a
-# short seeded n=32 soak (crash/restart plus a partition per burst) of
-# the race-instrumented liverun binary, twice from the same seed. The
+# short seeded n=32 soak (crash/restart plus a partition per burst) on
+# one race-instrumented synchcount binary, twice from the same seed. The
 # PASS verdict (exit code) asserts every burst re-stabilised within the
 # stack's declared bound; the byte-diffs assert the chaos timeline and
 # the per-fault recovery-latency records replay identically across real
@@ -190,14 +202,15 @@ live-smoke:
 	$(GO) test -race ./internal/live
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	args="-n 32 -f 3 -c 8 -seed 1 -faults crash,partition -bursts 2 -burst-len 8 -timeout 5s -budget 240s"; \
-	$(GO) build -race -o $$tmp/liverun ./cmd/liverun && \
-	$$tmp/liverun $$args -timeline > $$tmp/timeline-a.txt && \
-	$$tmp/liverun $$args -timeline > $$tmp/timeline-b.txt && \
+	sc=$$tmp/synchcount; \
+	$(GO) build -race -o $$sc ./cmd/synchcount && \
+	$$sc liverun $$args -timeline > $$tmp/timeline-a.txt && \
+	$$sc liverun $$args -timeline > $$tmp/timeline-b.txt && \
 	cmp $$tmp/timeline-a.txt $$tmp/timeline-b.txt && \
-	$$tmp/liverun $$args -ndjson $$tmp/soak-a.ndjson && \
-	$$tmp/liverun $$args -ndjson $$tmp/soak-b.ndjson && \
+	$$sc liverun $$args -ndjson $$tmp/soak-a.ndjson && \
+	$$sc liverun $$args -ndjson $$tmp/soak-b.ndjson && \
 	cmp $$tmp/soak-a.ndjson $$tmp/soak-b.ndjson && \
-	$(GO) run ./cmd/resultdb ingest -db $$tmp/store $$tmp/soak-a.ndjson && \
+	$$sc resultdb ingest -db $$tmp/store $$tmp/soak-a.ndjson && \
 	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically"
 
 # Static analysis at a pinned staticcheck release. Soft-skips when the

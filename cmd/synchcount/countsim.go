@@ -1,20 +1,3 @@
-// Command countsim runs synchronous-counting simulations and reports
-// measured stabilisation times against the analytical bound. Multi-trial
-// runs execute as a parallel campaign on the experiment harness.
-//
-// Examples:
-//
-//	countsim -alg optimal -f 1 -c 10 -faults 2 -adversary splitvote
-//	countsim -alg figure2 -c 10 -faults 4,5,6,7,13,22,31 -adversary saboteur -worstinit
-//	countsim -alg randagree -n 6 -f 1 -faults 0 -trials 20
-//	countsim -alg optimal -faults 0 -adversary greedy -trials 100 -json results.json
-//
-// Large campaigns split across processes or machines and stream:
-//
-//	countsim -trials 100000 -ndjson -            # constant-memory live stream
-//	countsim -trials 100000 -shard 0/2 -json s0.json   # on machine A
-//	countsim -trials 100000 -shard 1/2 -json s1.json   # on machine B
-//	countsim -merge s0.json,s1.json -json full.json    # byte-identical to unsharded
 package main
 
 import (
@@ -22,52 +5,55 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"strings"
 
 	"github.com/synchcount/synchcount"
 	"github.com/synchcount/synchcount/internal/campaigncli"
 )
 
-// out carries the human-readable report; it moves to stderr when
-// `-ndjson -` claims stdout for the machine-readable stream.
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "countsim:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// runCountsim is `synchcount countsim`: it runs synchronous-counting
+// simulations and reports measured stabilisation times against the
+// analytical bound. Multi-trial runs execute as a parallel campaign on
+// the experiment harness.
+//
+//	synchcount countsim -alg optimal -f 1 -c 10 -faults 2 -adversary splitvote
+//	synchcount countsim -alg figure2 -c 10 -faults 4,5,6,7,13,22,31 -adversary saboteur -worstinit
+//	synchcount countsim -alg randagree -n 6 -f 1 -faults 0 -trials 20
+//	synchcount countsim -alg optimal -faults 0 -adversary greedy -trials 100 -json results.json
+//
+// Large campaigns split across processes or machines and stream:
+//
+//	synchcount countsim -trials 100000 -ndjson -                 # constant-memory live stream
+//	synchcount countsim -trials 100000 -shard 0/2 -json s0.json  # on machine A
+//	synchcount countsim -trials 100000 -shard 1/2 -json s1.json  # on machine B
+//	synchcount countsim -merge s0.json,s1.json -json full.json   # byte-identical to unsharded
+func runCountsim(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("countsim", flag.ContinueOnError)
 	var (
-		algName   = flag.String("alg", "optimal", "algorithm: optimal | scalable | figure2 | randagree | randbiased")
-		f         = flag.Int("f", 1, "resilience (optimal, randagree, randbiased)")
-		n         = flag.Int("n", 4, "nodes (randagree, randbiased)")
-		k         = flag.Int("k", 4, "blocks per level (scalable)")
-		depth     = flag.Int("depth", 2, "recursion depth (scalable)")
-		c         = flag.Int("c", 10, "counter modulus")
-		faultsStr = flag.String("faults", "", "comma-separated Byzantine node indices")
-		advName   = flag.String("adversary", "splitvote", "adversary: "+strings.Join(synchcount.Adversaries(), " | ")+" | saboteur | greedy")
-		seed      = flag.Int64("seed", 1, "campaign base seed (per-trial seeds are derived deterministically)")
-		rounds    = flag.Int64("rounds", 0, "max rounds (0 = bound + 512)")
-		window    = flag.Uint64("window", 128, "confirmation window")
-		worstInit = flag.Bool("worstinit", false, "start from the adversarially crafted initial configuration")
-		full      = flag.Bool("full", false, "run every trial for exactly -rounds rounds instead of stopping at confirmed stabilisation: counts post-stabilisation counting violations, and long verification tails are where fast-forward (and a persisted -memo) conclude analytically")
-		trials    = flag.Int("trials", 1, "number of independent runs (aggregated)")
-		workers   = flag.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-		jsonPath  = flag.String("json", "", "write the campaign result as JSON to this file")
-		csvPath   = flag.String("csv", "", "write per-trial results as CSV to this file")
+		algName   = fs.String("alg", "optimal", "algorithm: optimal | scalable | figure2 | randagree | randbiased")
+		f         = fs.Int("f", 1, "resilience (optimal, randagree, randbiased)")
+		n         = fs.Int("n", 4, "nodes (randagree, randbiased)")
+		k         = fs.Int("k", 4, "blocks per level (scalable)")
+		depth     = fs.Int("depth", 2, "recursion depth (scalable)")
+		c         = fs.Int("c", 10, "counter modulus")
+		faultsStr = fs.String("faults", "", "comma-separated Byzantine node indices")
+		advName   = fs.String("adversary", "splitvote", "adversary: "+strings.Join(synchcount.Adversaries(), " | ")+" | saboteur | greedy")
+		seed      = fs.Int64("seed", 1, "campaign base seed (per-trial seeds are derived deterministically)")
+		rounds    = campaigncli.AtLeast(fs, "rounds", int64(0), 0, "max rounds (0 = bound + 512)")
+		window    = fs.Uint64("window", 128, "confirmation window")
+		worstInit = fs.Bool("worstinit", false, "start from the adversarially crafted initial configuration")
+		full      = fs.Bool("full", false, "run every trial for exactly -rounds rounds instead of stopping at confirmed stabilisation: counts post-stabilisation counting violations, and long verification tails are where fast-forward (and a persisted -memo) conclude analytically")
+		trials    = campaigncli.AtLeast(fs, "trials", 1, 1, "number of independent runs (aggregated)")
+		workers   = campaigncli.AtLeast(fs, "workers", 0, 0, "concurrent trials (0 = GOMAXPROCS)")
+		jsonPath  = fs.String("json", "", "write the campaign result as JSON to this file")
+		csvPath   = fs.String("csv", "", "write per-trial results as CSV to this file")
 	)
-	dist := campaigncli.Register(flag.CommandLine)
-	flag.Parse()
-	out = dist.HumanOut()
-
-	if err := validateFlags(*trials, *workers, *rounds); err != nil {
+	dist := campaigncli.Register(fs, stdout)
+	dist.RegisterMemo(fs)
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	out := dist.HumanOut()
 
 	// Merge mode reassembles shard results written with -json; no
 	// simulation runs, so the algorithm flags are ignored.
@@ -82,16 +68,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	var faulty []int
-	if *faultsStr != "" {
-		for _, tok := range strings.Split(*faultsStr, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				return fmt.Errorf("bad fault id %q: %w", tok, err)
-			}
-			faulty = append(faulty, id)
-		}
+	faulty, err := campaigncli.Ints("faults", *faultsStr, 0)
+	if err != nil {
+		return err
 	}
 
 	var bound uint64
@@ -118,10 +97,9 @@ func run() error {
 			Window:    *window,
 			StopEarly: !*full,
 		}
-		// -fastforward (default on): deterministic runs under
-		// snapshottable adversaries detect their configuration cycle
-		// and conclude analytically, sharing detected cycles across
-		// the campaign's trials. Bit-identical results either way.
+		// Deterministic runs under snapshottable adversaries detect
+		// their configuration cycle and conclude analytically, sharing
+		// detected cycles across the campaign's trials.
 		dist.ApplySim(&cfg, *algName)
 		switch {
 		case *advName == "saboteur":
@@ -168,8 +146,7 @@ func run() error {
 	// Single trials and full campaigns share one code path, so the same
 	// flags always measure the same runs whether or not an export flag
 	// is present.
-	trialCount := *trials
-	scenario := synchcount.SimScenarioFunc(*algName, trialCount, buildConfig)
+	scenario := synchcount.SimScenarioFunc(*algName, *trials, buildConfig)
 	scenario.Seed = seed
 	result, err := dist.Run(context.Background(), synchcount.Campaign{
 		Name:      "countsim",
@@ -181,7 +158,7 @@ func run() error {
 		return err
 	}
 	recs := result.Scenarios[0].Trials
-	if trialCount == 1 && len(recs) == 1 {
+	if *trials == 1 && len(recs) == 1 {
 		tr := recs[0]
 		if !tr.Stabilised {
 			fmt.Fprintf(out, "result      : DID NOT STABILISE within %d rounds\n", tr.RoundsRun)
@@ -197,7 +174,7 @@ func run() error {
 		st := result.Scenarios[0].Stats
 		if dist.Sharded() {
 			fmt.Fprintf(out, "shard       : ran %d of %d trials (merge the shard JSONs for campaign totals)\n",
-				st.Trials, trialCount)
+				st.Trials, *trials)
 		}
 		fmt.Fprintf(out, "result      : %d/%d stabilised\n", st.Stabilised, st.Trials)
 		if st.Stabilised > 0 {
@@ -209,22 +186,6 @@ func run() error {
 		}
 	}
 	return dist.WriteExports(result, *jsonPath, *csvPath)
-}
-
-// validateFlags rejects nonsensical run sizes with descriptive errors
-// instead of silently clamping them (the old behaviour quietly turned
-// -trials -5 into one trial, so a typo'd campaign ran and misled).
-func validateFlags(trials, workers int, rounds int64) error {
-	if trials < 1 {
-		return fmt.Errorf("-trials %d: a campaign needs at least one trial", trials)
-	}
-	if workers < 0 {
-		return fmt.Errorf("-workers %d is negative: give a worker count, or 0 for GOMAXPROCS", workers)
-	}
-	if rounds < 0 {
-		return fmt.Errorf("-rounds %d is negative: give a round horizon, or 0 for the bound-derived default", rounds)
-	}
-	return nil
 }
 
 func buildAlgorithm(name string, n, f, k, depth, c int) (synchcount.Algorithm, *synchcount.Counter, error) {

@@ -1,13 +1,3 @@
-// Command fig1 regenerates the paper's Figure 1: the leader pointers
-// b[i,·] of stabilised blocks running τ(2m)^{i+1}-counters cycle at
-// speeds differing by a factor 2m, so for every leader β there is
-// eventually an interval where all blocks point at β simultaneously for
-// at least τ rounds (Lemmas 1–2).
-//
-// The figure in the paper shows three blocks with base 2m = 6; we build
-// an actual counter with k = 5 blocks (m = 3, 2m = 6), start its blocks
-// from adversarially staggered counter values, and render each block's
-// pointer timeline, marking the common windows.
 package main
 
 import (
@@ -15,37 +5,35 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"github.com/synchcount/synchcount"
 	"github.com/synchcount/synchcount/internal/campaigncli"
 )
 
-// out carries the human-readable report; it moves to stderr when
-// `-ndjson -` claims stdout for the machine-readable stream.
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fig1:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// runFig1 is `synchcount fig1`: it regenerates the paper's Figure 1.
+// The leader pointers b[i,·] of stabilised blocks running
+// τ(2m)^{i+1}-counters cycle at speeds differing by a factor 2m, so for
+// every leader β there is eventually an interval where all blocks point
+// at β simultaneously for at least τ rounds (Lemmas 1–2).
+//
+// The figure in the paper shows three blocks with base 2m = 6; we build
+// an actual counter with k = 5 blocks (m = 3, 2m = 6), start its blocks
+// from adversarially staggered counter values, and render each block's
+// pointer timeline, marking the common windows.
+func runFig1(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fig1", flag.ContinueOnError)
 	var (
-		width    = flag.Int("width", 160, "timeline width in rounds")
-		offset   = flag.Uint64("offset", 0, "first round to display")
-		blocks   = flag.Int("blocks", 3, "number of block timelines to display (2..5)")
-		jsonPath = flag.String("json", "", "write the campaign result as JSON to this file")
+		width    = campaigncli.AtLeast(fs, "width", 160, 1, "timeline width in rounds")
+		offset   = fs.Uint64("offset", 0, "first round to display")
+		blocks   = campaigncli.InRange(fs, "blocks", 3, 2, 5, "number of block timelines to display (2..5)")
+		jsonPath = fs.String("json", "", "write the campaign result as JSON to this file")
 	)
-	dist := campaigncli.Register(flag.CommandLine)
-	flag.Parse()
-	out = dist.HumanOut()
-	if *blocks < 2 || *blocks > 5 {
-		return fmt.Errorf("blocks must be in 2..5")
+	dist := campaigncli.Register(fs, stdout)
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
+	out := dist.HumanOut()
 
 	// Merge mode reassembles shard results; the pointer timelines are
 	// OnRound side effects of a local run, so only the campaign record
@@ -72,7 +60,8 @@ func run() error {
 	// Stagger the block counters adversarially and record each block's
 	// decoded leader pointer per round. The trace runs as a one-trial
 	// campaign scenario: the OnRound sink is per-run mutable state, so
-	// the config is built inside the trial function.
+	// the config is built inside the trial function. The recorder needs
+	// every round, so the run never fast-forwards.
 	init, err := synchcount.WorstInit(cnt)
 	if err != nil {
 		return err
@@ -87,7 +76,7 @@ func run() error {
 		Seed: 1,
 		Scenarios: []synchcount.Scenario{
 			synchcount.SimScenarioFunc("leader-pointers", 1, func(int) (synchcount.SimConfig, error) {
-				cfg := synchcount.SimConfig{
+				return synchcount.SimConfig{
 					Alg:       cnt,
 					Init:      init,
 					MaxRounds: rounds,
@@ -100,13 +89,7 @@ func run() error {
 							timelines[u] = append(timelines[u], ptr)
 						}
 					},
-				}
-				// -fastforward is accepted for flag parity with the
-				// other campaign commands, but the OnRound timeline
-				// recorder needs every round, so the engine stands
-				// down regardless of the toggle.
-				dist.ApplySim(&cfg, "fig1-boost")
-				return cfg, nil
+				}, nil
 			}),
 		},
 	})

@@ -1,12 +1,3 @@
-// Command fig2 regenerates the paper's Figure 2: the recursive
-// construction A(4,1) → A(12,3) → A(36,7) built with k = 3 blocks per
-// upper level. It prints the structural decomposition, injects the
-// figure's fault pattern (an entirely faulty 4-node sub-block plus
-// scattered faults, 7 in total), runs the 36-node network under the
-// construction-aware saboteur from an adversarially staggered initial
-// configuration, and reports the measured stabilisation time against
-// the Theorem 1 bound. With -trials > 1 the runs execute as a parallel
-// campaign and the measured distribution is reported.
 package main
 
 import (
@@ -14,36 +5,39 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"github.com/synchcount/synchcount"
 	"github.com/synchcount/synchcount/internal/campaigncli"
 )
 
-// out carries the human-readable report; it moves to stderr when
-// `-ndjson -` claims stdout for the machine-readable stream.
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fig2:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+// runFig2 is `synchcount fig2`: it regenerates the paper's Figure 2,
+// the recursive construction A(4,1) → A(12,3) → A(36,7) built with
+// k = 3 blocks per upper level. It prints the structural
+// decomposition, injects the figure's fault pattern (an entirely faulty
+// 4-node sub-block plus scattered faults, 7 in total), runs the 36-node
+// network under the construction-aware saboteur from an adversarially
+// staggered initial configuration, and reports the measured
+// stabilisation time against the Theorem 1 bound. With -trials > 1 the
+// runs execute as a parallel campaign and the measured distribution is
+// reported. A trial that fails to stabilise would falsify Theorem 1: the
+// subcommand then exports what it has and fails.
+func runFig2(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("fig2", flag.ContinueOnError)
 	var (
-		c        = flag.Int("c", 10, "counter modulus")
-		seed     = flag.Int64("seed", 1, "campaign base seed (per-trial seeds are derived deterministically)")
-		advName  = flag.String("adversary", "saboteur", "adversary (saboteur or a generic strategy)")
-		trials   = flag.Int("trials", 1, "independent runs (aggregated over derived seeds)")
-		workers  = flag.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-		jsonPath = flag.String("json", "", "write the campaign result as JSON to this file")
+		c        = fs.Int("c", 10, "counter modulus")
+		seed     = fs.Int64("seed", 1, "campaign base seed (per-trial seeds are derived deterministically)")
+		advName  = fs.String("adversary", "saboteur", "adversary (saboteur or a generic strategy)")
+		trials   = campaigncli.AtLeast(fs, "trials", 1, 1, "independent runs (aggregated over derived seeds)")
+		workers  = campaigncli.AtLeast(fs, "workers", 0, 0, "concurrent trials (0 = GOMAXPROCS)")
+		jsonPath = fs.String("json", "", "write the campaign result as JSON to this file")
 	)
-	dist := campaigncli.Register(flag.CommandLine)
-	flag.Parse()
-	out = dist.HumanOut()
+	dist := campaigncli.Register(fs, stdout)
+	dist.RegisterMemo(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	out := dist.HumanOut()
 
 	if dist.MergeMode() {
 		return dist.MergeAndReport(*jsonPath, "")
@@ -86,9 +80,8 @@ func run() error {
 		Window:    128,
 		StopEarly: true,
 	}
-	// -fastforward (default on): the saboteur is snapshottable and the
-	// stack deterministic, so eligible trials cycle-detect instead of
-	// simulating every round. Bit-identical results either way.
+	// The saboteur is snapshottable and the stack deterministic, so
+	// eligible trials cycle-detect instead of simulating every round.
 	dist.ApplySim(&cfg, "figure2")
 	if *advName == "saboteur" {
 		cfg.Adv = synchcount.Saboteur(top)
@@ -105,35 +98,29 @@ func run() error {
 
 	// Single runs and multi-trial campaigns share one code path, so the
 	// same flags measure the same runs whether or not -json is present.
-	trialCount := *trials
-	if trialCount < 1 {
-		trialCount = 1
-	}
-	scenario := synchcount.SimScenario("figure2", cfg, trialCount)
 	result, err := dist.Run(context.Background(), synchcount.Campaign{
 		Name:      "fig2",
 		Seed:      *seed,
 		Workers:   *workers,
-		Scenarios: []synchcount.Scenario{scenario},
+		Scenarios: []synchcount.Scenario{synchcount.SimScenario("figure2", cfg, *trials)},
 	})
 	if err != nil {
 		return err
 	}
-	exportJSON := func() error { return dist.WriteExports(result, *jsonPath, "") }
 	st := result.Scenarios[0].Stats
 	if dist.Sharded() {
 		fmt.Fprintf(out, "shard    : ran %d of %d trials (merge the shard JSONs for campaign totals)\n",
-			st.Trials, trialCount)
+			st.Trials, *trials)
 	}
 	if st.Stabilised < st.Trials {
 		fmt.Fprintf(out, "%d/%d trials DID NOT STABILISE — this would falsify Theorem 1\n",
 			st.Trials-st.Stabilised, st.Trials)
-		// Export before exiting: the trial seeds of the would-be
+		// Export before failing: the trial seeds of the would-be
 		// counterexample are exactly the data worth keeping.
-		if err := exportJSON(); err != nil {
+		if err := dist.WriteExports(result, *jsonPath, ""); err != nil {
 			return err
 		}
-		os.Exit(1)
+		return fmt.Errorf("%d/%d trials did not stabilise within the Theorem 1 bound", st.Trials-st.Stabilised, st.Trials)
 	}
 	if trials := result.Scenarios[0].Trials; len(trials) == 1 {
 		tr := trials[0]
@@ -146,12 +133,5 @@ func run() error {
 			float64(stats.TimeBound)/float64(max(st.MaxTime, 1)))
 	}
 	fmt.Fprintf(out, "network  : %d messages/round, %d bits/round\n", st.MessagesPerRound, st.BitsPerRound)
-	return exportJSON()
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return dist.WriteExports(result, *jsonPath, "")
 }

@@ -1,7 +1,23 @@
-// Command pullbench regenerates the Section 5 experiments (E7, E8):
-// per-node message complexity and reliability of the sampled
-// pulling-model counters of Theorem 4 and the pseudo-random variant of
-// Corollary 5, against the deterministic broadcast embedding.
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
+	"time"
+
+	"github.com/synchcount/synchcount"
+	"github.com/synchcount/synchcount/internal/campaigncli"
+)
+
+// runPullbench is `synchcount pullbench`: it regenerates the Section 5
+// experiments (E7, E8), per-node message complexity and reliability of
+// the sampled pulling-model counters of Theorem 4 and the pseudo-random
+// variant of Corollary 5, against the deterministic broadcast
+// embedding.
 //
 // It sweeps the sample size M, reporting pulls/round, bits/round,
 // stabilisation rate, and post-stabilisation violations (the empirical
@@ -17,57 +33,30 @@
 // trial. Trials run serially (MaxConcurrent=1) so both measurements
 // are honest; -budget-mb turns the allocation column into a hard gate,
 // which is how CI pins the kernel to O(n) memory.
-package main
-
-import (
-	"context"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
-	"time"
-
-	"github.com/synchcount/synchcount"
-	"github.com/synchcount/synchcount/internal/campaigncli"
-)
-
-// out carries the human-readable report; it moves to stderr when
-// `-ndjson -` claims stdout for the machine-readable stream.
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "pullbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
+func runPullbench(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pullbench", flag.ContinueOnError)
 	var (
-		trials   = flag.Int("trials", 5, "runs per configuration")
-		seed     = flag.Int64("seed", 1, "base seed")
-		pseudo   = flag.Bool("pseudo", false, "use fixed wiring (Corollary 5) instead of fresh samples")
-		horiz    = flag.Uint64("horizon", 0, "rounds per run (default bound + 2000)")
-		workers  = flag.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-		csvPath  = flag.String("csv", "", "write per-trial results as CSV to this file")
-		jsonPath = flag.String("json", "", "write the campaign result as JSON to this file")
+		trials   = campaigncli.AtLeast(fs, "trials", 5, 1, "runs per configuration")
+		seed     = fs.Int64("seed", 1, "base seed")
+		pseudo   = fs.Bool("pseudo", false, "use fixed wiring (Corollary 5) instead of fresh samples")
+		horiz    = fs.Uint64("horizon", 0, "rounds per run (default bound + 2000)")
+		workers  = campaigncli.AtLeast(fs, "workers", 0, 0, "concurrent trials (0 = GOMAXPROCS)")
+		csvPath  = fs.String("csv", "", "write per-trial results as CSV to this file")
+		jsonPath = fs.String("json", "", "write the campaign result as JSON to this file")
 
-		scale    = flag.Bool("scale", false, "run the large-n sparse-kernel campaign instead of the M sweep")
-		scaleN   = flag.String("scale-n", "10000,100000,1000000", "comma-separated network sizes for -scale")
-		scaleK   = flag.Int("scale-k", 32, "samples per round per node for -scale")
-		scaleC   = flag.Int("scale-c", 8, "counter modulus for -scale")
-		budgetMB = flag.Float64("budget-mb", 0, "with -scale: fail if any cell allocates more than this many MB per trial (0 = report only)")
+		scale    = fs.Bool("scale", false, "run the large-n sparse-kernel campaign instead of the M sweep")
+		scaleN   = fs.String("scale-n", "10000,100000,1000000", "comma-separated network sizes for -scale")
+		scaleK   = campaigncli.AtLeast(fs, "scale-k", 32, 1, "samples per round per node for -scale")
+		scaleC   = campaigncli.AtLeast(fs, "scale-c", 8, 2, "counter modulus for -scale")
+		budgetMB = campaigncli.AtLeast(fs, "budget-mb", 0.0, 0, "with -scale: fail if any cell allocates more than this many MB per trial (0 = report only)")
 	)
-	// -fastforward is registered for flag parity with the broadcast
-	// campaign commands but has no effect here: the fast-forward
-	// engine rides the broadcast simulator, and pulling-model runs use
-	// internal/pull.
-	dist := campaigncli.Register(flag.CommandLine)
-	flag.Parse()
-	out = dist.HumanOut()
+	// Pulling-model runs use internal/pull, which the fast-forward
+	// engine does not ride, so there is no -memo here.
+	dist := campaigncli.Register(fs, stdout)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	out := dist.HumanOut()
 
 	if *scale {
 		if dist.Sharded() || dist.MergeMode() || dist.NDJSONRequested() {
@@ -76,10 +65,7 @@ func run() error {
 		if *jsonPath != "" || *csvPath != "" {
 			return fmt.Errorf("-scale has no -json/-csv export: its wall-clock and allocation columns are environment measurements, not campaign results")
 		}
-		if err := validateScaleFlags(*scaleK, *scaleC, *trials, *budgetMB); err != nil {
-			return err
-		}
-		return runScale(*scaleN, *scaleK, *scaleC, *trials, *seed, *horiz, *budgetMB)
+		return runScale(out, *scaleN, *scaleK, *scaleC, *trials, *seed, *horiz, *budgetMB)
 	}
 
 	if dist.MergeMode() {
@@ -152,25 +138,13 @@ func run() error {
 	fmt.Fprintf(out, "%-10s %-14s %-12s %-14s %-16s %-14s\n",
 		"M", "pulls/round", "bits/round", "stabilised", "mean T", "violations")
 
-	printRow := func(name, label string) error {
-		sc := result.Scenario(name)
-		if sc == nil {
-			return fmt.Errorf("missing campaign scenario %q", name)
-		}
+	// One row per scenario, in campaign order: "full", then "M=<m>"
+	// labelled by its sample size.
+	for _, sc := range result.Scenarios {
 		st := sc.Stats
 		fmt.Fprintf(out, "%-10s %-14d %-12d %-14s %-16.0f %-14d\n",
-			label, st.MaxPulls, st.BitsPerRound,
+			strings.TrimPrefix(sc.Name, "M="), st.MaxPulls, st.BitsPerRound,
 			fmt.Sprintf("%d/%d", st.Stabilised, st.Trials), st.MeanTime, st.Violations)
-		return nil
-	}
-	if err := printRow("full", "full"); err != nil {
-		return err
-	}
-	for _, m := range sampleSizes {
-		name := fmt.Sprintf("M=%d", m)
-		if err := printRow(name, fmt.Sprint(m)); err != nil {
-			return err
-		}
 	}
 
 	fmt.Fprintln(out)
@@ -196,37 +170,19 @@ func run() error {
 	return dist.WriteExports(result, *jsonPath, *csvPath)
 }
 
-// validateScaleFlags rejects scale-mode parameterisations that would
-// otherwise run and mislead: most importantly a negative -budget-mb,
-// which the `budgetMB > 0` gate below would treat exactly like 0 —
-// silently disabling the allocation ceiling a CI caller thought it had
-// set.
-func validateScaleFlags(k, c, trials int, budgetMB float64) error {
-	if budgetMB < 0 {
-		return fmt.Errorf("-budget-mb %g is negative: give a positive MB ceiling, or 0 for report-only (a negative budget would silently disable the gate)", budgetMB)
-	}
-	if k < 1 {
-		return fmt.Errorf("-scale-k %d: the gossip counter pulls at least one sample per round per node", k)
-	}
-	if c < 2 {
-		return fmt.Errorf("-scale-c %d: a counter modulus is at least 2", c)
-	}
-	if trials < 1 {
-		return fmt.Errorf("-trials %d: the scale campaign needs at least one trial per cell", trials)
-	}
-	return nil
-}
-
 // runScale runs one single-scenario campaign per network size and
 // reports, for each cell, the harness statistics (pure functions of
 // definition and seed) alongside two environment measurements taken
 // outside the campaign: wall-clock ns per simulated round and heap
 // bytes allocated per trial. Trials are serialised (MaxConcurrent=1)
 // so neither measurement is diluted by parallelism.
-func runScale(scaleN string, k, c, trials int, seed int64, horiz uint64, budgetMB float64) error {
-	sizes, err := parseSizes(scaleN)
+func runScale(out io.Writer, scaleN string, k, c, trials int, seed int64, horiz uint64, budgetMB float64) error {
+	sizes, err := campaigncli.Ints("scale-n", scaleN, 2)
 	if err != nil {
 		return err
+	}
+	if len(sizes) == 0 {
+		return fmt.Errorf("-scale-n is empty")
 	}
 	horizon := horiz
 	if horizon == 0 {
@@ -306,24 +262,4 @@ func runScale(scaleN string, k, c, trials int, seed int64, horiz uint64, budgetM
 		return fmt.Errorf("scale gate failed:\n  %s", strings.Join(over, "\n  "))
 	}
 	return nil
-}
-
-// parseSizes parses the -scale-n list.
-func parseSizes(s string) ([]int, error) {
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -scale-n entry %q: want integers >= 2", part)
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("-scale-n is empty")
-	}
-	return sizes, nil
 }

@@ -1,29 +1,3 @@
-// Command resultdb is the campaign results database CLI: it ingests
-// the campaign commands' exports (NDJSON shard streams, buffered JSON
-// results) into an embedded append-only store and answers aggregate
-// queries over everything ever recorded — so stabilisation statistics
-// accumulate across runs, machines and PRs instead of evaporating with
-// each process.
-//
-//	resultdb ingest -db results.db shard0.ndjson shard1.ndjson full.json
-//	resultdb ls -db results.db
-//	resultdb query -db results.db -algs ecount,theorem2 -f 7 -adversaries splitvote
-//	resultdb query -db results.db -campaign compare -out csv -o trials.csv
-//	resultdb query -db results.db -pool -scenario ecount/f=3/c=2/faults=3/silent
-//	resultdb compare-table -db results.db -algs ecount,theorem2 -seed 1 -table cmp.csv
-//	resultdb trajectory -metric ns/op Bitslice
-//
-// Ingestion deduplicates by (campaign, campaign seed, scenario,
-// trial): re-ingesting a shard is a no-op, and a record that conflicts
-// with the stored one under the same key fails the batch loudly. A
-// query's statistics are exact — folded in the harness's canonical
-// order — so `compare-table` reproduces the live `compare -table` CSV
-// byte for byte from ingested shards; segments parse once per process
-// and repeated queries aggregate from the in-memory cache.
-//
-// `trajectory` reads the repository's BENCH_<pr>.json lineage and
-// prints each benchmark's metric across PRs — the performance history
-// that pairs with the trial history in the store.
 package main
 
 import (
@@ -40,56 +14,46 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"github.com/synchcount/synchcount/internal/campaigncli"
 	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/registry"
 	"github.com/synchcount/synchcount/internal/resultdb"
 )
 
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "resultdb:", err)
-		os.Exit(1)
-	}
-}
-
-func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: resultdb <command> [flags]
-
-commands:
-  ingest         ingest campaign exports (.ndjson streams, .json results) into a store
-  ls             list the recorded campaigns
-  query          aggregate stored trials (filter by campaign, scenario or parsed axes)
-  compare-table  reproduce the compare suite's -table CSV from stored trials
-  trajectory     print benchmark history across the BENCH_<pr>.json lineage
-
-run 'resultdb <command> -h' for the command's flags`)
-}
-
-func run(args []string) error {
-	if len(args) == 0 {
-		usage(os.Stderr)
-		return errors.New("missing command")
-	}
-	switch args[0] {
-	case "ingest":
-		return runIngest(args[1:])
-	case "ls":
-		return runLs(args[1:])
-	case "query":
-		return runQuery(args[1:])
-	case "compare-table":
-		return runCompareTable(args[1:])
-	case "trajectory":
-		return runTrajectory(args[1:])
-	case "help", "-h", "-help", "--help":
-		usage(out)
-		return nil
-	default:
-		usage(os.Stderr)
-		return fmt.Errorf("unknown command %q", args[0])
-	}
+// runResultdb is `synchcount resultdb`, the campaign results database:
+// it ingests the campaign subcommands' exports (NDJSON shard streams, buffered JSON
+// results) into an embedded append-only store and answers aggregate
+// queries over everything ever recorded — so stabilisation statistics
+// accumulate across runs, machines and PRs instead of evaporating with
+// each process.
+//
+//	synchcount resultdb ingest -db results.db shard0.ndjson shard1.ndjson full.json
+//	synchcount resultdb ls -db results.db
+//	synchcount resultdb query -db results.db -algs ecount,theorem2 -f 7 -adversaries splitvote
+//	synchcount resultdb query -db results.db -campaign compare -out csv -o trials.csv
+//	synchcount resultdb query -db results.db -pool -scenario ecount/f=3/c=2/faults=3/silent
+//	synchcount resultdb compare-table -db results.db -algs ecount,theorem2 -seed 1 -table cmp.csv
+//	synchcount resultdb trajectory -metric ns/op Bitslice
+//
+// Ingestion deduplicates by (campaign, campaign seed, scenario,
+// trial): re-ingesting a shard is a no-op, and a record that conflicts
+// with the stored one under the same key fails the batch loudly. A
+// query's statistics are exact — folded in the harness's canonical
+// order — so `compare-table` reproduces the live `compare -table` CSV
+// byte for byte from ingested shards; segments parse once per process
+// and repeated queries aggregate from the in-memory cache.
+//
+// `trajectory` reads the repository's BENCH_<pr>.json lineage and
+// prints each benchmark's metric across PRs — the performance history
+// that pairs with the trial history in the store.
+func runResultdb(args []string, out io.Writer) error {
+	return dispatch("synchcount resultdb", []command{
+		{"ingest", "ingest campaign exports (.ndjson streams, .json results) into a store", runIngest},
+		{"ls", "list the recorded campaigns", runLs},
+		{"query", "aggregate stored trials (filter by campaign, scenario or parsed axes)", runQuery},
+		{"compare-table", "reproduce the compare suite's -table CSV from stored trials", runCompareTable},
+		{"trajectory", "print benchmark history across the BENCH_<pr>.json lineage", runTrajectory},
+	}, args, out)
 }
 
 // dbFlag installs the shared -db flag on a subcommand flag set.
@@ -97,7 +61,7 @@ func dbFlag(fs *flag.FlagSet) *string {
 	return fs.String("db", "results.db", "store directory (created on first ingest)")
 }
 
-func runIngest(args []string) error {
+func runIngest(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("resultdb ingest", flag.ContinueOnError)
 	db := dbFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -105,7 +69,7 @@ func runIngest(args []string) error {
 	}
 	files := fs.Args()
 	if len(files) == 0 {
-		return errors.New("ingest: no input files (pass .ndjson streams or .json results)")
+		return errors.New("no input files (pass .ndjson streams or .json results)")
 	}
 	store, err := resultdb.Open(*db)
 	if err != nil {
@@ -131,10 +95,10 @@ func runIngest(args []string) error {
 	return nil
 }
 
-func runLs(args []string) error {
+func runLs(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("resultdb ls", flag.ContinueOnError)
 	db := dbFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	store, err := resultdb.Open(*db)
@@ -157,7 +121,7 @@ func runLs(args []string) error {
 	return tw.Flush()
 }
 
-func runQuery(args []string) error {
+func runQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("resultdb query", flag.ContinueOnError)
 	var (
 		db       = dbFlag(fs)
@@ -173,35 +137,36 @@ func runQuery(args []string) error {
 		format   = fs.String("out", "table", "output format: table (aggregates), csv or ndjson (per-trial records, harness export schema)")
 		outPath  = fs.String("o", "", "write output to this file instead of stdout")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("query: unexpected argument %q", fs.Arg(0))
+	write, ok := map[string]func(io.Writer, []resultdb.Group) error{
+		"table":  writeGroupTable,
+		"csv":    writeGroupCSV,
+		"ndjson": writeGroupNDJSON,
+	}[*format]
+	if !ok {
+		return fmt.Errorf("bad -out %q: want table, csv or ndjson", *format)
 	}
 
 	q := resultdb.Query{
 		Campaign:    *campaign,
 		Scenario:    *scenario,
-		Algs:        splitList(*algs),
-		Adversaries: splitList(*advStr),
+		Algs:        campaigncli.List(*algs),
+		Adversaries: campaigncli.List(*advStr),
 		Pool:        *pool,
 	}
 	var err error
-	if q.CampaignSeed, err = parseInt64Opt(*seedStr, "-campaign-seed"); err != nil {
+	if q.CampaignSeed, err = parseOpt[int64](*seedStr, "-campaign-seed"); err != nil {
 		return err
 	}
-	for _, tok := range splitList(*fsStr) {
-		f, err := strconv.Atoi(tok)
-		if err != nil {
-			return fmt.Errorf("bad -f value %q: %w", tok, err)
-		}
-		q.Fs = append(q.Fs, f)
-	}
-	if q.C, err = parseIntOpt(*cStr, "-c"); err != nil {
+	if q.Fs, err = campaigncli.Ints("f", *fsStr, 0); err != nil {
 		return err
 	}
-	if q.Faults, err = parseIntOpt(*faults, "-faults"); err != nil {
+	if q.C, err = parseOpt[int](*cStr, "-c"); err != nil {
+		return err
+	}
+	if q.Faults, err = parseOpt[int](*faults, "-faults"); err != nil {
 		return err
 	}
 
@@ -214,25 +179,14 @@ func runQuery(args []string) error {
 		return err
 	}
 
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *outPath == "" {
+		return write(out, groups)
 	}
-	switch *format {
-	case "table":
-		return writeGroupTable(w, groups)
-	case "csv":
-		return writeGroupCSV(w, groups)
-	case "ndjson":
-		return writeGroupNDJSON(w, groups)
-	default:
-		return fmt.Errorf("bad -out %q: want table, csv or ndjson", *format)
+	f, err := os.Create(*outPath)
+	if err != nil {
+		return err
 	}
+	return errors.Join(write(f, groups), f.Close())
 }
 
 // writeGroupTable renders the aggregate view, one row per group.
@@ -257,34 +211,16 @@ func writeGroupTable(w io.Writer, groups []resultdb.Group) error {
 }
 
 // writeGroupCSV writes the groups' records in the harness per-trial
-// CSV schema — the same header and cell encoding as
-// (*harness.Result).WriteCSV, so downstream dataframe tooling reads
-// both interchangeably (the differential test pins byte-identity).
+// CSV schema, so downstream dataframe tooling reads query output and
+// campaign -csv exports interchangeably.
 func writeGroupCSV(w io.Writer, groups []resultdb.Group) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"campaign", "scenario", "trial", "seed",
-		"stabilised", "stabilisation_time", "rounds_run", "violations",
-		"messages_per_round", "bits_per_round", "max_pulls", "mean_pulls",
-	}); err != nil {
+	if err := cw.Write(harness.CSVHeader); err != nil {
 		return err
 	}
 	for _, g := range groups {
 		for _, rec := range g.Records {
-			if err := cw.Write([]string{
-				rec.Campaign,
-				rec.Scenario,
-				strconv.Itoa(rec.Trial.Trial),
-				strconv.FormatInt(rec.Trial.Seed, 10),
-				strconv.FormatBool(rec.Stabilised),
-				strconv.FormatUint(rec.StabilisationTime, 10),
-				strconv.FormatUint(rec.RoundsRun, 10),
-				strconv.FormatUint(rec.Violations, 10),
-				strconv.FormatUint(rec.MessagesPerRound, 10),
-				strconv.FormatUint(rec.BitsPerRound, 10),
-				strconv.FormatUint(rec.MaxPulls, 10),
-				strconv.FormatFloat(rec.MeanPulls, 'g', -1, 64),
-			}); err != nil {
+			if err := cw.Write(harness.CSVRow(rec.Campaign, rec.Scenario, rec.Trial)); err != nil {
 				return err
 			}
 		}
@@ -308,45 +244,25 @@ func writeGroupNDJSON(w io.Writer, groups []resultdb.Group) error {
 	return nil
 }
 
-func runCompareTable(args []string) error {
+func runCompareTable(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("resultdb compare-table", flag.ContinueOnError)
-	var (
-		db        = dbFlag(fs)
-		algsStr   = fs.String("algs", "ecount,ecount-chain,corollary1", "comma-separated registry algorithms (must match the recorded compare run)")
-		fsStr     = fs.String("f", "", "comma-separated resiliences (empty = spec defaults)")
-		c         = fs.Int("c", 0, "counter modulus (0 = per-spec default)")
-		advStr    = fs.String("adversaries", "silent,splitvote", "comma-separated Byzantine strategies")
-		faults    = fs.Int("faults", 0, "Byzantine nodes per run (0 = declared resilience)")
-		seed      = fs.Int64("seed", 1, "campaign master seed of the recorded run")
-		tablePath = fs.String("table", "", "write the comparison table as CSV to this file")
-	)
-	if err := fs.Parse(args); err != nil {
+	db := dbFlag(fs)
+	grid := campaigncli.RegisterGrid(fs)
+	tablePath := fs.String("table", "", "write the comparison table as CSV to this file")
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("compare-table: unexpected argument %q", fs.Arg(0))
-	}
 
-	// Rebuild the comparison's static cells exactly as cmd/compare
-	// does: state bits, determinism and bounds come from the algorithm
-	// builds, not the store, and a stored result that does not belong
-	// to this comparison fails at the table join.
-	spec := registry.CompareSpec{
-		Algs:          splitList(*algsStr),
-		C:             *c,
-		Adversaries:   splitList(*advStr),
-		Faults:        *faults,
-		Trials:        1, // cells only; trial counts come from the store
-		Seed:          *seed,
-		NoFastForward: true,
+	// Rebuild the comparison's static cells exactly as `compare` does
+	// (same grid flags): state bits, determinism and bounds come from
+	// the algorithm builds, not the store, and a stored result that
+	// does not belong to this comparison fails at the table join.
+	spec, err := grid.Spec()
+	if err != nil {
+		return err
 	}
-	for _, tok := range splitList(*fsStr) {
-		f, err := strconv.Atoi(tok)
-		if err != nil {
-			return fmt.Errorf("bad -f value %q: %w", tok, err)
-		}
-		spec.Fs = append(spec.Fs, f)
-	}
+	spec.Trials = 1 // cells only; trial counts come from the store
+	spec.NoFastForward = true
 	campaign, cells, err := spec.Campaign()
 	if err != nil {
 		return err
@@ -356,7 +272,7 @@ func runCompareTable(args []string) error {
 	if err != nil {
 		return err
 	}
-	groups, err := store.Query(resultdb.Query{Campaign: campaign.Name, CampaignSeed: seed})
+	groups, err := store.Query(resultdb.Query{Campaign: campaign.Name, CampaignSeed: &spec.Seed})
 	if err != nil {
 		return err
 	}
@@ -368,14 +284,14 @@ func runCompareTable(args []string) error {
 	// Reassemble the campaign result in grid order — cells outer,
 	// adversaries inner — so the table rows come out in the live run's
 	// order regardless of the order shards were ingested in.
-	res := &harness.Result{Campaign: campaign.Name, Seed: *seed}
+	res := &harness.Result{Campaign: campaign.Name, Seed: spec.Seed}
 	for _, cell := range cells {
 		for _, adv := range spec.Adversaries {
 			name := cell.ScenarioName(adv)
 			g, ok := byName[name]
 			if !ok {
 				return fmt.Errorf("store holds no trials for scenario %q of campaign %q (seed %d) — ingest the missing shards first",
-					name, campaign.Name, *seed)
+					name, campaign.Name, spec.Seed)
 			}
 			sc := harness.ScenarioResult{
 				Name:   name,
@@ -395,25 +311,8 @@ func runCompareTable(args []string) error {
 		return err
 	}
 	fmt.Fprintf(out, "compare     : %d algorithm builds x %d adversaries, from store %s (seed %d); per-row trial counts below\n",
-		len(cells), len(spec.Adversaries), store.Dir(), *seed)
-	if err := registry.FprintTable(out, rows); err != nil {
-		return err
-	}
-	if *tablePath != "" {
-		tf, err := os.Create(*tablePath)
-		if err != nil {
-			return err
-		}
-		if err := registry.WriteTableCSV(tf, rows); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "table: wrote %s\n", *tablePath)
-	}
-	return nil
+		len(cells), len(spec.Adversaries), store.Dir(), spec.Seed)
+	return writeTable(out, *tablePath, rows)
 }
 
 // benchArtifact mirrors the BENCH_<pr>.json trajectory schema
@@ -429,7 +328,7 @@ type benchArtifact struct {
 
 const benchSchema = "synchcount-bench-trajectory/v1"
 
-func runTrajectory(args []string) error {
+func runTrajectory(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("resultdb trajectory", flag.ContinueOnError)
 	var (
 		dir    = fs.String("dir", ".", "directory holding the BENCH_<pr>.json lineage")
@@ -444,7 +343,7 @@ func runTrajectory(args []string) error {
 	case 1:
 		filter = fs.Arg(0)
 	default:
-		return errors.New("trajectory: at most one benchmark-name filter argument")
+		return errors.New("at most one benchmark-name filter argument")
 	}
 
 	paths, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
@@ -452,7 +351,7 @@ func runTrajectory(args []string) error {
 		return err
 	}
 	if len(paths) == 0 {
-		return fmt.Errorf("trajectory: no BENCH_*.json artifacts in %s", *dir)
+		return fmt.Errorf("no BENCH_*.json artifacts in %s", *dir)
 	}
 	arts := make([]benchArtifact, 0, len(paths))
 	for _, path := range paths {
@@ -499,7 +398,7 @@ func runTrajectory(args []string) error {
 		}
 	}
 	if len(rows) == 0 {
-		return fmt.Errorf("trajectory: no benchmarks match (filter %q, metric %q)", filter, *metric)
+		return fmt.Errorf("no benchmarks match (filter %q, metric %q)", filter, *metric)
 	}
 
 	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
@@ -534,19 +433,8 @@ func runTrajectory(args []string) error {
 	return tw.Flush()
 }
 
-func splitList(s string) []string {
-	var res []string
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok != "" {
-			res = append(res, tok)
-		}
-	}
-	return res
-}
-
-// parseInt64Opt parses an optional int64 flag value ("" = unset).
-func parseInt64Opt(s, name string) (*int64, error) {
+// parseOpt parses an optional integer flag value ("" = unset).
+func parseOpt[T int | int64](s, name string) (*T, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -554,17 +442,6 @@ func parseInt64Opt(s, name string) (*int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad %s value %q: %w", name, s, err)
 	}
-	return &v, nil
-}
-
-// parseIntOpt parses an optional int flag value ("" = unset).
-func parseIntOpt(s, name string) (*int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad %s value %q: %w", name, s, err)
-	}
-	return &v, nil
+	t := T(v)
+	return &t, nil
 }

@@ -1,18 +1,3 @@
-// Command table1 regenerates the paper's Table 1: the landscape of
-// synchronous 2-counting algorithms, with the paper's analytical values
-// side by side with values measured in this repository's simulator.
-//
-// Rows whose algorithms are implemented here are measured (stabilisation
-// time over seeds and adversaries, exact state bits); rows we do not
-// implement ([2]'s consensus stack, and the SAT-designed tables of [5]
-// whose artefacts were never published) are printed from the paper's
-// analytical claims and marked accordingly. The synthesiser contributes
-// the exact model-checked result that the anonymous single-bit class
-// contains no 1-resilient counters — the reason the "computer designed"
-// rows need richer algorithm classes.
-//
-// All measured rows run as one campaign on the experiment harness, so
-// the table fills in parallel across rows and trials.
 package main
 
 import (
@@ -20,22 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/synchcount/synchcount"
 	"github.com/synchcount/synchcount/internal/campaigncli"
 )
-
-// out carries the human-readable report; it moves to stderr when
-// `-ndjson -` claims stdout for the machine-readable stream.
-var out io.Writer = os.Stdout
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "table1:", err)
-		os.Exit(1)
-	}
-}
 
 // measuredRow is one measured table row: the campaign scenario plus the
 // static columns printed next to the campaign statistics.
@@ -48,17 +21,37 @@ type measuredRow struct {
 	suffix    func(st synchcount.CampaignStats) string
 }
 
-func run() error {
+// runTable1 is `synchcount table1`: it regenerates the paper's Table
+// 1, the landscape of synchronous 2-counting algorithms, with the
+// paper's analytical values side by side with values measured in this
+// repository's simulator.
+//
+// Rows whose algorithms are implemented here are measured (stabilisation
+// time over seeds and adversaries, exact state bits); rows we do not
+// implement ([2]'s consensus stack, and the SAT-designed tables of [5]
+// whose artefacts were never published) are printed from the paper's
+// analytical claims and marked accordingly. The synthesiser contributes
+// the exact model-checked result that the anonymous single-bit class
+// contains no 1-resilient counters — the reason the "computer designed"
+// rows need richer algorithm classes.
+//
+// All measured rows run as one campaign on the experiment harness, so
+// the table fills in parallel across rows and trials.
+func runTable1(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 	var (
-		trials   = flag.Int("trials", 10, "simulation trials per measured row")
-		seed     = flag.Int64("seed", 1, "base seed")
-		workers  = flag.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-		scaling  = flag.Bool("scaling", false, "also print the Theorem 2 resilience-scaling series (E6)")
-		jsonPath = flag.String("json", "", "write the campaign result as JSON to this file (required per shard when sharding)")
+		trials   = campaigncli.AtLeast(fs, "trials", 10, 1, "simulation trials per measured row")
+		seed     = fs.Int64("seed", 1, "base seed")
+		workers  = campaigncli.AtLeast(fs, "workers", 0, 0, "concurrent trials (0 = GOMAXPROCS)")
+		scaling  = fs.Bool("scaling", false, "also print the Theorem 2 resilience-scaling series (E6)")
+		jsonPath = fs.String("json", "", "write the campaign result as JSON to this file (required per shard when sharding)")
 	)
-	dist := campaigncli.Register(flag.CommandLine)
-	flag.Parse()
-	out = dist.HumanOut()
+	dist := campaigncli.Register(fs, stdout)
+	dist.RegisterMemo(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	out := dist.HumanOut()
 	if err := dist.CheckShardExport(*jsonPath); err != nil {
 		return err
 	}
@@ -76,7 +69,7 @@ func run() error {
 	}
 	var rows []measuredRow
 	for _, r := range randomRows {
-		row, err := randomRow(dist, *trials, *seed, r.label, r.n, r.f, r.biased)
+		row, err := randomRow(*trials, *seed, r.label, r.n, r.f, r.biased)
 		if err != nil {
 			return err
 		}
@@ -113,12 +106,7 @@ func run() error {
 	// The measured rows fill from a freshly run campaign, a shard of
 	// one, or a merge of shard results — the table renders the same
 	// way; sharded runs cover only their slice's trials.
-	var result *synchcount.CampaignResult
-	if dist.MergeMode() {
-		result, err = dist.Merge()
-	} else {
-		result, err = dist.Run(context.Background(), campaign)
-	}
+	result, err := dist.Run(context.Background(), campaign)
 	if err != nil {
 		return err
 	}
@@ -128,11 +116,8 @@ func run() error {
 	if dist.Sharded() {
 		fmt.Fprintf(out, "(shard slice only: measured columns cover this shard's trials; -merge reassembles)\n\n")
 	}
-	printRow := func(label string) error {
+	printRows := func(rows []measuredRow) error {
 		for _, r := range rows {
-			if r.label != label {
-				continue
-			}
 			sc := result.Scenario(r.scenario.Name)
 			if sc == nil {
 				return fmt.Errorf("missing campaign scenario %q", r.scenario.Name)
@@ -142,9 +127,8 @@ func run() error {
 				r.label, r.resil,
 				fmt.Sprintf("mean %.0f max %d", st.MeanTime, st.MaxTime),
 				r.stateBits, r.det, r.suffix(st))
-			return nil
 		}
-		return fmt.Errorf("unknown measured row %q", label)
+		return nil
 	}
 
 	fmt.Fprintln(out, "Table 1 — synchronous 2-counting algorithms: paper vs measured")
@@ -152,10 +136,10 @@ func run() error {
 	fmt.Fprintf(out, "%-34s %-12s %-22s %-12s %-6s\n", "algorithm", "resilience", "stabilisation time", "state bits", "det.")
 	fmt.Fprintf(out, "%-34s %-12s %-22s %-12s %-6s\n", "---------", "----------", "------------------", "----------", "----")
 
-	for _, r := range randomRows {
-		if err := printRow(r.label); err != nil {
-			return err
-		}
+	// The randomised rows come first, the paper's own constructions
+	// last; the unmeasured rows sit in between.
+	if err := printRows(rows[:len(randomRows)]); err != nil {
+		return err
 	}
 
 	// Rows: computer-designed [5] — paper values; plus our exact negative
@@ -184,25 +168,20 @@ func run() error {
 	fmt.Fprintf(out, "%-34s %-12s %-22s %-12s %-6s  (paper value; not reimplemented)\n",
 		"consensus stack [2]", "f<n/3", "O(f)", "O(f log f)", "yes")
 
-	if err := printRow("Corollary 1 (n=4,f=1)"); err != nil {
+	if err := printRows(rows[len(randomRows):]); err != nil {
 		return err
-	}
-	for _, label := range []string{"this work A(4,1)", "this work A(12,3)", "this work A(36,7) fig.2"} {
-		if err := printRow(label); err != nil {
-			return err
-		}
 	}
 
 	if *scaling {
 		fmt.Fprintln(out)
-		if err := printScaling(); err != nil {
+		if err := printScaling(out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func randomRow(dist *campaigncli.Options, trials int, seed int64, label string, n, f int, biased bool) (measuredRow, error) {
+func randomRow(trials int, seed int64, label string, n, f int, biased bool) (measuredRow, error) {
 	var a synchcount.Algorithm
 	var err error
 	if biased {
@@ -226,8 +205,7 @@ func randomRow(dist *campaigncli.Options, trials int, seed int64, label string, 
 		StopEarly: true,
 	}
 	// Randomised rows never fast-forward (the engine gates on
-	// determinism); ApplySim still honours an explicit -fastforward=false.
-	dist.ApplySim(&cfg, label)
+	// determinism), so they take no memo.
 	return measuredRow{
 		scenario:  synchcount.SimScenario(label, cfg, trials),
 		label:     label,
@@ -318,7 +296,7 @@ func boostedRow(dist *campaigncli.Options, trials int, seed int64, label string,
 // printScaling prints the E6 series: resilience, time bound and state
 // bits across recursion depths of the fixed-k construction, showing
 // T = O(f) and S = O(log^2 f) growth.
-func printScaling() error {
+func printScaling(out io.Writer) error {
 	fmt.Fprintln(out, "Theorem 2 scaling (k = 4): resilience vs predicted time and space")
 	fmt.Fprintf(out, "%-8s %-8s %-8s %-14s %-12s %-10s\n", "depth", "N", "F", "time bound", "bound/F", "state bits")
 	for depth := 1; depth <= 6; depth++ {

@@ -1,11 +1,18 @@
-// Package campaigncli is the shared command-line wiring for the
-// campaign distribution flags every campaign-driven command exposes:
+// Package campaigncli is the one command-line layer of the synchcount
+// experiment subcommands. It holds the campaign distribution flags
+// every campaign-driven subcommand exposes:
 //
 //	-shard I/K   run only shard I of a K-way split of the trial grid
 //	-ndjson F    stream per-trial records as NDJSON to F ('-' = stdout)
 //	-merge A,B   skip running; merge shard result files instead
 //	             (.json buffered results or .ndjson record streams)
 //	-memo F      persist the fast-forward trajectory memo across runs
+//	             (broadcast-model subcommands only; see RegisterMemo)
+//
+// and the single flag-checking path they share: bounded numeric flags
+// that reject out-of-range values at Parse time (AtLeast, InRange), one
+// comma-list parser (List, Ints), and the compare grid flags
+// (RegisterGrid) that `compare` and `resultdb compare-table` both use.
 //
 // A grid too big for one process runs as K processes with identical
 // flags plus distinct -shard values, each writing its partial result
@@ -24,63 +31,61 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/synchcount/synchcount/internal/harness"
+	"github.com/synchcount/synchcount/internal/registry"
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // Options holds the parsed distribution flags.
 type Options struct {
-	shard       string
-	ndjson      string
-	merge       string
-	fastforward bool
-	memoFile    string
+	stdout   io.Writer
+	shard    string
+	ndjson   string
+	merge    string
+	memoFile string
 
 	memoOnce sync.Once
 	memo     *harness.TrajectoryMemo
 	memoErr  error
 }
 
-// Register installs -shard, -ndjson, -merge and -fastforward on fs
-// (typically flag.CommandLine, before flag.Parse).
-func Register(fs *flag.FlagSet) *Options {
-	o := &Options{}
+// Register installs -shard, -ndjson and -merge on fs. stdout is the
+// subcommand's standard output: the human report and `-ndjson -` both
+// go there.
+func Register(fs *flag.FlagSet, stdout io.Writer) *Options {
+	o := &Options{stdout: stdout}
 	fs.StringVar(&o.shard, "shard", "",
 		"run only shard I/K of the campaign's trials (e.g. 0/2); write each shard with -json and reassemble with -merge")
 	fs.StringVar(&o.ndjson, "ndjson", "",
 		"stream per-trial records as NDJSON to this file ('-' = stdout)")
 	fs.StringVar(&o.merge, "merge", "",
 		"skip running: merge these comma-separated shard result files (.json results or .ndjson record streams) and report/export the reassembled campaign")
-	fs.BoolVar(&o.fastforward, "fastforward", true,
-		"fast-forward eligible broadcast-model runs by configuration-cycle detection (deterministic algorithms under snapshottable adversaries; results are bit-identical either way)")
-	fs.StringVar(&o.memoFile, "memo", "",
-		"persist the fast-forward trajectory memo to this file: confirmed cycles load before the run (when the file exists) and save back after, so repeat campaigns start warm (requires -fastforward)")
 	return o
 }
 
-// FastForward reports the -fastforward toggle (default on). Pulling-
-// model commands accept but ignore it: the engine rides the broadcast
-// simulator only.
-func (o *Options) FastForward() bool { return o.fastforward }
+// RegisterMemo installs -memo on fs. Only subcommands whose runs can
+// fast-forward register it: a memo file from a pulling-model or
+// OnRound-traced run would only ever be empty.
+func (o *Options) RegisterMemo(fs *flag.FlagSet) {
+	fs.StringVar(&o.memoFile, "memo", "",
+		"persist the fast-forward trajectory memo to this file: confirmed cycles load before the run (when the file exists) and save back after, so repeat campaigns start warm")
+}
 
 // NDJSONRequested reports whether -ndjson was set. Command modes that
 // bypass Run — and with it the NDJSON stream — use it to reject the
 // flag instead of silently dropping the stream.
 func (o *Options) NDJSONRequested() bool { return o.ndjson != "" }
 
-// ApplySim wires the -fastforward toggle and the invocation's shared
-// trajectory memo cache into one broadcast-model simulation config —
-// the one call every campaign command makes per config it builds.
-// algID identifies the algorithm build in memo keys; configs of
-// different builds must pass distinct ids. Safe for concurrent use by
-// per-trial config factories. A -memo load failure surfaces from Run
-// (which checks before any trial executes), not here.
+// ApplySim wires the invocation's shared trajectory memo cache into one
+// broadcast-model simulation config — the one call every campaign
+// command makes per config it builds. algID identifies the algorithm
+// build in memo keys; configs of different builds must pass distinct
+// ids. Safe for concurrent use by per-trial config factories. A -memo
+// load failure surfaces from Run (which checks before any trial
+// executes), not here.
 func (o *Options) ApplySim(cfg *sim.Config, algID string) {
-	if !o.fastforward {
-		cfg.NoFastForward = true
-		return
-	}
 	o.ensureMemo()
 	cfg.Memo = o.memo
 	cfg.MemoAlg = algID
@@ -104,23 +109,18 @@ func (o *Options) ensureMemo() {
 	})
 }
 
-// Memo returns the invocation's shared trajectory memo (nil with
-// -fastforward=false), creating it — and loading the -memo file — on
-// first use. Commands that build their own campaign-level memo wiring
-// (compare's CompareSpec.Memo) call this so -memo covers them too.
+// Memo returns the invocation's shared trajectory memo, creating it —
+// and loading the -memo file — on first use. Commands that build their
+// own campaign-level memo wiring (compare's CompareSpec.Memo) call this
+// so -memo covers them too.
 func (o *Options) Memo() (*harness.TrajectoryMemo, error) {
-	if !o.fastforward {
-		if o.memoFile != "" {
-			return nil, errors.New("-memo requires -fastforward: the memo holds fast-forward cycle facts")
-		}
-		return nil, nil
-	}
 	o.ensureMemo()
 	return o.memo, o.memoErr
 }
 
-// MergeMode reports whether -merge was given, in which case the
-// command must call Merge instead of Run and skip campaign execution.
+// MergeMode reports whether -merge was given, in which case Run merges
+// instead of running; commands whose report needs a local run call
+// MergeAndReport instead.
 func (o *Options) MergeMode() bool { return o.merge != "" }
 
 // Sharded reports whether -shard was given, in which case the result
@@ -136,7 +136,7 @@ func (o *Options) HumanOut() io.Writer {
 	if o.ndjson == "-" {
 		return os.Stderr
 	}
-	return os.Stdout
+	return o.stdout
 }
 
 // CheckShardExport rejects a sharded run that would discard its
@@ -195,11 +195,7 @@ func (o *Options) Merge() (*harness.Result, error) {
 		return nil, errors.New("-merge and -shard are mutually exclusive")
 	}
 	var parts []*harness.Result
-	for _, path := range strings.Split(o.merge, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
+	for _, path := range List(o.merge) {
 		// A shard's trial records reassemble from either export format:
 		// .ndjson streams read back through harness.ReadNDJSON, anything
 		// else is a buffered shard Result JSON.
@@ -232,10 +228,11 @@ func (o *Options) Merge() (*harness.Result, error) {
 // Run executes the campaign honouring -shard and -ndjson: the full
 // grid or just the pinned shard, with per-trial records streamed live
 // to the NDJSON sink while an in-memory collector aggregates the
-// returned result.
+// returned result. Under -merge it runs nothing and returns the
+// reassembled shard results instead.
 func (o *Options) Run(ctx context.Context, c harness.Campaign) (*harness.Result, error) {
 	if o.merge != "" {
-		return nil, errors.New("-merge set: call Merge, not Run")
+		return o.Merge()
 	}
 	// Surface -memo problems before any trial runs (and before touching
 	// any output file): a corrupt memo file must fail loudly, not
@@ -279,7 +276,7 @@ func (o *Options) Run(ctx context.Context, c harness.Campaign) (*harness.Result,
 	// Persist the cycles this run confirmed (plus whatever it loaded:
 	// the memo is append-only) so the next invocation starts warm. The
 	// write is atomic — a failure preserves the previous memo file.
-	if o.memoFile != "" && o.memo != nil {
+	if o.memoFile != "" {
 		if err := sim.SaveTrajectoryMemoFile(o.memoFile, o.memo); err != nil {
 			return nil, fmt.Errorf("saving -memo: %w", err)
 		}
@@ -288,30 +285,18 @@ func (o *Options) Run(ctx context.Context, c harness.Campaign) (*harness.Result,
 }
 
 // withNDJSON opens the -ndjson destination, runs fn with a sink on it,
-// and flushes/closes, reporting the first error.
+// and flushes/closes, reporting every error.
 func (o *Options) withNDJSON(fn func(harness.Sink) error) error {
-	if o.ndjson == "-" {
-		w := bufio.NewWriter(os.Stdout)
-		if err := fn(harness.NDJSONSink(w)); err != nil {
-			w.Flush()
+	dst, closeDst := o.stdout, func() error { return nil }
+	if o.ndjson != "-" {
+		f, err := os.Create(o.ndjson)
+		if err != nil {
 			return err
 		}
-		return w.Flush()
+		dst, closeDst = f, f.Close
 	}
-	f, err := os.Create(o.ndjson)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := fn(harness.NDJSONSink(w)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	w := bufio.NewWriter(dst)
+	return errors.Join(fn(harness.NDJSONSink(w)), w.Flush(), closeDst())
 }
 
 // parseShard parses "I/K" with 0 <= I < K.
@@ -346,4 +331,127 @@ func Summary(w io.Writer, res *harness.Result) {
 		fmt.Fprintf(w, "  %-28s %d/%d stabilised, T mean %.1f / median %.1f / p95 %.1f / max %d\n",
 			sc.Name, st.Stabilised, st.Trials, st.MeanTime, st.MedianTime, st.P95Time, st.MaxTime)
 	}
+}
+
+// number is the value type of a bounded flag.
+type number interface {
+	int | int64 | float64 | time.Duration
+}
+
+// bounded is a numeric flag.Value that rejects values outside
+// [min, max] (max only when capped) at Parse time. The flag package
+// wraps its error with the flag's name.
+type bounded[T number] struct {
+	p        *T
+	min, max T
+	capped   bool
+}
+
+// AtLeast registers a numeric flag that Parse rejects below min.
+func AtLeast[T number](fs *flag.FlagSet, name string, value, min T, usage string) *T {
+	fs.Var(&bounded[T]{p: &value, min: min}, name, usage)
+	return &value
+}
+
+// InRange registers a numeric flag that Parse rejects outside
+// [min, max].
+func InRange[T number](fs *flag.FlagSet, name string, value, min, max T, usage string) *T {
+	fs.Var(&bounded[T]{p: &value, min: min, max: max, capped: true}, name, usage)
+	return &value
+}
+
+func (b *bounded[T]) String() string {
+	if b.p == nil { // the flag package's zero-value probe
+		return fmt.Sprint(T(0))
+	}
+	return fmt.Sprint(*b.p)
+}
+
+func (b *bounded[T]) Set(s string) error {
+	var v T
+	var err error
+	switch p := any(&v).(type) {
+	case *int:
+		var n int64
+		n, err = strconv.ParseInt(s, 0, strconv.IntSize)
+		*p = int(n)
+	case *int64:
+		*p, err = strconv.ParseInt(s, 0, 64)
+	case *float64:
+		*p, err = strconv.ParseFloat(s, 64)
+	case *time.Duration:
+		*p, err = time.ParseDuration(s)
+	}
+	switch {
+	case err != nil:
+		return errors.New("parse error")
+	case b.capped && (v < b.min || v > b.max):
+		return fmt.Errorf("must be in %v..%v", b.min, b.max)
+	case v < b.min:
+		return fmt.Errorf("must be >= %v", b.min)
+	}
+	*b.p = v
+	return nil
+}
+
+// List splits a comma-separated flag value into its trimmed, non-empty
+// items.
+func List(s string) []string {
+	var items []string
+	for _, tok := range strings.Split(s, ",") {
+		if tok = strings.TrimSpace(tok); tok != "" {
+			items = append(items, tok)
+		}
+	}
+	return items
+}
+
+// Ints parses the comma-separated integer list given to flag -name,
+// each item at least min.
+func Ints(name, s string, min int) ([]int, error) {
+	var vals []int
+	for _, tok := range List(s) {
+		v, err := strconv.Atoi(tok)
+		if err != nil || v < min {
+			return nil, fmt.Errorf("bad -%s value %q: want comma-separated integers >= %d", name, tok, min)
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
+}
+
+// Grid holds the compare grid flags. `compare` and `resultdb
+// compare-table` register them through RegisterGrid, so the store join
+// always rebuilds exactly the grid the recorded run used.
+type Grid struct {
+	algs, fs, adversaries *string
+	c, faults             *int
+	seed                  *int64
+}
+
+// RegisterGrid installs -algs, -f, -c, -adversaries, -faults and -seed
+// on fs.
+func RegisterGrid(fs *flag.FlagSet) *Grid {
+	return &Grid{
+		algs:        fs.String("algs", "ecount,ecount-chain,corollary1", "comma-separated registry algorithms: "+strings.Join(registry.Names(), " | ")),
+		fs:          fs.String("f", "", "comma-separated resiliences to build each algorithm at (empty = spec defaults)"),
+		c:           AtLeast(fs, "c", 0, 0, "counter modulus (0 = per-spec default; randomised baselines need 2)"),
+		adversaries: fs.String("adversaries", "silent,splitvote", "comma-separated Byzantine strategies"),
+		faults:      AtLeast(fs, "faults", 0, 0, "Byzantine nodes injected per run (0 = each algorithm's declared resilience)"),
+		seed:        fs.Int64("seed", 1, "campaign base seed (all algorithms face the identical trial-seed stream)"),
+	}
+}
+
+// Spec returns the comparison the grid flags describe; the caller
+// fills in the run-size fields (Trials, Rounds, Window, Workers).
+func (g *Grid) Spec() (registry.CompareSpec, error) {
+	fs, err := Ints("f", *g.fs, 0)
+	return registry.CompareSpec{
+		Algs:        List(*g.algs),
+		Fs:          fs,
+		C:           *g.c,
+		Adversaries: List(*g.adversaries),
+		Faults:      *g.faults,
+		Seed:        *g.seed,
+	}, err
 }

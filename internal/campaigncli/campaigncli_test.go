@@ -3,9 +3,12 @@ package campaigncli
 import (
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/ecount"
@@ -183,43 +186,6 @@ func TestMergeModeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFastForwardFlag pins the -fastforward wiring: the flag defaults
-// on, ApplySim attaches one shared memo per invocation when on, and
-// forces NoFastForward when off.
-func TestFastForwardFlag(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if !o.FastForward() {
-		t.Fatal("-fastforward must default on")
-	}
-	var a, b sim.Config
-	o.ApplySim(&a, "alg-a")
-	o.ApplySim(&b, "alg-b")
-	if a.NoFastForward || b.NoFastForward {
-		t.Fatal("ApplySim with the flag on must leave fast-forward enabled")
-	}
-	if a.Memo == nil || a.Memo != b.Memo {
-		t.Fatal("ApplySim must attach one shared memo per invocation")
-	}
-	if a.MemoAlg != "alg-a" || b.MemoAlg != "alg-b" {
-		t.Fatalf("ApplySim memo ids = %q/%q, want alg-a/alg-b", a.MemoAlg, b.MemoAlg)
-	}
-
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	o = Register(fs)
-	if err := fs.Parse([]string{"-fastforward=false"}); err != nil {
-		t.Fatal(err)
-	}
-	var c sim.Config
-	o.ApplySim(&c, "alg-c")
-	if !c.NoFastForward || c.Memo != nil {
-		t.Fatalf("ApplySim with the flag off must disable fast-forward and attach no memo, got %+v", c)
-	}
-}
-
 // TestMergeNDJSONShards pins the -merge NDJSON path: shard record
 // streams written by -ndjson reassemble — alone or mixed with shard
 // JSON results — into the unsharded campaign byte for byte.
@@ -300,7 +266,8 @@ func TestMemoFlagPersistsAcrossRuns(t *testing.T) {
 
 	newOptions := func(args ...string) *Options {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		o := Register(fs)
+		o := Register(fs, io.Discard)
+		o.RegisterMemo(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -348,13 +315,6 @@ func TestMemoFlagPersistsAcrossRuns(t *testing.T) {
 		t.Error("warm run never hit the loaded memo")
 	}
 
-	// -memo without -fastforward is a contradiction, not a silent
-	// cold run.
-	off := newOptions("-memo", memoPath, "-fastforward=false")
-	if _, err := off.Run(ctx, memoTestCampaign(t, off)); err == nil {
-		t.Fatal("-memo with -fastforward=false was accepted")
-	}
-
 	// A corrupt memo file fails the run before any trial executes.
 	if err := os.WriteFile(memoPath, []byte("not a memo\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -362,5 +322,57 @@ func TestMemoFlagPersistsAcrossRuns(t *testing.T) {
 	bad := newOptions("-memo", memoPath)
 	if _, err := bad.Run(ctx, memoTestCampaign(t, bad)); err == nil {
 		t.Fatal("corrupt memo file was accepted")
+	}
+}
+
+// TestBoundedFlags pins the parse-time range check: an out-of-range or
+// malformed value fails Parse with the flag named, and a valid one
+// lands in the returned pointer.
+func TestBoundedFlags(t *testing.T) {
+	newFlags := func() (*flag.FlagSet, *int, *int64, *float64, *time.Duration) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs,
+			InRange(fs, "blocks", 3, 2, 5, ""),
+			AtLeast(fs, "rounds", int64(0), 0, ""),
+			AtLeast(fs, "budget", 0.0, 0, ""),
+			AtLeast(fs, "timeout", time.Second, 1, "")
+	}
+	fs, blocks, rounds, budget, timeout := newFlags()
+	if *blocks != 3 || *rounds != 0 || *budget != 0 || *timeout != time.Second {
+		t.Fatalf("defaults = %d %d %g %v", *blocks, *rounds, *budget, *timeout)
+	}
+	if err := fs.Parse([]string{"-blocks", "5", "-rounds", "0x10", "-budget", "1.5", "-timeout", "2ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if *blocks != 5 || *rounds != 16 || *budget != 1.5 || *timeout != 2*time.Millisecond {
+		t.Fatalf("parsed = %d %d %g %v", *blocks, *rounds, *budget, *timeout)
+	}
+	for _, args := range [][]string{
+		{"-blocks", "1"}, {"-blocks", "6"}, {"-blocks", "x"},
+		{"-rounds", "-1"}, {"-budget", "-0.5"}, {"-timeout", "0s"}, {"-timeout", "-1s"},
+	} {
+		fs, _, _, _, _ := newFlags()
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag "+args[0]) {
+			t.Errorf("Parse(%v) = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+}
+
+func TestInts(t *testing.T) {
+	if got := List(" a, b ,,c "); strings.Join(got, "|") != "a|b|c" {
+		t.Fatalf("List = %q", got)
+	}
+	if got, err := Ints("f", "", 0); err != nil || len(got) != 0 {
+		t.Fatalf("Ints(empty) = %v, %v", got, err)
+	}
+	if got, err := Ints("scale-n", " 100, 1000 ,", 2); err != nil || len(got) != 2 || got[1] != 1000 {
+		t.Fatalf("Ints = %v, %v", got, err)
+	}
+	for _, bad := range []string{"1,x", "-1", "0,1"} {
+		if _, err := Ints("f", bad, 1); err == nil || !strings.Contains(err.Error(), "-f") {
+			t.Errorf("Ints(%q) = %v, want an error naming -f", bad, err)
+		}
 	}
 }

@@ -177,11 +177,30 @@ func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// csvHeader is the flat per-trial export schema.
-var csvHeader = []string{
+// CSVHeader is the flat per-trial export schema; CSVRow renders one
+// trial in it.
+var CSVHeader = []string{
 	"campaign", "scenario", "trial", "seed",
 	"stabilised", "stabilisation_time", "rounds_run", "violations",
 	"messages_per_round", "bits_per_round", "max_pulls", "mean_pulls",
+}
+
+// CSVRow renders one trial of a campaign's scenario as a CSVHeader row.
+func CSVRow(campaign, scenario string, tr Trial) []string {
+	return []string{
+		campaign,
+		scenario,
+		strconv.Itoa(tr.Trial),
+		strconv.FormatInt(tr.Seed, 10),
+		strconv.FormatBool(tr.Stabilised),
+		strconv.FormatUint(tr.StabilisationTime, 10),
+		strconv.FormatUint(tr.RoundsRun, 10),
+		strconv.FormatUint(tr.Violations, 10),
+		strconv.FormatUint(tr.MessagesPerRound, 10),
+		strconv.FormatUint(tr.BitsPerRound, 10),
+		strconv.FormatUint(tr.MaxPulls, 10),
+		strconv.FormatFloat(tr.MeanPulls, 'g', -1, 64),
+	}
 }
 
 // WriteCSV renders one row per trial, flat enough for spreadsheet and
@@ -189,26 +208,12 @@ var csvHeader = []string{
 // campaign definition and seed.
 func (r *Result) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	if err := cw.Write(CSVHeader); err != nil {
 		return err
 	}
 	for _, sc := range r.Scenarios {
 		for _, tr := range sc.Trials {
-			row := []string{
-				r.Campaign,
-				sc.Name,
-				strconv.Itoa(tr.Trial),
-				strconv.FormatInt(tr.Seed, 10),
-				strconv.FormatBool(tr.Stabilised),
-				strconv.FormatUint(tr.StabilisationTime, 10),
-				strconv.FormatUint(tr.RoundsRun, 10),
-				strconv.FormatUint(tr.Violations, 10),
-				strconv.FormatUint(tr.MessagesPerRound, 10),
-				strconv.FormatUint(tr.BitsPerRound, 10),
-				strconv.FormatUint(tr.MaxPulls, 10),
-				strconv.FormatFloat(tr.MeanPulls, 'g', -1, 64),
-			}
-			if err := cw.Write(row); err != nil {
+			if err := cw.Write(CSVRow(r.Campaign, sc.Name, tr)); err != nil {
 				return err
 			}
 		}
