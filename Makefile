@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 14
+PR ?= 17
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -104,6 +104,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzWireTable$$' -fuzztime=10s ./internal/pull
 	$(GO) test -run='^$$' -fuzz='^FuzzCodecDecode$$' -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s ./internal/live
+	$(GO) test -run='^$$' -fuzz='^FuzzField$$' -fuzztime=10s ./internal/codec
+	$(GO) test -run='^$$' -fuzz='^FuzzSeededDraw$$' -fuzztime=10s ./internal/adversary
 
 # The smoke targets below build the synchcount binary once into their
 # temp dir and drive every step through it, so each step is one process

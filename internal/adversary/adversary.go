@@ -124,11 +124,11 @@ type RowMessenger interface {
 //     round-oblivious strategy returns 1.
 //   - 0: the strategy is still stateless, but its choices draw on the
 //     adversary randomness stream or the absolute round number
-//     (Random derives a per-(round, sender) RNG; Equivocate consumes
-//     the shared stream), so the effective configuration includes an
-//     RNG cursor that never revisits itself within any realistic
-//     horizon. Fast-forward stands down and the run proceeds on the
-//     plain kernel, bit for bit as before.
+//     (Random draws from a seed derived from the absolute round;
+//     Equivocate consumes the shared stream), so the effective
+//     configuration includes a round or RNG cursor that never revisits
+//     itself within any realistic horizon. Fast-forward stands down
+//     and the run proceeds on the plain kernel, bit for bit as before.
 type Snapshottable interface {
 	Adversary
 	// SnapshotPeriod returns the round period p of the strategy's
@@ -164,7 +164,11 @@ func (Silent) Message(*View, int, int) alg.State { return 0 }
 func (Silent) SnapshotPeriod() uint64 { return 1 }
 
 // Random broadcasts a fresh uniform state each round, the same to all
-// receivers (a non-equivocating but noisy fault).
+// receivers (a non-equivocating but noisy fault). Sender from's value
+// in a round is the first uniform draw of math/rand seeded with
+// View.senderSeed(from), a pure function of (round, sender, base
+// seed); seededDraw evaluates it in closed form, so no per-round state
+// is kept and every receiver sees the same value.
 type Random struct{}
 
 // Name implements Adversary.
@@ -172,9 +176,7 @@ func (Random) Name() string { return "random" }
 
 // Message implements Adversary.
 func (Random) Message(v *View, from, _ int) alg.State {
-	// Derive the value from (round, sender) so all receivers of this
-	// sender observe the same state this round.
-	return uniform(v.perSenderRng(from), v.Space)
+	return seededDraw(v.senderSeed(from), v.Space)
 }
 
 // SnapshotPeriod implements Snapshottable. Random is stateless but its
@@ -307,15 +309,14 @@ func (Flip) Message(v *View, _, _ int) alg.State {
 // pure function of (States, Faulty).
 func (Flip) SnapshotPeriod() uint64 { return 1 }
 
-// perSenderRng derives a reproducible per-(round, sender) RNG from the
-// adversary's stream so that "broadcast" strategies send one consistent
-// value per round without shared mutable state.
-func (v *View) perSenderRng(from int) *rand.Rand {
-	seed := int64(v.Round)*1000003 + int64(from)*7919 + v.baseSeed
-	return rand.New(rand.NewSource(seed))
+// senderSeed is the reproducible per-(round, sender) seed of a
+// "broadcast" strategy's draw, so that it sends one consistent value
+// per round without shared mutable state.
+func (v *View) senderSeed(from int) int64 {
+	return int64(v.Round)*1000003 + int64(from)*7919 + v.baseSeed
 }
 
-// SetBaseSeed fixes the seed component used by per-sender derived RNGs.
+// SetBaseSeed fixes the seed component of the per-sender seeds.
 // The simulator calls it once per run.
 func (v *View) SetBaseSeed(seed int64) { v.baseSeed = seed }
 

@@ -10,7 +10,8 @@ import "github.com/synchcount/synchcount/internal/alg"
 // per-round or per-receiver analysis once instead of once per message:
 // SplitVote resolves its two camps once per row rather than scanning
 // all states per message, Spread and Flip read the View's per-round
-// correct-state cache, and Silent/Mirror reduce to constant fills.
+// correct-state cache, Silent/Mirror reduce to constant fills, and
+// Random evaluates each sender's seeded draw in closed form.
 var (
 	_ RowMessenger = Silent{}
 	_ RowMessenger = Random{}
@@ -29,11 +30,11 @@ func (Silent) MessageRow(_ *View, senders []int, _ int, row []alg.State) {
 }
 
 // MessageRow implements RowMessenger: each sender's broadcast value is
-// derived from the per-(round, sender) stream exactly as Message does,
+// the seeded draw of (round, sender) exactly as Message computes it,
 // so all receivers observe the same state from it.
 func (Random) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 	for j, from := range senders {
-		row[j] = uniform(v.perSenderRng(from), v.Space)
+		row[j] = seededDraw(v.senderSeed(from), v.Space)
 	}
 }
 

@@ -29,7 +29,12 @@ var ErrSpaceTooLarge = errors.New("codec: state space exceeds 2^62")
 // field i ranges over [0, radix[i]). Field 0 is the least significant.
 // The zero value is unusable; construct with New.
 type Codec struct {
-	radices []uint64
+	// strides[i] is the place value of field i in the dense word, the
+	// product of the radices below it; strides[Fields()] is Space().
+	// Field i of any word v is v mod strides[i+1] div strides[i], and
+	// radix i is strides[i+1] / strides[i]. Every stride divides the
+	// space, so out-of-space words need no separate reduction.
+	strides []uint64
 	space   uint64
 }
 
@@ -40,22 +45,19 @@ func New(radices ...uint64) (*Codec, error) {
 	if len(radices) == 0 {
 		return nil, errors.New("codec: no fields")
 	}
-	space := uint64(1)
+	strides := make([]uint64, len(radices)+1)
+	strides[0] = 1
 	for i, r := range radices {
 		if r == 0 {
 			return nil, fmt.Errorf("codec: field %d has radix 0", i)
 		}
-		hi, lo := bits.Mul64(space, r)
+		hi, lo := bits.Mul64(strides[i], r)
 		if hi != 0 || lo > MaxSpace {
 			return nil, fmt.Errorf("%w (fields %v)", ErrSpaceTooLarge, radices)
 		}
-		space = lo
+		strides[i+1] = lo
 	}
-	c := &Codec{
-		radices: append([]uint64(nil), radices...),
-		space:   space,
-	}
-	return c, nil
+	return &Codec{strides: strides, space: strides[len(radices)]}, nil
 }
 
 // MustNew is New for statically known-good radices; it panics on error and
@@ -75,24 +77,27 @@ func (c *Codec) Space() uint64 { return c.space }
 func (c *Codec) Bits() int { return SpaceBits(c.space) }
 
 // Fields returns the number of fields.
-func (c *Codec) Fields() int { return len(c.radices) }
+func (c *Codec) Fields() int { return len(c.strides) - 1 }
 
 // Radix returns the radix of field i.
-func (c *Codec) Radix(i int) uint64 { return c.radices[i] }
+func (c *Codec) Radix(i int) uint64 { return c.strides[i+1] / c.strides[i] }
 
 // Pack encodes the given field values. It returns an error if the number
 // of fields is wrong or any field is out of range; honest code never hits
 // these, but the adversary API is easier to audit when Pack is total.
 func (c *Codec) Pack(fields ...uint64) (uint64, error) {
-	if len(fields) != len(c.radices) {
-		return 0, fmt.Errorf("codec: got %d fields, want %d", len(fields), len(c.radices))
+	if len(fields) != c.Fields() {
+		return 0, fmt.Errorf("codec: got %d fields, want %d", len(fields), c.Fields())
 	}
 	var v uint64
 	for i := len(fields) - 1; i >= 0; i-- {
-		if fields[i] >= c.radices[i] {
-			return 0, fmt.Errorf("codec: field %d value %d out of range [0,%d)", i, fields[i], c.radices[i])
+		// fields[i] < radix i exactly when its place value lands below
+		// the next stride.
+		hi, lo := bits.Mul64(fields[i], c.strides[i])
+		if hi != 0 || lo >= c.strides[i+1] {
+			return 0, fmt.Errorf("codec: field %d value %d out of range [0,%d)", i, fields[i], c.Radix(i))
 		}
-		v = v*c.radices[i] + fields[i]
+		v += lo
 	}
 	return v, nil
 }
@@ -108,36 +113,30 @@ func (c *Codec) MustPack(fields ...uint64) uint64 {
 
 // Unpack decodes state v into its fields, appending to dst (which may be
 // nil). Values v >= Space() — which only an adversary can produce when a
-// construction layers codecs — are reduced modulo Space() first so that
-// decoding is total.
+// construction layers codecs — decode as v mod Space(), so that decoding
+// is total.
 func (c *Codec) Unpack(v uint64, dst []uint64) []uint64 {
-	v %= c.space
-	for _, r := range c.radices {
-		dst = append(dst, v%r)
-		v /= r
+	for i := 0; i < c.Fields(); i++ {
+		dst = append(dst, c.Field(v, i))
 	}
 	return dst
 }
 
 // Field extracts a single field from the dense value without allocating.
+// Like Unpack it decodes v >= Space() as v mod Space().
 func (c *Codec) Field(v uint64, i int) uint64 {
-	v %= c.space
-	for j := 0; j < i; j++ {
-		v /= c.radices[j]
-	}
-	return v % c.radices[i]
+	return v % c.strides[i+1] / c.strides[i]
 }
 
-// WithField returns v with field i replaced by x (reduced mod the radix).
+// WithField returns v mod Space() with field i replaced by x (reduced
+// mod the radix).
 func (c *Codec) WithField(v uint64, i int, x uint64) uint64 {
-	v %= c.space
-	lo := uint64(1)
-	for j := 0; j < i; j++ {
-		lo *= c.radices[j]
+	if v >= c.space {
+		v %= c.space
 	}
-	r := c.radices[i]
-	old := v / lo % r
-	return v + (x%r-old)*lo
+	lo, hi := c.strides[i], c.strides[i+1]
+	old := v % hi / lo
+	return v + (x%(hi/lo)-old)*lo
 }
 
 // StateWordSize is the wire size of one encoded state word: the dense

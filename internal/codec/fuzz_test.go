@@ -85,3 +85,46 @@ func FuzzPackUnpack(f *testing.F) {
 		}
 	})
 }
+
+// FuzzField holds the stride decode to the division loop it replaced
+// (fieldReference, withFieldReference) on codecs of one to four
+// fields — radix-1 fields and products up to MaxSpace included — and
+// on arbitrary words, out-of-space ones such as ^uint64(0) included:
+// the stride table must give back the radices and their product, and
+// Field and WithField must equal the oracle for every field index.
+func FuzzField(f *testing.F) {
+	f.Add(uint8(4), uint64(24510873600-1), uint64(27), uint64(27), uint64(8), uint64(123456789), uint64(5))
+	f.Add(uint8(3), uint64(0), uint64(6), uint64(0), uint64(0), ^uint64(0), uint64(3))
+	f.Add(uint8(0), MaxSpace-1, uint64(0), uint64(0), uint64(0), MaxSpace+7, ^uint64(0))
+	f.Add(uint8(1), uint64(1<<31-1), uint64(1<<31-1), uint64(0), uint64(0), ^uint64(0), uint64(1<<40))
+	f.Add(uint8(3), uint64(35), uint64(9), uint64(9), uint64(60), uint64(439200), uint64(0))
+	f.Fuzz(func(t *testing.T, fields uint8, r0, r1, r2, r3, v, x uint64) {
+		raw := []uint64{r0, r1, r2, r3}[:int(fields%4)+1]
+		radices := make([]uint64, len(raw))
+		space := uint64(1)
+		for k, r := range raw {
+			// Each radix lands in [1, MaxSpace/space], so the product
+			// never leaves MaxSpace and radix 1 stays reachable.
+			radices[k] = r%(MaxSpace/space) + 1
+			space *= radices[k]
+		}
+		c, err := New(radices...)
+		if err != nil {
+			t.Fatalf("New(%v): %v", radices, err)
+		}
+		if c.Space() != space || c.Fields() != len(radices) {
+			t.Fatalf("New(%v): space %d with %d fields, want %d with %d", radices, c.Space(), c.Fields(), space, len(radices))
+		}
+		for i, r := range radices {
+			if c.Radix(i) != r {
+				t.Fatalf("New(%v): Radix(%d) = %d", radices, i, c.Radix(i))
+			}
+			if got, want := c.Field(v, i), c.fieldReference(v, i); got != want {
+				t.Fatalf("radices %v: Field(%d, %d) = %d, reference %d", radices, v, i, got, want)
+			}
+			if got, want := c.WithField(v, i, x), c.withFieldReference(v, i, x); got != want {
+				t.Fatalf("radices %v: WithField(%d, %d, %d) = %d, reference %d", radices, v, i, x, got, want)
+			}
+		}
+	})
+}
