@@ -122,7 +122,7 @@ func BenchmarkTable1_Corollary1_N4F1(b *testing.B) {
 		b.Fatal(err)
 	}
 	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func BenchmarkTable1_ThisWork_N12F3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkTable1_ThisWork_N36F7(b *testing.B) {
 		b.Fatal(err)
 	}
 	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func BenchmarkFigure1_LeaderWindows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func BenchmarkFigure2_Recursive36(b *testing.B) {
 		b.Fatal(err)
 	}
 	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func BenchmarkTheorem1_BlockCount(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			init, err := synchcount.WorstInit(cnt)
+			init, err := cnt.WorstInit()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func BenchmarkTheorem1_Adversaries(b *testing.B) {
 		b.Fatal(err)
 	}
 	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func BenchmarkTheorem1_CounterSize(b *testing.B) {
 				b.Fatal(err)
 			}
 			bound, _ := synchcount.StabilisationBound(cnt)
-			init, err := synchcount.WorstInit(cnt)
+			init, err := cnt.WorstInit()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -521,7 +521,7 @@ func harnessCampaign(b *testing.B, workers int) synchcount.Campaign {
 	if err != nil {
 		b.Fatal(err)
 	}
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func runHarnessBench(b *testing.B, workers int) {
 	var trials int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := synchcount.RunCampaign(context.Background(), campaign)
+		res, err := campaign.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -600,7 +600,7 @@ func BenchmarkStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			init, err := synchcount.WorstInit(cnt)
+			init, err := cnt.WorstInit()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -127,7 +127,7 @@ func runCountsim(args []string, stdout io.Writer) error {
 			if cnt == nil {
 				return cfg, fmt.Errorf("-worstinit needs a boosted counter (alg optimal|scalable|figure2)")
 			}
-			init, err := synchcount.WorstInit(cnt)
+			init, err := cnt.WorstInit()
 			if err != nil {
 				return cfg, err
 			}

@@ -62,7 +62,7 @@ func runFig1(args []string, stdout io.Writer) error {
 	// campaign scenario: the OnRound sink is per-run mutable state, so
 	// the config is built inside the trial function. The recorder needs
 	// every round, so the run never fast-forwards.
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		return err
 	}

@@ -91,7 +91,7 @@ func runFig2(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	cfg.Init, err = synchcount.WorstInit(top)
+	cfg.Init, err = top.WorstInit()
 	if err != nil {
 		return err
 	}

@@ -230,7 +230,7 @@ func runScale(out io.Writer, scaleN string, k, c, trials int, seed int64, horiz 
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		result, err := synchcount.RunCampaign(context.Background(), campaign)
+		result, err := campaign.Run(context.Background())
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {

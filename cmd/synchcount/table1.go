@@ -224,7 +224,7 @@ func optimalRow(dist *campaigncli.Options, trials int, seed int64) (measuredRow,
 		return measuredRow{}, err
 	}
 	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		return measuredRow{}, err
 	}
@@ -266,7 +266,7 @@ func boostedRow(dist *campaigncli.Options, trials int, seed int64, label string,
 	for i := range faults {
 		faults[i] = i
 	}
-	init, err := synchcount.WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil {
 		return measuredRow{}, err
 	}

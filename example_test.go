@@ -1,6 +1,8 @@
 package synchcount_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -127,7 +129,7 @@ func Example_faultlab() {
 	for _, name := range synchcount.Adversaries() {
 		run(name, "random", synchcount.MustAdversary(name), nil)
 	}
-	worst, err := synchcount.WorstInit(cnt)
+	worst, err := cnt.WorstInit()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -477,4 +479,158 @@ func Example_consensus() {
 	//   epoch  6 (unanimous commit votes): decisions [1 1 1] -> commit
 	//
 	// agreement held in every epoch; unanimous votes always committed.
+}
+
+// Example_sharding runs one campaign three ways — buffered, streamed
+// and split into shards — and checks that they agree byte for byte.
+// Trial seeds depend only on a trial's grid position, so the streamed
+// NDJSON equals the buffered export, a ShardSpec survives its JSON
+// round trip, and merging a 3-way split reproduces the unsharded JSON.
+// The Corollary 1 counter runs under two adversaries, as
+// `synchcount countsim -shard` slices its grid.
+func Example_sharding() {
+	cnt, err := synchcount.OptimalResilience(1, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bound, _ := synchcount.StabilisationBound(cnt)
+	cfg := func(adv string) synchcount.SimConfig {
+		return synchcount.SimConfig{
+			Alg:       cnt,
+			Faulty:    []int{2},
+			Adv:       synchcount.MustAdversary(adv),
+			MaxRounds: bound + 128,
+			Window:    64,
+			StopEarly: true,
+		}
+	}
+	campaign := func(workers int) synchcount.Campaign {
+		return synchcount.Campaign{
+			Name:    "shard-facade",
+			Seed:    99,
+			Workers: workers,
+			Scenarios: []synchcount.Scenario{
+				synchcount.SimScenario("splitvote", cfg("splitvote"), 5),
+				synchcount.SimScenario("equivocate", cfg("equivocate"), 3),
+			},
+		}
+	}
+	ctx := context.Background()
+
+	full, err := campaign(0).Run(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var wantJSON, wantNDJSON bytes.Buffer
+	if err := full.WriteJSON(&wantJSON); err != nil {
+		log.Fatal(err)
+	}
+	if err := full.WriteNDJSON(&wantNDJSON); err != nil {
+		log.Fatal(err)
+	}
+
+	// Stream on two workers: to an NDJSON sink and to a callback that
+	// sees every trial in deterministic order.
+	var streamed bytes.Buffer
+	tail := synchcount.CampaignSinkFunc(func(rec synchcount.CampaignTrialRecord) error {
+		fmt.Printf("%-10s trial %d: stabilised at round %d\n", rec.Scenario, rec.Trial.Trial, rec.StabilisationTime)
+		return nil
+	})
+	if err := campaign(2).Stream(ctx, synchcount.CampaignNDJSONSink(&streamed), tail); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("streamed NDJSON equals buffered:", bytes.Equal(wantNDJSON.Bytes(), streamed.Bytes()))
+
+	// Split into three shards, each spec passed through its JSON
+	// hand-off form as it would be to another process.
+	const k = 3
+	specs := make([]synchcount.ShardSpec, k)
+	roundTrips := true
+	for i := range specs {
+		spec, err := campaign(1).Shard(i, k)
+		if err != nil {
+			log.Fatal(err)
+		}
+		data, err := spec.JSON()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if specs[i], err = synchcount.ParseShardSpec(data); err != nil {
+			log.Fatal(err)
+		}
+		again, err := specs[i].JSON()
+		if err != nil {
+			log.Fatal(err)
+		}
+		roundTrips = roundTrips && bytes.Equal(data, again)
+	}
+	fmt.Println("shard specs round-trip through JSON:", roundTrips)
+
+	var parts []*synchcount.CampaignResult
+	for _, spec := range specs {
+		for _, sl := range spec.Slices {
+			fmt.Printf("shard %d/%d: %s trials [%d, %d)\n", spec.Shard, spec.Of, sl.Scenario, sl.From, sl.To)
+		}
+		res, err := campaign(1).RunShard(ctx, spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		parts = append(parts, res)
+	}
+
+	merged, err := synchcount.MergeCampaignResults(parts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := merged.WriteJSON(&got); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("3-way merge equals unsharded JSON:", bytes.Equal(wantJSON.Bytes(), got.Bytes()))
+
+	// Output:
+	// splitvote  trial 0: stabilised at round 2
+	// splitvote  trial 1: stabilised at round 2
+	// splitvote  trial 2: stabilised at round 4
+	// splitvote  trial 3: stabilised at round 2
+	// splitvote  trial 4: stabilised at round 0
+	// equivocate trial 0: stabilised at round 2
+	// equivocate trial 1: stabilised at round 2
+	// equivocate trial 2: stabilised at round 4
+	// streamed NDJSON equals buffered: true
+	// shard specs round-trip through JSON: true
+	// shard 0/3: splitvote trials [0, 2)
+	// shard 1/3: splitvote trials [2, 5)
+	// shard 2/3: equivocate trials [0, 3)
+	// 3-way merge equals unsharded JSON: true
+}
+
+// Example_registry lists the algorithm registry: every registered
+// stack, built from its default (n, f, c), with its predicted
+// stabilisation bound. The randomised baselines expose no bound.
+func Example_registry() {
+	fmt.Printf("%-12s %4s %3s %4s  %s\n", "algorithm", "n", "f", "c", "bound")
+	for _, name := range synchcount.RegisteredAlgorithms() {
+		a, err := synchcount.BuildRegistered(name, synchcount.RegistryParams{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		bound := "-"
+		if b, err := synchcount.StabilisationBound(a); err == nil {
+			bound = fmt.Sprint(b)
+		}
+		fmt.Printf("%-12s %4d %3d %4d  %s\n", name, a.N(), a.F(), a.C(), bound)
+	}
+
+	// Output:
+	// algorithm       n   f    c  bound
+	// trivial         1   0   10  0
+	// maxstep         4   0   10  1
+	// randagree       4   1    2  -
+	// randbiased      4   1    2  -
+	// corollary1      4   1   10  2304
+	// theorem2       16   3   10  6144
+	// figure2        36   7   10  4992
+	// ecount          4   1   10  73
+	// ecount-chain    4   1   10  73
 }

@@ -57,7 +57,7 @@ func TestMatrix_EveryCounterEveryAdversary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			worst, err := synchcount.WorstInit(cnt)
+			worst, err := cnt.WorstInit()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,6 @@
 package synchcount
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -51,7 +50,6 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/boost"
 	"github.com/synchcount/synchcount/internal/counter"
-	"github.com/synchcount/synchcount/internal/ecount"
 	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/pull"
 	"github.com/synchcount/synchcount/internal/recursion"
@@ -72,38 +70,7 @@ type (
 	// Adversary chooses the states Byzantine nodes present to each
 	// receiver every round.
 	Adversary = adversary.Adversary
-	// AdversaryView is the omniscient per-round snapshot adversaries see.
-	AdversaryView = adversary.View
-	// BatchStepper is the vectorized transition hook: algorithms that
-	// implement it step all correct nodes of a round in one call on the
-	// simulator's round kernel, sharing vote tallies across receivers.
-	// Every built-in construction implements it.
-	BatchStepper = alg.BatchStepper
-	// MessagePatches carries one round's per-receiver faulty-sender
-	// values — the O(n·(f+1)) fan-out representation of a broadcast
-	// round consumed by BatchStepper.
-	MessagePatches = alg.Patches
-	// RowMessenger is the adversary-side vectorization hook: strategies
-	// that implement it deliver a receiver's whole faulty-sender row in
-	// one call. All built-in strategies implement it.
-	RowMessenger = adversary.RowMessenger
-	// BitSliceStepper is the bit-sliced transition hook: algorithms
-	// with narrow states (at most alg.MaxSliceBits planes) that
-	// implement it step 64 correct nodes per machine word from the
-	// transposed bit-planes. The binary-state baselines implement it.
-	BitSliceStepper = alg.BitSliceStepper
-	// BitPlanes is the transposed (vertical) working set of one
-	// bit-sliced round: state planes, patch planes and the
-	// correct-lane mask.
-	BitPlanes = alg.BitPlanes
-	// DenseTally is the slice-backed, removal-capable majority tally
-	// the batch steppers share across receivers.
-	DenseTally = alg.DenseTally
 )
-
-// NewDenseTally returns a DenseTally for values in [0, domain); see
-// internal/alg for the sparse-fallback and Infinity conventions.
-func NewDenseTally(domain uint64) *DenseTally { return alg.NewDenseTally(domain) }
 
 // Simulation front-end (see internal/sim).
 type (
@@ -131,7 +98,9 @@ func SimulateMany(cfg SimConfig, trials int) (SimStats, error) { return sim.RunM
 // Campaign engine (see internal/harness): a grid of scenarios executed
 // concurrently over a worker pool with deterministic per-trial seed
 // derivation, context cancellation, streaming sinks, cross-process
-// sharding and JSON/CSV/NDJSON export.
+// sharding and JSON/CSV/NDJSON export. A Campaign runs itself: Run
+// buffers every trial, Stream feeds sinks, and Shard/RunShard split the
+// grid across processes.
 type (
 	// Campaign is a grid of scenarios executed as one parallel batch.
 	Campaign = harness.Campaign
@@ -139,15 +108,9 @@ type (
 	Scenario = harness.Scenario
 	// CampaignResult is a completed campaign with per-scenario results.
 	CampaignResult = harness.Result
-	// ScenarioResult is one scenario's aggregated outcome.
-	ScenarioResult = harness.ScenarioResult
 	// CampaignStats aggregates one scenario's trials, including
 	// median/p95/p99 stabilisation times.
 	CampaignStats = harness.Stats
-	// CampaignTrial is a single trial record.
-	CampaignTrial = harness.Trial
-	// Observation is what one trial measures.
-	Observation = harness.Observation
 	// CampaignSink consumes per-trial records as a campaign streams;
 	// the engine serialises emissions and delivers them in
 	// deterministic order at any worker count.
@@ -157,39 +120,10 @@ type (
 	// CampaignTrialRecord is the flat, self-describing streamed form of
 	// one trial (NDJSON line / sink payload).
 	CampaignTrialRecord = harness.TrialRecord
-	// CampaignCollector is the buffering sink behind RunCampaign.
-	CampaignCollector = harness.Collector
 	// ShardSpec pins the slice of a campaign one shard executes; it
 	// serialises to JSON losslessly for cross-process orchestration.
 	ShardSpec = harness.ShardSpec
-	// ShardSlice is one scenario's contiguous trial range in a shard.
-	ShardSlice = harness.ShardSlice
 )
-
-// RunCampaign executes the campaign over its worker pool, buffering
-// every trial into the result. Results are deterministic in (campaign
-// definition, seed) at any worker count.
-func RunCampaign(ctx context.Context, c Campaign) (*CampaignResult, error) { return c.Run(ctx) }
-
-// StreamCampaign executes the campaign, delivering each completed trial
-// to the sinks in deterministic order instead of buffering: campaigns
-// with non-buffering sinks (NDJSON, callbacks) run in memory
-// independent of the trial count and can be tailed live.
-func StreamCampaign(ctx context.Context, c Campaign, sinks ...CampaignSink) error {
-	return c.Stream(ctx, sinks...)
-}
-
-// ShardCampaign computes shard `index` of a `count`-way split of the
-// campaign's trial grid. Each shard can run in its own process or on
-// its own machine (RunCampaignShard); merging the shard results
-// reproduces the unsharded campaign byte for byte, because trial seeds
-// depend only on grid position.
-func ShardCampaign(c Campaign, index, count int) (ShardSpec, error) { return c.Shard(index, count) }
-
-// RunCampaignShard executes only the campaign slice pinned by spec.
-func RunCampaignShard(ctx context.Context, c Campaign, spec ShardSpec) (*CampaignResult, error) {
-	return c.RunShard(ctx, spec)
-}
 
 // MergeCampaignResults reassembles per-shard campaign results exactly:
 // merging a complete shard split is byte-identical to the unsharded
@@ -197,21 +131,6 @@ func RunCampaignShard(ctx context.Context, c Campaign, spec ShardSpec) (*Campaig
 // be merged again with the remaining shards.
 func MergeCampaignResults(parts ...*CampaignResult) (*CampaignResult, error) {
 	return harness.Merge(parts...)
-}
-
-// ReadCampaignResult reads a campaign result from a JSON file written
-// by CampaignResult.WriteJSONFile — the shard hand-off format.
-func ReadCampaignResult(path string) (*CampaignResult, error) { return harness.ReadJSONFile(path) }
-
-// ReadCampaignNDJSON reassembles a campaign result from a stream of
-// NDJSON trial records (CampaignResult.WriteNDJSON / CampaignNDJSONSink
-// output). Concatenations of shard streams are valid input, so NDJSON
-// is a first-class shard hand-off format alongside the buffered JSON.
-func ReadCampaignNDJSON(r io.Reader) (*CampaignResult, error) { return harness.ReadNDJSON(r) }
-
-// ReadCampaignNDJSONFile is ReadCampaignNDJSON over a file.
-func ReadCampaignNDJSONFile(path string) (*CampaignResult, error) {
-	return harness.ReadNDJSONFile(path)
 }
 
 // CampaignNDJSONSink returns a sink streaming one JSON line per trial
@@ -222,61 +141,6 @@ func CampaignNDJSONSink(w io.Writer) CampaignSink { return harness.NDJSONSink(w)
 // ParseShardSpec decodes and validates a ShardSpec from its JSON
 // interchange form.
 func ParseShardSpec(data []byte) (ShardSpec, error) { return harness.ParseShardSpec(data) }
-
-// Fast-forward engine (see internal/sim/fastforward.go): deterministic
-// algorithms under snapshottable adversaries evolve the global
-// configuration as a pure function, so the simulator detects the
-// trajectory's cycle (hash-candidate, verified by full configuration
-// comparison) and concludes the stabilisation window and verification
-// tail analytically — bit-identical Results at a fraction of the
-// rounds. Enabled by default for eligible SimConfigs; opt out with
-// SimConfig.NoFastForward.
-type (
-	// SnapshottableAdversary marks stateless adversaries and declares
-	// their round period; period >= 1 makes a deterministic run
-	// eligible for fast-forwarding. All built-in strategies implement
-	// it (random and equivocate declare period 0: stateless but
-	// rng-driven); the greedy lookahead opts out.
-	SnapshottableAdversary = adversary.Snapshottable
-	// ConfigCapturer lets algorithms with hidden per-node state expose
-	// it to configuration hashing; the built-in constructions need
-	// nothing (their state vectors are explicit).
-	ConfigCapturer = alg.ConfigCapturer
-	// TrajectoryMemo is the bounded, concurrency-safe per-campaign
-	// cache of confirmed trajectory cycles: trials whose trajectories
-	// merge skip straight to the memoised conclusion.
-	TrajectoryMemo = harness.TrajectoryMemo
-	// TrajectoryKey keys one memoised trajectory fact.
-	TrajectoryKey = harness.TrajectoryKey
-)
-
-// NewTrajectoryMemo returns a trajectory memo bounded to capacity
-// entries (capacity <= 0 selects the default bound). Attach it to the
-// SimConfigs of a campaign via SimConfig.Memo/MemoAlg to share cycle
-// discoveries across trials.
-func NewTrajectoryMemo(capacity int) *TrajectoryMemo { return harness.NewTrajectoryMemo(capacity) }
-
-// SaveTrajectoryMemoFile persists a trajectory memo's confirmed cycles
-// as a deterministic NDJSON file (atomic write), so repeat campaigns in
-// later processes start warm.
-func SaveTrajectoryMemoFile(path string, m *TrajectoryMemo) error {
-	return sim.SaveTrajectoryMemoFile(path, m)
-}
-
-// LoadTrajectoryMemoFile loads a saved trajectory memo into m,
-// returning the number of entries restored. Foreign, stale or tampered
-// files are rejected loudly; a missing file satisfies os.IsNotExist.
-func LoadTrajectoryMemoFile(path string, m *TrajectoryMemo) (int, error) {
-	return sim.LoadTrajectoryMemoFile(path, m)
-}
-
-// AdversarySnapshotPeriod reports an adversary's snapshot period and
-// whether fast-forwarding may cycle-detect under it.
-func AdversarySnapshotPeriod(a Adversary) (uint64, bool) { return adversary.SnapshotPeriodOf(a) }
-
-// HashConfiguration hashes a configuration word vector with the
-// fast-forward engine's incremental configuration hash.
-func HashConfiguration(words []State) uint64 { return alg.HashConfig(words) }
 
 // SimScenario adapts a broadcast-model SimConfig to a campaign scenario
 // of `trials` trials. The config is shared across concurrent trials and
@@ -298,14 +162,6 @@ func SimScenarioFunc(name string, trials int, build func(trial int) (SimConfig, 
 func PullScenario(name string, cfg PullConfig, trials int) Scenario {
 	return pull.CampaignScenario(name, cfg, trials)
 }
-
-// ErrSimAborted is returned by broadcast-model simulations stopped via
-// SimConfig.Abort.
-var ErrSimAborted = sim.ErrAborted
-
-// ErrPullAborted is returned by pulling-model simulations stopped via
-// PullConfig.Abort.
-var ErrPullAborted = pull.ErrAborted
 
 // Recursive construction plans (see internal/recursion).
 type (
@@ -363,9 +219,6 @@ func FromPlan(p Plan) (*Counter, []*Counter, PlanStats, error) { return recursio
 // Boost applies a single step of Theorem 1 to an existing base counter.
 func Boost(base Algorithm, params BoostParams) (*Counter, error) { return boost.New(base, params) }
 
-// PlanCorollary1 returns the Corollary 1 plan without building it.
-func PlanCorollary1(f, c int) (Plan, error) { return recursion.Corollary1(f, c) }
-
 // PlanFixedK returns the Theorem 2 plan (fixed block count).
 func PlanFixedK(k, depth, c int) (Plan, error) { return recursion.FixedK(k, depth, c) }
 
@@ -397,38 +250,10 @@ func RandomizedBiased(n, f int) (Algorithm, error) { return counter.NewRandomize
 // Follow-up constructions (arXiv:1508.02535; see internal/ecount) and
 // the algorithm registry (see internal/registry).
 type (
-	// ECountCounter is a silent-consensus counter of the follow-up
-	// paper "Efficient Counting with Optimal Resilience".
-	ECountCounter = ecount.Counter
-	// SilentConsensus is the once-consensus building block the ecount
-	// counters are derived from.
-	SilentConsensus = ecount.Consensus
 	// RegistryParams is the uniform (n, f, c) parameterisation of the
 	// algorithm registry; zero fields take per-algorithm defaults.
 	RegistryParams = registry.Params
-	// RegistrySpec describes one registered algorithm family.
-	RegistrySpec = registry.Spec
-	// CompareSpec describes a head-to-head campaign between registered
-	// algorithms over a shared (f, adversary, seed) grid.
-	CompareSpec = registry.CompareSpec
-	// CompareCell is the static per-build metadata of a compare column.
-	CompareCell = registry.CompareCell
 )
-
-// ECount builds the follow-up paper's balanced-recursion counter:
-// resilience f < n/3 with an O(f) stabilisation bound and
-// polylogarithmic-style state growth.
-func ECount(n, f, c int) (*ECountCounter, error) { return ecount.New(n, f, c) }
-
-// ECountChain builds the chain-recursion variant: same resilience,
-// depth-f recursion with an O(f^2) stabilisation bound.
-func ECountChain(n, f, c int) (*ECountCounter, error) { return ecount.NewChain(n, f, c) }
-
-// NewSilentConsensus returns the silent once-consensus building block
-// for n nodes tolerating f < n/3 faults, agreeing modulo mod.
-func NewSilentConsensus(n, f int, mod uint64) (*SilentConsensus, error) {
-	return ecount.NewConsensus(n, f, mod)
-}
 
 // RegisteredAlgorithms lists the algorithm registry names in
 // presentation order.
@@ -464,11 +289,6 @@ func MustAdversary(name string) Adversary {
 // stabilisation times.
 func Saboteur(c *Counter) Adversary { return boost.Saboteur{C: c} }
 
-// WorstInit returns an adversarially staggered initial configuration for
-// the counter (leader pointers split across blocks, round counters
-// offset, phase king registers disagreeing).
-func WorstInit(c *Counter) ([]State, error) { return c.WorstInit() }
-
 // Greedy wraps an adversary with one-step-lookahead optimisation: each
 // round it simulates candidate Byzantine assignments against the (must
 // be deterministic) algorithm and commits to the one maximising
@@ -492,11 +312,6 @@ type (
 	// Gossip is the fixed-wiring k-sample plurality counter behind the
 	// large-n sparse pulling-model cells.
 	Gossip = pull.Gossip
-	// PullSampler is the stateless fixed-wiring neighbour sampler.
-	PullSampler = pull.Sampler
-	// PullBatchStepper is the sparse batch fast path of the pulling
-	// model; Run dispatches to it automatically.
-	PullBatchStepper = pull.BatchStepper
 )
 
 // Sampled wraps a boosted counter with the sampled communication of
@@ -518,9 +333,6 @@ func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
 	return pull.NewGossip(n, f, c, k, wireSeed)
 }
 
-// SimulatePull runs one pulling-model simulation with early stop.
-func SimulatePull(cfg PullConfig) (PullResult, error) { return pull.Run(cfg) }
-
 // SimulatePullFull runs a pulling-model simulation for exactly
 // MaxRounds.
 func SimulatePullFull(cfg PullConfig) (PullResult, error) { return pull.RunFull(cfg) }
@@ -536,10 +348,6 @@ type (
 	// ConsensusInput supplies each node's input per epoch.
 	ConsensusInput = reduction.InputFunc
 )
-
-// NoDecision is reported for nodes that have not completed a consensus
-// epoch.
-const NoDecision = reduction.NoDecision
 
 // RepeatedConsensus layers a phase-king consensus service over a
 // counting algorithm. The counter's modulus must be a multiple of
@@ -564,17 +372,6 @@ type (
 // Verify exhaustively model-checks a small deterministic algorithm
 // against every fault set, initial configuration and Byzantine strategy.
 func Verify(a Algorithm, opts VerifyOptions) (VerifyResult, error) { return verify.Check(a, opts) }
-
-// PersistenceResult reports VerifyPersistence's outcome.
-type PersistenceResult = verify.PersistenceResult
-
-// VerifyPersistence exhaustively checks the Lemma 5 analogue for any
-// algorithm — randomised ones included: once all correct nodes agree,
-// no Byzantine input (and no coin) can keep the outputs from advancing
-// in lockstep. This is the property that makes stabilisation permanent.
-func VerifyPersistence(a Algorithm, opts VerifyOptions) (PersistenceResult, error) {
-	return verify.CheckPersistence(a, opts)
-}
 
 // Synthesise searches the anonymous single-bit algorithm class for
 // correct 2-counters on n nodes with resilience f, re-running the

@@ -77,9 +77,6 @@ func TestPlansRoundTrip(t *testing.T) {
 	if _, err := PlanVaryingK(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PlanCorollary1(1, 8); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBaselines(t *testing.T) {
@@ -148,7 +145,7 @@ func TestSaboteurAndWorstInit(t *testing.T) {
 	if adv.Name() != "saboteur" {
 		t.Error("unexpected saboteur name")
 	}
-	init, err := WorstInit(cnt)
+	init, err := cnt.WorstInit()
 	if err != nil || len(init) != 4 {
 		t.Fatalf("WorstInit: %v, len %d", err, len(init))
 	}
@@ -163,7 +160,7 @@ func TestSampledAndPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulatePull(PullConfig{Alg: s, Seed: 3, MaxRounds: 3000, Window: 80})
+	res, err := SimulatePullFull(PullConfig{Alg: s, Seed: 3, MaxRounds: 3000, Window: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,20 +192,6 @@ func TestVerifyAndSynthesise(t *testing.T) {
 	}
 }
 
-func TestVerifyPersistence(t *testing.T) {
-	r, err := RandomizedAgree(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := VerifyPersistence(r, VerifyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.OK {
-		t.Fatalf("persistence must hold for the randomised baseline: %s", pr.Violation)
-	}
-}
-
 func TestRepeatedConsensusAPI(t *testing.T) {
 	clock, err := OptimalResilience(1, 90)
 	if err != nil {
@@ -220,9 +203,6 @@ func TestRepeatedConsensusAPI(t *testing.T) {
 	}
 	if svc.N() != 4 || svc.C() != 3 || svc.Tau() != 9 {
 		t.Fatalf("service parameters: N=%d C=%d Tau=%d", svc.N(), svc.C(), svc.Tau())
-	}
-	if NoDecision != -1 {
-		t.Fatal("NoDecision sentinel changed")
 	}
 }
 
@@ -248,29 +228,22 @@ func TestGreedyAPI(t *testing.T) {
 }
 
 func TestECountAndRegistryAPI(t *testing.T) {
-	cnt, err := ECount(7, 2, 10)
+	cnt, err := BuildRegistered("ecount", RegistryParams{N: 7, F: 2, C: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cnt.N() != 7 || cnt.F() != 2 || cnt.C() != 10 {
-		t.Fatalf("ECount parameters: N=%d F=%d C=%d", cnt.N(), cnt.F(), cnt.C())
+		t.Fatalf("ecount parameters: N=%d F=%d C=%d", cnt.N(), cnt.F(), cnt.C())
 	}
 	if b, err := StabilisationBound(cnt); err != nil || b == 0 {
-		t.Fatalf("ECount bound: %d, %v", b, err)
+		t.Fatalf("ecount bound: %d, %v", b, err)
 	}
-	chain, err := ECountChain(7, 2, 10)
+	chain, err := BuildRegistered("ecount-chain", RegistryParams{N: 7, F: 2, C: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !IsDeterministic(chain) {
-		t.Fatal("ECountChain must be deterministic")
-	}
-	cons, err := NewSilentConsensus(4, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cons.Rounds() != 9 {
-		t.Fatalf("SilentConsensus rounds = %d, want 9", cons.Rounds())
+		t.Fatal("ecount-chain must be deterministic")
 	}
 
 	names := RegisteredAlgorithms()
