@@ -4,15 +4,16 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 17
+PR ?= 19
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
 # the pulling-model Reference/Sparse pairs, the bit-sliced
-# Reference/Sliced pairs, and the unpaired live round-engine cells
-# (tracked against the previous artifact by the baseline diff).
-BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live)_
-BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live
+# Reference/Sliced pairs, and the unpaired live round-engine and
+# resultdb ingest cells (tracked against the previous artifact by the
+# baseline diff).
+BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live|Store)_
+BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live ./internal/resultdb
 
 # Previous trajectory artifact `make bench-diff` compares against, and
 # its optional gate (0 = report only; cross-run ns/op diffs are noisy
@@ -46,9 +47,9 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Full kernel + fast-forward + pull + bitslice + live benchmark run,
-# recorded as the repo's benchmark trajectory artifact (BENCH_$(PR).json;
-# override with PR=n).
+# Full kernel + fast-forward + pull + bitslice + live + resultdb ingest
+# benchmark run, recorded as the repo's benchmark trajectory artifact
+# (BENCH_$(PR).json; override with PR=n).
 bench-json:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=2s $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_$(PR).json
@@ -106,6 +107,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=10s ./internal/live
 	$(GO) test -run='^$$' -fuzz='^FuzzField$$' -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzSeededDraw$$' -fuzztime=10s ./internal/adversary
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalTrialRecord$$' -fuzztime=10s ./internal/harness
+	$(GO) test -run='^$$' -fuzz='^FuzzSegmentEncoding$$' -fuzztime=10s ./internal/resultdb
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenStore$$' -fuzztime=10s ./internal/resultdb
 
 # The smoke targets below build the synchcount binary once into their
 # temp dir and drive every step through it, so each step is one process

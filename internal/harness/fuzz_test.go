@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -184,6 +186,84 @@ func FuzzReadNDJSON(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, again) {
 			t.Fatalf("accepted stream is not a fixed point\n before: %+v\n after:  %+v", res, again)
+		}
+	})
+}
+
+// canonicalLine renders one TrialRecord line in NDJSONSink's form with
+// the given raw JSON text for a few fields, for fuzz seeds.
+func canonicalLine(campaign, scenario, trial, meanPulls string) string {
+	return `{"campaign":` + campaign + `,"campaign_seed":1,"scenario":` + scenario + `,"scenario_seed":-2,"trial":` + trial +
+		`,"seed":9223372036854775807,"stabilised":true,"stabilisation_time":4,"rounds_run":18446744073709551615,"violations":0,"messages_per_round":0,"bits_per_round":0,"max_pulls":0,"mean_pulls":` + meanPulls + `}`
+}
+
+// FuzzCanonicalTrialRecord holds ReadNDJSON's hand-written fast path to
+// encoding/json: whenever decodeCanonicalRecord accepts a line,
+// encoding/json decodes that line to the same record (bit for bit,
+// -0 included), and over a whole stream ReadNDJSON returns the same
+// Result, or the same error text, as the encoding/json-only reader.
+func FuzzCanonicalTrialRecord(f *testing.F) {
+	// The golden streams' first lines, not the whole files: the fuzzer
+	// minimises every new input it finds, which is slow on large ones.
+	for _, name := range []string{"golden.ndjson", "compare_golden.ndjson"} {
+		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
+			lines := bytes.SplitAfterN(data, []byte("\n"), 3)
+			f.Add(lines[0])
+			f.Add(append(append([]byte(nil), lines[0]...), lines[1]...))
+		}
+	}
+	for _, line := range []string{
+		canonicalLine(`"c"`, `"s"`, `0`, `0`),
+		canonicalLine(`"<>&"`, `"a/f=1"`, `3`, `0.5`),
+		canonicalLine(`"\u003c\u003e\u0026"`, `"s"`, `3`, `0.5`),
+		canonicalLine("\"\xff\"", `"s"`, `1`, `0`),
+		canonicalLine(`"c"`, `"s"`, `1`, `1e-7`),
+		canonicalLine(`"c"`, `"s"`, `1`, `1e21`),
+		canonicalLine(`"c"`, `"s"`, `1`, `-0`),
+		canonicalLine(`"c"`, `"s"`, `-0`, `1E+300`),
+		canonicalLine(`"c"`, `"s"`, `01`, `0`),
+		canonicalLine(`"c"`, `"s"`, `+1`, `0`),
+		canonicalLine(`"c"`, `"s"`, `9223372036854775808`, `1e400`),
+		canonicalLine(`"c"`, `"s"`, `1.0`, `.5`),
+		strings.Replace(canonicalLine(`"c"`, `"s"`, `1`, `0`), `"campaign"`, `"Campaign"`, 1),
+		strings.Replace(canonicalLine(`"c"`, `"s"`, `1`, `0`), `"trial":1,`, `"trial":1,"trial":2,`, 1),
+		strings.Replace(canonicalLine(`"c"`, `"s"`, `1`, `0`), `"violations":0`, `"violations":-0`, 1),
+		canonicalLine(`"c"`, `"s"`, `1`, `0`) + ` {}`,
+	} {
+		f.Add([]byte(line + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var campaign, scenario string
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			rec, ok := decodeCanonicalRecord(line, campaign, scenario)
+			if !ok {
+				if rec != (TrialRecord{}) {
+					t.Fatalf("rejected line %q left a non-zero record %+v", line, rec)
+				}
+				continue
+			}
+			campaign, scenario = rec.Campaign, rec.Scenario
+			var want TrialRecord
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&want); err != nil {
+				t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", line, err)
+			}
+			if dec.More() {
+				t.Fatalf("fast path accepted %q, encoding/json finds trailing data", line)
+			}
+			if rec != want || math.Float64bits(rec.MeanPulls) != math.Float64bits(want.MeanPulls) {
+				t.Fatalf("line %q\n fast: %+v\n json: %+v", line, rec, want)
+			}
+		}
+		got, gotErr := readNDJSON(bytes.NewReader(data), true)
+		want, wantErr := readNDJSON(bytes.NewReader(data), false)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("ReadNDJSON error %v, encoding/json-only reader %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadNDJSON result differs from the encoding/json-only reader\n fast: %+v\n json: %+v", got, want)
 		}
 	})
 }

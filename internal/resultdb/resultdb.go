@@ -13,8 +13,13 @@
 // stabilisation-time runs recomputed at load. Ingestion deduplicates
 // by (campaign, campaign seed, scenario, trial) — re-ingesting a shard
 // is a no-op, while a record that *conflicts* with the stored one under
-// the same key fails loudly. All writes are atomic (temp file +
-// rename), so a crashed ingest never corrupts the store.
+// the same key fails loudly. A stored record is found by binary search
+// in the sorted trials of its scenario's groups, so an ingest never
+// indexes every stored record. Every file is written to a temp file
+// and renamed into place, so an ingest whose process is killed leaves
+// the store as it was. Nothing is fsynced, though: after a power cut
+// or OS crash the rename can be on disk while the data is not, leaving
+// a truncated segment or manifest (ROADMAP, persistent-state item).
 //
 // Queries filter by campaign identity, scenario name, or the axes
 // parsed from scenario names (algorithm, n, f, c, faults, adversary —
@@ -27,11 +32,13 @@
 package resultdb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,12 +102,6 @@ type groupKey struct {
 	Scenario     string
 }
 
-// recKey identifies one trial record — the store's dedup unit.
-type recKey struct {
-	groupKey
-	Trial int
-}
-
 // Store is an open results database. It is safe for concurrent use;
 // loaded segments are cached for the lifetime of the Store, so only
 // the first query (and each ingest of new data) touches disk.
@@ -134,6 +135,16 @@ func Open(dir string) (*Store, error) {
 	}
 	if s.man.Schema != storeSchema {
 		return nil, fmt.Errorf("resultdb: %s: schema %q, want %q", path, s.man.Schema, storeSchema)
+	}
+	// Ingest numbers segments 1, 2, ... and names each file after its
+	// id; an entry that does not fit would read a file outside the
+	// store, or be overwritten by the next ingest.
+	prev := 0
+	for _, meta := range s.man.Segments {
+		if meta.ID <= prev || meta.ID >= s.man.NextSegment || meta.File != segmentFileName(meta.ID) {
+			return nil, fmt.Errorf("resultdb: %s: segment entry %d (%q) out of sequence — corrupt manifest", path, meta.ID, meta.File)
+		}
+		prev = meta.ID
 	}
 	return s, nil
 }
@@ -208,6 +219,21 @@ func (s *Store) readSegment(meta segmentMeta) (*segment, error) {
 	return &seg, nil
 }
 
+// findTrial looks trial up in groups, newest first, by binary search
+// over each group's ascending trials.
+func findTrial(groups []*segGroup, trial int) (harness.Trial, bool) {
+	for i := len(groups) - 1; i >= 0; i-- {
+		ts := groups[i].Trials
+		if len(ts) == 0 || trial < ts[0].Trial || trial > ts[len(ts)-1].Trial {
+			continue
+		}
+		if j, ok := slices.BinarySearchFunc(ts, trial, func(tr harness.Trial, t int) int { return cmp.Compare(tr.Trial, t) }); ok {
+			return ts[j], true
+		}
+	}
+	return harness.Trial{}, false
+}
+
 // sortedRun extracts the ascending stabilisation times of a trial
 // slice's stabilised trials.
 func sortedRun(trials []harness.Trial) []float64 {
@@ -217,7 +243,7 @@ func sortedRun(trials []harness.Trial) []float64 {
 			times = append(times, float64(tr.StabilisationTime))
 		}
 	}
-	sort.Float64s(times)
+	slices.Sort(times)
 	return times
 }
 
@@ -266,33 +292,55 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 		return IngestStats{}, err
 	}
 
-	// Index everything already stored: record contents for dedup and
-	// conflict detection, group seeds for provenance checks.
-	stored := make(map[recKey]harness.Trial)
-	groupSeeds := make(map[groupKey]int64)
+	// Index the stored groups, not their records: each group's trials
+	// are strictly ascending (readSegment checks it), so a stored record
+	// is a binary search away. Groups are kept in manifest order and
+	// searched newest first.
+	stored := make(map[groupKey][]*segGroup)
 	for _, meta := range s.man.Segments {
-		for _, g := range s.segs[meta.ID].Groups {
+		seg := s.segs[meta.ID]
+		for gi := range seg.Groups {
+			g := &seg.Groups[gi]
 			gk := groupKey{g.Campaign, g.CampaignSeed, g.Scenario}
-			groupSeeds[gk] = g.ScenarioSeed
-			for _, tr := range g.Trials {
-				stored[recKey{gk, tr.Trial}] = tr
-			}
+			stored[gk] = append(stored[gk], g)
 		}
 	}
 
+	// The batch's own records are the only ones indexed by trial: per
+	// new group, the position of each added trial in its Trials.
+	type batchGroup struct {
+		gi    int
+		added map[int]int
+	}
 	seg := &segment{Schema: segmentSchema, ID: s.man.NextSegment}
-	groupIdx := make(map[groupKey]int)
+	batch := make(map[groupKey]*batchGroup)
 	var stats IngestStats
 	for _, sc := range res.Scenarios {
 		gk := groupKey{res.Campaign, res.Seed, sc.Name}
-		if seed, ok := groupSeeds[gk]; ok && seed != sc.Seed {
+		prior, bg := stored[gk], batch[gk]
+		seed, known := int64(0), true
+		switch {
+		case bg != nil:
+			seed = seg.Groups[bg.gi].ScenarioSeed
+		case len(prior) > 0:
+			seed = prior[len(prior)-1].ScenarioSeed
+		default:
+			known = false
+		}
+		if known && seed != sc.Seed {
 			return IngestStats{}, fmt.Errorf("resultdb: scenario %q of campaign %q (seed %d): base seed %d conflicts with stored %d",
 				sc.Name, res.Campaign, res.Seed, sc.Seed, seed)
 		}
-		for _, tr := range sc.Trials {
+		for j, tr := range sc.Trials {
 			stats.Records++
-			rk := recKey{gk, tr.Trial}
-			if prev, ok := stored[rk]; ok {
+			prev, ok := findTrial(prior, tr.Trial)
+			if !ok && bg != nil {
+				var i int
+				if i, ok = bg.added[tr.Trial]; ok {
+					prev = seg.Groups[bg.gi].Trials[i]
+				}
+			}
+			if ok {
 				if prev != tr {
 					return IngestStats{}, fmt.Errorf("resultdb: %s/%s trial %d: record conflicts with the one already stored — same provenance, different content",
 						res.Campaign, sc.Name, tr.Trial)
@@ -300,20 +348,20 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 				stats.Duplicates++
 				continue
 			}
-			stored[rk] = tr
-			gi, ok := groupIdx[gk]
-			if !ok {
-				gi = len(seg.Groups)
+			if bg == nil {
+				bg = &batchGroup{gi: len(seg.Groups), added: make(map[int]int)}
 				seg.Groups = append(seg.Groups, segGroup{
 					Campaign:     res.Campaign,
 					CampaignSeed: res.Seed,
 					Scenario:     sc.Name,
 					ScenarioSeed: sc.Seed,
+					Trials:       make([]harness.Trial, 0, len(sc.Trials)-j),
 				})
-				groupIdx[gk] = gi
-				groupSeeds[gk] = sc.Seed
+				batch[gk] = bg
 			}
-			seg.Groups[gi].Trials = append(seg.Groups[gi].Trials, tr)
+			g := &seg.Groups[bg.gi]
+			bg.added[tr.Trial] = len(g.Trials)
+			g.Trials = append(g.Trials, tr)
 			stats.Added++
 		}
 	}
@@ -323,7 +371,7 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 
 	for gi := range seg.Groups {
 		g := &seg.Groups[gi]
-		sort.SliceStable(g.Trials, func(i, j int) bool { return g.Trials[i].Trial < g.Trials[j].Trial })
+		slices.SortStableFunc(g.Trials, func(a, b harness.Trial) int { return cmp.Compare(a.Trial, b.Trial) })
 		g.sortedTimes = sortedRun(g.Trials)
 	}
 
@@ -331,7 +379,16 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 	// orphan segment file the manifest never references — harmless —
 	// while the reverse order would reference a missing file.
 	meta := segmentMeta{ID: seg.ID, File: segmentFileName(seg.ID), Groups: len(seg.Groups), Trials: stats.Added}
-	if err := writeJSONAtomic(filepath.Join(s.dir, meta.File), seg); err != nil {
+	// An encoded trial takes about 330 bytes; sizing the buffer for 400
+	// spares it from growing.
+	data, err := appendSegment(make([]byte, 0, 512+400*stats.Added), seg)
+	if err != nil {
+		return IngestStats{}, err
+	}
+	if err := harness.AtomicWriteFile(filepath.Join(s.dir, meta.File), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return IngestStats{}, err
 	}
 	man := s.man

@@ -423,6 +423,30 @@ func TestOpenRejectsForeignStore(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsOutOfSequenceManifest: every manifest entry must name
+// its own id's file, in ascending id order below next_segment, so a
+// hostile manifest can neither read a file outside the store nor have
+// the next ingest overwrite a listed segment.
+func TestOpenRejectsOutOfSequenceManifest(t *testing.T) {
+	for _, segments := range []string{
+		`{"id":1,"file":"../MANIFEST.json"}`,
+		`{"id":1,"file":"seg-000002.json"}`,
+		`{"id":0,"file":"seg-000000.json"}`,
+		`{"id":3,"file":"seg-000003.json"}`,
+		`{"id":2,"file":"seg-000002.json"},{"id":1,"file":"seg-000001.json"}`,
+		`{"id":1,"file":"seg-000001.json"},{"id":1,"file":"seg-000001.json"}`,
+	} {
+		dir := t.TempDir()
+		man := `{"schema":"synchcount-resultdb/v1","next_segment":3,"segments":[` + segments + `]}`
+		if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt manifest") {
+			t.Errorf("manifest segments [%s] accepted (err=%v)", segments, err)
+		}
+	}
+}
+
 // TestParseAxes pins the scenario-name index grammar.
 func TestParseAxes(t *testing.T) {
 	for _, tc := range []struct {
