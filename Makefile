@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 19
+PR ?= 20
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalTrialRecord$$' -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentEncoding$$' -fuzztime=10s ./internal/resultdb
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenStore$$' -fuzztime=10s ./internal/resultdb
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadTrajectoryMemo$$' -fuzztime=10s ./internal/sim
 
 # The smoke targets below build the synchcount binary once into their
 # temp dir and drive every step through it, so each step is one process

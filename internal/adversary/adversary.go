@@ -43,6 +43,11 @@ type View struct {
 	correctScratch []alg.State
 	correctRound   uint64
 	correctValid   bool
+	// majority caches alg.Majority of the correct-state vector for the
+	// same round (Flip's target); majorityValid is cleared whenever
+	// the vector is recomputed.
+	majority      alg.State
+	majorityValid bool
 }
 
 // AppendCorrectStates appends the states of all correct nodes, in node
@@ -73,8 +78,20 @@ func (v *View) correctStates() []alg.State {
 		v.correctScratch = v.AppendCorrectStates(v.correctScratch[:0])
 		v.correctRound = v.Round
 		v.correctValid = true
+		v.majorityValid = false
 	}
 	return v.correctScratch
+}
+
+// correctMajority returns the absolute majority of the current round's
+// correct states (0 if none), computed at most once per round.
+func (v *View) correctMajority() alg.State {
+	correct := v.correctStates()
+	if !v.majorityValid {
+		v.majority = alg.Majority(correct)
+		v.majorityValid = true
+	}
+	return v.majority
 }
 
 // Adversary chooses, for every faulty sender, the state each receiver
@@ -301,8 +318,7 @@ func (Flip) Name() string { return "flip" }
 
 // Message implements Adversary.
 func (Flip) Message(v *View, _, _ int) alg.State {
-	maj := alg.Majority(v.correctStates())
-	return (maj + 1) % v.Space
+	return (v.correctMajority() + 1) % v.Space
 }
 
 // SnapshotPeriod implements Snapshottable: the flipped majority is a

@@ -10,8 +10,8 @@ import "github.com/synchcount/synchcount/internal/alg"
 // per-round or per-receiver analysis once instead of once per message:
 // SplitVote resolves its two camps once per row rather than scanning
 // all states per message, Spread and Flip read the View's per-round
-// correct-state cache, Silent/Mirror reduce to constant fills, and
-// Random evaluates each sender's seeded draw in closed form.
+// correct-state and majority cache, Silent/Mirror reduce to constant
+// fills, and Random evaluates each sender's seeded draw in closed form.
 var (
 	_ RowMessenger = Silent{}
 	_ RowMessenger = Random{}
@@ -86,11 +86,10 @@ func (sp Spread) MessageRow(v *View, senders []int, to int, row []alg.State) {
 	}
 }
 
-// MessageRow implements RowMessenger: one majority computation per
-// row instead of one per message.
+// MessageRow implements RowMessenger: the majority is computed once
+// per round, not once per row or per message.
 func (fl Flip) MessageRow(v *View, senders []int, _ int, row []alg.State) {
-	maj := alg.Majority(v.correctStates())
-	s := (maj + 1) % v.Space
+	s := (v.correctMajority() + 1) % v.Space
 	for j := range senders {
 		row[j] = s
 	}

@@ -158,6 +158,36 @@ func TestViewCorrectStatesCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestFlipMajorityCache: Flip reads the majority cached with the
+// per-round correct states. It must follow the states from round to
+// round, and a row fill must allocate nothing, on a new round too.
+func TestFlipMajorityCache(t *testing.T) {
+	v := &View{
+		States: []alg.State{4, 9, 4, 5, 4},
+		Faulty: []bool{false, true, false, false, false},
+		Space:  10,
+	}
+	if s := (Flip{}).Message(v, 1, 0); s != 5 {
+		t.Fatalf("round 0: flip showed %d, want 5", s)
+	}
+	v.States[0], v.States[2] = 7, 7
+	v.Round = 1
+	if s := (Flip{}).Message(v, 1, 0); s != 1 {
+		t.Fatalf("round 1: flip showed %d, want 1 (no majority: 0+1)", s)
+	}
+	senders := []int{1}
+	row := make([]alg.State, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		v.Round++
+		for to := range v.States {
+			(Flip{}).MessageRow(v, senders, to, row)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Flip.MessageRow allocates %.0f objects per round, want 0", allocs)
+	}
+}
+
 // TestAdversaryUniformHugeSpace is the adversary-side companion of the
 // sim.uniformState overflow fix.
 func TestAdversaryUniformHugeSpace(t *testing.T) {

@@ -182,14 +182,32 @@ func UniformState(rng *rand.Rand, space uint64) State {
 	}
 }
 
-// Majority is a convenience wrapper that tallies values and returns the
-// absolute majority, defaulting to 0 (the paper's convention) when no
-// value is held by more than half of the proposals.
+// Majority returns the absolute majority of values — the value held by
+// more than half of them, as Tally.Majority decides it — defaulting to
+// 0 (the paper's convention) when there is none. It allocates nothing:
+// a Boyer–Moore pass finds the only possible candidate and a second
+// pass counts it.
 func Majority(values []uint64) uint64 {
-	t := NewTally(len(values))
+	var cand uint64
+	votes := 0
 	for _, v := range values {
-		t.Add(v)
+		switch {
+		case votes == 0:
+			cand, votes = v, 1
+		case v == cand:
+			votes++
+		default:
+			votes--
+		}
 	}
-	v, _ := t.Majority()
-	return v
+	count := 0
+	for _, v := range values {
+		if v == cand {
+			count++
+		}
+	}
+	if 2*count > len(values) {
+		return cand
+	}
+	return 0
 }

@@ -64,6 +64,28 @@ func TestMajorityDefaultsToZero(t *testing.T) {
 	}
 }
 
+// TestMajorityMatchesTally holds the allocation-free Majority to the
+// map-backed Tally on random proposals drawn from small domains, where
+// majorities are common.
+func TestMajorityMatchesTally(t *testing.T) {
+	check := func(raw []uint8, domain uint8) bool {
+		values := make([]uint64, len(raw))
+		tl := NewTally(len(raw))
+		for i, r := range raw {
+			values[i] = uint64(r % (domain%4 + 1))
+			tl.Add(values[i])
+		}
+		want, _ := tl.Majority()
+		return Majority(values) == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Majority([]uint64{5, 5, 4}) }); allocs != 0 {
+		t.Fatalf("Majority allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
 func TestMinValueWithCountAbove(t *testing.T) {
 	tl := NewTally(8)
 	for _, v := range []uint64{4, 4, 4, 2, 2, 9, 9, 9} {
@@ -152,5 +174,47 @@ func TestIsDeterministicAndStateBits(t *testing.T) {
 	}
 	if got := StateBits(fakeAlg{}); got != 3 {
 		t.Errorf("StateBits = %d, want 3", got)
+	}
+}
+
+// TestClassWalkVisitsEachReceiverOnce walks random class layouts the
+// way batch steppers do — from every ClassHead along NextInClass — and
+// requires every correct receiver to be visited exactly once, by the
+// head of its own label, and no faulty receiver at all.
+func TestClassWalkVisitsEachReceiverOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		p := Patches{Faulty: make([]bool, n)}
+		if trial%5 != 0 {
+			p.Class = make([]int32, n)
+		}
+		for v := 0; v < n; v++ {
+			p.Faulty[v] = rng.Intn(4) == 0
+			if p.Class != nil {
+				p.Class[v] = int32(rng.Intn(4)) - 1
+			}
+		}
+		seen := make([]int, n)
+		for v := 0; v < n; v++ {
+			if p.Faulty[v] || !p.ClassHead(v) {
+				continue
+			}
+			for w := v; w >= 0; w = p.NextInClass(w) {
+				if w != v && p.Class[w] != p.Class[v] {
+					t.Fatalf("trial %d: head %d (class %d) visited %d (class %d)", trial, v, p.Class[v], w, p.Class[w])
+				}
+				seen[w]++
+			}
+		}
+		for v := 0; v < n; v++ {
+			want := 1
+			if p.Faulty[v] {
+				want = 0
+			}
+			if seen[v] != want {
+				t.Fatalf("trial %d: receiver %d visited %d times, want %d (faulty %v, class %v)", trial, v, seen[v], want, p.Faulty, p.Class)
+			}
+		}
 	}
 }

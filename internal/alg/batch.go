@@ -19,6 +19,12 @@ type Patches struct {
 	// round. Rows of faulty receivers are nil — the simulator never
 	// delivers to them.
 	Values [][]State
+	// Class optionally groups receivers that saw the same row: two
+	// correct receivers with the same non-negative Class label have
+	// equal Values rows. −1 marks a row that is not shared, and a nil
+	// slice means nothing is shared. Labels of faulty receivers are
+	// ignored.
+	Class []int32
 }
 
 // Apply overlays receiver v's patch row onto a shared receive base,
@@ -32,6 +38,36 @@ func (p *Patches) Apply(recv []State, v int) {
 	}
 }
 
+// ClassHead reports whether correct receiver v is the first correct
+// receiver of its class — always true for an unshared row.
+func (p *Patches) ClassHead(v int) bool {
+	if p.Class == nil || p.Class[v] < 0 {
+		return true
+	}
+	for w := v - 1; w >= 0; w-- {
+		if p.Class[w] == p.Class[v] && !p.Faulty[w] {
+			return false
+		}
+	}
+	return true
+}
+
+// NextInClass returns the next correct receiver after v that shares
+// v's class, or −1 when there is none. Starting at a class head,
+// `for w := v; w >= 0; w = p.NextInClass(w)` visits every member of
+// the class in ascending order.
+func (p *Patches) NextInClass(v int) int {
+	if p.Class == nil || p.Class[v] < 0 {
+		return -1
+	}
+	for w := v + 1; w < len(p.Class); w++ {
+		if p.Class[w] == p.Class[v] && !p.Faulty[w] {
+			return w
+		}
+	}
+	return -1
+}
+
 // BatchStepper is the vectorized transition hook: algorithms that
 // implement it step all correct nodes of a round in one call, letting
 // them share the per-round majority tallies that are identical across
@@ -41,6 +77,16 @@ func (p *Patches) Apply(recv []State, v int) {
 // every correct v in ascending order, where recv_v is base overlaid
 // with p.Apply(·, v) — including the order in which each node's rng is
 // consumed.
+//
+// When p.Class groups receivers, StepAll may do the work that depends
+// only on the patch row — decoding and tallying the faulty values,
+// reading votes off the patched tallies — once per class, visiting the
+// members from ClassHead along NextInClass, and run only the
+// receiver-specific remainder per member. A receiver without a class
+// is the one-member case, so the per-receiver loop needs no second
+// form. Batch steppers that recurse into sub-blocks may pass the
+// slice of p.Class covering the block down with the sub-block's rows:
+// equal rows give equal sub-rows.
 type BatchStepper interface {
 	Algorithm
 	// StepAll writes next[v] for every v with p.Values[v] != nil and

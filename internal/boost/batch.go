@@ -169,8 +169,11 @@ func (b *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		return
 	}
 
+	// Members of a receiver class saw the same patch row: tally its
+	// values and vote once per class, and run only the phase king
+	// instruction per member.
 	for v := 0; v < b.nTot; v++ {
-		if p.Faulty[v] {
+		if p.Faulty[v] || !p.ClassHead(v) {
 			continue
 		}
 		row := p.Values[v]
@@ -192,9 +195,11 @@ func (b *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		} else {
 			kingA = sc.regA[king]
 		}
-		regs := phaseking.Step(b.pkCfg, b.Registers(base[v]), bigR, sc.regTally, kingA)
-		aField, dField := regs.Encode(b.cOut)
-		next[v] = b.cdc.MustPack(sc.newBase[v], aField, dField)
+		for w := v; w >= 0; w = p.NextInClass(w) {
+			regs := phaseking.Step(b.pkCfg, b.Registers(base[w]), bigR, sc.regTally, kingA)
+			aField, dField := regs.Encode(b.cOut)
+			next[w] = b.cdc.MustPack(sc.newBase[w], aField, dField)
+		}
 		for col, u := range p.Senders {
 			sc.regTally.Remove(sc.patchA[col])
 			blk := u / b.n
@@ -257,25 +262,34 @@ func (b *Counter) batchSubSteps(sc *batchScratch, p *alg.Patches, rngs []*rand.R
 				sc.subCols = append(sc.subCols, col)
 			}
 		}
-		snf := len(sc.subSenders)
-		flat := sc.subFlat[:b.n*snf]
-		for j := 0; j < b.n; j++ {
-			v := lo + j
-			if p.Faulty[v] {
-				sc.subRows[j] = nil
-				continue
-			}
-			row := flat[j*snf : (j+1)*snf : (j+1)*snf]
-			prow := p.Values[v]
-			for jj, col := range sc.subCols {
-				row[jj] = b.cdc.Field(prow[col], 0)
-			}
-			sc.subRows[j] = row
-		}
 		sc.subP = alg.Patches{
 			Faulty:  p.Faulty[lo : lo+b.n],
 			Senders: sc.subSenders,
 			Values:  sc.subRows,
+		}
+		if p.Class != nil {
+			sc.subP.Class = p.Class[lo : lo+b.n]
+		}
+		// Equal rows give equal sub-rows: each class's sub-row is
+		// built once, and its members share it.
+		snf := len(sc.subSenders)
+		flat := sc.subFlat[:b.n*snf]
+		for j := 0; j < b.n; j++ {
+			if p.Faulty[lo+j] {
+				sc.subRows[j] = nil
+				continue
+			}
+			if !sc.subP.ClassHead(j) {
+				continue
+			}
+			row := flat[j*snf : (j+1)*snf : (j+1)*snf]
+			prow := p.Values[lo+j]
+			for jj, col := range sc.subCols {
+				row[jj] = b.cdc.Field(prow[col], 0)
+			}
+			for w := j; w >= 0; w = sc.subP.NextInClass(w) {
+				sc.subRows[w] = row
+			}
 		}
 		if isBatch {
 			bs.StepAll(sc.subNext, sc.subBase, &sc.subP, rngs[lo:lo+b.n])

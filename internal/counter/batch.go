@@ -28,8 +28,8 @@ func (t *Trivial) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand
 }
 
 // StepAll implements alg.BatchStepper: the shared maximum over correct
-// states is computed once; each receiver only folds in its own view of
-// the faulty senders.
+// states is computed once; each receiver class only folds in its own
+// view of the faulty senders.
 func (m *MaxStep) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand) {
 	var shared uint64
 	for u, s := range base {
@@ -41,7 +41,7 @@ func (m *MaxStep) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand
 		}
 	}
 	for v := range base {
-		if p.Faulty[v] {
+		if p.Faulty[v] || !p.ClassHead(v) {
 			continue
 		}
 		mx := shared
@@ -50,7 +50,9 @@ func (m *MaxStep) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand
 				mx = s % m.c
 			}
 		}
-		next[v] = (mx + 1) % m.c
+		for w := v; w >= 0; w = p.NextInClass(w) {
+			next[w] = (mx + 1) % m.c
+		}
 	}
 }
 

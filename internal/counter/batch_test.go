@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/alg/algtest"
 )
 
 // TestBatchStepMatchesStep holds every counter's StepAll to the
 // per-node transition over random configurations. The randomised
 // counters run with per-node rngs seeded identically on both sides:
 // equal shared bit counts must lead to the exact same draw sequence.
+// The trials cycle through algtest.RowSharings, so MaxStep's
+// once-per-class path runs on labelled receiver classes too.
 func TestBatchStepMatchesStep(t *testing.T) {
 	trivial, _ := NewTrivial(6)
 	maxstep, _ := NewMaxStep(7, 5)
@@ -57,18 +60,9 @@ func TestBatchStepMatchesStep(t *testing.T) {
 						}
 					}
 				}
-				values := make([][]alg.State, n)
-				for v := 0; v < n; v++ {
-					if faulty[v] {
-						continue
-					}
-					row := make([]alg.State, len(senders))
-					for j := range row {
-						row[j] = rng.Uint64() % space
-					}
-					values[v] = row
-				}
-				p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values}
+				sharing := algtest.RowSharings[trial%len(algtest.RowSharings)]
+				values, class := algtest.ClassedRows(rng, sharing, faulty, len(senders), space)
+				p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values, Class: class}
 
 				// Identically seeded per-node rngs for both paths.
 				seeds := make([]int64, n)
@@ -94,8 +88,14 @@ func TestBatchStepMatchesStep(t *testing.T) {
 				}
 
 				gotNext := make([]alg.State, n)
+				for v := range gotNext {
+					gotNext[v] = algtest.Untouched
+				}
 				bs.StepAll(gotNext, states, p, batchRngs)
 				for v := 0; v < n; v++ {
+					if faulty[v] && gotNext[v] != algtest.Untouched {
+						t.Fatalf("trial %d: StepAll wrote faulty node %d", trial, v)
+					}
 					if !faulty[v] && gotNext[v] != wantNext[v] {
 						t.Fatalf("trial %d: node %d: StepAll %d, Step %d (faults %v)",
 							trial, v, gotNext[v], wantNext[v], senders)

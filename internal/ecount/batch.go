@@ -137,9 +137,11 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 	e.batchSubSteps(sc, p, rngs)
 
 	// (4) Clock reads, sweep pointers and the consensus/increment
-	// branch per receiver.
+	// branch. Members of a receiver class saw the same patch row, so
+	// its values are tallied and both clocks read once per class; only
+	// the per-receiver tail runs for every member.
 	for v := 0; v < e.n; v++ {
-		if p.Faulty[v] {
+		if p.Faulty[v] || !p.ClassHead(v) {
 			continue
 		}
 		row := p.Values[v]
@@ -165,7 +167,9 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 				r[bi], ok[bi] = sc.sharedR[bi], sc.sharedOK[bi]
 			}
 		}
-		next[v] = e.stepReceiver(sc, base[v], sc.newSub[v], r, ok, nil)
+		for w := v; w >= 0; w = p.NextInClass(w) {
+			next[w] = e.stepReceiver(sc, base[w], sc.newSub[w], r, ok, nil)
+		}
 
 		for col, u := range p.Senders {
 			sc.clockTally[e.BlockOf(u)].Remove(sc.patchClock[col])
@@ -219,25 +223,34 @@ func (e *Counter) batchSubSteps(sc *batchScratch, p *alg.Patches, rngs []*rand.R
 				sc.subCols = append(sc.subCols, col)
 			}
 		}
-		snf := len(sc.subSenders)
-		flat := sc.subFlat[:size*snf]
-		for j := 0; j < size; j++ {
-			v := lo + j
-			if p.Faulty[v] {
-				sc.subRows[j] = nil
-				continue
-			}
-			row := flat[j*snf : (j+1)*snf : (j+1)*snf]
-			prow := p.Values[v]
-			for jj, col := range sc.subCols {
-				row[jj] = e.cdc.Field(prow[col], fieldBlock) % space
-			}
-			sc.subRows[j] = row
-		}
 		sc.subP = alg.Patches{
 			Faulty:  p.Faulty[lo : lo+size],
 			Senders: sc.subSenders,
 			Values:  sc.subRows[:size],
+		}
+		if p.Class != nil {
+			sc.subP.Class = p.Class[lo : lo+size]
+		}
+		// Equal rows give equal sub-rows: each class's sub-row is
+		// built once, and its members share it.
+		snf := len(sc.subSenders)
+		flat := sc.subFlat[:size*snf]
+		for j := 0; j < size; j++ {
+			if p.Faulty[lo+j] {
+				sc.subRows[j] = nil
+				continue
+			}
+			if !sc.subP.ClassHead(j) {
+				continue
+			}
+			row := flat[j*snf : (j+1)*snf : (j+1)*snf]
+			prow := p.Values[lo+j]
+			for jj, col := range sc.subCols {
+				row[jj] = e.cdc.Field(prow[col], fieldBlock) % space
+			}
+			for w := j; w >= 0; w = sc.subP.NextInClass(w) {
+				sc.subRows[w] = row
+			}
 		}
 		if bs, ok := sub.(alg.BatchStepper); ok {
 			bs.StepAll(sc.subNext[:size], sc.subBase[:size], &sc.subP, rngs[lo:lo+size])

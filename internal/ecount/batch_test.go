@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/alg/algtest"
 )
 
 // TestBatchStepMatchesStep drives the counter's StepAll and per-node
@@ -14,7 +15,10 @@ import (
 // (the balanced split recurses through nested ecount counters, the
 // chain split through a MaxStep leaf every level). Step and StepAll
 // share their per-receiver tail, so each is pinned to the independent
-// oracle rather than to the other.
+// oracle rather than to the other. The trials cycle through
+// algtest.RowSharings, so StepAll's once-per-class path runs on
+// alternating, all-equal and mixed receiver classes as well as on
+// unlabelled rows.
 func TestBatchStepMatchesStep(t *testing.T) {
 	balanced, err := New(10, 3, 6)
 	if err != nil {
@@ -59,18 +63,9 @@ func TestBatchStepMatchesStep(t *testing.T) {
 						senders = append(senders[:0], collect(faulty)...)
 					}
 				}
-				values := make([][]alg.State, n)
-				for v := 0; v < n; v++ {
-					if faulty[v] {
-						continue
-					}
-					row := make([]alg.State, len(senders))
-					for j := range row {
-						row[j] = rng.Uint64() % space
-					}
-					values[v] = row
-				}
-				p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values}
+				sharing := algtest.RowSharings[trial%len(algtest.RowSharings)]
+				values, class := algtest.ClassedRows(rng, sharing, faulty, len(senders), space)
+				p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values, Class: class}
 
 				wantNext := make([]alg.State, n)
 				recv := make([]alg.State, n)
@@ -91,8 +86,14 @@ func TestBatchStepMatchesStep(t *testing.T) {
 				}
 
 				gotNext := make([]alg.State, n)
+				for v := range gotNext {
+					gotNext[v] = algtest.Untouched
+				}
 				a.StepAll(gotNext, states, p, make([]*rand.Rand, n))
 				for v := 0; v < n; v++ {
+					if faulty[v] && gotNext[v] != algtest.Untouched {
+						t.Fatalf("trial %d: StepAll wrote faulty node %d", trial, v)
+					}
 					if !faulty[v] && gotNext[v] != wantNext[v] {
 						t.Fatalf("trial %d: node %d: StepAll %d, stepReference %d (faults %v)",
 							trial, v, gotNext[v], wantNext[v], senders)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/alg/algtest"
 )
 
 // stepShape is one counter Step is pinned to its map-backed oracle on.
@@ -228,6 +229,33 @@ func TestStepAllocsZero(t *testing.T) {
 	}{{"sweep", sweep}, {"free", free}} {
 		if allocs := testing.AllocsPerRun(200, func() { e.Step(0, tc.recv, nil) }); allocs != 0 {
 			t.Errorf("%s: Step allocates %.0f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestStepAllAllocsZero requires StepAll to allocate nothing in a
+// round whose receivers fall into shared classes, mid-sweep and
+// free-running.
+func TestStepAllAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	e, sweep, free := stepViews(t)
+	faulty := make([]bool, e.n)
+	senders := []int{3, 17, 30}
+	for _, u := range senders {
+		faulty[u] = true
+	}
+	values, class := algtest.ClassedRows(rand.New(rand.NewSource(1)), "alternating", faulty, len(senders), e.StateSpace())
+	p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values, Class: class}
+	next := make([]alg.State, e.n)
+	rngs := make([]*rand.Rand, e.n)
+	for _, tc := range []struct {
+		name string
+		base []alg.State
+	}{{"sweep", sweep}, {"free", free}} {
+		if allocs := testing.AllocsPerRun(200, func() { e.StepAll(next, tc.base, p, rngs) }); allocs != 0 {
+			t.Errorf("%s: StepAll allocates %.0f objects per call, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
@@ -20,8 +21,9 @@ import (
 //     nodes per machine word from the transposed state and patch
 //     planes; algorithms implementing alg.BatchStepper advance all
 //     correct nodes in one devirtualized call, sharing the per-round
-//     vote tallies across receivers; everything else falls back to the
-//     per-node Step on the patched base.
+//     vote tallies across receivers and the patch work across
+//     receivers that saw the same row (see classifyRows); everything
+//     else falls back to the per-node Step on the patched base.
 //
 // The adversary is consulted in exactly the reference order — receivers
 // ascending, faulty senders ascending within each receiver — so
@@ -84,6 +86,9 @@ func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceSte
 			}
 		}
 	} else if batch != nil {
+		if len(p.Senders) > 0 {
+			sc.classifyRows()
+		}
 		batch.StepAll(next, base, p, sc.nodeRngs)
 		for v := 0; v < n; v++ {
 			if !sc.faulty[v] && next[v] >= space {
@@ -108,6 +113,62 @@ func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceSte
 		}
 	}
 	return nil
+}
+
+// maxRowClasses caps the representative rows classifyRows compares
+// against. Every built-in adversary except equivocate and spread shows
+// at most two distinct rows a round.
+const maxRowClasses = 4
+
+// classifyRows labels the correct receivers that saw identical patch
+// rows with a shared alg.Patches.Class, so batch steppers do the
+// row-dependent work once per class. Each row is compared against at
+// most maxRowClasses representatives, each compare stopping at the
+// first differing slot. A row matching none while the cap is full is
+// left unshared (−1), as are classes of one; once the cap fills with
+// rows that all differ, the round is taken to be unshared and the
+// remaining rows are not compared at all.
+func (s *runScratch) classifyRows() {
+	p := &s.patches
+	var reps [maxRowClasses]int
+	var size [maxRowClasses]int
+	nreps, shared := 0, false
+	v := 0
+	for ; v < len(p.Values); v++ {
+		row := p.Values[v]
+		if row == nil {
+			s.rowClass[v] = -1
+			continue
+		}
+		label := int32(-1)
+		for k := 0; k < nreps; k++ {
+			if slices.Equal(p.Values[reps[k]], row) {
+				label = int32(k)
+				size[k]++
+				shared = true
+				break
+			}
+		}
+		if label < 0 && nreps < maxRowClasses {
+			label = int32(nreps)
+			reps[nreps], size[nreps] = v, 1
+			nreps++
+		}
+		s.rowClass[v] = label
+		if nreps == maxRowClasses && !shared {
+			v++
+			break
+		}
+	}
+	for ; v < len(p.Values); v++ {
+		s.rowClass[v] = -1
+	}
+	for k := 0; k < nreps; k++ {
+		if size[k] == 1 {
+			s.rowClass[reps[k]] = -1
+		}
+	}
+	p.Class = s.rowClass
 }
 
 // preparePatches provisions the per-round patch matrix for the current

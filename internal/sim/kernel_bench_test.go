@@ -98,6 +98,18 @@ func BenchmarkKernel_Vectorized_ECount_n64_f7(b *testing.B) {
 	benchKernel(b, benchECount(b), adversary.SplitVote{}, benchSpread(64, 7), true)
 }
 
+// Splitvote shows every receiver one of two rows, so the vectorized
+// kernel steps two receiver classes a round. Equivocate shows every
+// receiver its own row: this pair keeps the unshared per-receiver path
+// under the kernel gate.
+func BenchmarkKernel_Reference_ECount_n64_f7_Equivocate(b *testing.B) {
+	benchKernel(b, benchECount(b), adversary.Equivocate{}, benchSpread(64, 7), false)
+}
+
+func BenchmarkKernel_Vectorized_ECount_n64_f7_Equivocate(b *testing.B) {
+	benchKernel(b, benchECount(b), adversary.Equivocate{}, benchSpread(64, 7), true)
+}
+
 // The source paper's Figure 2 stack A(36, 7): three stacked Theorem 1
 // levels batch-stepping recursively.
 func benchFigure2(b *testing.B) alg.Algorithm {

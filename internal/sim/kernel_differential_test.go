@@ -14,8 +14,11 @@ import (
 // every built-in behaviour class (crash, broadcast noise, per-receiver
 // equivocation, vote splitting) plus — for deterministic algorithms —
 // the stateful greedy lookahead, which exercises the adversary-rng
-// call-order contract of the kernel hardest.
-var kernelAdversaries = []string{"silent", "random", "splitvote", "equivocate", "greedy"}
+// call-order contract of the kernel hardest. Between them they cover
+// every receiver-class layout the kernel's row classification yields:
+// one class (silent, mirror), two (splitvote), none (equivocate) and
+// more distinct rows than its cap (spread).
+var kernelAdversaries = []string{"silent", "mirror", "random", "splitvote", "spread", "equivocate", "greedy"}
 
 // spreadFaults places f faults evenly across n nodes — enough to put
 // faulty senders in different blocks of the recursive constructions.

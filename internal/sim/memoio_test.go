@@ -16,7 +16,7 @@ import (
 // memoFixture runs a handful of fast-forward-eligible trials and
 // returns the populated trajectory memo plus the configs that built
 // it.
-func memoFixture(t *testing.T) (*harness.TrajectoryMemo, []sim.Config) {
+func memoFixture(t testing.TB) (*harness.TrajectoryMemo, []sim.Config) {
 	t.Helper()
 	a, err := ecount.New(16, 3, 8)
 	if err != nil {
@@ -173,6 +173,52 @@ func TestTrajectoryMemoLoadRejectsCorrupt(t *testing.T) {
 		_, err := sim.LoadTrajectoryMemoFile(filepath.Join(t.TempDir(), "absent.ndjson"), m)
 		if !os.IsNotExist(err) {
 			t.Fatalf("want os.IsNotExist, got %v", err)
+		}
+	})
+}
+
+// FuzzLoadTrajectoryMemo feeds arbitrary bytes to LoadTrajectoryMemo,
+// seeded with a real saved memo and its truncations. Loading must
+// never panic, every entry it accepts must be a well-formed fact for
+// its key (CheckMemoEntry), and whatever was accepted must save and
+// load again without loss.
+func FuzzLoadTrajectoryMemo(f *testing.F) {
+	memo, _ := memoFixture(f)
+	var buf bytes.Buffer
+	if err := sim.SaveTrajectoryMemo(&buf, memo); err != nil {
+		f.Fatal(err)
+	}
+	// The whole fixture saves to megabytes; its header and first three
+	// entries are a real memo file of a size the fuzzer can mutate.
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	if len(lines) < 4 {
+		f.Fatalf("saved memo has %d lines, want header + 3 entries", len(lines))
+	}
+	saved := bytes.Join(lines[:4], nil)
+	f.Add(saved)
+	f.Add(lines[0]) // the header alone
+	for _, cut := range []int{0, 1, len(saved) / 3, len(saved) / 2, len(saved) - 1} {
+		f.Add(saved[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := harness.NewTrajectoryMemo(0)
+		n, _ := sim.LoadTrajectoryMemo(bytes.NewReader(data), m)
+		if m.Len() > n {
+			t.Fatalf("memo holds %d entries but Load reported %d", m.Len(), n)
+		}
+		m.Range(func(k harness.TrajectoryKey, v any) bool {
+			if err := sim.CheckMemoEntry(k, v); err != nil {
+				t.Fatalf("accepted entry %+v: %v", k, err)
+			}
+			return true
+		})
+		var out bytes.Buffer
+		if err := sim.SaveTrajectoryMemo(&out, m); err != nil {
+			t.Fatalf("re-saving accepted entries: %v", err)
+		}
+		again := harness.NewTrajectoryMemo(0)
+		if n2, err := sim.LoadTrajectoryMemo(&out, again); err != nil || n2 != m.Len() {
+			t.Fatalf("reloading accepted entries: %d of %d (err %v)", n2, m.Len(), err)
 		}
 	})
 }

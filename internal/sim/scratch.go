@@ -37,6 +37,7 @@ type runScratch struct {
 	faultyIdx []int
 	patchFlat []alg.State
 	patchRows [][]alg.State
+	rowClass  []int32
 	patches   alg.Patches
 
 	// Bit-sliced working set (see kernel.go): the transposed state and
@@ -82,6 +83,7 @@ func (s *runScratch) resize(n int) {
 		s.next = make([]alg.State, n)
 		s.recv = make([]alg.State, n)
 		s.outputs = make([]int, n)
+		s.rowClass = make([]int32, n)
 	}
 	s.faulty = s.faulty[:n]
 	for i := range s.faulty {
@@ -91,6 +93,7 @@ func (s *runScratch) resize(n int) {
 	s.next = s.next[:n]
 	s.recv = s.recv[:n]
 	s.outputs = s.outputs[:n]
+	s.rowClass = s.rowClass[:n]
 	if s.seeder == nil {
 		s.seeder = rand.New(rand.NewSource(0))
 		s.initRng = rand.New(rand.NewSource(0))
