@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 20
+PR ?= 21
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -196,29 +196,37 @@ kernel-race-smoke:
 	$(GO) test -race -short -run '^Test(Kernel|Bitslice)' ./internal/sim
 	$(GO) test -race -run 'SlicedMatches' ./internal/counter
 
-# Live-runtime gate: the package suite under the race detector, then a
-# short seeded n=32 soak (crash/restart plus a partition per burst) on
-# one race-instrumented synchcount binary, twice from the same seed. The
-# PASS verdict (exit code) asserts every burst re-stabilised within the
-# stack's declared bound; the byte-diffs assert the chaos timeline and
-# the per-fault recovery-latency records replay identically across real
-# goroutine concurrency; the ingest closes the loop into resultdb. (The
-# package suite pins the engine byte-identical to its single-goroutine
-# lockstep model, internal/live/lockstep_test.go.)
+# Live-runtime gate: the package suite under the race detector, then
+# two seeded soaks on one race-instrumented synchcount binary, each run
+# twice from the same seed: the ecount n=32 f=3 soak stack (crash/restart
+# plus a partition per burst) and the live-engine benchmark's maxstep
+# n=128 stack under every deterministic chaos kind, whose fault-free
+# rounds take the engine's full-column merge. The PASS verdict (exit
+# code) asserts every burst re-stabilised within the stack's declared
+# bound; the byte-diffs assert the chaos timeline and the per-fault
+# recovery-latency records replay identically across real goroutine
+# concurrency; the ingest closes the loop into resultdb. (The package
+# suite pins the engine byte-identical to its single-goroutine lockstep
+# model, internal/live/lockstep_test.go.) Each soak takes a few seconds
+# under the race detector.
 live-smoke:
 	$(GO) test -race ./internal/live
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	args="-n 32 -f 3 -c 8 -seed 1 -faults crash,partition -bursts 2 -burst-len 8 -timeout 5s -budget 240s"; \
 	sc=$$tmp/synchcount; \
+	soak() { \
+		tag=$$1; shift; \
+		$$sc liverun "$$@" -timeline > $$tmp/$$tag-timeline-a.txt && \
+		$$sc liverun "$$@" -timeline > $$tmp/$$tag-timeline-b.txt && \
+		cmp $$tmp/$$tag-timeline-a.txt $$tmp/$$tag-timeline-b.txt && \
+		$$sc liverun "$$@" -ndjson $$tmp/$$tag-a.ndjson && \
+		$$sc liverun "$$@" -ndjson $$tmp/$$tag-b.ndjson && \
+		cmp $$tmp/$$tag-a.ndjson $$tmp/$$tag-b.ndjson; \
+	}; \
 	$(GO) build -race -o $$sc ./cmd/synchcount && \
-	$$sc liverun $$args -timeline > $$tmp/timeline-a.txt && \
-	$$sc liverun $$args -timeline > $$tmp/timeline-b.txt && \
-	cmp $$tmp/timeline-a.txt $$tmp/timeline-b.txt && \
-	$$sc liverun $$args -ndjson $$tmp/soak-a.ndjson && \
-	$$sc liverun $$args -ndjson $$tmp/soak-b.ndjson && \
-	cmp $$tmp/soak-a.ndjson $$tmp/soak-b.ndjson && \
-	$$sc resultdb ingest -db $$tmp/store $$tmp/soak-a.ndjson && \
-	echo "live-smoke: soak passed within the declared bound; timeline and recovery records replay byte-identically"
+	soak ecount -n 32 -f 3 -c 8 -seed 1 -faults crash,partition -bursts 2 -burst-len 8 -timeout 5s -budget 240s && \
+	$$sc resultdb ingest -db $$tmp/store $$tmp/ecount-a.ndjson && \
+	soak maxstep -alg maxstep -n 128 -f 0 -c 8 -seed 1 -faults crash,loss,corrupt,dup,delay,partition -bursts 3 -burst-len 8 -timeout 5s -budget 240s && \
+	echo "live-smoke: soaks passed within the declared bound; timelines and recovery records replay byte-identically"
 
 # Static analysis at a pinned staticcheck release. Soft-skips when the
 # binary is absent (this repo never installs tools implicitly); CI

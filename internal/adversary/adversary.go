@@ -48,6 +48,10 @@ type View struct {
 	// the vector is recomputed.
 	majority      alg.State
 	majorityValid bool
+	// campA/campB cache SplitVote's two camps for the same round under
+	// the same rule; campsValid is cleared with majorityValid.
+	campA, campB alg.State
+	campsValid   bool
 }
 
 // AppendCorrectStates appends the states of all correct nodes, in node
@@ -79,6 +83,7 @@ func (v *View) correctStates() []alg.State {
 		v.correctRound = v.Round
 		v.correctValid = true
 		v.majorityValid = false
+		v.campsValid = false
 	}
 	return v.correctScratch
 }
@@ -92,6 +97,29 @@ func (v *View) correctMajority() alg.State {
 		v.majorityValid = true
 	}
 	return v.majority
+}
+
+// splitCamps returns SplitVote's two camps for the current round: the
+// first correct state and the first correct state differing from it
+// (the first perturbed down by one under unanimity), computed at most
+// once per round. ok is false when no node is correct.
+func (v *View) splitCamps() (a, b alg.State, ok bool) {
+	correct := v.correctStates()
+	if len(correct) == 0 {
+		return 0, 0, false
+	}
+	if !v.campsValid {
+		a = correct[0]
+		b = (a + v.Space - 1) % v.Space
+		for _, s := range correct[1:] {
+			if s != a {
+				b = s
+				break
+			}
+		}
+		v.campA, v.campB, v.campsValid = a, b, true
+	}
+	return v.campA, v.campB, true
 }
 
 // Adversary chooses, for every faulty sender, the state each receiver
@@ -252,31 +280,14 @@ type SplitVote struct{}
 // Name implements Adversary.
 func (SplitVote) Name() string { return "splitvote" }
 
-// Message implements Adversary.
+// Message implements Adversary. The camps are resolved once per round
+// in the View's cache.
 func (SplitVote) Message(v *View, _, to int) alg.State {
-	var a, b alg.State
-	seenA := false
-	seenB := false
-	for i, f := range v.Faulty {
-		if f {
-			continue
-		}
-		s := v.States[i]
-		switch {
-		case !seenA:
-			a, seenA = s, true
-		case s != a && !seenB:
-			b, seenB = s, true
-		}
-	}
-	if !seenA {
+	a, b, ok := v.splitCamps()
+	switch {
+	case !ok:
 		return 0
-	}
-	if !seenB {
-		// Unanimity among correct nodes: inject a perturbed state.
-		b = (a + v.Space - 1) % v.Space
-	}
-	if to%2 == 0 {
+	case to%2 == 0:
 		return a
 	}
 	return b

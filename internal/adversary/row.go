@@ -8,9 +8,8 @@ import "github.com/synchcount/synchcount/internal/alg"
 // vectorized round kernel (which uses these) bit-identical to the
 // reference loop (which calls Message per pair) — while doing the
 // per-round or per-receiver analysis once instead of once per message:
-// SplitVote resolves its two camps once per row rather than scanning
-// all states per message, Spread and Flip read the View's per-round
-// correct-state and majority cache, Silent/Mirror reduce to constant
+// SplitVote, Spread and Flip read the View's per-round correct-state,
+// camp and majority caches, Silent/Mirror reduce to constant
 // fills, and Random evaluates each sender's seeded draw in closed form.
 var (
 	_ RowMessenger = Silent{}
@@ -62,13 +61,10 @@ func (Mirror) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 }
 
 // MessageRow implements RowMessenger: the two camps (a, b) depend only
-// on the round's correct states, so they are resolved once per row —
-// not once per message — and fanned out by receiver parity.
+// on the round's correct states, so they are read from the View's
+// per-round cache and fanned out by receiver parity.
 func (sv SplitVote) MessageRow(v *View, senders []int, to int, row []alg.State) {
-	if len(senders) == 0 {
-		return
-	}
-	s := sv.Message(v, senders[0], to)
+	s := sv.Message(v, 0, to)
 	for j := range senders {
 		row[j] = s
 	}

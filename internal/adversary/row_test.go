@@ -207,3 +207,47 @@ func TestAdversaryUniformHugeSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitVoteCampsCache: SplitVote reads its two camps from the
+// View's per-round cache. On unanimous, two-camp and all-faulty views,
+// MessageRow on one long-lived View must equal Message on a fresh View
+// for every receiver, and the cache must follow the states from round
+// to round.
+func TestSplitVoteCampsCache(t *testing.T) {
+	cases := []struct {
+		name   string
+		states []alg.State
+		faulty []bool
+		even   alg.State
+		odd    alg.State
+	}{
+		{"unanimous", []alg.State{4, 0, 4, 4, 4}, []bool{false, true, false, false, false}, 4, 3},
+		{"unanimous-zero", []alg.State{0, 0, 0, 9, 0}, []bool{false, false, false, true, false}, 0, 9},
+		{"two-camp", []alg.State{5, 2, 5, 7, 1}, []bool{false, true, false, false, false}, 5, 7},
+		{"all-faulty", []alg.State{3, 6, 1, 2, 8}, []bool{true, true, true, true, true}, 0, 0},
+	}
+	sv := SplitVote{}
+	long := &View{Space: 10}
+	for r, tc := range cases {
+		long.Round, long.States, long.Faulty = uint64(r), tc.states, tc.faulty
+		senders := rowSenders(long)
+		row := make([]alg.State, len(senders))
+		for to := range tc.states {
+			fresh := &View{States: tc.states, Faulty: tc.faulty, Space: 10}
+			exp := tc.odd
+			if to%2 == 0 {
+				exp = tc.even
+			}
+			want := sv.Message(fresh, 0, to)
+			if want != exp {
+				t.Fatalf("%s: Message to receiver %d = %d, want %d", tc.name, to, want, exp)
+			}
+			sv.MessageRow(long, senders, to, row)
+			for j := range row {
+				if row[j] != want {
+					t.Fatalf("%s: MessageRow to receiver %d slot %d = %d, Message = %d", tc.name, to, j, row[j], want)
+				}
+			}
+		}
+	}
+}

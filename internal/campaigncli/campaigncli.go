@@ -349,15 +349,60 @@ type bounded[T number] struct {
 
 // AtLeast registers a numeric flag that Parse rejects below min.
 func AtLeast[T number](fs *flag.FlagSet, name string, value, min T, usage string) *T {
-	fs.Var(&bounded[T]{p: &value, min: min}, name, usage)
+	register(fs, &bounded[T]{p: &value, min: min}, name, usage)
 	return &value
 }
 
 // InRange registers a numeric flag that Parse rejects outside
 // [min, max].
 func InRange[T number](fs *flag.FlagSet, name string, value, min, max T, usage string) *T {
-	fs.Var(&bounded[T]{p: &value, min: min, max: max, capped: true}, name, usage)
+	register(fs, &bounded[T]{p: &value, min: min, max: max, capped: true}, name, usage)
 	return &value
+}
+
+// register adds a bounded flag to fs and installs the set's usage
+// printer, which names bounded flags by their type.
+func register[T number](fs *flag.FlagSet, b *bounded[T], name, usage string) {
+	fs.Var(b, name, usage)
+	fs.Usage = func() { printUsage(fs) }
+}
+
+// typeName is the help placeholder of a bounded flag, spelled as the
+// flag package spells its own numeric flags.
+func (b *bounded[T]) typeName() string {
+	switch any(*new(T)).(type) {
+	case float64:
+		return "float"
+	case time.Duration:
+		return "duration"
+	}
+	return "int"
+}
+
+// printUsage writes the flag package's default usage message for fs,
+// except that each bounded flag shows its type instead of "value", the
+// only placeholder the package derives for a custom flag.Value.
+func printUsage(fs *flag.FlagSet) {
+	out := fs.Output()
+	var defaults strings.Builder
+	fs.SetOutput(&defaults)
+	fs.PrintDefaults()
+	fs.SetOutput(out)
+	if fs.Name() == "" {
+		fmt.Fprintln(out, "Usage:")
+	} else {
+		fmt.Fprintf(out, "Usage of %s:\n", fs.Name())
+	}
+	for _, line := range strings.SplitAfter(defaults.String(), "\n") {
+		if name, ok := strings.CutSuffix(strings.TrimPrefix(line, "  -"), " value\n"); ok {
+			if f := fs.Lookup(name); f != nil {
+				if t, ok := f.Value.(interface{ typeName() string }); ok {
+					line = "  -" + name + " " + t.typeName() + "\n"
+				}
+			}
+		}
+		fmt.Fprint(out, line)
+	}
 }
 
 func (b *bounded[T]) String() string {

@@ -2,6 +2,7 @@ package campaigncli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -357,6 +358,42 @@ func TestBoundedFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag "+args[0]) {
 			t.Errorf("Parse(%v) = %v, want an error naming %s", args, err, args[0])
 		}
+	}
+}
+
+// TestBoundedFlagUsage pins the help text of bounded flags: each shows
+// its type as placeholder, like the flag package's own numeric flags,
+// unless its usage names one in back quotes, with its usage and
+// non-zero default intact.
+func TestBoundedFlagUsage(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	var out strings.Builder
+	fs.SetOutput(&out)
+	InRange(fs, "blocks", 3, 2, 5, "blocks per row")
+	AtLeast(fs, "rounds", int64(0), 0, "max rounds")
+	AtLeast(fs, "budget", 0.5, 0, "memory budget")
+	AtLeast(fs, "timeout", time.Second, 1, "round deadline")
+	AtLeast(fs, "workers", 0, 0, "`N` concurrent trials")
+	fs.String("name", "x", "a plain flag")
+	if err := fs.Parse([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("Parse(-h) = %v, want flag.ErrHelp", err)
+	}
+	want := `Usage of t:
+  -blocks int
+    	blocks per row (default 3)
+  -budget float
+    	memory budget (default 0.5)
+  -name string
+    	a plain flag (default "x")
+  -rounds int
+    	max rounds
+  -timeout duration
+    	round deadline (default 1s)
+  -workers N
+    	N concurrent trials
+`
+	if got := out.String(); got != want {
+		t.Fatalf("usage text:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -33,11 +33,8 @@ func (t *Trivial) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand
 func (m *MaxStep) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand) {
 	var shared uint64
 	for u, s := range base {
-		if p.Faulty[u] {
-			continue
-		}
-		if s%m.c > shared {
-			shared = s % m.c
+		if !p.Faulty[u] {
+			shared = m.fold(shared, s)
 		}
 	}
 	for v := range base {
@@ -46,12 +43,11 @@ func (m *MaxStep) StepAll(next, base []alg.State, p *alg.Patches, _ []*rand.Rand
 		}
 		mx := shared
 		for _, s := range p.Values[v] {
-			if s%m.c > mx {
-				mx = s % m.c
-			}
+			mx = m.fold(mx, s)
 		}
+		s := m.next(mx)
 		for w := v; w >= 0; w = p.NextInClass(w) {
-			next[w] = (mx + 1) % m.c
+			next[w] = s
 		}
 	}
 }

@@ -105,15 +105,35 @@ func (m *MaxStep) C() int { return int(m.c) }
 // StateSpace implements alg.Algorithm.
 func (m *MaxStep) StateSpace() uint64 { return m.c }
 
-// Step implements alg.Algorithm.
+// Step implements alg.Algorithm. Out-of-space words are reduced mod c
+// as they are read; in-space words, all an honest network delivers,
+// cost no division.
 func (m *MaxStep) Step(_ int, recv []uint64, _ *rand.Rand) uint64 {
 	var max uint64
 	for _, s := range recv {
-		if s%m.c > max {
-			max = s % m.c
-		}
+		max = m.fold(max, s)
 	}
-	return (max + 1) % m.c
+	return m.next(max)
+}
+
+// fold returns the larger of mx and s mod c, dividing only when s is
+// out of space.
+func (m *MaxStep) fold(mx, s uint64) uint64 {
+	if s >= m.c {
+		s %= m.c
+	}
+	if s > mx {
+		return s
+	}
+	return mx
+}
+
+// next is (mx + 1) mod c for mx < c.
+func (m *MaxStep) next(mx uint64) uint64 {
+	if mx+1 == m.c {
+		return 0
+	}
+	return mx + 1
 }
 
 // Output implements alg.Algorithm.

@@ -47,6 +47,78 @@ func TestTrivialReducesOutOfRangeState(t *testing.T) {
 	}
 }
 
+// TestMaxStepReducesOutOfSpaceWords: Step and StepAll divide only when
+// a word is out of space, and must still return exactly the reference
+// max-of-(s mod c)-plus-one on received vectors and faulty patch rows
+// full of words >= c.
+func TestMaxStepReducesOutOfSpaceWords(t *testing.T) {
+	ref := func(recv []uint64, c uint64) uint64 {
+		var mx uint64
+		for _, s := range recv {
+			if s%c > mx {
+				mx = s % c
+			}
+		}
+		return (mx + 1) % c
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []uint64{2, 5, 7, 16} {
+		const n = 6
+		m, err := NewMaxStep(n, int(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		word := func() uint64 {
+			switch rng.Intn(5) {
+			case 0:
+				return rng.Uint64() % c
+			case 1:
+				return c - 1 + uint64(rng.Intn(2))*c
+			case 2:
+				return ^uint64(0) - uint64(rng.Intn(3))
+			case 3:
+				return c * uint64(1+rng.Intn(4))
+			}
+			return rng.Uint64()
+		}
+		faulty := []bool{false, true, false, false, true, false}
+		senders := []int{1, 4}
+		for trial := 0; trial < 200; trial++ {
+			base := make([]uint64, n)
+			for i := range base {
+				base[i] = word()
+			}
+			values := make([][]alg.State, n)
+			for v := range values {
+				if !faulty[v] {
+					values[v] = []alg.State{word(), word()}
+				}
+			}
+			p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values}
+			next := make([]alg.State, n)
+			m.StepAll(next, base, p, nil)
+			recv := make([]uint64, n)
+			for v := 0; v < n; v++ {
+				copy(recv, base)
+				if faulty[v] {
+					if got, want := m.Step(v, recv, nil), ref(recv, c); got != want {
+						t.Fatalf("c=%d: Step(%v) = %d, want %d", c, recv, got, want)
+					}
+					continue
+				}
+				p.Apply(recv, v)
+				want := ref(recv, c)
+				if got := m.Step(v, recv, nil); got != want {
+					t.Fatalf("c=%d: Step(%v) = %d, want %d", c, recv, got, want)
+				}
+				if next[v] != want {
+					t.Fatalf("c=%d: StepAll gives receiver %d state %d on %v, want %d", c, v, next[v], recv, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMaxStepValidation(t *testing.T) {
 	if _, err := NewMaxStep(0, 4); err == nil {
 		t.Error("NewMaxStep(0,4) should fail")

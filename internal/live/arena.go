@@ -1,9 +1,13 @@
 package live
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/synchcount/synchcount/internal/alg"
+)
 
 // epochArena owns every slice the round engine hands to node
-// goroutines for one round: the shared decoded broadcast batch, the
+// goroutines for one round: the shared broadcast column, the
 // per-receiver skip and patch lists carved for chaos-touched receivers,
 // and the frame-size byte buffers backing corrupted and delayed frames.
 // One arena is live per in-flight round; a ring of them (arenaRing)
@@ -20,19 +24,31 @@ import "sync/atomic"
 type epochArena struct {
 	refs atomic.Int64
 
-	entries []wireEntry // shared broadcast batch, built once per round
-	drops   []int32     // per-receiver skip lists, carved sequentially
-	priv    []privItem  // per-receiver patch lists, carved sequentially
-	bufs    [][]byte    // frameSize buffers for corrupt/held frame bytes
-	used    int
+	// The shared broadcast column, built once per round: column[s] is
+	// sender s's decoded state when present[s], and full reports that
+	// every sender is present.
+	column  []alg.State
+	present []bool
+	full    bool
+
+	drops []int32    // per-receiver skip lists, carved sequentially
+	priv  []privItem // per-receiver patch lists, carved sequentially
+	bufs  [][]byte   // frameSize buffers for corrupt/held frame bytes
+	used  int
+}
+
+// newEpochArena returns an empty arena for an n-node network.
+func newEpochArena(n int) *epochArena {
+	return &epochArena{column: make([]alg.State, n), present: make([]bool, n)}
 }
 
 // reset recycles the arena for a new round. Growth may have relocated
-// the backing arrays mid-round (older carved slices keep the retired
+// the patch arrays mid-round (older carved slices keep the retired
 // array alive on their own); reset keeps whatever backing survived,
 // so steady state settles at the high-water capacity and stays there.
 func (a *epochArena) reset() {
-	a.entries = a.entries[:0]
+	clear(a.present)
+	a.full = false
 	a.drops = a.drops[:0]
 	a.priv = a.priv[:0]
 	a.used = 0
@@ -66,12 +82,13 @@ func (a *epochArena) release() { a.refs.Add(-1) }
 // round plus the maximum chaos delay window — has retired.
 type arenaRing struct {
 	epochs []*epochArena
+	n      int
 }
 
-func newArenaRing(depth int) *arenaRing {
-	r := &arenaRing{epochs: make([]*epochArena, depth)}
+func newArenaRing(depth, n int) *arenaRing {
+	r := &arenaRing{epochs: make([]*epochArena, depth), n: n}
 	for i := range r.epochs {
-		r.epochs[i] = &epochArena{}
+		r.epochs[i] = newEpochArena(n)
 	}
 	return r
 }
@@ -85,7 +102,7 @@ func (r *arenaRing) epochFor(round uint64) *epochArena {
 	i := int(round % uint64(len(r.epochs)))
 	a := r.epochs[i]
 	if a.refs.Load() != 0 {
-		a = &epochArena{}
+		a = newEpochArena(r.n)
 		r.epochs[i] = a
 	}
 	a.reset()

@@ -85,19 +85,21 @@ func BenchmarkLive_EndToEndOpt_Ecount_n32(b *testing.B) {
 // (approximately) nothing once the ring is warm. Two horizons differing
 // by 256 rounds cancel all per-run setup (goroutines, channels, node
 // scratch), leaving the pure per-round marginal cost. maxstep's Step is
-// near-instant, so its cell isolates the transport; the ecount n=32 f=3
+// near-instant, so its cells isolate the transport — the n=128 one at
+// the live-engine benchmark's size; the ecount n=32 f=3
 // cell is the soak stack, whose per-node Step runs on the counter's
 // pooled scratch and is held to the same budget.
 func TestFaultFreeAllocsPerRound(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		n, f, c int
-		pooled  bool // Step runs on sync.Pool scratch
+		cell, name string
+		n, f, c    int
+		pooled     bool // Step runs on sync.Pool scratch
 	}{
-		{"maxstep", 8, 0, 8, false},
-		{"ecount", 32, 3, 8, true},
+		{"maxstep", "maxstep", 8, 0, 8, false},
+		{"maxstep_n128", "maxstep", 128, 0, 8, false},
+		{"ecount", "ecount", 32, 3, 8, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.cell, func(t *testing.T) {
 			if tc.pooled && raceEnabled {
 				t.Skip("sync.Pool drops pooled scratch at random under the race detector")
 			}

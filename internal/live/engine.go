@@ -11,21 +11,21 @@ import (
 
 // The round engine. Per round the synchroniser collects every live
 // node's broadcast, routes it through the chaos schedule and hands each
-// node one message to merge and step on. Three ideas keep it cheap
+// node one message to merge and step on. Four ideas keep it cheap
 // while the protocol it implements stays the plain lockstep reading in
 // lockstep_test.go, which the differential suite pins it to byte for
 // byte:
 //
-//  1. Decode memo + shared broadcast base: the router CRC-checks and
-//     decodes each on-time broadcast once into a wireEntry, and every
-//     receiver merges the same immutable base slice instead of decoding
-//     n-1 frames itself. Chaos-touched edges are expressed as
-//     per-receiver patches: a drops list (senders whose base entry the
-//     receiver must skip) plus a priv list of extra deliveries —
-//     router-verified entries for clean duplicates/delays, raw bytes
-//     for corrupted frames, which the receiver still CRC-checks itself
-//     (the untrusted-transport invariant: only bytes that never left
-//     the in-process channel are decode-memoised).
+//  1. Decode memo: the router CRC-checks and decodes each on-time
+//     broadcast once, and every receiver merges the same immutable
+//     result instead of decoding n-1 frames itself. Chaos-touched
+//     edges are expressed as per-receiver patches: a drops list
+//     (senders whose memoised state the receiver must skip) plus a
+//     priv list of extra deliveries — router-verified entries for
+//     clean duplicates/delays, raw bytes for corrupted frames, which
+//     the receiver still CRC-checks itself (the untrusted-transport
+//     invariant: only bytes that never left the in-process channel are
+//     decode-memoised).
 //  2. Epoch arena: every slice handed to a node belongs to the round's
 //     epochArena and is recycled once the rounds that could still hold
 //     it (bounded by the schedule's max delay) have retired, so a
@@ -36,8 +36,17 @@ import (
 //     collects one sendMsg per node per round, with non-blocking
 //     handoffs, a per-round deadline, and stragglers rejoining at the
 //     newest round.
+//  4. Dense broadcast column: the memo's output is one per-sender state
+//     vector in the epoch plus a presence record, admitting only frames
+//     stamped with the collected round, so every memoised entry carries
+//     the same round. In a fault-free round — every sender present, no
+//     drops — a receiver's merge is one copy of the column into its
+//     view and one round stamp, and it steps on that view in place;
+//     otherwise it walks the same column past absent and dropped
+//     senders before applying its private patches.
 
-// wireEntry is one router-decoded broadcast: the decode memo's unit.
+// wireEntry is one router-decoded broadcast carried as a private
+// patch: a clean duplicate or a delayed delivery.
 type wireEntry struct {
 	from  int32
 	round uint64
@@ -54,8 +63,9 @@ type privItem struct {
 }
 
 // roundMsg is the per-round handoff from the synchroniser to a node:
-// the shared base, this receiver's patches, and the epoch owning every
-// slice in the message. The receiver releases the epoch exactly once.
+// this receiver's patches and the epoch owning every slice in the
+// message, whose broadcast column is the round's shared base. The
+// receiver releases the epoch exactly once.
 //
 // A poison message (all other fields zero) is the in-band shutdown and
 // crash signal: it lets the node's receive be a plain channel operation
@@ -68,7 +78,6 @@ type roundMsg struct {
 	stall  time.Duration
 	final  bool
 	poison bool
-	base   []wireEntry
 	drops  []int32
 	priv   []privItem
 	epoch  *epochArena
@@ -112,7 +121,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 	track := newTracker(rt.cfg.Alg.C(), rt.cfg.Window)
 
 	depth := int(rt.maxDelay) + 2
-	ring := newArenaRing(depth)
+	ring := newArenaRing(depth, rt.n)
 	held := make([][]heldEntry, depth)
 
 	var seed int64
@@ -170,9 +179,6 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		// discarded without counting.
 		deadInc   = make([]int, rt.n)
 		deadRound = make([]uint64, rt.n)
-
-		entryOf = make([]wireEntry, rt.n)
-		entryOK = make([]bool, rt.n)
 
 		scratchDrops = make([][]int32, rt.n)
 		scratchPriv  = make([][]privItem, rt.n)
@@ -336,29 +342,30 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		}
 		rep.Rounds = round + 1
 
-		// Decode memo: validate each on-time broadcast once. A frame
-		// that fails here (unreachable for honest in-process senders) is
-		// routed raw to every receiver instead, so each receiver still
-		// accounts its own decode failure.
+		// Decode memo: validate each on-time broadcast once into the
+		// round's column. A frame that fails here, or that is not
+		// stamped with its sender and this round (both unreachable for
+		// honest in-process senders), is routed raw to every receiver
+		// instead, so each receiver still accounts its own decode.
 		anyBad := false
+		ep.full = true
 		for s := 0; s < rt.n; s++ {
-			entryOK[s] = false
 			if !haveSend[s] {
+				ep.full = false
 				continue
 			}
-			if from, rnd, st, err := decodeFrame(gotSend[s].frame, rt.n, rt.space); err == nil {
-				entryOf[s] = wireEntry{from: int32(from), round: rnd, state: st}
-				entryOK[s] = true
-				ep.entries = append(ep.entries, entryOf[s])
+			if from, rnd, st, err := decodeFrame(gotSend[s].frame, rt.n, rt.space); err == nil && from == s && rnd == round {
+				ep.column[s] = st
+				ep.present[s] = true
 			} else {
 				anyBad = true
+				ep.full = false
 			}
 		}
-		base := ep.entries[:len(ep.entries):len(ep.entries)]
 
 		// Route through the chaos layer: the lockstep model's hash
 		// decisions in its sender/receiver/window order, expressed as
-		// base + patches instead of per-edge frame slices. Untouched
+		// column + patches instead of per-edge frame slices. Untouched
 		// edges cost nothing.
 		for v := 0; v < rt.n; v++ {
 			scratchDrops[v] = scratchDrops[v][:0]
@@ -371,24 +378,26 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		interferedBurst := -1
 		if len(windows) > 0 || anyBad {
 			for s := 0; s < rt.n; s++ {
-				if !haveSend[s] || (entryOK[s] && len(windows) == 0) {
+				memo := ep.present[s]
+				if !haveSend[s] || (memo && len(windows) == 0) {
 					continue
 				}
 				// A raw-routed frame is copied into the epoch once: the
 				// sender reuses its buffer next round, receivers may
 				// read the patch later than that.
 				base0 := gotSend[s].frame
-				if !entryOK[s] {
+				if !memo {
 					c := ep.grab()
 					copy(c, base0)
 					base0 = c
 				}
+				entry := wireEntry{from: int32(s), round: round, state: ep.column[s]}
 				for v := 0; v < rt.n; v++ {
 					if v == s || handles[v] == nil {
 						continue
 					}
 					cur := base0
-					clean := entryOK[s]
+					clean := memo
 					delivered := true
 					touched := false
 					for _, w := range windows {
@@ -418,7 +427,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 						if w.Delay > 0 && chaosHash(seed, round, s, v, saltDelay) < w.Delay {
 							it := privItem{}
 							if clean {
-								it.entry = entryOf[s]
+								it.entry = entry
 							} else {
 								it.raw = cur
 							}
@@ -433,7 +442,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 						if w.Dup > 0 && chaosHash(seed, round, s, v, saltDup) < w.Dup {
 							it := privItem{}
 							if clean {
-								it.entry = entryOf[s]
+								it.entry = entry
 							} else {
 								it.raw = cur
 							}
@@ -443,13 +452,13 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 							touched = true
 						}
 					}
-					if !touched && entryOK[s] {
-						continue // untouched edge: the base entry delivers it
+					if !touched && memo {
+						continue // untouched edge: the column delivers it
 					}
 					if delivered && clean {
-						continue // clean duplicates only: base stands, dups queued
+						continue // clean duplicates only: column stands, dups queued
 					}
-					if entryOK[s] {
+					if memo {
 						scratchDrops[v] = append(scratchDrops[v], int32(s))
 					}
 					if delivered {
@@ -495,7 +504,6 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 				round: round,
 				stall: stallFor[v],
 				final: final,
-				base:  base,
 				epoch: ep,
 			}
 			if d := scratchDrops[v]; len(d) > 0 {

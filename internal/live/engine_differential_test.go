@@ -45,8 +45,9 @@ func runRuntime(t *testing.T, cfg Config) (*Report, []obs) {
 // single-goroutine lockstep model byte for byte — same report (every
 // counter, every recovery record) and same per-round observation
 // stream — under every deterministic chaos kind alone and combined, on
-// a deterministic stack and on a randomised one whose per-node coins
-// must be drawn in the same order. The chaos timeline both replay is
+// a deterministic stack, on a randomised one whose per-node coins must
+// be drawn in the same order, and on the maxstep stack whose fault-free
+// rounds take the engine's full-column merge. The chaos timeline both replay is
 // pinned per seed by TestScheduleDeterministic.
 func TestEngineDifferential(t *testing.T) {
 	kindSets := [][]string{
@@ -62,7 +63,7 @@ func TestEngineDifferential(t *testing.T) {
 	stacks := []struct {
 		name string
 		f, c int
-	}{{"ecount", 1, 8}, {"randagree", 1, 2}}
+	}{{"ecount", 1, 8}, {"randagree", 1, 2}, {"maxstep", 0, 8}}
 	for _, stack := range stacks {
 		for _, kinds := range kindSets {
 			for _, seed := range []int64{7, 99} {
@@ -134,5 +135,57 @@ func TestEngineStallBehavioural(t *testing.T) {
 	}
 	if err := rep.CheckRecovery(declaredBound(t, a)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A peer stamped past the round being merged — reachable only through
+// a frame that authenticates with a later round — keeps its state when
+// a full column arrives, as the lockstep rule (accept a frame only if
+// it is no older than the newest accepted from its sender) demands:
+// the copy-free merge may run only when no peer is stamped past the
+// column.
+func TestNodeMergeKeepsNewerStamp(t *testing.T) {
+	rt, err := New(Config{Alg: buildAlg(t, "maxstep", 3, 0, 8), Seed: 1, Rounds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &nodeHandle{id: 0, ch: make(chan roundMsg, ctrlDepth+1), quit: make(chan struct{})}
+	state, rng, lastSeen := rt.incarnate(0, 0)
+	rt.wg.Add(1)
+	go rt.nodeLoop(h, state, rng, lastSeen, 0, 0)
+	defer rt.wg.Wait()
+	defer func() { h.ch <- roundMsg{poison: true} }()
+	broadcast := func() uint64 {
+		m := <-rt.sendCh
+		_, _, st, err := decodeFrame(m.frame, rt.n, rt.space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	deliver := func(m roundMsg) uint64 {
+		m.epoch.acquire()
+		h.ch <- m
+		return broadcast()
+	}
+	broadcast()
+
+	// Round 0: no column; peer 1's frame says round 5, state 7, so the
+	// node steps to (7+1) mod 8.
+	ep := newEpochArena(rt.n)
+	forged := appendFrame(nil, 1, 5, 7, rt.space)
+	if got := deliver(roundMsg{round: 0, epoch: ep, priv: []privItem{{raw: forged}}}); got != 0 {
+		t.Fatalf("round 0: node stepped to %d, want 0", got)
+	}
+
+	// Round 1: a full column of zeros. Peer 1's round-1 entry is older
+	// than its round-5 stamp and must be ignored: still (7+1) mod 8.
+	ep = newEpochArena(rt.n)
+	ep.full = true
+	for i := range ep.present {
+		ep.present[i] = true
+	}
+	if got := deliver(roundMsg{round: 1, epoch: ep}); got != 0 {
+		t.Fatalf("round 1: node stepped to %d, want 0 — the full column overwrote a peer stamped at a later round", got)
 	}
 }

@@ -55,8 +55,8 @@ func lockstep(t *testing.T, cfg Config) (*Report, []obs) {
 	rep := &Report{}
 	track := newTracker(a.C(), cfg.Window)
 	spawn := func(id, inc int) *lockstepNode {
-		state, rng, lastSeen, lastRound, heard := rt.incarnate(id, inc)
-		return &lockstepNode{state, rng, lastSeen, lastRound, heard}
+		state, rng, lastSeen := rt.incarnate(id, inc)
+		return &lockstepNode{state, rng, lastSeen, make([]uint64, n), make([]bool, n)}
 	}
 	nodes := make([]*lockstepNode, n)
 	for i := range nodes {

@@ -37,16 +37,14 @@ func nodeSeed(seed int64, node, inc int) int64 {
 // restart is exactly the transient fault — arbitrary memory, correct
 // behaviour from now on — that the self-stabilisation bound quantifies
 // over.
-func (rt *Runtime) incarnate(id, inc int) (alg.State, *rand.Rand, []alg.State, []uint64, []bool) {
+func (rt *Runtime) incarnate(id, inc int) (alg.State, *rand.Rand, []alg.State) {
 	rng := rand.New(rand.NewSource(nodeSeed(rt.cfg.Seed, id, inc)))
 	state := alg.UniformState(rng, rt.space)
 	lastSeen := make([]alg.State, rt.n)
-	lastRound := make([]uint64, rt.n)
-	heard := make([]bool, rt.n)
 	for i := range lastSeen {
 		lastSeen[i] = alg.UniformState(rng, rt.space)
 	}
-	return state, rng, lastSeen, lastRound, heard
+	return state, rng, lastSeen
 }
 
 // sleepOrQuit blocks for d unless the quit channel closes first.
@@ -62,15 +60,23 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 }
 
 // nodeLoop is one live node: an unmodified registry algorithm run as a
-// goroutine, one channel hop per round. It merges the shared decoded
-// base (minus its drops list) and its private patches — raw patch bytes
-// go through decodeFrame, and frames that fail it count as loss — into
-// its view of every peer (peers it has not heard from this round are
-// stepped on their last authenticated state), then steps, publishes to
-// its lock-free read cell, and eagerly broadcasts the next round's
-// frame into its one persistent buffer. The router is provably done
-// with the previous frame bytes before the handoff that triggers the
-// overwrite was delivered, so the buffer is reused without a copy.
+// goroutine, one channel hop per round. It merges the round's shared
+// broadcast column (minus its drops list) and its private patches — raw
+// patch bytes go through decodeFrame, and frames that fail it count as
+// loss — into its view of every peer (peers it has not heard from this
+// round are stepped on their last authenticated state), then steps on
+// that view in place, publishes to its lock-free read cell, and eagerly
+// broadcasts the next round's frame into its one persistent buffer. The
+// router is provably done with the previous frame bytes before the
+// handoff that triggers the overwrite was delivered, so the buffer is
+// reused without a copy.
+//
+// A peer's state is accepted when its frame's round is no older than
+// the newest already accepted from that peer. seen[p] stamps that round
+// as round+1 (0 = never heard); a merge of a full column stamps every
+// peer at once by raising floor instead, so the effective stamp is
+// max(seen[p], floor), and high bounds every stamp so far — a full
+// column may be copied wholesale only when no peer is stamped past it.
 //
 // The hot path runs on plain channel operations, no selects: shutdown
 // and crash arrive in-band as a poison roundMsg (the synchroniser's
@@ -82,55 +88,54 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 // consumes or discards it before the handoff that triggers the next),
 // so sendCh, sized 4n, cannot fill. h.quit only interrupts stall
 // sleeps.
-func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, lastRound []uint64, heard []bool, round uint64, stall time.Duration) {
+func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, round uint64, stall time.Duration) {
 	defer rt.wg.Done()
 	n, a, space := rt.n, rt.cfg.Alg, rt.space
-	recv := make([]alg.State, n)
+	seen := make([]uint64, n)
+	var floor, high uint64
 	buf := make([]byte, 0, frameSize)
 
+	accept := func(from int, rnd uint64, st alg.State) {
+		if t := rnd + 1; from != h.id && t >= seen[from] && t >= floor {
+			seen[from] = t
+			lastSeen[from] = st
+			high = max(high, t)
+		}
+	}
+
 	merge := func(m roundMsg) {
-		di := 0
-		for _, e := range m.base {
-			for di < len(m.drops) && m.drops[di] < e.from {
-				di++
-			}
-			if di < len(m.drops) && m.drops[di] == e.from {
-				continue
-			}
-			from := int(e.from)
-			if from == h.id {
-				continue
-			}
-			if !heard[from] || e.round >= lastRound[from] {
-				heard[from] = true
-				lastRound[from] = e.round
-				lastSeen[from] = e.state
+		ep, t := m.epoch, m.round+1
+		if ep.full && len(m.drops) == 0 && high <= t {
+			copy(lastSeen, ep.column)
+			floor, high = t, t
+		} else {
+			// The router lists only present senders in drops, in
+			// ascending order, so one cursor walks both.
+			di := 0
+			for s, ok := range ep.present {
+				if !ok {
+					continue
+				}
+				if di < len(m.drops) && int(m.drops[di]) == s {
+					di++
+					continue
+				}
+				accept(s, m.round, ep.column[s])
 			}
 		}
 		for _, p := range m.priv {
-			var from int
-			var rnd uint64
-			var st alg.State
-			if p.raw != nil {
-				var err error
-				from, rnd, st, err = decodeFrame(p.raw, n, space)
-				if err != nil {
-					// Untrusted bytes that fail validation are loss, not
-					// a crash: count loudly, step on the last good state.
-					rt.decodeErrors.Add(1)
-					continue
-				}
-			} else {
-				from, rnd, st = int(p.entry.from), p.entry.round, p.entry.state
-			}
-			if from == h.id {
+			if p.raw == nil {
+				accept(int(p.entry.from), p.entry.round, p.entry.state)
 				continue
 			}
-			if !heard[from] || rnd >= lastRound[from] {
-				heard[from] = true
-				lastRound[from] = rnd
-				lastSeen[from] = st
+			from, rnd, st, err := decodeFrame(p.raw, n, space)
+			if err != nil {
+				// Untrusted bytes that fail validation are loss, not
+				// a crash: count loudly, step on the last good state.
+				rt.decodeErrors.Add(1)
+				continue
 			}
+			accept(from, rnd, st)
 		}
 	}
 
@@ -178,9 +183,8 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 		if final {
 			return
 		}
-		copy(recv, lastSeen)
-		recv[h.id] = state
-		state = a.Step(h.id, recv, rng)
+		lastSeen[h.id] = state
+		state = a.Step(h.id, lastSeen, rng)
 		send()
 		if poisoned {
 			return
@@ -192,7 +196,7 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 // boot, the restart round after a crash). The node publishes and
 // broadcasts its arbitrary initial state immediately.
 func (rt *Runtime) spawn(id, inc int, firstRound uint64, stall time.Duration) *nodeHandle {
-	state, rng, lastSeen, lastRound, heard := rt.incarnate(id, inc)
+	state, rng, lastSeen := rt.incarnate(id, inc)
 	h := &nodeHandle{
 		id:   id,
 		inc:  inc,
@@ -200,6 +204,6 @@ func (rt *Runtime) spawn(id, inc int, firstRound uint64, stall time.Duration) *n
 		quit: make(chan struct{}),
 	}
 	rt.wg.Add(1)
-	go rt.nodeLoop(h, state, rng, lastSeen, lastRound, heard, firstRound, stall)
+	go rt.nodeLoop(h, state, rng, lastSeen, firstRound, stall)
 	return h
 }
