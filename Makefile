@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 21
+PR ?= 24
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -26,6 +26,9 @@ MIN_SPEEDUP ?= 0
 # binary is absent locally (the repo never installs tools on your
 # behalf) while CI always installs this exact version.
 STATICCHECK_VERSION ?= 2024.1.1
+
+# The live-engine tests live-smoke repeats at GOMAXPROCS 1, 2 and 4.
+LIVE_INTERLEAVE_TESTS = TestEngineDifferential|TestStragglerTimesOutAndRejoins|TestCrashedNodeRevivesCleanly|TestFullQuorumTimeoutAborts|TestEngineStallBehavioural|TestLateFrameCountedStaleOnceNeverRead|TestCrashRestartAdjacentRounds|TestStallAcrossCrashShutsDown
 
 .PHONY: build test race bench bench-test bench-json bench-smoke bench-diff fuzz-smoke shard-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
 
@@ -196,9 +199,12 @@ kernel-race-smoke:
 	$(GO) test -race -short -run '^Test(Kernel|Bitslice)' ./internal/sim
 	$(GO) test -race -run 'SlicedMatches' ./internal/counter
 
-# Live-runtime gate: the package suite under the race detector, then
-# two seeded soaks on one race-instrumented synchcount binary, each run
-# twice from the same seed: the ecount n=32 f=3 soak stack (crash/restart
+# Live-runtime gate: the package suite under the race detector; the
+# synchroniser's barrier tests again at GOMAXPROCS 1, 2 and 4 (set
+# through the test's -cpu flag), so the arrival gate and slot stamps
+# race under each scheduler shape; then two seeded soaks on one
+# race-instrumented synchcount binary, each run twice from the same
+# seed: the ecount n=32 f=3 soak stack (crash/restart
 # plus a partition per burst) and the live-engine benchmark's maxstep
 # n=128 stack under every deterministic chaos kind, whose fault-free
 # rounds take the engine's full-column merge. The PASS verdict (exit
@@ -211,6 +217,7 @@ kernel-race-smoke:
 # under the race detector.
 live-smoke:
 	$(GO) test -race ./internal/live
+	$(GO) test -race -cpu 1,2,4 -run '$(LIVE_INTERLEAVE_TESTS)' ./internal/live
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	sc=$$tmp/synchcount; \
 	soak() { \

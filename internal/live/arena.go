@@ -7,22 +7,28 @@ import (
 )
 
 // epochArena owns every slice the round engine hands to node
-// goroutines for one round: the shared broadcast column, the
-// per-receiver skip and patch lists carved for chaos-touched receivers,
-// and the frame-size byte buffers backing corrupted and delayed frames.
+// goroutines for one round: the per-receiver handoff messages, the
+// shared broadcast column, the per-receiver skip and patch lists carved
+// for chaos-touched receivers, and the frame-size byte buffers backing
+// corrupted and delayed frames.
 // One arena is live per in-flight round; a ring of them (arenaRing)
 // recycles the storage once every round that could still reference it —
 // bounded by the schedule's maximum delay window — has completed, so a
 // fault-free round allocates nothing once the ring is warm.
 //
-// Ownership rule: every slice inside a roundMsg points into the
+// Ownership rule: a roundMsg and every slice inside it point into the
 // message's epoch. A node goroutine releases the epoch exactly once per
 // received message (after merging it, or when discarding it as stale),
 // and the ring refuses to reset an epoch that still has outstanding
 // references — a straggler sleeping on an old round keeps its bytes
 // alive while the ring swaps in a fresh arena for the new round.
 type epochArena struct {
+	// refs counts the outstanding node references. Every receiver
+	// releases it once per round, so it sits on its own cache line,
+	// away from the fields the receivers read.
+	_    [64]byte
 	refs atomic.Int64
+	_    [56]byte
 
 	// The shared broadcast column, built once per round: column[s] is
 	// sender s's decoded state when present[s], and full reports that
@@ -30,6 +36,8 @@ type epochArena struct {
 	column  []alg.State
 	present []bool
 	full    bool
+
+	msgs []roundMsg // msgs[v] is receiver v's handoff, sent as a pointer
 
 	drops []int32    // per-receiver skip lists, carved sequentially
 	priv  []privItem // per-receiver patch lists, carved sequentially
@@ -39,7 +47,7 @@ type epochArena struct {
 
 // newEpochArena returns an empty arena for an n-node network.
 func newEpochArena(n int) *epochArena {
-	return &epochArena{column: make([]alg.State, n), present: make([]bool, n)}
+	return &epochArena{column: make([]alg.State, n), present: make([]bool, n), msgs: make([]roundMsg, n)}
 }
 
 // reset recycles the arena for a new round. Growth may have relocated
@@ -73,9 +81,9 @@ func (a *epochArena) corrupt(fr []byte, word, space uint64) []byte {
 	return out
 }
 
-// acquire/release track one outstanding node reference to the epoch.
-func (a *epochArena) acquire() { a.refs.Add(1) }
-func (a *epochArena) release() { a.refs.Add(-1) }
+// acquire takes k node references to the epoch; release drops one.
+func (a *epochArena) acquire(k int) { a.refs.Add(int64(k)) }
+func (a *epochArena) release()      { a.refs.Add(-1) }
 
 // arenaRing cycles depth epochs so that an arena is only reset once
 // every round that may still hold references into it — the current

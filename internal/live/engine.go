@@ -3,7 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/synchcount/synchcount/internal/alg"
@@ -30,12 +30,18 @@ import (
 //     epochArena and is recycled once the rounds that could still hold
 //     it (bounded by the schedule's max delay) have retired, so a
 //     fault-free round allocates nothing.
-//  3. One handoff per node per round: the node's send doubles as the
-//     previous round's done marker (it can only send round r+1 after
-//     merging round r), so the synchroniser delivers one roundMsg and
-//     collects one sendMsg per node per round, with non-blocking
-//     handoffs, a per-round deadline, and stragglers rejoining at the
-//     newest round.
+//  3. One wake-up per round: each node incarnation writes its
+//     broadcast into its own slot and commits it with one CAS on the
+//     slot's stamp; the send doubles as the previous round's done
+//     marker (a node can only send round r+1 after merging round r).
+//     A per-round arrival gate counts the commits, and the arrival
+//     that completes the expected count wakes the synchroniser through
+//     a one-slot channel — the only collect-side wake-up of a healthy
+//     round. The synchroniser then reads the slots in place. Delivery
+//     is one pointer-sized token per node into the round's epoch. A
+//     per-round deadline closes the slots still open, so a straggler's
+//     late frame is counted stale and never read, and stragglers
+//     rejoin at the newest round.
 //  4. Dense broadcast column: the memo's output is one per-sender state
 //     vector in the epoch plus a presence record, admitting only frames
 //     stamped with the collected round, so every memoised entry carries
@@ -64,30 +70,127 @@ type privItem struct {
 
 // roundMsg is the per-round handoff from the synchroniser to a node:
 // this receiver's patches and the epoch owning every slice in the
-// message, whose broadcast column is the round's shared base. The
-// receiver releases the epoch exactly once.
+// message, whose broadcast column is the round's shared base. It lives
+// in the epoch (epochArena.msgs) and travels as a pointer; the receiver
+// reads it and releases the epoch exactly once.
 //
-// A poison message (all other fields zero) is the in-band shutdown and
-// crash signal: it lets the node's receive be a plain channel operation
-// instead of a select, and FIFO ordering makes crash accounting exact —
-// handoffs delivered before the poison are processed, nothing after it
-// is. The handoff path keeps one channel slot free (the len guard in
-// the delivery loop), so the single poison send can never block.
+// A nil pointer is the in-band shutdown and crash signal (poison): it
+// lets the node's receive be a plain channel operation instead of a
+// select, and FIFO ordering makes crash accounting exact — handoffs
+// delivered before the poison are processed, nothing after it is. The
+// handoff path keeps one channel slot free (the len guard in the
+// delivery loop), so the single poison send can never block.
 type roundMsg struct {
-	round  uint64
-	stall  time.Duration
-	final  bool
-	poison bool
-	drops  []int32
-	priv   []privItem
-	epoch  *epochArena
+	round uint64
+	stall time.Duration
+	final bool
+	drops []int32
+	priv  []privItem
+	epoch *epochArena
 }
 
-// nodeHandle is the synchroniser's view of one node incarnation.
+// Slot stamp states. A node incarnation's broadcast slot is stamped
+// with (round, state), the round in the high bits: the synchroniser
+// opens it for a round with the handoff before it (or at spawn), the
+// node commits its frame by moving it from open to arrived, and the
+// synchroniser closes it when the round's deadline wins that race, or
+// kills it when the schedule crashes the incarnation. Rounds only grow
+// per incarnation, so a frame can be committed only to the round the
+// slot is open for.
+const (
+	slotOpen uint64 = iota
+	slotArrived
+	slotClosed
+	slotDead
+)
+
+func stamp(round, state uint64) uint64 { return round<<2 | state }
+
+// nodeHandle is one node incarnation: the synchroniser's handoff
+// channel and quit signal, and the broadcast slot the node fills. Each
+// incarnation has its own slot, so a crashed incarnation's late writes
+// never touch its successor's.
 type nodeHandle struct {
-	id, inc int
-	ch      chan roundMsg
-	quit    chan struct{}
+	id   int
+	ch   chan *roundMsg
+	quit chan struct{}
+
+	// The slot. The node writes out and frame, then commits them with
+	// its stamp CAS; the synchroniser reads them only for a round the
+	// stamp shows arrived, before it delivers that round — so the node's
+	// next write, which needs that delivery, cannot overlap the read.
+	stamp atomic.Uint64
+	out   int
+	frame []byte
+}
+
+// The arrival gate packs the open round's low 32 bits (high half) with
+// its arrival count (low half). The count starts at gateBias and gains
+// one per committed frame; the synchroniser subtracts the expected
+// count once it is known, so the count reaches exactly gateBias once
+// every expected frame has landed, and whichever side takes it there
+// knows the round is complete. The bias keeps the low half from ever
+// borrowing from the round tag.
+const gateBias = 1 << 31
+
+func gateWord(round uint64, count uint32) uint64 { return round<<32 | uint64(count) }
+
+// openGate opens the round's arrival gate. It runs before the first
+// handoff that lets a node send that round.
+func (rt *Runtime) openGate(round uint64) { rt.gate.Store(gateWord(round, gateBias)) }
+
+// arrive commits the node's slot, already written, for the round. A
+// frame whose slot is no longer open for it is late — its round closed,
+// or the handoff that would have opened it was dropped — and counts as
+// stale, except a crashed incarnation's pipelined send for its crash
+// round, an artefact of the pipeline (the node was dead that round).
+// The arrival that completes the round's expected count wakes the
+// synchroniser; wake has one slot and each round completes at most
+// once, and the synchroniser drains the token of every round that
+// completes, so that send never blocks.
+func (rt *Runtime) arrive(h *nodeHandle, round uint64) {
+	if !h.stamp.CompareAndSwap(stamp(round, slotOpen), stamp(round, slotArrived)) {
+		if h.stamp.Load() != stamp(round, slotDead) {
+			rt.staleMessages.Add(1)
+		}
+		return
+	}
+	for {
+		g := rt.gate.Load()
+		if uint32(g>>32) != uint32(round) {
+			return // a later round's gate: the stamp already counts this frame
+		}
+		if rt.gate.CompareAndSwap(g, g+1) {
+			if uint32(g)+1 == gateBias {
+				rt.wake <- struct{}{}
+			}
+			return
+		}
+	}
+}
+
+// expectArrivals posts the round's expected arrival count to its gate
+// and reports whether every expected frame has already landed, in which
+// case no wake-up follows.
+func (rt *Runtime) expectArrivals(expected int) bool {
+	return uint32(rt.gate.Add(-uint64(expected))) == gateBias
+}
+
+// closeGate shuts the round's gate after its deadline and reports
+// whether the last expected frame landed first after all, in which case
+// its wake token is drained. A closed gate's count restarts at zero, so
+// a late arrival can never complete it.
+func (rt *Runtime) closeGate(round uint64) bool {
+	for {
+		g := rt.gate.Load()
+		if uint32(g) == gateBias {
+			<-rt.wake
+			return true
+		}
+		if rt.gate.CompareAndSwap(g, gateWord(round, 0)) {
+			return false
+		}
+	}
 }
 
 // heldEntry is a delayed delivery waiting in the held ring. Raw bytes
@@ -109,6 +212,38 @@ func rearm(t *time.Timer, d time.Duration) {
 		}
 	}
 	t.Reset(d)
+}
+
+// collect waits until the round's arrivals — the expected nodes' frames
+// plus any crashed incarnation's committed artefact — have landed, or
+// the round deadline passes, and marks in have the expected nodes whose
+// frame landed in time, returning their count. The synchroniser parks
+// at most once, until the completing arrival wakes it; the deadline
+// timer is armed only when the round has to wait. After a deadline the
+// slots still open are closed, so their frames count as late.
+func (rt *Runtime) collect(ctx context.Context, timer *time.Timer, round uint64, handles []*nodeHandle, expect, have []bool, arrivals int) (int, error) {
+	complete := rt.expectArrivals(arrivals)
+	if !complete {
+		rearm(timer, rt.timeout)
+		select {
+		case <-rt.wake:
+			complete = true
+		case <-timer.C:
+			complete = rt.closeGate(round)
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
+	onTime := 0
+	for i, h := range handles {
+		// A slot that refuses the close has arrived.
+		have[i] = h != nil && expect[i] &&
+			(complete || !h.stamp.CompareAndSwap(stamp(round, slotOpen), stamp(round, slotClosed)))
+		if have[i] {
+			onTime++
+		}
+	}
+	return onTime, nil
 }
 
 // run drives the network with the round engine. Chaos decisions are
@@ -151,6 +286,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 
 	handles := make([]*nodeHandle, rt.n)
 	stallsAt(0)
+	rt.openGate(0)
 	for i := range handles {
 		handles[i] = rt.spawn(i, 0, 0, stallFor[i])
 	}
@@ -158,35 +294,27 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		for _, h := range handles {
 			if h != nil {
 				close(h.quit)
-				h.ch <- roundMsg{poison: true}
+				h.ch <- nil
 			}
 		}
 		rt.wg.Wait()
 		rep.DecodeErrors = rt.decodeErrors.Load()
 		rep.StaleBatches = rt.staleBatches.Load()
+		rep.StaleMessages = rt.staleMessages.Load()
 	}()
 
 	var (
-		gotSend  = make([]sendMsg, rt.n)
-		haveSend = make([]bool, rt.n)
 		// expect marks nodes whose previous-round handoff was delivered
-		// (or that were just spawned): exactly the nodes whose send the
-		// collect phase waits for.
+		// (or that were just spawned): exactly the nodes whose slot is
+		// open for the round and whose frame the collect phase waits
+		// for. have marks the ones whose frame landed in time.
 		expect = make([]bool, rt.n)
-		// deadInc/deadRound tombstone the last crash per node: a crashed
-		// node's pipelined eager send for the crash round is an artefact
-		// of the pipeline (the node was dead for that round), so it is
-		// discarded without counting.
-		deadInc   = make([]int, rt.n)
-		deadRound = make([]uint64, rt.n)
+		have   = make([]bool, rt.n)
 
 		scratchDrops = make([][]int32, rt.n)
 		scratchPriv  = make([][]privItem, rt.n)
 		windows      []*Window
 	)
-	for i := range deadInc {
-		deadInc[i] = -1
-	}
 	for i := range expect {
 		expect[i] = true
 	}
@@ -211,17 +339,22 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		// Node-level chaos fires at the round boundary, in schedule
 		// order. stallFor still holds
 		// this round's stalls (loaded during the previous delivery
-		// phase), which restart spawns consume.
+		// phase), which restart spawns consume. A crash kills the
+		// incarnation's slot; if the incarnation's pipelined send for
+		// this round already committed, that arrival is on the gate,
+		// so the collect below waits for it too but never reads it.
+		artefacts := 0
 		if sched != nil {
 			for _, ev := range sched.eventsAt(round) {
 				switch ev.Kind {
 				case EventCrash:
 					if h := handles[ev.Node]; h != nil {
+						if h.stamp.Swap(stamp(round, slotDead)) == stamp(round, slotArrived) {
+							artefacts++
+						}
 						close(h.quit)
-						h.ch <- roundMsg{poison: true}
+						h.ch <- nil
 						handles[ev.Node] = nil
-						deadInc[ev.Node] = h.inc
-						deadRound[ev.Node] = round
 						rep.Crashes++
 						track.fault(round, ev.Burst)
 					}
@@ -250,7 +383,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 			return track.finish(rep, start), fmt.Errorf("live: round %d: no live nodes remain — the schedule crashed the whole network", round)
 		}
 
-		// Collect this round's broadcasts: one message per node whose
+		// Collect this round's broadcasts: one frame per node whose
 		// handoff (or spawn) landed — the send doubles as the previous
 		// round's done marker.
 		expected := 0
@@ -262,61 +395,9 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		if expected == 0 {
 			return track.finish(rep, start), fmt.Errorf("live: round %d: all %d live nodes have fallen more than %d rounds behind the synchroniser", round, liveCount, ctrlDepth)
 		}
-		for i := range haveSend {
-			haveSend[i] = false
-		}
-		onTime := 0
-		armed := false
-	collect:
-		for onTime < expected {
-			// Fast path: in steady state the next send is already queued,
-			// and a non-blocking receive is far cheaper than arming the
-			// three-way select. On a miss, yield once — the senders are
-			// typically runnable and one scheduler pass away, and letting
-			// them flush as a batch avoids a park/unpark ping-pong per
-			// message (a send to a parked receiver would re-run this loop
-			// after every single frame).
-			var m sendMsg
-			got := false
-			select {
-			case m = <-rt.sendCh:
-				got = true
-			default:
-				runtime.Gosched()
-				select {
-				case m = <-rt.sendCh:
-					got = true
-				default:
-				}
-			}
-			if !got {
-				// The deadline timer is armed lazily, on the first real
-				// park of the round: the fast path never pays the timer
-				// locks, and in a healthy round the timer is never armed
-				// at all. The deadline still bounds every slow round.
-				if !armed {
-					rearm(timer, rt.timeout)
-					armed = true
-				}
-				select {
-				case m = <-rt.sendCh:
-				case <-timer.C:
-					break collect
-				case <-ctx.Done():
-					return track.finish(rep, start), ctx.Err()
-				}
-			}
-			h := handles[m.node]
-			switch {
-			case h != nil && m.inc == h.inc && m.round == round && !haveSend[m.node]:
-				gotSend[m.node] = m
-				haveSend[m.node] = true
-				onTime++
-			case m.inc == deadInc[m.node] && m.round == deadRound[m.node]:
-				// Crash-round artefact of the pipeline; see tombstone.
-			default:
-				rep.StaleMessages++
-			}
+		onTime, err := rt.collect(ctx, timer, round, handles, expect, have, expected+artefacts)
+		if err != nil {
+			return track.finish(rep, start), err
 		}
 		rep.TimedOutRounds += uint64(expected - onTime)
 		if onTime == 0 {
@@ -326,13 +407,13 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		// Observe the start-of-round outputs of the on-time live nodes.
 		agree := true
 		common := -1
-		for i := 0; i < rt.n; i++ {
-			if !haveSend[i] {
+		for i, h := range handles {
+			if !have[i] {
 				continue
 			}
 			if common == -1 {
-				common = gotSend[i].out
-			} else if gotSend[i].out != common {
+				common = h.out
+			} else if h.out != common {
 				agree = false
 			}
 		}
@@ -349,12 +430,12 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		// instead, so each receiver still accounts its own decode.
 		anyBad := false
 		ep.full = true
-		for s := 0; s < rt.n; s++ {
-			if !haveSend[s] {
+		for s, h := range handles {
+			if !have[s] {
 				ep.full = false
 				continue
 			}
-			if from, rnd, st, err := decodeFrame(gotSend[s].frame, rt.n, rt.space); err == nil && from == s && rnd == round {
+			if from, rnd, st, err := decodeFrame(h.frame, rt.n, rt.space); err == nil && from == s && rnd == round {
 				ep.column[s] = st
 				ep.present[s] = true
 			} else {
@@ -379,13 +460,13 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		if len(windows) > 0 || anyBad {
 			for s := 0; s < rt.n; s++ {
 				memo := ep.present[s]
-				if !haveSend[s] || (memo && len(windows) == 0) {
+				if !have[s] || (memo && len(windows) == 0) {
 					continue
 				}
 				// A raw-routed frame is copied into the epoch once: the
-				// sender reuses its buffer next round, receivers may
-				// read the patch later than that.
-				base0 := gotSend[s].frame
+				// sender reuses its slot next round, receivers may read
+				// the patch later than that.
+				base0 := handles[s].frame
 				if !memo {
 					c := ep.grab()
 					copy(c, base0)
@@ -490,17 +571,34 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 			track.fault(round, interferedBurst)
 		}
 
-		// Deliver the round handoffs. Patch scratch is copied into the
-		// epoch so every slice a node sees shares the epoch's lifetime;
-		// next round's stalls ride along (loaded here, consumed above by
-		// restart spawns too).
+		// Deliver the round handoffs. Each message is written into the
+		// epoch and its patch scratch copied there, so every slice a node
+		// sees shares the epoch's lifetime; next round's stalls ride along
+		// (loaded here, consumed above by restart spawns too). The next
+		// round's gate opens first, and each slot just before its
+		// handoff: a node may send the next round as soon as its token
+		// lands.
 		stallsAt(round + 1)
 		final := round+1 == rt.horizon
+		rt.openGate(round + 1)
+		ep.acquire(liveCount)
 		for v, h := range handles {
 			if h == nil {
 				continue
 			}
-			msg := roundMsg{
+			// The len guard replaces a non-blocking select: this loop is
+			// the channel's only sender, so the occupancy it reads can
+			// only shrink underneath it, and a plain send below the cap
+			// never blocks. Stopping one short of capacity reserves the
+			// last slot for the poison message.
+			if len(h.ch) >= ctrlDepth {
+				rep.ControlDrops++
+				expect[v] = false
+				ep.release()
+				continue
+			}
+			msg := &ep.msgs[v]
+			*msg = roundMsg{
 				round: round,
 				stall: stallFor[v],
 				final: final,
@@ -516,17 +614,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 				ep.priv = append(ep.priv, p...)
 				msg.priv = ep.priv[lo:len(ep.priv):len(ep.priv)]
 			}
-			// The len guard replaces a non-blocking select: this loop is
-			// the channel's only sender, so the occupancy it reads can
-			// only shrink underneath it, and a plain send below the cap
-			// never blocks. Stopping one short of capacity reserves the
-			// last slot for the poison message.
-			if len(h.ch) >= ctrlDepth {
-				rep.ControlDrops++
-				expect[v] = false
-				continue
-			}
-			ep.acquire()
+			h.stamp.Store(stamp(round+1, slotOpen))
 			h.ch <- msg
 			expect[v] = true
 		}

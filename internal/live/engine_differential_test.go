@@ -149,22 +149,29 @@ func TestNodeMergeKeepsNewerStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &nodeHandle{id: 0, ch: make(chan roundMsg, ctrlDepth+1), quit: make(chan struct{})}
+	rt.openGate(0)
+	h := newNodeHandle(0, 0)
 	state, rng, lastSeen := rt.incarnate(0, 0)
 	rt.wg.Add(1)
 	go rt.nodeLoop(h, state, rng, lastSeen, 0, 0)
 	defer rt.wg.Wait()
-	defer func() { h.ch <- roundMsg{poison: true} }()
+	defer func() { h.ch <- nil }()
+	// broadcast waits for the node's frame for the round, as the
+	// synchroniser's collect does, and decodes it.
 	broadcast := func() uint64 {
-		m := <-rt.sendCh
-		_, _, st, err := decodeFrame(m.frame, rt.n, rt.space)
+		if !rt.expectArrivals(1) {
+			<-rt.wake
+		}
+		_, _, st, err := decodeFrame(h.frame, rt.n, rt.space)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	deliver := func(m roundMsg) uint64 {
-		m.epoch.acquire()
+	deliver := func(m *roundMsg) uint64 {
+		rt.openGate(m.round + 1)
+		m.epoch.acquire(1)
+		h.stamp.Store(stamp(m.round+1, slotOpen))
 		h.ch <- m
 		return broadcast()
 	}
@@ -174,7 +181,7 @@ func TestNodeMergeKeepsNewerStamp(t *testing.T) {
 	// node steps to (7+1) mod 8.
 	ep := newEpochArena(rt.n)
 	forged := appendFrame(nil, 1, 5, 7, rt.space)
-	if got := deliver(roundMsg{round: 0, epoch: ep, priv: []privItem{{raw: forged}}}); got != 0 {
+	if got := deliver(&roundMsg{round: 0, epoch: ep, priv: []privItem{{raw: forged}}}); got != 0 {
 		t.Fatalf("round 0: node stepped to %d, want 0", got)
 	}
 
@@ -185,7 +192,7 @@ func TestNodeMergeKeepsNewerStamp(t *testing.T) {
 	for i := range ep.present {
 		ep.present[i] = true
 	}
-	if got := deliver(roundMsg{round: 1, epoch: ep}); got != 0 {
+	if got := deliver(&roundMsg{round: 1, epoch: ep}); got != 0 {
 		t.Fatalf("round 1: node stepped to %d, want 0 — the full column overwrote a peer stamped at a later round", got)
 	}
 }

@@ -91,11 +91,17 @@ type Runtime struct {
 
 	cells []ReadCell
 
-	// Shared with node goroutines.
-	sendCh       chan sendMsg
-	wg           sync.WaitGroup
-	decodeErrors atomic.Uint64
-	staleBatches atomic.Uint64
+	// Shared with node goroutines. gate is the open round's arrival
+	// gate (see gateWord): nodes count their committed frames on it, and
+	// the one whose frame completes the round sends the single token on
+	// wake that the synchroniser parks on. The counters are written by
+	// nodes and read once every node has exited.
+	gate          atomic.Uint64
+	wake          chan struct{}
+	wg            sync.WaitGroup
+	decodeErrors  atomic.Uint64
+	staleBatches  atomic.Uint64
+	staleMessages atomic.Uint64
 
 	running atomic.Bool
 }
@@ -144,7 +150,7 @@ func New(cfg Config) (*Runtime, error) {
 		horizon:  horizon,
 		maxDelay: maxDelay,
 		cells:    make([]ReadCell, n),
-		sendCh:   make(chan sendMsg, 4*n),
+		wake:     make(chan struct{}, 1),
 	}, nil
 }
 

@@ -7,16 +7,6 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// sendMsg is a node's broadcast for one round, collected by the
-// synchroniser: it doubles as the node's done marker for the round
-// before.
-type sendMsg struct {
-	node, inc int
-	round     uint64
-	out       int
-	frame     []byte
-}
-
 // ctrlDepth is the control-channel backlog a straggler may accumulate
 // before the synchroniser starts dropping its handoffs.
 const ctrlDepth = 8
@@ -60,16 +50,16 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 }
 
 // nodeLoop is one live node: an unmodified registry algorithm run as a
-// goroutine, one channel hop per round. It merges the round's shared
+// goroutine, one handoff token per round. It merges the round's shared
 // broadcast column (minus its drops list) and its private patches — raw
 // patch bytes go through decodeFrame, and frames that fail it count as
 // loss — into its view of every peer (peers it has not heard from this
 // round are stepped on their last authenticated state), then steps on
 // that view in place, publishes to its lock-free read cell, and eagerly
-// broadcasts the next round's frame into its one persistent buffer. The
-// router is provably done with the previous frame bytes before the
-// handoff that triggers the overwrite was delivered, so the buffer is
-// reused without a copy.
+// writes the next round's frame into its slot and commits it (arrive).
+// The synchroniser has read the slot for the previous round before it
+// delivered the handoff that triggers the overwrite, so the slot's
+// buffer is reused without a copy.
 //
 // A peer's state is accepted when its frame's round is no older than
 // the newest already accepted from that peer. seen[p] stamps that round
@@ -79,21 +69,18 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 // column may be copied wholesale only when no peer is stamped past it.
 //
 // The hot path runs on plain channel operations, no selects: shutdown
-// and crash arrive in-band as a poison roundMsg (the synchroniser's
+// and crash arrive in-band as a nil (poison) token (the synchroniser's
 // len-guarded handoff keeps one slot free, so the poison send never
 // blocks), and FIFO order guarantees every handoff delivered before the
 // poison is processed first — the decode accounting a crash interrupts
-// is therefore deterministic. The broadcast send is plain too: each
-// incarnation has at most one frame in flight (the collect phase
-// consumes or discards it before the handoff that triggers the next),
-// so sendCh, sized 4n, cannot fill. h.quit only interrupts stall
-// sleeps.
+// is therefore deterministic. The commit never blocks either: it is two
+// CASes, plus a send on the one-slot wake channel for the arrival that
+// completes the round. h.quit only interrupts stall sleeps.
 func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, lastSeen []alg.State, round uint64, stall time.Duration) {
 	defer rt.wg.Done()
 	n, a, space := rt.n, rt.cfg.Alg, rt.space
 	seen := make([]uint64, n)
 	var floor, high uint64
-	buf := make([]byte, 0, frameSize)
 
 	accept := func(from int, rnd uint64, st alg.State) {
 		if t := rnd + 1; from != h.id && t >= seen[from] && t >= floor {
@@ -103,7 +90,7 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 		}
 	}
 
-	merge := func(m roundMsg) {
+	merge := func(m *roundMsg) {
 		ep, t := m.epoch, m.round+1
 		if ep.full && len(m.drops) == 0 && high <= t {
 			copy(lastSeen, ep.column)
@@ -140,10 +127,10 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 	}
 
 	send := func() {
-		out := a.Output(h.id, state)
-		rt.cells[h.id].publish(round, out)
-		buf = appendFrame(buf[:0], h.id, round, state, space)
-		rt.sendCh <- sendMsg{node: h.id, inc: h.inc, round: round, out: out, frame: buf}
+		h.out = a.Output(h.id, state)
+		rt.cells[h.id].publish(round, h.out)
+		h.frame = appendFrame(h.frame[:0], h.id, round, state, space)
+		rt.arrive(h, round)
 	}
 
 	if stall > 0 && !sleepOrQuit(h.quit, stall) {
@@ -152,16 +139,16 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 	send()
 	for {
 		m := <-h.ch
-		poisoned := m.poison
+		poisoned := m == nil
 		// Collapse any backlog: a straggler rejoins at the newest round
 		// instead of replaying rounds it already missed. A poison found
 		// behind the newest real handoff means crash: that handoff is
 		// still processed in full — its broadcast is the crash-round
-		// artefact the synchroniser's tombstone discards — so decode
+		// artefact, never read and never counted stale — so decode
 		// accounting stays deterministic.
 		for !poisoned && len(h.ch) > 0 {
 			m2 := <-h.ch
-			if m2.poison {
+			if m2 == nil {
 				poisoned = true
 				break
 			}
@@ -169,7 +156,7 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 			m.epoch.release()
 			m = m2
 		}
-		if m.poison {
+		if m == nil {
 			return
 		}
 		if m.stall > 0 && !sleepOrQuit(h.quit, m.stall) {
@@ -192,17 +179,26 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 	}
 }
 
+// newNodeHandle returns the handle of a node incarnation whose slot is
+// open for firstRound.
+func newNodeHandle(id int, firstRound uint64) *nodeHandle {
+	h := &nodeHandle{
+		id:    id,
+		ch:    make(chan *roundMsg, ctrlDepth+1), // +1: reserved poison slot
+		quit:  make(chan struct{}),
+		frame: make([]byte, 0, frameSize),
+	}
+	h.stamp.Store(stamp(firstRound, slotOpen))
+	return h
+}
+
 // spawn starts incarnation inc of a node, joining at firstRound (0 at
-// boot, the restart round after a crash). The node publishes and
-// broadcasts its arbitrary initial state immediately.
+// boot, the restart round after a crash), whose gate must be open. The
+// node publishes and broadcasts its arbitrary initial state
+// immediately.
 func (rt *Runtime) spawn(id, inc int, firstRound uint64, stall time.Duration) *nodeHandle {
 	state, rng, lastSeen := rt.incarnate(id, inc)
-	h := &nodeHandle{
-		id:   id,
-		inc:  inc,
-		ch:   make(chan roundMsg, ctrlDepth+1), // +1: reserved poison slot
-		quit: make(chan struct{}),
-	}
+	h := newNodeHandle(id, firstRound)
 	rt.wg.Add(1)
 	go rt.nodeLoop(h, state, rng, lastSeen, firstRound, stall)
 	return h
