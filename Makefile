@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 24
+PR ?= 25
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -28,7 +28,7 @@ MIN_SPEEDUP ?= 0
 STATICCHECK_VERSION ?= 2024.1.1
 
 # The live-engine tests live-smoke repeats at GOMAXPROCS 1, 2 and 4.
-LIVE_INTERLEAVE_TESTS = TestEngineDifferential|TestStragglerTimesOutAndRejoins|TestCrashedNodeRevivesCleanly|TestFullQuorumTimeoutAborts|TestEngineStallBehavioural|TestLateFrameCountedStaleOnceNeverRead|TestCrashRestartAdjacentRounds|TestStallAcrossCrashShutsDown
+LIVE_INTERLEAVE_TESTS = TestEngineDifferential|TestStragglerTimesOutAndRejoins|TestCrashedNodeRevivesCleanly|TestFullQuorumTimeoutAborts|TestEngineStallBehavioural|TestLateFrameCountedStaleOnceNeverRead|TestCrashRestartAdjacentRounds|TestStallAcrossCrashShutsDown|TestSharedStepEngages
 
 .PHONY: build test race bench bench-test bench-json bench-smoke bench-diff fuzz-smoke shard-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
 

@@ -219,8 +219,8 @@ func printReport(out io.Writer, rep *live.Report) {
 	}
 	fmt.Fprintf(out, "chaos hits  : %d crashes, %d restarts, %d stalls, %d dropped, %d corrupted, %d duplicated, %d delayed, %d partition-suppressed\n",
 		rep.Crashes, rep.Restarts, rep.Stalls, rep.Dropped, rep.Corrupted, rep.Duplicated, rep.Delayed, rep.Suppressed)
-	fmt.Fprintf(out, "health      : %d node-rounds past deadline, %d stale messages, %d stale batches, %d control drops, %d decode rejections, %d violations\n",
-		rep.TimedOutRounds, rep.StaleMessages, rep.StaleBatches, rep.ControlDrops, rep.DecodeErrors, rep.Violations)
+	fmt.Fprintf(out, "health      : %d node-rounds past deadline, %d stale messages, %d stale batches, %d control drops, %d decode rejections, %d violations, %d shared steps\n",
+		rep.TimedOutRounds, rep.StaleMessages, rep.StaleBatches, rep.ControlDrops, rep.DecodeErrors, rep.Violations, rep.SharedSteps)
 	if rep.BudgetExhausted {
 		fmt.Fprintf(out, "budget      : wall-clock budget exhausted before the scripted horizon\n")
 	}

@@ -9,8 +9,8 @@ import (
 // epochArena owns every slice the round engine hands to node
 // goroutines for one round: the per-receiver handoff messages, the
 // shared broadcast column, the per-receiver skip and patch lists carved
-// for chaos-touched receivers, and the frame-size byte buffers backing
-// corrupted and delayed frames.
+// for chaos-touched receivers, the round's shared step, and the
+// frame-size byte buffers backing corrupted and delayed frames.
 // One arena is live per in-flight round; a ring of them (arenaRing)
 // recycles the storage once every round that could still reference it —
 // bounded by the schedule's maximum delay window — has completed, so a
@@ -37,6 +37,11 @@ type epochArena struct {
 	present []bool
 	full    bool
 
+	// The round's shared step: when stepped, next[v] is what node v
+	// steps to on a view equal to the column (see Runtime.shared).
+	next    []alg.State
+	stepped bool
+
 	msgs []roundMsg // msgs[v] is receiver v's handoff, sent as a pointer
 
 	drops []int32    // per-receiver skip lists, carved sequentially
@@ -47,7 +52,12 @@ type epochArena struct {
 
 // newEpochArena returns an empty arena for an n-node network.
 func newEpochArena(n int) *epochArena {
-	return &epochArena{column: make([]alg.State, n), present: make([]bool, n), msgs: make([]roundMsg, n)}
+	return &epochArena{
+		column:  make([]alg.State, n),
+		present: make([]bool, n),
+		next:    make([]alg.State, n),
+		msgs:    make([]roundMsg, n),
+	}
 }
 
 // reset recycles the arena for a new round. Growth may have relocated
@@ -57,6 +67,7 @@ func newEpochArena(n int) *epochArena {
 func (a *epochArena) reset() {
 	clear(a.present)
 	a.full = false
+	a.stepped = false
 	a.drops = a.drops[:0]
 	a.priv = a.priv[:0]
 	a.used = 0

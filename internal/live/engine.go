@@ -11,7 +11,7 @@ import (
 
 // The round engine. Per round the synchroniser collects every live
 // node's broadcast, routes it through the chaos schedule and hands each
-// node one message to merge and step on. Four ideas keep it cheap
+// node one message to merge and step on. Five ideas keep it cheap
 // while the protocol it implements stays the plain lockstep reading in
 // lockstep_test.go, which the differential suite pins it to byte for
 // byte:
@@ -50,6 +50,15 @@ import (
 //     view and one round stamp, and it steps on that view in place;
 //     otherwise it walks the same column past absent and dropped
 //     senders before applying its private patches.
+//  5. Shared round step: every receiver that merges a full column
+//     untouched holds the same view, the column itself, so for a
+//     deterministic alg.BatchStepper the synchroniser steps that view
+//     once per round — StepAll over the column with no faulty senders —
+//     into the epoch, and each such receiver takes its own entry
+//     instead of calling Step. It is a memo of the same function, like
+//     the decode memo: chaos-touched receivers, randomised stacks
+//     (whose per-node coin order the contract pins) and algorithms
+//     without a batch step still step themselves.
 
 // wireEntry is one router-decoded broadcast carried as a private
 // patch: a clean duplicate or a delayed delivery.
@@ -301,6 +310,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		rep.DecodeErrors = rt.decodeErrors.Load()
 		rep.StaleBatches = rt.staleBatches.Load()
 		rep.StaleMessages = rt.staleMessages.Load()
+		rep.SharedSteps = rt.sharedSteps.Load()
 	}()
 
 	var (
@@ -569,6 +579,19 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		}
 		if interferedBurst >= 0 {
 			track.fault(round, interferedBurst)
+		}
+
+		// Shared step: a full column with at least one receiver that has
+		// neither drops nor private patches is stepped once here, and
+		// every such receiver takes its entry (nodeLoop).
+		if rt.shared != nil && ep.full {
+			for v := range handles {
+				if len(scratchDrops[v]) == 0 && len(scratchPriv[v]) == 0 {
+					rt.shared.StepAll(ep.next, ep.column, rt.cleanRound, rt.noCoins)
+					ep.stepped = true
+					break
+				}
+			}
 		}
 
 		// Deliver the round handoffs. Each message is written into the

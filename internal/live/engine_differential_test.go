@@ -8,22 +8,32 @@ import (
 	"time"
 )
 
-// diffCase builds one seeded n=8 soak: the algorithm, the schedule and
-// the confirmation window.
-func diffCase(t *testing.T, name string, f, c int, seed int64, kinds []string) Config {
+// diffCase builds one seeded n-node soak: the algorithm, the schedule
+// and the confirmation window.
+func diffCase(t *testing.T, name string, n, f, c int, seed int64, kinds []string) Config {
 	t.Helper()
-	cfg, window := soakConfig(seed, kinds)
+	cfg, window := soakConfig(seed, n, kinds)
 	sched, err := NewSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Alg: buildAlg(t, name, 8, f, c), Seed: seed, Window: window, Schedule: sched}
+	return Config{Alg: buildAlg(t, name, n, f, c), Seed: seed, Window: window, Schedule: sched}
 }
 
 // runRuntime soaks the configuration on the concurrent runtime and
-// returns the report (wall-clock fields zeroed) plus the per-round
+// returns the report (wall-clock fields and the shared-step count,
+// which the lockstep model has no notion of, zeroed) plus the per-round
 // observation stream.
 func runRuntime(t *testing.T, cfg Config) (*Report, []obs) {
+	t.Helper()
+	rep, trace := soakRuntime(t, cfg)
+	rep.Elapsed, rep.RoundsPerSec, rep.SharedSteps = 0, 0, 0
+	return rep, trace
+}
+
+// soakRuntime runs the configuration on the concurrent runtime and
+// returns its full report plus the per-round observation stream.
+func soakRuntime(t *testing.T, cfg Config) (*Report, []obs) {
 	t.Helper()
 	var trace []obs
 	cfg.OnRound = func(round uint64, agree bool, common, onTime int) {
@@ -37,7 +47,6 @@ func runRuntime(t *testing.T, cfg Config) (*Report, []obs) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Elapsed, rep.RoundsPerSec = 0, 0
 	return rep, trace
 }
 
@@ -47,7 +56,9 @@ func runRuntime(t *testing.T, cfg Config) (*Report, []obs) {
 // stream — under every deterministic chaos kind alone and combined, on
 // a deterministic stack, on a randomised one whose per-node coins must
 // be drawn in the same order, and on the maxstep stack whose fault-free
-// rounds take the engine's full-column merge. The chaos timeline both replay is
+// rounds take the engine's full-column merge. The ecount, corollary1
+// (boost) and maxstep stacks cover every kind of deterministic batch
+// step the shared round step runs. The chaos timeline both replay is
 // pinned per seed by TestScheduleDeterministic.
 func TestEngineDifferential(t *testing.T) {
 	kindSets := [][]string{
@@ -61,15 +72,15 @@ func TestEngineDifferential(t *testing.T) {
 		{"crash", "loss", "corrupt", "dup", "delay", "partition"},
 	}
 	stacks := []struct {
-		name string
-		f, c int
-	}{{"ecount", 1, 8}, {"randagree", 1, 2}, {"maxstep", 0, 8}}
+		name    string
+		n, f, c int
+	}{{"ecount", 8, 1, 8}, {"randagree", 8, 1, 2}, {"maxstep", 8, 0, 8}, {"corollary1", 4, 1, 8}}
 	for _, stack := range stacks {
 		for _, kinds := range kindSets {
 			for _, seed := range []int64{7, 99} {
 				name := fmt.Sprintf("%s/%v/seed=%d", stack.name, kinds, seed)
 				t.Run(name, func(t *testing.T) {
-					cfg := diffCase(t, stack.name, stack.f, stack.c, seed, kinds)
+					cfg := diffCase(t, stack.name, stack.n, stack.f, stack.c, seed, kinds)
 					wantRep, wantTrace := lockstep(t, cfg)
 					gotRep, gotTrace := runRuntime(t, cfg)
 					if !reflect.DeepEqual(wantRep, gotRep) {
@@ -89,10 +100,41 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
+// The shared round step must actually engage, or the differential
+// above would pass on an engine that never takes it: every stepping
+// node-round of a fault-free deterministic batch stack takes it, a
+// randomised stack never does, and a loss soak takes it outside its
+// chaos-touched receivers only.
+func TestSharedStepEngages(t *testing.T) {
+	const rounds = 64
+	// Every node steps in every round but the last.
+	steps := func(cfg Config, rep *Report) uint64 { return uint64(cfg.Alg.N()) * (rep.Rounds - 1) }
+
+	cfg := Config{Alg: buildAlg(t, "ecount", 32, 3, 8), Seed: 3, Rounds: rounds}
+	rep, _ := soakRuntime(t, cfg)
+	if rep.SharedSteps != steps(cfg, rep) {
+		t.Errorf("fault-free ecount n=32: %d shared steps, want every one of the %d stepping node-rounds", rep.SharedSteps, steps(cfg, rep))
+	}
+
+	rep, _ = soakRuntime(t, Config{Alg: buildAlg(t, "randagree", 8, 1, 2), Seed: 3, Rounds: rounds})
+	if rep.SharedSteps != 0 {
+		t.Errorf("randagree: %d shared steps, want 0 — a randomised stack's nodes draw their own coins", rep.SharedSteps)
+	}
+
+	cfg = diffCase(t, "ecount", 8, 1, 8, 7, []string{"loss"})
+	rep, _ = soakRuntime(t, cfg)
+	if rep.Dropped == 0 {
+		t.Fatal("loss soak dropped no frame")
+	}
+	if rep.SharedSteps == 0 || rep.SharedSteps >= steps(cfg, rep) {
+		t.Errorf("loss soak: %d shared steps of %d stepping node-rounds, want some but not all", rep.SharedSteps, steps(cfg, rep))
+	}
+}
+
 // The combined-kind soak must actually inject every deterministic chaos
 // family, or the differential above proves less than it claims.
 func TestEngineDifferentialCoversAllKinds(t *testing.T) {
-	rep, _ := lockstep(t, diffCase(t, "ecount", 1, 8, 99, []string{"crash", "loss", "corrupt", "dup", "delay", "partition"}))
+	rep, _ := lockstep(t, diffCase(t, "ecount", 8, 1, 8, 99, []string{"crash", "loss", "corrupt", "dup", "delay", "partition"}))
 	if rep.Crashes == 0 || rep.Restarts == 0 || rep.Dropped == 0 ||
 		rep.Corrupted == 0 || rep.Duplicated == 0 || rep.Delayed == 0 || rep.Suppressed == 0 {
 		t.Fatalf("combined soak left a chaos family uninjected: %+v", rep)
@@ -107,7 +149,7 @@ func TestEngineDifferentialCoversAllKinds(t *testing.T) {
 // and recover.
 func TestEngineStallBehavioural(t *testing.T) {
 	a := buildAlg(t, "ecount", 8, 1, 8)
-	cfg, window := soakConfig(11, []string{"stall"})
+	cfg, window := soakConfig(11, 8, []string{"stall"})
 	cfg.StallDur = 80 * time.Millisecond
 	sched, err := NewSchedule(cfg)
 	if err != nil {

@@ -1,10 +1,14 @@
 // Package live runs synchronous counting algorithms as an actual
-// concurrent service: every node is a goroutine executing an unmodified
-// registry algorithm, exchanging codec-encoded state frames over an
-// in-process transport, with a synchroniser layer that reconstructs the
-// paper's round abstraction from per-round barriers with timeouts — a
-// node that misses a deadline is counted faulty for that round and the
-// run degrades gracefully instead of stalling.
+// concurrent service: every node is a goroutine running a registry
+// algorithm, exchanging codec-encoded state frames over an in-process
+// transport, with a synchroniser layer that reconstructs the paper's
+// round abstraction from per-round barriers with timeouts — a node that
+// misses a deadline is counted faulty for that round and the run
+// degrades gracefully instead of stalling. A node whose view differs
+// from the round's broadcast column runs the algorithm's unmodified
+// Step on it; in a clean round of a deterministic batch-stepping stack,
+// a node whose view equals the column takes its entry of the one
+// StepAll the synchroniser ran over it, which is the same function.
 //
 // On top of the runtime sits a deterministic seeded chaos injector
 // (crash/restart, drop/duplicate/corrupt/delay, stragglers, partitions;
@@ -22,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +107,16 @@ type Runtime struct {
 	decodeErrors  atomic.Uint64
 	staleBatches  atomic.Uint64
 	staleMessages atomic.Uint64
+	sharedSteps   atomic.Uint64
+
+	// shared is the algorithm's batch step when a clean round may be
+	// stepped once for every node: set only for a deterministic
+	// alg.BatchStepper, whose StepAll over the broadcast column with no
+	// faulty senders (cleanRound) and no coins (noCoins) equals each
+	// node's Step on that column. Nil keeps every node on its own Step.
+	shared     alg.BatchStepper
+	cleanRound *alg.Patches
+	noCoins    []*rand.Rand
 
 	running atomic.Bool
 }
@@ -142,7 +157,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Schedule != nil {
 		maxDelay = cfg.Schedule.maxDelayBy()
 	}
-	return &Runtime{
+	rt := &Runtime{
 		cfg:      cfg,
 		n:        n,
 		space:    cfg.Alg.StateSpace(),
@@ -151,7 +166,17 @@ func New(cfg Config) (*Runtime, error) {
 		maxDelay: maxDelay,
 		cells:    make([]ReadCell, n),
 		wake:     make(chan struct{}, 1),
-	}, nil
+	}
+	if b, ok := cfg.Alg.(alg.BatchStepper); ok && alg.IsDeterministic(cfg.Alg) {
+		rows := make([][]alg.State, n)
+		for v := range rows {
+			rows[v] = []alg.State{} // non-nil: every node is a correct receiver
+		}
+		rt.shared = b
+		rt.cleanRound = &alg.Patches{Faulty: make([]bool, n), Values: rows}
+		rt.noCoins = make([]*rand.Rand, n)
+	}
+	return rt, nil
 }
 
 // Read serves node's current (round, counter value) from its lock-free

@@ -97,12 +97,12 @@ func TestLiveFaultFreeStabilises(t *testing.T) {
 	}
 }
 
-func soakConfig(seed int64, kinds []string) (ChaosConfig, uint64) {
+func soakConfig(seed int64, n int, kinds []string) (ChaosConfig, uint64) {
 	const window = 32 // DefaultWindowFor(c=8)
 	gap := uint64(73) + window + 8
 	return ChaosConfig{
 		Seed:     seed,
-		N:        8,
+		N:        n,
 		Kinds:    kinds,
 		Warmup:   gap,
 		Bursts:   2,
@@ -114,7 +114,7 @@ func soakConfig(seed int64, kinds []string) (ChaosConfig, uint64) {
 func runSoak(t *testing.T, seed int64, kinds []string) *Report {
 	t.Helper()
 	a := buildAlg(t, "ecount", 8, 1, 8)
-	cfg, window := soakConfig(seed, kinds)
+	cfg, window := soakConfig(seed, 8, kinds)
 	sched, err := NewSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -49,17 +49,23 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 	}
 }
 
-// nodeLoop is one live node: an unmodified registry algorithm run as a
-// goroutine, one handoff token per round. It merges the round's shared
-// broadcast column (minus its drops list) and its private patches — raw
-// patch bytes go through decodeFrame, and frames that fail it count as
-// loss — into its view of every peer (peers it has not heard from this
-// round are stepped on their last authenticated state), then steps on
-// that view in place, publishes to its lock-free read cell, and eagerly
+// nodeLoop is one live node: a registry algorithm run as a goroutine,
+// one handoff token per round. It merges the round's shared broadcast
+// column (minus its drops list) and its private patches — raw patch
+// bytes go through decodeFrame, and frames that fail it count as loss —
+// into its view of every peer (peers it has not heard from this round
+// are stepped on their last authenticated state), then steps on that
+// view in place, publishes to its lock-free read cell, and eagerly
 // writes the next round's frame into its slot and commits it (arrive).
 // The synchroniser has read the slot for the previous round before it
 // delivered the handoff that triggers the overwrite, so the slot's
 // buffer is reused without a copy.
+//
+// When the merge copied the full column and nothing else, and the
+// synchroniser stepped that column for the round, the view is exactly
+// the column and the node takes its entry of the shared step instead of
+// calling Step. The view is still updated, so a later round that steps
+// on it sees the same peers.
 //
 // A peer's state is accepted when its frame's round is no older than
 // the newest already accepted from that peer. seen[p] stamps that round
@@ -80,7 +86,8 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 	defer rt.wg.Done()
 	n, a, space := rt.n, rt.cfg.Alg, rt.space
 	seen := make([]uint64, n)
-	var floor, high uint64
+	var floor, high, sharedSteps uint64
+	defer func() { rt.sharedSteps.Add(sharedSteps) }()
 
 	accept := func(from int, rnd uint64, st alg.State) {
 		if t := rnd + 1; from != h.id && t >= seen[from] && t >= floor {
@@ -90,11 +97,14 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 		}
 	}
 
-	merge := func(m *roundMsg) {
+	// merge reports whether the view it leaves is exactly the column
+	// (but for the node's own entry, which the caller checks).
+	merge := func(m *roundMsg) (whole bool) {
 		ep, t := m.epoch, m.round+1
 		if ep.full && len(m.drops) == 0 && high <= t {
 			copy(lastSeen, ep.column)
 			floor, high = t, t
+			whole = len(m.priv) == 0
 		} else {
 			// The router lists only present senders in drops, in
 			// ascending order, so one cursor walks both.
@@ -124,6 +134,7 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 			}
 			accept(from, rnd, st)
 		}
+		return whole
 	}
 
 	send := func() {
@@ -163,15 +174,27 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 			m.epoch.release()
 			return
 		}
-		merge(m)
+		// The shared entry is read before the release, which lets the
+		// ring recycle the epoch.
+		ep := m.epoch
+		shared := merge(m) && ep.stepped && ep.column[h.id] == state
+		var next alg.State
+		if shared {
+			next = ep.next[h.id]
+		}
 		final := m.final
 		round = m.round + 1
-		m.epoch.release()
+		ep.release()
 		if final {
 			return
 		}
 		lastSeen[h.id] = state
-		state = a.Step(h.id, lastSeen, rng)
+		if shared {
+			state = next
+			sharedSteps++
+		} else {
+			state = a.Step(h.id, lastSeen, rng)
+		}
 		send()
 		if poisoned {
 			return

@@ -121,6 +121,7 @@ type Report struct {
 	StaleBatches   uint64 `json:"stale_batches"`    // superseded round handoffs skipped by nodes
 	ControlDrops   uint64 `json:"control_drops"`    // round handoffs refused by a lagging node
 	DecodeErrors   uint64 `json:"decode_errors"`    // frames rejected by the wire validation
+	SharedSteps    uint64 `json:"shared_steps"`     // node-rounds that took the round's shared step
 
 	// Chaos accounting (what was actually injected).
 	Crashes    uint64 `json:"crashes"`
