@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 25
+PR ?= 26
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStepTotal$$' -fuzztime=10s ./internal/phaseking
 	$(GO) test -run='^$$' -fuzz='^FuzzStepTotal$$' -fuzztime=10s ./internal/boost
 	$(GO) test -run='^$$' -fuzz='^FuzzECountTransition$$' -fuzztime=10s ./internal/ecount
+	$(GO) test -run='^$$' -fuzz='^FuzzECountStepAll$$' -fuzztime=10s ./internal/ecount
 	$(GO) test -run='^$$' -fuzz='^FuzzShardSpec$$' -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz='^FuzzShardSpecParseArbitrary$$' -fuzztime=10s ./internal/harness
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeResults$$' -fuzztime=10s ./internal/harness

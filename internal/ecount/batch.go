@@ -11,35 +11,42 @@ import (
 // tallies the consensus registers of all n nodes — and in the
 // broadcast model those tallies are identical at every receiver except
 // for the ≤ f patched faulty slots. StepAll builds each tally once
-// over the correct senders, resolves the clock of a fault-free block
-// once per round, and per receiver only adds/queries/removes the
-// patched contributions; the block counters recurse through StepAll
-// down to the MaxStep leaves, so a whole round runs without per-node
-// interface dispatch or allocations (the working set is pooled on the
-// Counter).
+// over the correct senders and resolves each block's clock once per
+// round wherever the patched votes cannot change it: always for a
+// fault-free block, and for a faulty one whose correct members alone
+// carry the quorum or cannot reach it even with every faulty vote.
+// Per receiver class it adds, queries and removes only the patched
+// clock votes of a block left undecided, and the patched register
+// reports only when a member runs a sweep instruction. The block
+// counters recurse through StepAll down to the MaxStep leaves, so a
+// whole round runs without per-node interface dispatch or allocations
+// (the working set is pooled on the Counter).
 //
 // StepAll and per-node Step share the per-receiver tail stepReceiver;
 // both are held bit-identical to the map-backed oracle stepReference
-// (export_test.go) by TestBatchStepMatchesStep, TestStepMatchesReference
-// and FuzzECountTransition, and to each other by the kernel
-// differential suite.
+// (export_test.go) by TestBatchStepMatchesStep,
+// TestStepAllClockReadThresholds, TestStepMatchesReference,
+// FuzzECountTransition and FuzzECountStepAll, and to each other by the
+// kernel differential suite.
 var _ alg.BatchStepper = (*Counter)(nil)
 
 type batchScratch struct {
 	fldBlock []uint64 // codec field 0 per correct node (raw, pre-mod)
-	clockKey []uint64 // block-clock tally key per correct node
 	regDec   []uint64 // decoded consensus-register report per correct node
 
 	clockTally [2]*alg.DenseTally // per-block clock votes, domain 4τ
 	regTally   *alg.DenseTally    // consensus-register votes, domain c (+⊥)
 
-	sharedR    [2]uint64 // round-constant clock reads of fault-free blocks
-	sharedOK   [2]bool
-	blockFault [2]bool
+	blockFaults [2]int    // faulty members per block
+	decided     [2]bool   // the block's read is the same at every receiver
+	sharedR     [2]uint64 // that read, for decided blocks
+	sharedOK    [2]bool
 
-	colOf      []int32  // colOf[u] = column of faulty sender u in Patches + 1
-	patchClock []uint64 // per-column clock key of this receiver's view
-	patchReg   []uint64 // per-column decoded register report
+	colOf      []int32     // colOf[u] = column of faulty sender u in Patches + 1
+	patchClock []uint64    // one block's patched clock votes in this receiver's view
+	patchReg   []uint64    // per-column decoded register report
+	row        []alg.State // the current receiver class's patch row
+	rowTallied bool        // row's register reports are in regTally
 
 	newSub     []alg.State // block-counter results per node
 	subBase    []alg.State
@@ -65,7 +72,6 @@ func (e *Counter) getScratch() *batchScratch {
 	}
 	sc := &batchScratch{
 		fldBlock:   make([]uint64, e.n),
-		clockKey:   make([]uint64, e.n),
 		regDec:     make([]uint64, e.n),
 		regTally:   alg.NewDenseTally(e.c),
 		colOf:      make([]int32, e.n),
@@ -91,15 +97,53 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		for _, u := range p.Senders {
 			sc.colOf[u] = 0
 		}
+		sc.row = nil
 		e.pool.Put(sc)
 	}()
 
+	e.shareRound(sc, base, p)
+
+	// (3) Advance both block counters.
+	e.batchSubSteps(sc, p, rngs)
+
+	// (4) Clock reads, sweep pointers and the consensus/increment
+	// branch. Members of a receiver class saw the same patch row, so
+	// an undecided block's clock is read once per class, and the row's
+	// register reports are tallied at most once, when the first member
+	// runs a sweep instruction (stepReceiver); only the per-receiver
+	// tail runs for every member.
+	for v := 0; v < e.n; v++ {
+		if p.Faulty[v] || !p.ClassHead(v) {
+			continue
+		}
+		row := p.Values[v]
+		r, ok := sc.sharedR, sc.sharedOK
+		for bi := 0; bi < 2; bi++ {
+			if !sc.decided[bi] {
+				r[bi], ok[bi] = e.readPatchedClock(sc, bi, p.Senders, row)
+			}
+		}
+		sc.row, sc.rowTallied = row, false
+		for w := v; w >= 0; w = p.NextInClass(w) {
+			next[w] = e.stepReceiver(sc, base[w], sc.newSub[w], r, ok, nil)
+		}
+		if sc.rowTallied {
+			for col := range row {
+				sc.regTally.Remove(sc.patchReg[col])
+			}
+		}
+	}
+}
+
+// shareRound runs stages (1) and (2) of StepAll, the part of a round
+// every receiver shares: it marks the faulty senders' columns, builds
+// the tallies over the correct senders and resolves every block clock
+// the patched votes cannot change.
+func (e *Counter) shareRound(sc *batchScratch, base []alg.State, p *alg.Patches) {
+	sc.blockFaults = [2]int{}
 	for col, u := range p.Senders {
 		sc.colOf[u] = int32(col) + 1
-	}
-	sc.blockFault[0], sc.blockFault[1] = false, false
-	for _, u := range p.Senders {
-		sc.blockFault[e.BlockOf(u)] = true
+		sc.blockFaults[e.BlockOf(u)]++
 	}
 
 	// (1) Decode every correct state once; build the shared tallies.
@@ -116,66 +160,55 @@ func (e *Counter) StepAll(next, base []alg.State, p *alg.Patches, rngs []*rand.R
 		bi := e.BlockOf(u)
 		lo, _ := e.blockRange(bi)
 		sub := e.sub[bi]
-		key := uint64(sub.Output(u-lo, fld%sub.StateSpace()))
-		sc.clockKey[u] = key
-		sc.clockTally[bi].Add(key)
+		sc.clockTally[bi].Add(uint64(sub.Output(u-lo, fld%sub.StateSpace())))
 		dec := e.cons.DecodeReport(e.cdc.Field(st, fieldA))
 		sc.regDec[u] = dec
 		sc.regTally.Add(dec)
 	}
 
-	// (2) A block without faulty members reads identically at every
-	// receiver: resolve its clock once per round.
+	// (2) Resolve each block's clock once per round where the patched
+	// votes cannot change it. A receiver tallies all n_b of the block's
+	// votes: the correct members', whose plurality value holds c, plus
+	// the k patched ones, so no value holds more than c + k. If c
+	// clears the quorum n_b − f_b (> n_b/2), the plurality value wins
+	// at every receiver; if c + k misses it, every receiver's read
+	// fails. Either way the correct members' tally alone gives the
+	// read. A fault-free block (k = 0) always resolves here.
 	for bi := 0; bi < 2; bi++ {
-		sc.sharedOK[bi] = false
-		if !sc.blockFault[bi] {
+		_, c := sc.clockTally[bi].Plurality()
+		q := e.quora[bi]
+		sc.decided[bi] = c >= q || c+sc.blockFaults[bi] < q
+		if sc.decided[bi] {
 			sc.sharedR[bi], sc.sharedOK[bi] = e.readClockTally(bi, sc.clockTally[bi])
 		}
 	}
+}
 
-	// (3) Advance both block counters.
-	e.batchSubSteps(sc, p, rngs)
-
-	// (4) Clock reads, sweep pointers and the consensus/increment
-	// branch. Members of a receiver class saw the same patch row, so
-	// its values are tallied and both clocks read once per class; only
-	// the per-receiver tail runs for every member.
-	for v := 0; v < e.n; v++ {
-		if p.Faulty[v] || !p.ClassHead(v) {
-			continue
-		}
-		row := p.Values[v]
-		for col, u := range p.Senders {
-			s := row[col]
-			bi := e.BlockOf(u)
-			lo, _ := e.blockRange(bi)
-			sub := e.sub[bi]
-			key := uint64(sub.Output(u-lo, e.cdc.Field(s, fieldBlock)%sub.StateSpace()))
-			sc.patchClock[col] = key
-			sc.clockTally[bi].Add(key)
-			dec := e.cons.DecodeReport(e.cdc.Field(s, fieldA))
-			sc.patchReg[col] = dec
-			sc.regTally.Add(dec)
-		}
-
-		var r [2]uint64
-		var ok [2]bool
-		for bi := 0; bi < 2; bi++ {
-			if sc.blockFault[bi] {
-				r[bi], ok[bi] = e.readClockTally(bi, sc.clockTally[bi])
-			} else {
-				r[bi], ok[bi] = sc.sharedR[bi], sc.sharedOK[bi]
-			}
-		}
-		for w := v; w >= 0; w = p.NextInClass(w) {
-			next[w] = e.stepReceiver(sc, base[w], sc.newSub[w], r, ok, nil)
-		}
-
-		for col, u := range p.Senders {
-			sc.clockTally[e.BlockOf(u)].Remove(sc.patchClock[col])
-			sc.regTally.Remove(sc.patchReg[col])
-		}
+// readPatchedClock reads block bi's clock in one receiver's view: the
+// correct members' shared tally plus the patch row's votes from the
+// block's faulty members, which are removed again afterwards. Senders
+// ascend, so block 0's faulty members fill the first blockFaults[0]
+// columns and block 1's the rest.
+func (e *Counter) readPatchedClock(sc *batchScratch, bi int, senders []int, row []alg.State) (uint64, bool) {
+	c0 := 0
+	if bi == 1 {
+		c0 = sc.blockFaults[0]
 	}
+	lo, _ := e.blockRange(bi)
+	sub := e.sub[bi]
+	space := sub.StateSpace()
+	tally := sc.clockTally[bi]
+	keys := sc.patchClock[:sc.blockFaults[bi]]
+	for j := range keys {
+		col := c0 + j
+		keys[j] = uint64(sub.Output(senders[col]-lo, e.cdc.Field(row[col], fieldBlock)%space))
+		tally.Add(keys[j])
+	}
+	r, ok := e.readClockTally(bi, tally)
+	for _, key := range keys {
+		tally.Remove(key)
+	}
+	return r, ok
 }
 
 // readClockTally reads block bi's clock from a prebuilt (and possibly

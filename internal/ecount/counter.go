@@ -289,9 +289,9 @@ func (e *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 // common increment, and packs the next state.
 //
 // The consensus instruction votes over sc.regTally with the king's
-// report from sc.report. StepAll builds both for the whole round and
-// passes a nil view; per-node Step passes its received vector, which
-// is tallied into them only when an instruction runs.
+// report from sc.report, and tallyReports fills both only when an
+// instruction runs: per-node Step passes its received vector, StepAll
+// passes a nil view and has its class's patch row in sc.row.
 func (e *Counter) stepReceiver(sc *batchScratch, own, newSub alg.State, r [2]uint64, ok [2]bool, view []alg.State) alg.State {
 	var match [2]bool
 	var instr [2]uint64
@@ -320,9 +320,7 @@ func (e *Counter) stepReceiver(sc *batchScratch, own, newSub alg.State, r [2]uin
 		if !match[0] {
 			ins = instr[1]
 		}
-		if view != nil {
-			e.tallyReports(sc, view)
-		}
+		e.tallyReports(sc, view)
 		king := int(phaseking.KingOf(ins))
 		regs = e.cons.StepCounts(regs, ins, sc.regTally, sc.report(king))
 	} else {
@@ -333,11 +331,27 @@ func (e *Counter) stepReceiver(sc *batchScratch, own, newSub alg.State, r [2]uin
 	return e.cdc.MustPack(sc.pack[:]...)
 }
 
-// tallyReports rebuilds sc.regTally and sc.regDec from one receiver's
-// full received vector. The scratch carries no patched senders then
-// (StepAll clears colOf before returning it to the pool), so
-// sc.report reads every sender's report from regDec.
+// tallyReports makes sc.regTally and sc.report cover the receiver's
+// view of the consensus registers. Per-node Step passes its full
+// received vector: regTally and regDec are rebuilt from it, and the
+// scratch carries no patched senders then (StepAll clears colOf before
+// returning it to the pool), so sc.report reads every sender from
+// regDec. StepAll passes nil: regTally already holds the correct
+// senders' reports, and the class's patch row sc.row is decoded into
+// patchReg and added once, for the first member that sweeps; StepAll
+// removes it after the class.
 func (e *Counter) tallyReports(sc *batchScratch, view []alg.State) {
+	if view == nil {
+		if !sc.rowTallied {
+			for col, s := range sc.row {
+				dec := e.cons.DecodeReport(e.cdc.Field(s, fieldA))
+				sc.patchReg[col] = dec
+				sc.regTally.Add(dec)
+			}
+			sc.rowTallied = true
+		}
+		return
+	}
 	sc.regTally.Reset()
 	for u := 0; u < e.n; u++ {
 		dec := e.cons.DecodeReport(e.cdc.Field(view[u], fieldA))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/alg/algtest"
 	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
@@ -89,6 +90,130 @@ func FuzzECountTransition(f *testing.F) {
 		}
 		if d := cons.Decide(regs); d >= cons.Mod() {
 			t.Fatalf("decision %d outside [0, %d)", d, cons.Mod())
+		}
+	})
+}
+
+// FuzzECountStepAll fuzzes the batch step against the map-backed
+// oracle: a stabilised or still-converging configuration from the
+// fault-free trajectory, with a fuzzed set of correct nodes rewritten
+// to arbitrary states, a fuzzed fault set, and per-receiver patch rows
+// in which each receiver sees either the faulty senders' trajectory
+// states (those receivers share one class when classed is set) or raw
+// fuzzed words. StepAll must stay inside the state space, leave faulty
+// nodes untouched and equal stepReference at every correct receiver.
+// The seeds sit at the edges of the once-per-round clock read, on
+// every block of every shape: plurality count c of the correct
+// members' votes at quorum and quorum − 1, c + k at quorum − 1 and
+// quorum for k faulty members, and 2(c + k) at n_b and n_b + 1.
+func FuzzECountStepAll(f *testing.F) {
+	counters := make([]*Counter, len(fuzzGrid))
+	trajs := make([][][]alg.State, len(fuzzGrid))
+	for i, g := range fuzzGrid {
+		build := New
+		if g.chain {
+			build = NewChain
+		}
+		e, err := build(g.n, g.f, g.c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		counters[i] = e
+		trajs[i] = trajectory(e, int(e.StabilisationBound()+e.Period()))
+	}
+	raw := make([]byte, 8*64)
+	rand.New(rand.NewSource(5)).Read(raw)
+	for i, e := range counters {
+		stable := uint16(len(trajs[i]) - 1)
+		for bi := 0; bi < 2; bi++ {
+			lo, nb := e.blockRange(bi)
+			q := e.quora[bi]
+			for k := 0; k <= min(e.f, nb); k++ {
+				for _, c := range []int{q, q - 1, q - 1 - k, q - k, nb/2 - k, (nb+1)/2 - k} {
+					if c < min(1, nb-k) || c > nb-k {
+						continue
+					}
+					// Members [lo, lo+d) dissent, the last k are faulty.
+					d := nb - k - c
+					dissent := uint16(1)<<(lo+d) - uint16(1)<<lo
+					faults := uint16(1)<<(lo+nb) - uint16(1)<<(lo+nb-k)
+					f.Add(uint8(i), stable, faults, dissent, uint16(0x5555), c%2 == 0, raw)
+				}
+			}
+		}
+	}
+	f.Add(uint8(2), uint16(0), uint16(0x7f), uint16(0), uint16(0), false, []byte{1})
+	f.Fuzz(func(t *testing.T, which uint8, round, faultMask, dissentMask, forgeMask uint16, classed bool, raw []byte) {
+		i := int(which) % len(counters)
+		e, traj := counters[i], trajs[i]
+		n, space := e.N(), e.StateSpace()
+		word := func(i int) uint64 {
+			var w [8]byte
+			copy(w[:], slice8(raw, i))
+			return binary.LittleEndian.Uint64(w[:])
+		}
+		honest := traj[int(round)%len(traj)]
+		base := append([]alg.State(nil), honest...)
+		faulty := make([]bool, n)
+		var senders []int
+		for u := 0; u < n; u++ {
+			if dissentMask>>u&1 == 1 {
+				base[u] = word(u) % space
+			}
+			if faultMask>>u&1 == 1 {
+				faulty[u] = true
+				senders = append(senders, u)
+			}
+		}
+		values := make([][]alg.State, n)
+		var class []int32
+		if classed {
+			class = make([]int32, n)
+		}
+		for v := 0; v < n; v++ {
+			supporting := forgeMask>>v&1 == 1
+			if class != nil {
+				class[v] = -1
+				if supporting {
+					class[v] = 0
+				}
+			}
+			if faulty[v] {
+				continue
+			}
+			row := make([]alg.State, len(senders))
+			for j, u := range senders {
+				if supporting {
+					row[j] = honest[u]
+				} else {
+					row[j] = word(n + v*len(senders) + j)
+				}
+			}
+			values[v] = row
+		}
+		p := &alg.Patches{Faulty: faulty, Senders: senders, Values: values, Class: class}
+		next := make([]alg.State, n)
+		for v := range next {
+			next[v] = algtest.Untouched
+		}
+		e.StepAll(next, base, p, make([]*rand.Rand, n))
+		recv := make([]alg.State, n)
+		for v := 0; v < n; v++ {
+			if faulty[v] {
+				if next[v] != algtest.Untouched {
+					t.Fatalf("StepAll wrote faulty node %d", v)
+				}
+				continue
+			}
+			if next[v] >= space {
+				t.Fatalf("StepAll escaped the state space at node %d: %d >= %d", v, next[v], space)
+			}
+			copy(recv, base)
+			p.Apply(recv, v)
+			if want := e.stepReference(v, recv, nil); next[v] != want {
+				t.Fatalf("node %d: StepAll %d, stepReference %d (n=%d f=%d c=%d faults %v base %v row %v)",
+					v, next[v], want, e.N(), e.F(), e.C(), senders, base, values[v])
+			}
 		}
 	})
 }

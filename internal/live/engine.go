@@ -50,15 +50,17 @@ import (
 //     view and one round stamp, and it steps on that view in place;
 //     otherwise it walks the same column past absent and dropped
 //     senders before applying its private patches.
-//  5. Shared round step: every receiver that merges a full column
-//     untouched holds the same view, the column itself, so for a
-//     deterministic alg.BatchStepper the synchroniser steps that view
-//     once per round — StepAll over the column with no faulty senders —
-//     into the epoch, and each such receiver takes its own entry
-//     instead of calling Step. It is a memo of the same function, like
-//     the decode memo: chaos-touched receivers, randomised stacks
-//     (whose per-node coin order the contract pins) and algorithms
-//     without a batch step still step themselves.
+//  5. Shared round step: every receiver that merges a full column and
+//     accepts no private patch that changes it (a clean duplicate or a
+//     stale delayed frame changes nothing) holds the same view, the
+//     column itself, so for a deterministic alg.BatchStepper the
+//     synchroniser steps that view once per round — StepAll over the
+//     column with no faulty senders — into the epoch, and each such
+//     receiver takes its own entry instead of calling Step. It is a
+//     memo of the same function, like the decode memo: receivers with
+//     drops or a state-changing patch, randomised stacks (whose
+//     per-node coin order the contract pins) and algorithms without a
+//     batch step still step themselves.
 
 // wireEntry is one router-decoded broadcast carried as a private
 // patch: a clean duplicate or a delayed delivery.
@@ -582,11 +584,13 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		}
 
 		// Shared step: a full column with at least one receiver that has
-		// neither drops nor private patches is stepped once here, and
-		// every such receiver takes its entry (nodeLoop).
+		// no drops is stepped once here, and every receiver whose merge
+		// leaves the view exactly the column takes its entry (nodeLoop).
+		// Private patches alone do not refuse it: clean duplicates repeat
+		// the column and delayed frames are older than it.
 		if rt.shared != nil && ep.full {
 			for v := range handles {
-				if len(scratchDrops[v]) == 0 && len(scratchPriv[v]) == 0 {
+				if len(scratchDrops[v]) == 0 {
 					rt.shared.StepAll(ep.next, ep.column, rt.cleanRound, rt.noCoins)
 					ep.stepped = true
 					break

@@ -103,8 +103,8 @@ func TestEngineDifferential(t *testing.T) {
 // The shared round step must actually engage, or the differential
 // above would pass on an engine that never takes it: every stepping
 // node-round of a fault-free deterministic batch stack takes it, a
-// randomised stack never does, and a loss soak takes it outside its
-// chaos-touched receivers only.
+// randomised stack never does, a loss soak takes it outside its
+// chaos-touched receivers only, and a dup soak takes it everywhere.
 func TestSharedStepEngages(t *testing.T) {
 	const rounds = 64
 	// Every node steps in every round but the last.
@@ -128,6 +128,15 @@ func TestSharedStepEngages(t *testing.T) {
 	}
 	if rep.SharedSteps == 0 || rep.SharedSteps >= steps(cfg, rep) {
 		t.Errorf("loss soak: %d shared steps of %d stepping node-rounds, want some but not all", rep.SharedSteps, steps(cfg, rep))
+	}
+
+	cfg = diffCase(t, "ecount", 8, 1, 8, 7, []string{"dup"})
+	rep, _ = soakRuntime(t, cfg)
+	if rep.Duplicated == 0 {
+		t.Fatal("dup soak duplicated no frame")
+	}
+	if rep.SharedSteps != steps(cfg, rep) {
+		t.Errorf("dup soak: %d shared steps, want every one of the %d stepping node-rounds — a clean duplicate leaves the view the column", rep.SharedSteps, steps(cfg, rep))
 	}
 }
 
@@ -191,33 +200,7 @@ func TestNodeMergeKeepsNewerStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.openGate(0)
-	h := newNodeHandle(0, 0)
-	state, rng, lastSeen := rt.incarnate(0, 0)
-	rt.wg.Add(1)
-	go rt.nodeLoop(h, state, rng, lastSeen, 0, 0)
-	defer rt.wg.Wait()
-	defer func() { h.ch <- nil }()
-	// broadcast waits for the node's frame for the round, as the
-	// synchroniser's collect does, and decodes it.
-	broadcast := func() uint64 {
-		if !rt.expectArrivals(1) {
-			<-rt.wake
-		}
-		_, _, st, err := decodeFrame(h.frame, rt.n, rt.space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	deliver := func(m *roundMsg) uint64 {
-		rt.openGate(m.round + 1)
-		m.epoch.acquire(1)
-		h.stamp.Store(stamp(m.round+1, slotOpen))
-		h.ch <- m
-		return broadcast()
-	}
-	broadcast()
+	deliver, _ := soloNode(t, rt)
 
 	// Round 0: no column; peer 1's frame says round 5, state 7, so the
 	// node steps to (7+1) mod 8.
@@ -236,5 +219,107 @@ func TestNodeMergeKeepsNewerStamp(t *testing.T) {
 	}
 	if got := deliver(&roundMsg{round: 1, epoch: ep}); got != 0 {
 		t.Fatalf("round 1: node stepped to %d, want 0 — the full column overwrote a peer stamped at a later round", got)
+	}
+}
+
+// soloNode runs node 0 of rt's network on its own, with the test in
+// the synchroniser's place. It returns the node's initial broadcast
+// state and deliver, which hands the node one round message and
+// returns the state the node broadcasts next.
+func soloNode(t *testing.T, rt *Runtime) (deliver func(*roundMsg) uint64, initial uint64) {
+	t.Helper()
+	rt.openGate(0)
+	h := newNodeHandle(0, 0)
+	state, rng, lastSeen := rt.incarnate(0, 0)
+	rt.wg.Add(1)
+	go rt.nodeLoop(h, state, rng, lastSeen, 0, 0)
+	t.Cleanup(func() {
+		h.ch <- nil
+		rt.wg.Wait()
+	})
+	// broadcast waits for the node's frame for the round, as the
+	// synchroniser's collect does, and decodes it.
+	broadcast := func() uint64 {
+		if !rt.expectArrivals(1) {
+			<-rt.wake
+		}
+		_, _, st, err := decodeFrame(h.frame, rt.n, rt.space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	deliver = func(m *roundMsg) uint64 {
+		rt.openGate(m.round + 1)
+		m.epoch.acquire(1)
+		h.stamp.Store(stamp(m.round+1, slotOpen))
+		h.ch <- m
+		return broadcast()
+	}
+	return deliver, broadcast()
+}
+
+// A receiver whose private patches leave its view exactly the full
+// column takes the round's shared step: a clean duplicate repeats the
+// column's entry, and a delayed frame, clean or raw, is older than the
+// column. A forged frame that authenticates with another state changes
+// the view, so that receiver steps itself. The shared entry here is a
+// sentinel no Step on the view could produce, so the node's broadcast
+// shows which path it took.
+func TestSharedStepTakesUnchangedPatches(t *testing.T) {
+	a := buildAlg(t, "maxstep", 3, 0, 8)
+	rt, err := New(Config{Alg: a, Seed: 1, Rounds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver, state := soloNode(t, rt)
+	for round, tc := range []struct {
+		name   string
+		priv   func(round uint64, column []uint64) []privItem
+		shared bool
+	}{
+		{"clean duplicate", func(round uint64, column []uint64) []privItem {
+			return []privItem{{entry: wireEntry{from: 1, round: round, state: column[1]}}}
+		}, true},
+		{"delayed frames", func(round uint64, column []uint64) []privItem {
+			return []privItem{
+				{entry: wireEntry{from: 1, round: round - 1, state: (column[1] + 1) % 8}},
+				{raw: appendFrame(nil, 2, round-1, (column[2]+2)%8, rt.space)},
+			}
+		}, true},
+		{"forged frame", func(round uint64, column []uint64) []privItem {
+			return []privItem{{raw: appendFrame(nil, 1, round, (column[1]+3)%8, rt.space)}}
+		}, false},
+	} {
+		ep := newEpochArena(rt.n)
+		ep.full = true
+		for i := range ep.present {
+			ep.present[i] = true
+			ep.column[i] = state
+		}
+		m := &roundMsg{round: uint64(round), epoch: ep}
+		m.priv = tc.priv(m.round, ep.column)
+		view := append([]uint64(nil), ep.column...)
+		for _, p := range m.priv {
+			if p.raw == nil {
+				continue
+			}
+			if from, rnd, st, err := decodeFrame(p.raw, rt.n, rt.space); err == nil && rnd == m.round {
+				view[from] = st
+			}
+		}
+		own := a.Step(0, view, nil)
+		ep.stepped = true
+		ep.next[0] = (own + 4) % 8
+		want := own
+		if tc.shared {
+			want = ep.next[0]
+		}
+		got := deliver(m)
+		if got != want {
+			t.Fatalf("round %d, %s: node stepped to %d, want %d (shared step %d, own step %d)",
+				round, tc.name, got, want, ep.next[0], own)
+		}
+		state = got
 	}
 }

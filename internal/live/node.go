@@ -61,11 +61,11 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 // delivered the handoff that triggers the overwrite, so the slot's
 // buffer is reused without a copy.
 //
-// When the merge copied the full column and nothing else, and the
-// synchroniser stepped that column for the round, the view is exactly
-// the column and the node takes its entry of the shared step instead of
-// calling Step. The view is still updated, so a later round that steps
-// on it sees the same peers.
+// When the merge copied the full column and accepted no private patch
+// that changes it, and the synchroniser stepped that column for the
+// round, the view is exactly the column and the node takes its entry
+// of the shared step instead of calling Step. The view is still
+// updated, so a later round that steps on it sees the same peers.
 //
 // A peer's state is accepted when its frame's round is no older than
 // the newest already accepted from that peer. seen[p] stamps that round
@@ -89,22 +89,29 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 	var floor, high, sharedSteps uint64
 	defer func() { rt.sharedSteps.Add(sharedSteps) }()
 
-	accept := func(from int, rnd uint64, st alg.State) {
-		if t := rnd + 1; from != h.id && t >= seen[from] && t >= floor {
-			seen[from] = t
-			lastSeen[from] = st
-			high = max(high, t)
+	accept := func(from int, rnd uint64, st alg.State) bool {
+		t := rnd + 1
+		if from == h.id || t < seen[from] || t < floor {
+			return false
 		}
+		seen[from] = t
+		lastSeen[from] = st
+		high = max(high, t)
+		return true
 	}
 
 	// merge reports whether the view it leaves is exactly the column
-	// (but for the node's own entry, which the caller checks).
+	// (but for the node's own entry, which the caller checks): the full
+	// column was copied, and no private patch it accepted on top holds
+	// another state. A clean duplicate repeats the column's entry and a
+	// delayed frame is older than the column, so both leave it whole;
+	// a forged frame that authenticates with another state does not.
 	merge := func(m *roundMsg) (whole bool) {
 		ep, t := m.epoch, m.round+1
 		if ep.full && len(m.drops) == 0 && high <= t {
 			copy(lastSeen, ep.column)
 			floor, high = t, t
-			whole = len(m.priv) == 0
+			whole = true
 		} else {
 			// The router lists only present senders in drops, in
 			// ascending order, so one cursor walks both.
@@ -121,18 +128,20 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 			}
 		}
 		for _, p := range m.priv {
-			if p.raw == nil {
-				accept(int(p.entry.from), p.entry.round, p.entry.state)
-				continue
+			from, rnd, st := int(p.entry.from), p.entry.round, p.entry.state
+			if p.raw != nil {
+				var err error
+				if from, rnd, st, err = decodeFrame(p.raw, n, space); err != nil {
+					// Untrusted bytes that fail validation are loss,
+					// not a crash: count loudly, step on the last good
+					// state.
+					rt.decodeErrors.Add(1)
+					continue
+				}
 			}
-			from, rnd, st, err := decodeFrame(p.raw, n, space)
-			if err != nil {
-				// Untrusted bytes that fail validation are loss, not
-				// a crash: count loudly, step on the last good state.
-				rt.decodeErrors.Add(1)
-				continue
+			if accept(from, rnd, st) && st != ep.column[from] {
+				whole = false
 			}
-			accept(from, rnd, st)
 		}
 		return whole
 	}
