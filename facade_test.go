@@ -2,8 +2,6 @@ package synchcount
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -35,84 +33,23 @@ func facadeCallerFiles(t *testing.T) []string {
 // its own parameter is a second spelling of that method and is
 // rejected even when it has callers.
 func TestFacadeExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "synchcount.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exports := map[string]bool{}
-	funcs := map[string]*ast.FuncDecl{}
-	for _, d := range facade.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil && d.Name.IsExported() {
-				exports[d.Name.Name] = true
-				funcs[d.Name.Name] = d
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					if s.Name.IsExported() {
-						exports[s.Name.Name] = true
-					}
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						if n.IsExported() {
-							exports[n.Name] = true
-						}
-					}
-				}
-			}
-		}
-	}
-
-	used := map[string]bool{}
-	for _, path := range facadeCallerFiles(t) {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "synchcount" {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
-	// A used function's parameter and result types are used too.
-	for changed := true; changed; {
-		changed = false
-		for name, fn := range funcs {
-			if !used[name] {
-				continue
-			}
-			ast.Inspect(fn.Type, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && exports[id.Name] && !used[id.Name] {
-					used[id.Name] = true
-					changed = true
-				}
-				return true
-			})
-		}
-	}
+	c := newExportCensus(t, ".", "github.com/synchcount/synchcount", []string{"."})
+	c.addCallers(t, facadeCallerFiles(t))
+	facade := c.pkgs["github.com/synchcount/synchcount"]
 
 	var offenders []string
-	for name := range exports {
-		if !used[name] {
-			offenders = append(offenders, name+" (no caller)")
-		} else if m := forwardsToParamMethod(funcs[name]); m != "" {
+	for _, name := range c.offenders() {
+		offenders = append(offenders, strings.TrimPrefix(name, "github.com/synchcount/synchcount.")+" (no caller)")
+	}
+	for name, fn := range facade.funcs {
+		if m := forwardsToParamMethod(fn); m != "" && facade.used[name] {
 			offenders = append(offenders, name+" (second spelling of "+m+")")
 		}
 	}
 	sort.Strings(offenders)
 	if len(offenders) > 0 {
 		t.Errorf("%d of %d facade exports do not earn their place:\n  %s",
-			len(offenders), len(exports), strings.Join(offenders, "\n  "))
+			len(offenders), len(facade.exports), strings.Join(offenders, "\n  "))
 	}
 }
 

@@ -39,16 +39,16 @@ type View struct {
 	// Round-scoped scratch: the correct-state vector is recomputed at
 	// most once per round and shared by every Message/MessageRow call
 	// of that round, instead of one fresh slice per point-to-point
-	// message (Spread and Flip used to allocate O(n) per message).
+	// message (spread and flip used to allocate O(n) per message).
 	correctScratch []alg.State
 	correctRound   uint64
 	correctValid   bool
 	// majority caches alg.Majority of the correct-state vector for the
-	// same round (Flip's target); majorityValid is cleared whenever
+	// same round (flip's target); majorityValid is cleared whenever
 	// the vector is recomputed.
 	majority      alg.State
 	majorityValid bool
-	// campA/campB cache SplitVote's two camps for the same round under
+	// campA/campB cache splitVote's two camps for the same round under
 	// the same rule; campsValid is cleared with majorityValid.
 	campA, campB alg.State
 	campsValid   bool
@@ -99,7 +99,7 @@ func (v *View) correctMajority() alg.State {
 	return v.majority
 }
 
-// splitCamps returns SplitVote's two camps for the current round: the
+// splitCamps returns splitVote's two camps for the current round: the
 // first correct state and the first correct state differing from it
 // (the first perturbed down by one under unanimity), computed at most
 // once per round. ok is false when no node is correct.
@@ -148,7 +148,7 @@ type RowMessenger interface {
 	MessageRow(v *View, senders []int, to int, row []alg.State)
 }
 
-// Snapshottable is the stateless-adversary marker the simulator's
+// snapshottable is the stateless-adversary marker the simulator's
 // periodicity-aware fast-forward engine gates on. Implementing it
 // asserts that the strategy keeps no hidden mutable state of its own —
 // every message choice is a pure function of the View it is handed.
@@ -169,12 +169,12 @@ type RowMessenger interface {
 //     round-oblivious strategy returns 1.
 //   - 0: the strategy is still stateless, but its choices draw on the
 //     adversary randomness stream or the absolute round number
-//     (Random draws from a seed derived from the absolute round;
+//     (random draws from a seed derived from the absolute round;
 //     Equivocate consumes the shared stream), so the effective
 //     configuration includes a round or RNG cursor that never revisits
 //     itself within any realistic horizon. Fast-forward stands down
 //     and the run proceeds on the plain kernel, bit for bit as before.
-type Snapshottable interface {
+type snapshottable interface {
 	Adversary
 	// SnapshotPeriod returns the round period p of the strategy's
 	// message function, or 0 when the strategy is randomness- or
@@ -184,9 +184,9 @@ type Snapshottable interface {
 
 // SnapshotPeriodOf reports the snapshot period of a strategy and
 // whether the fast-forward engine may cycle-detect under it: the
-// strategy must implement Snapshottable and declare a period >= 1.
+// strategy must implement snapshottable and declare a period >= 1.
 func SnapshotPeriodOf(a Adversary) (uint64, bool) {
-	s, ok := a.(Snapshottable)
+	s, ok := a.(snapshottable)
 	if !ok {
 		return 0, false
 	}
@@ -204,31 +204,31 @@ func (Silent) Name() string { return "silent" }
 // Message implements Adversary.
 func (Silent) Message(*View, int, int) alg.State { return 0 }
 
-// SnapshotPeriod implements Snapshottable: the frozen state is a
+// SnapshotPeriod implements snapshottable: the frozen state is a
 // constant — round- and randomness-oblivious.
 func (Silent) SnapshotPeriod() uint64 { return 1 }
 
-// Random broadcasts a fresh uniform state each round, the same to all
+// random broadcasts a fresh uniform state each round, the same to all
 // receivers (a non-equivocating but noisy fault). Sender from's value
 // in a round is the first uniform draw of math/rand seeded with
 // View.senderSeed(from), a pure function of (round, sender, base
 // seed); seededDraw evaluates it in closed form, so no per-round state
 // is kept and every receiver sees the same value.
-type Random struct{}
+type random struct{}
 
 // Name implements Adversary.
-func (Random) Name() string { return "random" }
+func (random) Name() string { return "random" }
 
 // Message implements Adversary.
-func (Random) Message(v *View, from, _ int) alg.State {
+func (random) Message(v *View, from, _ int) alg.State {
 	return seededDraw(v.senderSeed(from), v.Space)
 }
 
-// SnapshotPeriod implements Snapshottable. Random is stateless but its
+// SnapshotPeriod implements snapshottable. random is stateless but its
 // per-round value is derived from the absolute round number, so the
 // trajectory has no finite configuration period: fast-forward stands
 // down (period 0).
-func (Random) SnapshotPeriod() uint64 { return 0 }
+func (random) SnapshotPeriod() uint64 { return 0 }
 
 // Equivocate sends an independent uniform state to every receiver every
 // round — maximal noise equivocation.
@@ -242,22 +242,22 @@ func (Equivocate) Message(v *View, _, _ int) alg.State {
 	return uniform(v.Rng, v.Space)
 }
 
-// SnapshotPeriod implements Snapshottable. Equivocate is stateless but
+// SnapshotPeriod implements snapshottable. Equivocate is stateless but
 // consumes the shared adversary randomness stream, whose cursor never
 // revisits itself within a realistic horizon: fast-forward stands down
 // (period 0).
 func (Equivocate) SnapshotPeriod() uint64 { return 0 }
 
-// Mirror impersonates a correct node: every faulty node copies the state
+// mirror impersonates a correct node: every faulty node copies the state
 // of the lowest-indexed correct node, making the fault invisible to
 // simple agreement checks while distorting vote counts.
-type Mirror struct{}
+type mirror struct{}
 
 // Name implements Adversary.
-func (Mirror) Name() string { return "mirror" }
+func (mirror) Name() string { return "mirror" }
 
 // Message implements Adversary.
-func (Mirror) Message(v *View, _, _ int) alg.State {
+func (mirror) Message(v *View, _, _ int) alg.State {
 	for i, f := range v.Faulty {
 		if !f {
 			return v.States[i]
@@ -266,23 +266,23 @@ func (Mirror) Message(v *View, _, _ int) alg.State {
 	return 0
 }
 
-// SnapshotPeriod implements Snapshottable: Mirror copies a correct
+// SnapshotPeriod implements snapshottable: mirror copies a correct
 // state — a pure function of (States, Faulty).
-func (Mirror) SnapshotPeriod() uint64 { return 1 }
+func (mirror) SnapshotPeriod() uint64 { return 1 }
 
-// SplitVote tries to keep correct nodes disagreeing: it finds two distinct
+// splitVote tries to keep correct nodes disagreeing: it finds two distinct
 // states held by correct nodes and shows the first to even-numbered
 // receivers and the second to odd-numbered receivers. When all correct
 // nodes already agree it echoes a stale (decremented) state to both sides
 // to stall re-convergence.
-type SplitVote struct{}
+type splitVote struct{}
 
 // Name implements Adversary.
-func (SplitVote) Name() string { return "splitvote" }
+func (splitVote) Name() string { return "splitvote" }
 
 // Message implements Adversary. The camps are resolved once per round
 // in the View's cache.
-func (SplitVote) Message(v *View, _, to int) alg.State {
+func (splitVote) Message(v *View, _, to int) alg.State {
 	a, b, ok := v.splitCamps()
 	switch {
 	case !ok:
@@ -293,20 +293,20 @@ func (SplitVote) Message(v *View, _, to int) alg.State {
 	return b
 }
 
-// SnapshotPeriod implements Snapshottable: the split depends only on
+// SnapshotPeriod implements snapshottable: the split depends only on
 // the correct states and the receiver index.
-func (SplitVote) SnapshotPeriod() uint64 { return 1 }
+func (splitVote) SnapshotPeriod() uint64 { return 1 }
 
-// Spread shows each receiver a different correct node's state, maximising
+// spread shows each receiver a different correct node's state, maximising
 // disagreement about what the faulty node "is": receiver t sees the state
 // of the t-th correct node (mod the number of correct nodes).
-type Spread struct{}
+type spread struct{}
 
 // Name implements Adversary.
-func (Spread) Name() string { return "spread" }
+func (spread) Name() string { return "spread" }
 
 // Message implements Adversary.
-func (Spread) Message(v *View, _, to int) alg.State {
+func (spread) Message(v *View, _, to int) alg.State {
 	correct := v.correctStates()
 	if len(correct) == 0 {
 		return 0
@@ -314,27 +314,27 @@ func (Spread) Message(v *View, _, to int) alg.State {
 	return correct[to%len(correct)]
 }
 
-// SnapshotPeriod implements Snapshottable: the spread is a pure
+// SnapshotPeriod implements snapshottable: the spread is a pure
 // function of (States, Faulty) and the receiver index.
-func (Spread) SnapshotPeriod() uint64 { return 1 }
+func (spread) SnapshotPeriod() uint64 { return 1 }
 
-// Flip delays convergence of binary counters: it reports the complement
+// flip delays convergence of binary counters: it reports the complement
 // of the majority state of the correct nodes, pushing tallies away from
 // unanimity thresholds. For larger state spaces it perturbs the majority
 // state by +1.
-type Flip struct{}
+type flip struct{}
 
 // Name implements Adversary.
-func (Flip) Name() string { return "flip" }
+func (flip) Name() string { return "flip" }
 
 // Message implements Adversary.
-func (Flip) Message(v *View, _, _ int) alg.State {
+func (flip) Message(v *View, _, _ int) alg.State {
 	return (v.correctMajority() + 1) % v.Space
 }
 
-// SnapshotPeriod implements Snapshottable: the flipped majority is a
+// SnapshotPeriod implements snapshottable: the flipped majority is a
 // pure function of (States, Faulty).
-func (Flip) SnapshotPeriod() uint64 { return 1 }
+func (flip) SnapshotPeriod() uint64 { return 1 }
 
 // senderSeed is the reproducible per-(round, sender) seed of a
 // "broadcast" strategy's draw, so that it sends one consistent value
@@ -347,10 +347,10 @@ func (v *View) senderSeed(from int) int64 {
 // The simulator calls it once per run.
 func (v *View) SetBaseSeed(seed int64) { v.baseSeed = seed }
 
-// Registry returns all built-in adversary strategies keyed by name.
-func Registry() map[string]Adversary {
+// registry returns all built-in adversary strategies keyed by name.
+func registry() map[string]Adversary {
 	all := []Adversary{
-		Silent{}, Random{}, Equivocate{}, Mirror{}, SplitVote{}, Spread{}, Flip{},
+		Silent{}, random{}, Equivocate{}, mirror{}, splitVote{}, spread{}, flip{},
 	}
 	m := make(map[string]Adversary, len(all))
 	for _, a := range all {
@@ -361,7 +361,7 @@ func Registry() map[string]Adversary {
 
 // Names returns the sorted names of all built-in strategies.
 func Names() []string {
-	reg := Registry()
+	reg := registry()
 	names := make([]string, 0, len(reg))
 	for n := range reg {
 		names = append(names, n)
@@ -372,7 +372,7 @@ func Names() []string {
 
 // ByName looks up a built-in strategy.
 func ByName(name string) (Adversary, error) {
-	a, ok := Registry()[name]
+	a, ok := registry()[name]
 	if !ok {
 		return nil, fmt.Errorf("adversary: unknown strategy %q (have %v)", name, Names())
 	}

@@ -19,14 +19,14 @@ func newView(states []alg.State, faulty []bool, space uint64, seed int64) *View 
 }
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
+	reg := registry()
 	for _, name := range []string{"silent", "random", "equivocate", "mirror", "splitvote", "spread", "flip"} {
 		if _, ok := reg[name]; !ok {
 			t.Errorf("registry missing %q", name)
 		}
 	}
 	if len(Names()) != len(reg) {
-		t.Error("Names and Registry disagree")
+		t.Error("Names and registry disagree")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestAllStrategiesStayInSpace(t *testing.T) {
 	const space = 37
 	states := []alg.State{3, 14, 15, 9, 26}
 	faulty := []bool{false, false, true, false, true}
-	for name, adv := range Registry() {
+	for name, adv := range registry() {
 		v := newView(states, faulty, space, 99)
 		for round := uint64(0); round < 50; round++ {
 			v.Round = round
@@ -72,14 +72,14 @@ func TestRandomIsConsistentPerRound(t *testing.T) {
 	// within a round.
 	v := newView([]alg.State{1, 2, 3, 4}, []bool{false, true, false, false}, 1000, 5)
 	v.Round = 17
-	first := (Random{}).Message(v, 1, 0)
+	first := (random{}).Message(v, 1, 0)
 	for to := 1; to < 4; to++ {
-		if got := (Random{}).Message(v, 1, to); got != first {
-			t.Fatalf("Random equivocated: receiver %d saw %d, receiver 0 saw %d", to, got, first)
+		if got := (random{}).Message(v, 1, to); got != first {
+			t.Fatalf("random equivocated: receiver %d saw %d, receiver 0 saw %d", to, got, first)
 		}
 	}
 	v.Round = 18
-	if second := (Random{}).Message(v, 1, 0); second == first {
+	if second := (random{}).Message(v, 1, 0); second == first {
 		// Not strictly impossible, but with space 1000 a collision across
 		// rounds signals a broken derivation more often than luck.
 		t.Logf("warning: consecutive rounds produced identical random state %d", first)
@@ -88,24 +88,24 @@ func TestRandomIsConsistentPerRound(t *testing.T) {
 
 func TestMirrorCopiesLowestCorrect(t *testing.T) {
 	v := newView([]alg.State{11, 22, 33}, []bool{true, false, true}, 100, 2)
-	if got := (Mirror{}).Message(v, 0, 2); got != 22 {
-		t.Errorf("Mirror = %d, want 22", got)
+	if got := (mirror{}).Message(v, 0, 2); got != 22 {
+		t.Errorf("mirror = %d, want 22", got)
 	}
 }
 
 func TestSplitVoteSplitsDistinctStates(t *testing.T) {
 	v := newView([]alg.State{7, 9, 0, 7}, []bool{false, false, true, false}, 100, 3)
-	even := (SplitVote{}).Message(v, 2, 0)
-	odd := (SplitVote{}).Message(v, 2, 1)
+	even := (splitVote{}).Message(v, 2, 0)
+	odd := (splitVote{}).Message(v, 2, 1)
 	if even != 7 || odd != 9 {
-		t.Errorf("SplitVote = (%d,%d), want (7,9)", even, odd)
+		t.Errorf("splitVote = (%d,%d), want (7,9)", even, odd)
 	}
 }
 
 func TestSplitVotePerturbsUnanimity(t *testing.T) {
 	v := newView([]alg.State{4, 4, 0, 4}, []bool{false, false, true, false}, 100, 4)
-	even := (SplitVote{}).Message(v, 2, 0)
-	odd := (SplitVote{}).Message(v, 2, 1)
+	even := (splitVote{}).Message(v, 2, 0)
+	odd := (splitVote{}).Message(v, 2, 1)
 	if even != 4 {
 		t.Errorf("even receiver should see the unanimous state, got %d", even)
 	}
@@ -116,21 +116,21 @@ func TestSplitVotePerturbsUnanimity(t *testing.T) {
 
 func TestSpreadShowsDifferentCorrectStates(t *testing.T) {
 	v := newView([]alg.State{10, 20, 0, 30}, []bool{false, false, true, false}, 100, 5)
-	if got := (Spread{}).Message(v, 2, 0); got != 10 {
-		t.Errorf("Spread to receiver 0 = %d, want 10", got)
+	if got := (spread{}).Message(v, 2, 0); got != 10 {
+		t.Errorf("spread to receiver 0 = %d, want 10", got)
 	}
-	if got := (Spread{}).Message(v, 2, 1); got != 20 {
-		t.Errorf("Spread to receiver 1 = %d, want 20", got)
+	if got := (spread{}).Message(v, 2, 1); got != 20 {
+		t.Errorf("spread to receiver 1 = %d, want 20", got)
 	}
-	if got := (Spread{}).Message(v, 2, 3); got != 10 {
-		t.Errorf("Spread to receiver 3 = %d, want 10 (wraps mod 3 correct)", got)
+	if got := (spread{}).Message(v, 2, 3); got != 10 {
+		t.Errorf("spread to receiver 3 = %d, want 10 (wraps mod 3 correct)", got)
 	}
 }
 
 func TestFlipComplementsMajority(t *testing.T) {
 	v := newView([]alg.State{1, 1, 1, 0}, []bool{false, false, false, true}, 2, 6)
-	if got := (Flip{}).Message(v, 3, 0); got != 0 {
-		t.Errorf("Flip = %d, want 0 (complement of majority 1)", got)
+	if got := (flip{}).Message(v, 3, 0); got != 0 {
+		t.Errorf("flip = %d, want 0 (complement of majority 1)", got)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestCorrectStates(t *testing.T) {
 }
 
 // TestSnapshottableMarkers pins the fast-forward eligibility contract:
-// every built-in strategy implements Snapshottable, the pure
+// every built-in strategy implements snapshottable, the pure
 // state-function strategies declare period 1, the randomness- or
 // round-driven ones declare 0 (stateless but never periodic), and the
 // stateful greedy lookahead opts out entirely.
@@ -157,10 +157,10 @@ func TestSnapshottableMarkers(t *testing.T) {
 		"random":     0,
 		"equivocate": 0,
 	}
-	for name, a := range Registry() {
-		s, ok := a.(Snapshottable)
+	for name, a := range registry() {
+		s, ok := a.(snapshottable)
 		if !ok {
-			t.Errorf("built-in %q does not implement Snapshottable", name)
+			t.Errorf("built-in %q does not implement snapshottable", name)
 			continue
 		}
 		want, listed := wantPeriod[name]
@@ -182,8 +182,8 @@ func TestSnapshottableMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Adversary(g).(Snapshottable); ok {
-		t.Error("greedy must not implement Snapshottable")
+	if _, ok := Adversary(g).(snapshottable); ok {
+		t.Error("greedy must not implement snapshottable")
 	}
 	if _, eligible := SnapshotPeriodOf(g); eligible {
 		t.Error("SnapshotPeriodOf(greedy) must report ineligible")

@@ -16,7 +16,7 @@ import (
 func BenchmarkMessageRow(b *testing.B) {
 	const n, f, space = 36, 7, 275634358272
 	for _, name := range Names() {
-		rower := Registry()[name].(RowMessenger)
+		rower := registry()[name].(RowMessenger)
 		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			v := &View{States: make([]alg.State, n), Faulty: make([]bool, n), Space: space, Rng: rng}

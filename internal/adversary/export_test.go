@@ -2,9 +2,9 @@ package adversary
 
 import "math/rand"
 
-// perSenderRng is the per-(round, sender) source Random used to build
+// perSenderRng is the per-(round, sender) source random used to build
 // for every message: a fresh math/rand source seeded with senderSeed.
-// Random now evaluates the first draw of that source in closed form
+// random now evaluates the first draw of that source in closed form
 // (seededDraw); this is the oracle it is held to by
 // TestSeededDrawMatchesMathRand, TestRandomMatchesPerSenderRng and
 // FuzzSeededDraw.

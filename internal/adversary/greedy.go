@@ -20,7 +20,7 @@ import (
 // use: it caches one round's assignment at a time, matching the
 // single-threaded simulators in this repository. For the same reason —
 // hidden mutable state plus draws from View.Rng — it deliberately does
-// NOT implement Snapshottable: greedy runs never fast-forward.
+// NOT implement snapshottable: greedy runs never fast-forward.
 //
 // The lookahead itself runs on the vectorized machinery: candidate
 // assignments live in flat to-major matrices that double as the patch

@@ -8,17 +8,17 @@ import "github.com/synchcount/synchcount/internal/alg"
 // vectorized round kernel (which uses these) bit-identical to the
 // reference loop (which calls Message per pair) — while doing the
 // per-round or per-receiver analysis once instead of once per message:
-// SplitVote, Spread and Flip read the View's per-round correct-state,
-// camp and majority caches, Silent/Mirror reduce to constant
-// fills, and Random evaluates each sender's seeded draw in closed form.
+// splitVote, spread and flip read the View's per-round correct-state,
+// camp and majority caches, Silent/mirror reduce to constant
+// fills, and random evaluates each sender's seeded draw in closed form.
 var (
 	_ RowMessenger = Silent{}
-	_ RowMessenger = Random{}
+	_ RowMessenger = random{}
 	_ RowMessenger = Equivocate{}
-	_ RowMessenger = Mirror{}
-	_ RowMessenger = SplitVote{}
-	_ RowMessenger = Spread{}
-	_ RowMessenger = Flip{}
+	_ RowMessenger = mirror{}
+	_ RowMessenger = splitVote{}
+	_ RowMessenger = spread{}
+	_ RowMessenger = flip{}
 )
 
 // MessageRow implements RowMessenger.
@@ -31,7 +31,7 @@ func (Silent) MessageRow(_ *View, senders []int, _ int, row []alg.State) {
 // MessageRow implements RowMessenger: each sender's broadcast value is
 // the seeded draw of (round, sender) exactly as Message computes it,
 // so all receivers observe the same state from it.
-func (Random) MessageRow(v *View, senders []int, _ int, row []alg.State) {
+func (random) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 	for j, from := range senders {
 		row[j] = seededDraw(v.senderSeed(from), v.Space)
 	}
@@ -47,7 +47,7 @@ func (Equivocate) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 }
 
 // MessageRow implements RowMessenger.
-func (Mirror) MessageRow(v *View, senders []int, _ int, row []alg.State) {
+func (mirror) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 	var s alg.State
 	for i, f := range v.Faulty {
 		if !f {
@@ -63,7 +63,7 @@ func (Mirror) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 // MessageRow implements RowMessenger: the two camps (a, b) depend only
 // on the round's correct states, so they are read from the View's
 // per-round cache and fanned out by receiver parity.
-func (sv SplitVote) MessageRow(v *View, senders []int, to int, row []alg.State) {
+func (sv splitVote) MessageRow(v *View, senders []int, to int, row []alg.State) {
 	s := sv.Message(v, 0, to)
 	for j := range senders {
 		row[j] = s
@@ -71,7 +71,7 @@ func (sv SplitVote) MessageRow(v *View, senders []int, to int, row []alg.State) 
 }
 
 // MessageRow implements RowMessenger.
-func (sp Spread) MessageRow(v *View, senders []int, to int, row []alg.State) {
+func (sp spread) MessageRow(v *View, senders []int, to int, row []alg.State) {
 	correct := v.correctStates()
 	var s alg.State
 	if len(correct) > 0 {
@@ -84,7 +84,7 @@ func (sp Spread) MessageRow(v *View, senders []int, to int, row []alg.State) {
 
 // MessageRow implements RowMessenger: the majority is computed once
 // per round, not once per row or per message.
-func (fl Flip) MessageRow(v *View, senders []int, _ int, row []alg.State) {
+func (fl flip) MessageRow(v *View, senders []int, _ int, row []alg.State) {
 	s := (v.correctMajority() + 1) % v.Space
 	for j := range senders {
 		row[j] = s

@@ -41,7 +41,7 @@ func rowSenders(v *View) []int {
 // the shared rng. This is what lets the vectorized kernel substitute
 // row fills for per-pair dispatch without perturbing any seed stream.
 func TestMessageRowMatchesMessage(t *testing.T) {
-	for name, adv := range Registry() {
+	for name, adv := range registry() {
 		rower, ok := adv.(RowMessenger)
 		if !ok {
 			t.Errorf("built-in adversary %q does not implement RowMessenger", name)
@@ -148,17 +148,17 @@ func TestViewCorrectStatesCacheInvalidation(t *testing.T) {
 		Space:  10,
 	}
 	v.Round = 0
-	if s := (Spread{}).Message(v, 1, 0); s != 1 {
+	if s := (spread{}).Message(v, 1, 0); s != 1 {
 		t.Fatalf("round 0: spread showed %d, want 1", s)
 	}
 	v.States[0] = 8 // simulator writes next states in place...
 	v.Round = 1     // ...and advances the round
-	if s := (Spread{}).Message(v, 1, 0); s != 8 {
+	if s := (spread{}).Message(v, 1, 0); s != 8 {
 		t.Fatalf("round 1: spread showed stale cache value %d, want 8", s)
 	}
 }
 
-// TestFlipMajorityCache: Flip reads the majority cached with the
+// TestFlipMajorityCache: flip reads the majority cached with the
 // per-round correct states. It must follow the states from round to
 // round, and a row fill must allocate nothing, on a new round too.
 func TestFlipMajorityCache(t *testing.T) {
@@ -167,12 +167,12 @@ func TestFlipMajorityCache(t *testing.T) {
 		Faulty: []bool{false, true, false, false, false},
 		Space:  10,
 	}
-	if s := (Flip{}).Message(v, 1, 0); s != 5 {
+	if s := (flip{}).Message(v, 1, 0); s != 5 {
 		t.Fatalf("round 0: flip showed %d, want 5", s)
 	}
 	v.States[0], v.States[2] = 7, 7
 	v.Round = 1
-	if s := (Flip{}).Message(v, 1, 0); s != 1 {
+	if s := (flip{}).Message(v, 1, 0); s != 1 {
 		t.Fatalf("round 1: flip showed %d, want 1 (no majority: 0+1)", s)
 	}
 	senders := []int{1}
@@ -180,11 +180,11 @@ func TestFlipMajorityCache(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		v.Round++
 		for to := range v.States {
-			(Flip{}).MessageRow(v, senders, to, row)
+			(flip{}).MessageRow(v, senders, to, row)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Flip.MessageRow allocates %.0f objects per round, want 0", allocs)
+		t.Fatalf("flip.MessageRow allocates %.0f objects per round, want 0", allocs)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestAdversaryUniformHugeSpace(t *testing.T) {
 	}
 }
 
-// TestSplitVoteCampsCache: SplitVote reads its two camps from the
+// TestSplitVoteCampsCache: splitVote reads its two camps from the
 // View's per-round cache. On unanimous, two-camp and all-faulty views,
 // MessageRow on one long-lived View must equal Message on a fresh View
 // for every receiver, and the cache must follow the states from round
@@ -226,7 +226,7 @@ func TestSplitVoteCampsCache(t *testing.T) {
 		{"two-camp", []alg.State{5, 2, 5, 7, 1}, []bool{false, true, false, false, false}, 5, 7},
 		{"all-faulty", []alg.State{3, 6, 1, 2, 8}, []bool{true, true, true, true, true}, 0, 0},
 	}
-	sv := SplitVote{}
+	sv := splitVote{}
 	long := &View{Space: 10}
 	for r, tc := range cases {
 		long.Round, long.States, long.Faulty = uint64(r), tc.states, tc.faulty

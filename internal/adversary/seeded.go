@@ -9,7 +9,7 @@ import (
 
 // Closed form of the first draw from a freshly seeded math/rand source.
 //
-// Random's broadcast value is alg.UniformState(rand.New(rand.NewSource(
+// random's broadcast value is alg.UniformState(rand.New(rand.NewSource(
 // seed)), space): one draw from a source seeded per (round, sender).
 // Building that source fills all 607 words of its lagged-Fibonacci
 // state (rngSource.Seed in math/rand/rng.go), yet its first output only

@@ -63,7 +63,7 @@ func TestSeededDrawMatchesMathRand(t *testing.T) {
 	t.Logf("%d closed-form draws, %d rejection fallbacks", closed, rejected)
 }
 
-// TestRandomMatchesPerSenderRng holds Random's Message and MessageRow
+// TestRandomMatchesPerSenderRng holds random's Message and MessageRow
 // to the per-(round, sender) source they used to build, on the same
 // View shapes the row suite uses, across rounds and base seeds.
 func TestRandomMatchesPerSenderRng(t *testing.T) {
@@ -73,10 +73,10 @@ func TestRandomMatchesPerSenderRng(t *testing.T) {
 		row := make([]alg.State, len(senders))
 		for round := uint64(0); round < 64; round++ {
 			v.Round = round
-			Random{}.MessageRow(v, senders, 0, row)
+			random{}.MessageRow(v, senders, 0, row)
 			for j, from := range senders {
 				want := uniform(v.perSenderRng(from), v.Space)
-				if got := (Random{}).Message(v, from, 2); got != want || row[j] != want {
+				if got := (random{}).Message(v, from, 2); got != want || row[j] != want {
 					t.Fatalf("base %d round %d sender %d: Message %d, MessageRow %d, oracle %d",
 						base, round, from, got, row[j], want)
 				}
@@ -85,7 +85,7 @@ func TestRandomMatchesPerSenderRng(t *testing.T) {
 	}
 }
 
-// TestRandomAllocsZero pins Random's hot path allocation-free: the
+// TestRandomAllocsZero pins random's hot path allocation-free: the
 // per-pair source it replaced cost one 5 KB allocation per message.
 func TestRandomAllocsZero(t *testing.T) {
 	v := rowTestView(5)
@@ -94,16 +94,16 @@ func TestRandomAllocsZero(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		v.Round++
 		for _, from := range senders {
-			_ = Random{}.Message(v, from, 0)
+			_ = random{}.Message(v, from, 0)
 		}
 	}); a != 0 {
-		t.Errorf("Random.Message: %.1f allocs per round, want 0", a)
+		t.Errorf("random.Message: %.1f allocs per round, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		v.Round++
-		Random{}.MessageRow(v, senders, 0, row)
+		random{}.MessageRow(v, senders, 0, row)
 	}); a != 0 {
-		t.Errorf("Random.MessageRow: %.1f allocs per row, want 0", a)
+		t.Errorf("random.MessageRow: %.1f allocs per row, want 0", a)
 	}
 }
 

@@ -233,11 +233,11 @@ type BitSliceStepper interface {
 	StepAllSliced(next []State, pl *BitPlanes, p *Patches, rngs []*rand.Rand)
 }
 
-// CSA is a carry-save full adder over 64 independent lanes: it reduces
+// csa is a carry-save full adder over 64 independent lanes: it reduces
 // three addend bits per lane to a sum bit and a carry bit (weight 2).
-// Chained CSAs count votes across whole words without inter-lane
+// Chained csa calls count votes across whole words without inter-lane
 // carries — the classic bit-sliced population-count building block.
-func CSA(a, b, c uint64) (sum, carry uint64) {
+func csa(a, b, c uint64) (sum, carry uint64) {
 	u := a ^ b
 	return u ^ c, (a & b) | (u & c)
 }
@@ -252,13 +252,13 @@ func PopcountMasked(words, mask []uint64) int {
 	i := 0
 	for ; i+8 <= len(words); i += 8 {
 		var t0, t1, t2, t3 uint64
-		ones, t0 = CSA(ones, words[i]&mask[i], words[i+1]&mask[i+1])
-		ones, t1 = CSA(ones, words[i+2]&mask[i+2], words[i+3]&mask[i+3])
-		twos, t2 = CSA(twos, t0, t1)
-		ones, t0 = CSA(ones, words[i+4]&mask[i+4], words[i+5]&mask[i+5])
-		ones, t1 = CSA(ones, words[i+6]&mask[i+6], words[i+7]&mask[i+7])
-		twos, t3 = CSA(twos, t0, t1)
-		fours, t0 = CSA(fours, t2, t3)
+		ones, t0 = csa(ones, words[i]&mask[i], words[i+1]&mask[i+1])
+		ones, t1 = csa(ones, words[i+2]&mask[i+2], words[i+3]&mask[i+3])
+		twos, t2 = csa(twos, t0, t1)
+		ones, t0 = csa(ones, words[i+4]&mask[i+4], words[i+5]&mask[i+5])
+		ones, t1 = csa(ones, words[i+6]&mask[i+6], words[i+7]&mask[i+7])
+		twos, t3 = csa(twos, t0, t1)
+		fours, t0 = csa(fours, t2, t3)
 		total += 8 * bits.OnesCount64(t0)
 	}
 	total += 4*bits.OnesCount64(fours) + 2*bits.OnesCount64(twos) + bits.OnesCount64(ones)
@@ -299,16 +299,4 @@ func SlicedGE(cnt []uint64, k uint64) uint64 {
 		eq &= ^(cnt[i] ^ kb)
 	}
 	return gt | eq
-}
-
-// SlicedEQ returns the mask of lanes whose vertical count equals k.
-func SlicedEQ(cnt []uint64, k uint64) uint64 {
-	if uint(len(cnt)) < 64 && k>>uint(len(cnt)) != 0 {
-		return 0
-	}
-	eq := ^uint64(0)
-	for i, p := range cnt {
-		eq &= ^(p ^ -(k >> uint(i) & 1))
-	}
-	return eq
 }

@@ -10,7 +10,7 @@ func TestCSA(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		a, b, c := rng.Uint64(), rng.Uint64(), rng.Uint64()
-		sum, carry := CSA(a, b, c)
+		sum, carry := csa(a, b, c)
 		for lane := 0; lane < 64; lane++ {
 			total := a>>uint(lane)&1 + b>>uint(lane)&1 + c>>uint(lane)&1
 			if got := sum>>uint(lane)&1 + 2*(carry>>uint(lane)&1); got != total {
@@ -70,13 +70,9 @@ func TestSlicedCounting(t *testing.T) {
 		}
 		for _, k := range []uint64{0, 1, uint64(adds / 2), uint64(adds), uint64(adds) + 1} {
 			ge := SlicedGE(cnt, k)
-			eq := SlicedEQ(cnt, k)
 			for lane := 0; lane < 64; lane++ {
 				if gotGE := ge>>uint(lane)&1 == 1; gotGE != (want[lane] >= k) {
 					t.Fatalf("adds=%d k=%d lane=%d: SlicedGE=%v count=%d", adds, k, lane, gotGE, want[lane])
-				}
-				if gotEQ := eq>>uint(lane)&1 == 1; gotEQ != (want[lane] == k) {
-					t.Fatalf("adds=%d k=%d lane=%d: SlicedEQ=%v count=%d", adds, k, lane, gotEQ, want[lane])
 				}
 			}
 		}
@@ -87,9 +83,6 @@ func TestSlicedGEOutOfRange(t *testing.T) {
 	cnt := []uint64{^uint64(0), ^uint64(0)} // every lane counts 3
 	if got := SlicedGE(cnt, 4); got != 0 {
 		t.Fatalf("SlicedGE(3-lanes, 4) = %#x, want 0", got)
-	}
-	if got := SlicedEQ(cnt, 4); got != 0 {
-		t.Fatalf("SlicedEQ(3-lanes, 4) = %#x, want 0", got)
 	}
 	if got := SlicedGE(nil, 0); got != ^uint64(0) {
 		t.Fatalf("SlicedGE(empty, 0) = %#x, want all lanes", got)

@@ -10,20 +10,20 @@ package alg
 // analytically. Two pieces live here because they belong to the
 // algorithm formalism, not the simulator:
 //
-//   - ConfigCapturer, the Snapshot/Restore-style hook for algorithms
+//   - configCapturer, the Snapshot/Restore-style hook for algorithms
 //     whose configuration is not fully explicit in the dense state
 //     vector. The (X, g, h) formalism makes per-node state explicit —
 //     Step is a pure function of the received vector — so every
 //     built-in construction needs nothing; the hook exists so a future
 //     algorithm carrying hidden per-node words can still opt into
 //     fast-forwarding instead of being silently mis-cycled.
-//   - HashConfig / HashConfigWord, the cheap incremental configuration
+//   - HashConfig / hashConfigWord, the cheap incremental configuration
 //     hash. Collisions are harmless — the engine verifies every hash
 //     match by full configuration comparison before trusting it — so
 //     the hash only needs to be fast and well-mixed, not
 //     cryptographic.
 
-// ConfigCapturer is implemented by algorithms whose full configuration
+// configCapturer is implemented by algorithms whose full configuration
 // is not the explicit state vector alone. AppendConfig appends every
 // hidden word that influences future transitions to dst and returns
 // the extended slice; the fast-forward engine includes the words in
@@ -38,18 +38,18 @@ package alg
 //
 // None of the built-in constructions implement it: the alg.State
 // encoding already carries the complete per-node state.
-type ConfigCapturer interface {
+type configCapturer interface {
 	AppendConfig(dst []State) []State
 }
 
 // AppendConfig appends the full configuration of a run — the state
 // vector plus any hidden words the algorithm exposes through
-// ConfigCapturer — to dst and returns the extended slice. This is the
+// configCapturer — to dst and returns the extended slice. This is the
 // configuration the fast-forward engine hashes, checkpoints and
 // compares.
 func AppendConfig(a Algorithm, states []State, dst []State) []State {
 	dst = append(dst, states...)
-	if cc, ok := a.(ConfigCapturer); ok {
+	if cc, ok := a.(configCapturer); ok {
 		dst = cc.AppendConfig(dst)
 	}
 	return dst
@@ -71,22 +71,18 @@ const (
 func HashConfig(words []State) uint64 {
 	h := uint64(configHashOffset)
 	for _, w := range words {
-		h = HashConfigWord(h, w)
+		h = hashConfigWord(h, w)
 	}
 	return h
 }
 
-// HashConfigWord folds one configuration word into a running digest —
+// hashConfigWord folds one configuration word into a running digest —
 // the incremental form of HashConfig for callers that stream words.
-// HashConfig(ws) == foldl HashConfigWord over ws starting from the
+// HashConfig(ws) == foldl hashConfigWord over ws starting from the
 // offset basis.
-func HashConfigWord(h uint64, w State) uint64 {
+func hashConfigWord(h uint64, w State) uint64 {
 	return (h ^ mix64(w)) * configHashPrime
 }
-
-// ConfigHashSeed returns the empty-vector digest, the starting value
-// for incremental HashConfigWord chains.
-func ConfigHashSeed() uint64 { return configHashOffset }
 
 // mix64 is the splitmix64 output finalizer: a cheap invertible
 // avalanche so that dense low-entropy states (0, 1, 2, ...) spread

@@ -14,9 +14,9 @@ func TestHashConfigIncremental(t *testing.T) {
 		for i := range words {
 			words[i] = State(rng.Uint64())
 		}
-		h := ConfigHashSeed()
+		h := uint64(configHashOffset)
 		for _, w := range words {
-			h = HashConfigWord(h, w)
+			h = hashConfigWord(h, w)
 		}
 		if got := HashConfig(words); got != h {
 			t.Fatalf("incremental fold %#x != batch hash %#x for %v", h, got, words)
@@ -76,7 +76,7 @@ func (plainAlg) Step(int, []State, *rand.Rand) State { return 0 }
 func (plainAlg) Output(int, State) int               { return 0 }
 
 // TestAppendConfig checks the capture helper: the explicit state
-// vector always leads, and ConfigCapturer words follow when the
+// vector always leads, and configCapturer words follow when the
 // algorithm exposes them.
 func TestAppendConfig(t *testing.T) {
 	states := []State{4, 5}

@@ -6,7 +6,7 @@ package alg
 // constructions vote over — counter moduli, leader pointers, round
 // counters), with a dedicated slot for the Infinity reset key and a
 // lazily-built sparse map for out-of-domain garbage. Domains above
-// DenseDomainLimit skip the slice entirely and fall back to the map.
+// denseDomainLimit skip the slice entirely and fall back to the map.
 //
 // Unlike Tally it also supports Remove, which is what lets the batch
 // steppers share one tally across all receivers of a round: the base
@@ -27,10 +27,10 @@ type DenseTally struct {
 	total   int
 }
 
-// DenseDomainLimit is the largest value domain backed by slices; above
+// denseDomainLimit is the largest value domain backed by slices; above
 // it NewDenseTally degrades to the sparse map representation so that a
 // huge state space cannot turn one tally into a giant allocation.
-const DenseDomainLimit = 1 << 16
+const denseDomainLimit = 1 << 16
 
 // tallyInfinity is the reset key ∞ used by the phase king registers
 // (phaseking.Infinity); it gets a dedicated slot so the hot paths never
@@ -50,7 +50,7 @@ func NewDenseTally(domain uint64) *DenseTally {
 // pools use it to recycle tallies across runs of differently-sized
 // algorithms.
 func (t *DenseTally) Resize(domain uint64) {
-	if domain > DenseDomainLimit {
+	if domain > denseDomainLimit {
 		domain = 0 // sparse-only representation
 	}
 	// Clear against the *current* backing first: touched entries index

@@ -66,7 +66,7 @@ func checkTallyEquiv(t *testing.T, dense *DenseTally, ref *Tally, keys []uint64,
 	}
 }
 
-// TestDenseTallySparseFallback: domains beyond DenseDomainLimit must
+// TestDenseTallySparseFallback: domains beyond denseDomainLimit must
 // degrade to the sparse representation, not allocate a giant slice.
 func TestDenseTallySparseFallback(t *testing.T) {
 	tl := NewDenseTally(uint64(1) << 40)

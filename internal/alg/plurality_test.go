@@ -41,15 +41,15 @@ func TestPluralityAgreement(t *testing.T) {
 }
 
 // TestDenseTallyDomainLimitBoundary pins the representation switch at
-// exactly DenseDomainLimit (2^16): a domain of 2^16-1 and of 2^16 get
+// exactly denseDomainLimit (2^16): a domain of 2^16-1 and of 2^16 get
 // the slice backing, 2^16+1 silently degrades to the sparse map — and
 // in all three regimes Add/Remove and every query agree with the
 // map-backed Tally on multisets straddling the domain edge.
 func TestDenseTallyDomainLimitBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, domain := range []uint64{DenseDomainLimit - 1, DenseDomainLimit, DenseDomainLimit + 1} {
+	for _, domain := range []uint64{denseDomainLimit - 1, denseDomainLimit, denseDomainLimit + 1} {
 		d := NewDenseTally(domain)
-		wantDense := domain <= DenseDomainLimit
+		wantDense := domain <= denseDomainLimit
 		if gotDense := uint64(len(d.counts)) == domain && domain != 0; gotDense != wantDense {
 			t.Fatalf("domain %d: dense backing %v (len %d), want %v", domain, gotDense, len(d.counts), wantDense)
 		}

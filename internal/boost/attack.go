@@ -46,7 +46,7 @@ var _ adversary.Adversary = Saboteur{}
 // Name implements adversary.Adversary.
 func (s Saboteur) Name() string { return "saboteur" }
 
-// SnapshotPeriod implements adversary.Snapshottable: the forge chain
+// SnapshotPeriod is read by adversary.SnapshotPeriodOf: the forge chain
 // is a pure function of the start-of-round states and the fault mask —
 // it never consults the adversary randomness stream or the absolute
 // round number (the recycled forgeScratch is call-scoped working
@@ -156,7 +156,7 @@ func forgeLevel(b *Counter, states []alg.State, v *adversary.View, offset, fromL
 		// Unreachable for well-formed counters (the forged components
 		// are reduced into range above); fall back to a constant rather
 		// than echoing an arbitrary — possibly faulty — node's state,
-		// preserving the Snapshottable no-faulty-reads contract.
+		// preserving the snapshot no-faulty-reads contract.
 		return 0
 	}
 	return st

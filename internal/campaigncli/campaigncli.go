@@ -163,7 +163,7 @@ func (o *Options) MergeAndReport(jsonPath, csvPath string) error {
 	if err != nil {
 		return err
 	}
-	Summary(o.HumanOut(), result)
+	summary(o.HumanOut(), result)
 	return o.WriteExports(result, jsonPath, csvPath)
 }
 
@@ -197,7 +197,7 @@ func (o *Options) Merge() (*harness.Result, error) {
 	var parts []*harness.Result
 	for _, path := range List(o.merge) {
 		// A shard's trial records reassemble from either export format:
-		// .ndjson streams read back through harness.ReadNDJSON, anything
+		// .ndjson streams read back through harness.ReadNDJSONFile, anything
 		// else is a buffered shard Result JSON.
 		var res *harness.Result
 		var err error
@@ -317,10 +317,10 @@ func parseShard(s string) (index, count int, err error) {
 	return index, count, nil
 }
 
-// Summary prints a compact per-scenario overview of a (possibly
+// summary prints a compact per-scenario overview of a (possibly
 // partial or merged) campaign result — the shared report for merge
 // mode, where the command's usual run-time context is absent.
-func Summary(w io.Writer, res *harness.Result) {
+func summary(w io.Writer, res *harness.Result) {
 	fmt.Fprintf(w, "campaign    : %s (seed %d)\n", res.Campaign, res.Seed)
 	for _, sc := range res.Scenarios {
 		st := sc.Stats

@@ -17,6 +17,10 @@ import (
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
+// splitVote is the registry's "splitvote" strategy; the adversary
+// package's own tests pin the name.
+var splitVote, _ = adversary.ByName("splitvote")
+
 func testCampaign() harness.Campaign {
 	return harness.Campaign{
 		Name: "cli",
@@ -247,7 +251,7 @@ func memoTestCampaign(t *testing.T, o *Options) harness.Campaign {
 		cfg := sim.Config{
 			Alg:       a,
 			Faulty:    faulty,
-			Adv:       adversary.SplitVote{},
+			Adv:       splitVote,
 			MaxRounds: 1 << 14,
 		}
 		o.ApplySim(&cfg, "ecount/n=16/f=3/c=8")

@@ -10,9 +10,9 @@ import (
 // state of the next one (fields: block state, two pointers, consensus
 // registers, output bit).
 var ecountLevels = []*Codec{
-	MustNew(24510873600, 28, 28, 9, 2),
-	MustNew(439200, 16, 16, 109, 2),
-	MustNew(36, 10, 10, 61, 2),
+	mustNew(24510873600, 28, 28, 9, 2),
+	mustNew(439200, 16, 16, 109, 2),
+	mustNew(36, 10, 10, 61, 2),
 }
 
 // BenchmarkField decodes every field of every nested level of an

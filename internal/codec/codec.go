@@ -60,16 +60,6 @@ func New(radices ...uint64) (*Codec, error) {
 	return &Codec{strides: strides, space: strides[len(radices)]}, nil
 }
 
-// MustNew is New for statically known-good radices; it panics on error and
-// is intended for package initialisation and tests only.
-func MustNew(radices ...uint64) *Codec {
-	c, err := New(radices...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Space returns |X|, the number of distinct encodable states.
 func (c *Codec) Space() uint64 { return c.space }
 
@@ -139,16 +129,16 @@ func (c *Codec) WithField(v uint64, i int, x uint64) uint64 {
 	return v + (x%(hi/lo)-old)*lo
 }
 
-// StateWordSize is the wire size of one encoded state word: the dense
+// stateWordSize is the wire size of one encoded state word: the dense
 // representation travels as a fixed-width 8-byte big-endian field so
 // that frames have a static layout and truncation is detectable by
 // length alone.
-const StateWordSize = 8
+const stateWordSize = 8
 
-// ErrShortStateWord is returned by DecodeStateWord for inputs shorter
+// errShortStateWord is returned by DecodeStateWord for inputs shorter
 // than a full state word — a truncated frame must fail loudly, never be
 // zero-padded into a valid-looking state.
-var ErrShortStateWord = errors.New("codec: truncated state word")
+var errShortStateWord = errors.New("codec: truncated state word")
 
 // AppendStateWord appends the wire encoding of state v drawn from a
 // space of the given size. Encoding is total only for in-space values:
@@ -176,8 +166,8 @@ func AppendStateWord(dst []byte, v, space uint64) ([]byte, error) {
 // wants the adversarial mod-space reduction applies it explicitly via
 // (*Codec).Unpack after deciding the frame is authentic.
 func DecodeStateWord(b []byte, space uint64) (uint64, error) {
-	if len(b) < StateWordSize {
-		return 0, fmt.Errorf("%w: got %d of %d bytes", ErrShortStateWord, len(b), StateWordSize)
+	if len(b) < stateWordSize {
+		return 0, fmt.Errorf("%w: got %d of %d bytes", errShortStateWord, len(b), stateWordSize)
 	}
 	if space == 0 {
 		return 0, errors.New("codec: zero-sized space")

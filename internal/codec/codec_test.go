@@ -44,7 +44,7 @@ func TestSpaceAndBits(t *testing.T) {
 		{[]uint64{2304, 961, 2}, 2304 * 961 * 2, 23},
 	}
 	for _, tt := range tests {
-		c := MustNew(tt.radices...)
+		c := mustNew(tt.radices...)
 		if c.Space() != tt.space {
 			t.Errorf("Space(%v) = %d, want %d", tt.radices, c.Space(), tt.space)
 		}
@@ -55,7 +55,7 @@ func TestSpaceAndBits(t *testing.T) {
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
-	c := MustNew(3, 5, 2, 7)
+	c := mustNew(3, 5, 2, 7)
 	var fields []uint64
 	for a := uint64(0); a < 3; a++ {
 		for b := uint64(0); b < 5; b++ {
@@ -76,7 +76,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestPackRejectsOutOfRange(t *testing.T) {
-	c := MustNew(3, 5)
+	c := mustNew(3, 5)
 	if _, err := c.Pack(3, 0); err == nil {
 		t.Error("Pack(3,0) with radix 3 should fail")
 	}
@@ -87,7 +87,7 @@ func TestPackRejectsOutOfRange(t *testing.T) {
 
 func TestPackDense(t *testing.T) {
 	// Packing must be a bijection onto [0, space).
-	c := MustNew(4, 3)
+	c := mustNew(4, 3)
 	seen := make(map[uint64]bool)
 	for a := uint64(0); a < 4; a++ {
 		for b := uint64(0); b < 3; b++ {
@@ -104,7 +104,7 @@ func TestPackDense(t *testing.T) {
 }
 
 func TestField(t *testing.T) {
-	c := MustNew(6, 11, 4)
+	c := mustNew(6, 11, 4)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		a, b, d := uint64(rng.Intn(6)), uint64(rng.Intn(11)), uint64(rng.Intn(4))
@@ -122,7 +122,7 @@ func TestField(t *testing.T) {
 }
 
 func TestWithField(t *testing.T) {
-	c := MustNew(6, 11, 4)
+	c := mustNew(6, 11, 4)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		v := uint64(rng.Int63n(int64(c.Space())))
@@ -146,7 +146,7 @@ func TestWithField(t *testing.T) {
 func TestUnpackTotalOnAdversarialValues(t *testing.T) {
 	// Values beyond the space must decode without panicking (adversaries
 	// in layered constructions can hand us arbitrary words).
-	c := MustNew(3, 5)
+	c := mustNew(3, 5)
 	for _, v := range []uint64{15, 16, 1 << 40, ^uint64(0)} {
 		fields := c.Unpack(v, nil)
 		if fields[0] >= 3 || fields[1] >= 5 {
@@ -156,7 +156,7 @@ func TestUnpackTotalOnAdversarialValues(t *testing.T) {
 }
 
 func TestQuickRoundTrip(t *testing.T) {
-	c := MustNew(7, 13, 3, 2, 31)
+	c := mustNew(7, 13, 3, 2, 31)
 	f := func(a, b, d, e, g uint64) bool {
 		fields := []uint64{a % 7, b % 13, d % 3, e % 2, g % 31}
 		v, err := c.Pack(fields...)
@@ -270,8 +270,8 @@ func TestStateWordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendStateWord(%d, %d): %v", tt.v, tt.space, err)
 		}
-		if len(b) != StateWordSize {
-			t.Fatalf("encoded %d bytes, want %d", len(b), StateWordSize)
+		if len(b) != stateWordSize {
+			t.Fatalf("encoded %d bytes, want %d", len(b), stateWordSize)
 		}
 		got, err := DecodeStateWord(b, tt.space)
 		if err != nil || got != tt.v {
@@ -287,8 +287,8 @@ func TestStateWordErrors(t *testing.T) {
 	if _, err := AppendStateWord(nil, 0, 0); err == nil {
 		t.Error("AppendStateWord accepted a zero-sized space")
 	}
-	if _, err := DecodeStateWord([]byte{1, 2, 3}, 10); !errors.Is(err, ErrShortStateWord) {
-		t.Errorf("truncated decode: got %v, want ErrShortStateWord", err)
+	if _, err := DecodeStateWord([]byte{1, 2, 3}, 10); !errors.Is(err, errShortStateWord) {
+		t.Errorf("truncated decode: got %v, want errShortStateWord", err)
 	}
 	if _, err := DecodeStateWord(make([]byte, 8), 0); err == nil {
 		t.Error("DecodeStateWord accepted a zero-sized space")
@@ -300,7 +300,7 @@ func TestStateWordErrors(t *testing.T) {
 }
 
 func TestCodecStateMethods(t *testing.T) {
-	cdc := MustNew(6, 5)
+	cdc := mustNew(6, 5)
 	b, err := cdc.AppendState(nil, 29)
 	if err != nil {
 		t.Fatal(err)

@@ -24,3 +24,12 @@ func (c *Codec) withFieldReference(v uint64, i int, x uint64) uint64 {
 	old := v / lo % r
 	return v + (x%r-old)*lo
 }
+
+// mustNew is New for statically known-good radices; it panics on error.
+func mustNew(radices ...uint64) *Codec {
+	c, err := New(radices...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

@@ -16,9 +16,9 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, space uint64) {
 		v, err := DecodeStateWord(b, space)
 		switch {
-		case len(b) < StateWordSize:
+		case len(b) < stateWordSize:
 			if err == nil {
-				t.Fatalf("DecodeStateWord accepted %d of %d bytes", len(b), StateWordSize)
+				t.Fatalf("DecodeStateWord accepted %d of %d bytes", len(b), stateWordSize)
 			}
 		case space == 0:
 			if err == nil {
@@ -35,7 +35,7 @@ func FuzzCodecDecode(f *testing.F) {
 			}
 			for i := range enc {
 				if enc[i] != b[i] {
-					t.Fatalf("round trip changed byte %d: % x -> % x", i, b[:StateWordSize], enc)
+					t.Fatalf("round trip changed byte %d: % x -> % x", i, b[:stateWordSize], enc)
 				}
 			}
 			// The codec layer must then unpack it into in-range fields.
@@ -60,7 +60,7 @@ func FuzzPackUnpack(f *testing.F) {
 	f.Add(uint64(2303), uint64(960), uint64(1), uint64(10))
 	f.Add(^uint64(0), uint64(7), uint64(0), uint64(3))
 	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
-		cdc := MustNew(2304, 961, 2, 11)
+		cdc := mustNew(2304, 961, 2, 11)
 		fields := []uint64{a % 2304, b % 961, c % 2, d % 11}
 		v, err := cdc.Pack(fields...)
 		if err != nil {

@@ -14,9 +14,9 @@
 // counter. Each level adds only O(f) rounds, which telescopes to O(f)
 // total stabilisation time for the balanced recursion.
 //
-// Two pieces are exported: Consensus, the silent once-consensus
-// building block, and Counter, the derived self-stabilising c-counter
-// (see counter.go).
+// Counter, the derived self-stabilising c-counter (see counter.go), is
+// the exported piece; consensus, the silent once-consensus building
+// block it runs, stays inside the package.
 //
 // Scope note: the repository's conformance suite (internal/registry)
 // checks the declared bounds empirically against the built-in adversary
@@ -32,7 +32,7 @@ import (
 	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
-// Consensus is the silent once-consensus building block of the
+// consensus is the silent once-consensus building block of the
 // construction: a phase-king sweep of 3(f+2) instructions over n nodes
 // tolerating f < n/3 Byzantine faults, agreeing on a value modulo mod.
 //
@@ -50,15 +50,15 @@ import (
 // increment. A corrupt block scheduling phantom sweeps therefore
 // cannot break agreement once it is established; see
 // TestConsensusSilence.
-type Consensus struct {
+type consensus struct {
 	n, f int
 	mod  uint64
 	cfg  phaseking.Config
 }
 
-// NewConsensus returns the building block for n nodes, f < n/3 faults,
+// newConsensus returns the building block for n nodes, f < n/3 faults,
 // agreeing modulo mod >= 2.
-func NewConsensus(n, f int, mod uint64) (*Consensus, error) {
+func newConsensus(n, f int, mod uint64) (*consensus, error) {
 	if f < 0 {
 		return nil, fmt.Errorf("ecount: negative resilience f = %d", f)
 	}
@@ -71,7 +71,7 @@ func NewConsensus(n, f int, mod uint64) (*Consensus, error) {
 	if mod < 2 {
 		return nil, fmt.Errorf("ecount: consensus modulus %d < 2", mod)
 	}
-	c := &Consensus{
+	c := &consensus{
 		n: n, f: f, mod: mod,
 		cfg: phaseking.Config{
 			C: mod,
@@ -88,21 +88,21 @@ func NewConsensus(n, f int, mod uint64) (*Consensus, error) {
 }
 
 // N returns the number of participating nodes.
-func (c *Consensus) N() int { return c.n }
+func (c *consensus) N() int { return c.n }
 
 // F returns the tolerated number of Byzantine faults.
-func (c *Consensus) F() int { return c.f }
+func (c *consensus) F() int { return c.f }
 
 // Mod returns the agreement modulus.
-func (c *Consensus) Mod() uint64 { return c.mod }
+func (c *consensus) Mod() uint64 { return c.mod }
 
 // Rounds returns the sweep length 3(f+2): three rounds for each of the
 // f+2 king candidates, of which at least two are correct.
-func (c *Consensus) Rounds() uint64 { return 3 * uint64(c.f+2) }
+func (c *consensus) Rounds() uint64 { return 3 * uint64(c.f+2) }
 
 // Init returns registers encoding input v at instruction 0 of the
 // counting frame, with the confidence bit clear.
-func (c *Consensus) Init(v uint64) phaseking.Registers {
+func (c *consensus) Init(v uint64) phaseking.Registers {
 	return phaseking.Registers{A: v % c.mod, D: 0}
 }
 
@@ -113,19 +113,19 @@ func (c *Consensus) Init(v uint64) phaseking.Registers {
 // storage — the counter shares one across all receivers of a batch
 // round — so no map is built per node. The function is pure and total:
 // arbitrary reports are legal.
-func (c *Consensus) StepCounts(regs phaseking.Registers, r uint64, tally alg.Counts, kingA uint64) phaseking.Registers {
+func (c *consensus) StepCounts(regs phaseking.Registers, r uint64, tally alg.Counts, kingA uint64) phaseking.Registers {
 	return phaseking.Step(c.cfg, regs, r%c.Rounds(), tally, kingA)
 }
 
 // DecodeReport maps an encoded register report to the tally key space
 // consumed by StepCounts: finite proposals are their own key,
 // anything at or above the modulus is the reset state ⊥ (Infinity).
-func (c *Consensus) DecodeReport(a uint64) uint64 { return c.decode(a) }
+func (c *consensus) DecodeReport(a uint64) uint64 { return c.decode(a) }
 
 // Decide unshifts the counting frame after a full sweep: a register
 // that ran instructions 0..Rounds()-1 decided the value it would have
 // held at instruction 0. The reset state decides the default 0.
-func (c *Consensus) Decide(regs phaseking.Registers) uint64 {
+func (c *consensus) Decide(regs phaseking.Registers) uint64 {
 	if regs.A == phaseking.Infinity || regs.A >= c.mod {
 		return 0
 	}
@@ -135,7 +135,7 @@ func (c *Consensus) Decide(regs phaseking.Registers) uint64 {
 // decode maps an encoded register report to the tally key space of
 // internal/phaseking: finite proposals are their own key, everything
 // at or above the modulus is ⊥.
-func (c *Consensus) decode(a uint64) uint64 {
+func (c *consensus) decode(a uint64) uint64 {
 	if a >= c.mod {
 		return phaseking.Infinity
 	}

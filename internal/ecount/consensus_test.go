@@ -11,7 +11,7 @@ import (
 // instructions 0..Rounds()-1 in lockstep while faulty nodes report
 // per-receiver values drawn by byz. It returns the final registers of
 // the correct nodes (entries of faulty nodes are zero).
-func runSweep(c *Consensus, regs []phaseking.Registers, faulty []bool, byz func(rng *rand.Rand) uint64, rng *rand.Rand) []phaseking.Registers {
+func runSweep(c *consensus, regs []phaseking.Registers, faulty []bool, byz func(rng *rand.Rand) uint64, rng *rand.Rand) []phaseking.Registers {
 	n := c.N()
 	next := make([]phaseking.Registers, n)
 	for r := uint64(0); r < c.Rounds(); r++ {
@@ -36,7 +36,7 @@ func runSweep(c *Consensus, regs []phaseking.Registers, faulty []bool, byz func(
 
 func TestConsensusUnanimousValidityAndSilence(t *testing.T) {
 	for _, tc := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}} {
-		c, err := NewConsensus(tc.n, tc.f, 16)
+		c, err := newConsensus(tc.n, tc.f, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestConsensusUnanimousValidityAndSilence(t *testing.T) {
 
 func TestConsensusAgreementMixedInputs(t *testing.T) {
 	for _, tc := range []struct{ n, f int }{{4, 1}, {7, 2}} {
-		c, err := NewConsensus(tc.n, tc.f, 8)
+		c, err := newConsensus(tc.n, tc.f, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestConsensusAgreementMixedInputs(t *testing.T) {
 // per-node* instruction index and arbitrary Byzantine reports
 // preserves lockstep counting and confidence.
 func TestConsensusSilenceArbitraryScheduling(t *testing.T) {
-	c, err := NewConsensus(7, 2, 12)
+	c, err := newConsensus(7, 2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestNewConsensusValidation(t *testing.T) {
 		{4, 1, 1},  // modulus too small
 		{1, 0, 4},  // fewer nodes than king candidates
 	} {
-		if _, err := NewConsensus(tc.n, tc.f, tc.mod); err == nil {
-			t.Errorf("NewConsensus(%d, %d, %d) succeeded, want error", tc.n, tc.f, tc.mod)
+		if _, err := newConsensus(tc.n, tc.f, tc.mod); err == nil {
+			t.Errorf("newConsensus(%d, %d, %d) succeeded, want error", tc.n, tc.f, tc.mod)
 		}
 	}
-	c, err := NewConsensus(4, 1, 4)
+	c, err := newConsensus(4, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

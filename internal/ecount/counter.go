@@ -11,28 +11,28 @@ import (
 	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
-// SplitFunc partitions n nodes with resilience f into block 0 (nodes
+// splitFunc partitions n nodes with resilience f into block 0 (nodes
 // [0, n0)) with resilience f0 and block 1 (nodes [n0, n)) with
 // resilience f1, subject to f0 + f1 + 1 = f: whatever the fault
 // placement, by pigeonhole at least one block has at most its budget
 // of faults, so at least one block counter stabilises.
-type SplitFunc func(n, f int) (n0, f0, f1 int)
+type splitFunc func(n, f int) (n0, f0, f1 int)
 
-// BalancedSplit halves both the node set and the resilience budget at
+// balancedSplit halves both the node set and the resilience budget at
 // every level: recursion depth O(log f), total stabilisation overhead
 // O(f) (the per-level O(f_level) overheads telescope geometrically).
 // This is the paper's efficient stack.
-func BalancedSplit(n, f int) (n0, f0, f1 int) {
+func balancedSplit(n, f int) (n0, f0, f1 int) {
 	// The larger resilience share rides the larger first block, which
 	// keeps 3*f_i < n_i whenever 3*f < n (tight for f odd).
 	return (n + 1) / 2, f / 2, (f - 1) - f/2
 }
 
-// ChainSplit peels one fault per level: block 1 is a single node with
+// chainSplit peels one fault per level: block 1 is a single node with
 // resilience 0, block 0 carries the rest. Depth f, total overhead
 // O(f^2) — the natural second stack to compare head-to-head against
 // the balanced one.
-func ChainSplit(n, f int) (n0, f0, f1 int) {
+func chainSplit(n, f int) (n0, f0, f1 int) {
 	return n - 1, f - 1, 0
 }
 
@@ -75,7 +75,7 @@ type Counter struct {
 
 	sub   [2]alg.Algorithm // block counters, counting modulo period
 	quora [2]int           // clock-read quorum n_i - f_i of each block
-	cons  *Consensus
+	cons  *consensus
 	cdc   *codec.Codec // fields: block state, p0 ∈ [τ+1], p1 ∈ [τ+1], a ∈ [c+1], d ∈ {0,1}
 	bound uint64
 
@@ -100,13 +100,13 @@ var _ alg.Bound = (*Counter)(nil)
 
 // New builds the balanced-recursion counter: n nodes, resilience
 // f < n/3 (f >= 1), counting modulo c, stabilising in O(f) rounds.
-func New(n, f, c int) (*Counter, error) { return build(n, f, c, BalancedSplit) }
+func New(n, f, c int) (*Counter, error) { return build(n, f, c, balancedSplit) }
 
 // NewChain builds the chain-recursion counter: same interface and
 // resilience, depth-f recursion with an O(f^2) stabilisation bound.
-func NewChain(n, f, c int) (*Counter, error) { return build(n, f, c, ChainSplit) }
+func NewChain(n, f, c int) (*Counter, error) { return build(n, f, c, chainSplit) }
 
-func build(n, f, c int, split SplitFunc) (*Counter, error) {
+func build(n, f, c int, split splitFunc) (*Counter, error) {
 	if f < 1 {
 		return nil, fmt.Errorf("ecount: counter needs f >= 1 (use a fault-free base for f = 0), got %d", f)
 	}
@@ -140,7 +140,7 @@ func build(n, f, c int, split SplitFunc) (*Counter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecount: block 1: %w", err)
 	}
-	cons, err := NewConsensus(n, f, uint64(c))
+	cons, err := newConsensus(n, f, uint64(c))
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func build(n, f, c int, split SplitFunc) (*Counter, error) {
 // subCounter builds a block counter: the fault-free base stabilises in
 // one round via max-and-increment (internal/counter.MaxStep); positive
 // resiliences recurse.
-func subCounter(n, f, c int, split SplitFunc) (alg.Algorithm, error) {
+func subCounter(n, f, c int, split splitFunc) (alg.Algorithm, error) {
 	if f == 0 {
 		return counter.NewMaxStep(n, c)
 	}

@@ -86,7 +86,7 @@ func TestParams(t *testing.T) {
 func TestSplits(t *testing.T) {
 	for f := 1; f <= 9; f++ {
 		for n := 3*f + 1; n <= 3*f+4; n++ {
-			for _, split := range []SplitFunc{BalancedSplit, ChainSplit} {
+			for _, split := range []splitFunc{balancedSplit, chainSplit} {
 				n0, f0, f1 := split(n, f)
 				if f0+f1+1 != f {
 					t.Fatalf("split(%d, %d): resiliences %d+%d+1 != %d", n, f, f0, f1, f)

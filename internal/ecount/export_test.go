@@ -9,7 +9,7 @@ import (
 
 // stepReference is the map-backed per-node transition: a fresh block
 // sub-view, one alg.Tally per block clock read and a fresh
-// observed-register vector fed to Consensus.Step, recursing through
+// observed-register vector fed to consensus.Step, recursing through
 // stepReference at nested ecount levels. Step and StepAll share the
 // pooled dense-tally tail instead, and are held bit-identical to this
 // oracle by TestStepMatchesReference, TestBatchStepMatchesStep and
@@ -66,7 +66,7 @@ func (e *Counter) stepReference(v int, recv []alg.State, rng *rand.Rand) alg.Sta
 }
 
 // observedRegisters extracts the consensus-register reports from a
-// received vector, in the encoded form Consensus.Step consumes.
+// received vector, in the encoded form consensus.Step consumes.
 func (e *Counter) observedRegisters(recv []alg.State) []uint64 {
 	observed := make([]uint64, e.n)
 	for u := 0; u < e.n; u++ {
@@ -102,7 +102,7 @@ func (e *Counter) readClockReference(i int, recv []alg.State) (uint64, bool) {
 // instruction r is node ⌊r/3⌋. The function is pure and total:
 // arbitrary observed values are legal. It is the oracle for
 // StepCounts, which the counter calls with a pooled tally.
-func (c *Consensus) Step(regs phaseking.Registers, r uint64, observed []uint64) phaseking.Registers {
+func (c *consensus) Step(regs phaseking.Registers, r uint64, observed []uint64) phaseking.Registers {
 	r %= c.Rounds()
 	tally := alg.NewTally(len(observed))
 	for _, a := range observed {

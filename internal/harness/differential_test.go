@@ -222,7 +222,7 @@ func TestReadJSONRejectsNonResults(t *testing.T) {
 		"concatenated files": concatenated, // decoding just the first would silently drop the rest
 	} {
 		t.Run(name, func(t *testing.T) {
-			if res, err := ReadJSON(bytes.NewReader(data)); err == nil {
+			if res, err := readJSON(bytes.NewReader(data)); err == nil {
 				t.Fatalf("accepted as a campaign result: %+v", res)
 			}
 		})

@@ -47,7 +47,7 @@ func (r *Result) WriteNDJSONFile(path string) error {
 
 // Replay emits the result's trials to the sinks in deterministic order
 // — the bridge from a buffered (or merged) Result back into the
-// streaming world. Sinks implementing CampaignSink receive Begin/End
+// streaming world. Sinks implementing campaignSink receive Begin/End
 // around the records; unlike a live engine stream, a Result does not
 // record the original grid's trial counts, so each ScenarioMeta
 // reports Trials == Owned == the records actually present.
@@ -62,7 +62,7 @@ func (r *Result) Replay(sinks ...Sink) error {
 		})
 	}
 	for _, s := range sinks {
-		if cs, ok := s.(CampaignSink); ok {
+		if cs, ok := s.(campaignSink); ok {
 			if err := cs.Begin(meta); err != nil {
 				return err
 			}
@@ -85,7 +85,7 @@ func (r *Result) Replay(sinks ...Sink) error {
 		}
 	}
 	for _, s := range sinks {
-		if cs, ok := s.(CampaignSink); ok {
+		if cs, ok := s.(campaignSink); ok {
 			if err := cs.End(); err != nil {
 				return err
 			}
@@ -94,13 +94,13 @@ func (r *Result) Replay(sinks ...Sink) error {
 	return nil
 }
 
-// ReadJSON decodes a campaign Result from its WriteJSON serialisation.
+// readJSON decodes a campaign Result from its WriteJSON serialisation.
 // Decoding and re-encoding is lossless, so shard results can round-trip
 // through files on their way to Merge. JSON that decodes but is not a
 // campaign result (a ShardSpec, an unrelated object) is rejected
 // rather than treated as an empty campaign — merging the wrong files
 // must fail loudly, not silently discard the shards' work.
-func ReadJSON(rd io.Reader) (*Result, error) {
+func readJSON(rd io.Reader) (*Result, error) {
 	dec := json.NewDecoder(rd)
 	var res Result
 	if err := dec.Decode(&res); err != nil {
@@ -125,7 +125,7 @@ func ReadJSONFile(path string) (*Result, error) {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := ReadJSON(f)
+	res, err := readJSON(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -153,7 +153,7 @@ func FuzzMergeResults(f *testing.F) {
 	})
 }
 
-// FuzzReadNDJSON feeds ReadNDJSON arbitrary byte streams: it must
+// FuzzReadNDJSON feeds readNDJSON arbitrary byte streams: it must
 // reject or accept without panicking, and anything accepted must be a
 // fixed point — re-exporting the Result as NDJSON and reading it back
 // reproduces the Result exactly (the property shard reassembly
@@ -170,7 +170,7 @@ func FuzzReadNDJSON(f *testing.F) {
 	f.Add([]byte("\n\nnot json\n"))
 	f.Add([]byte(`{"campaign":"","scenario":""}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := ReadNDJSON(bytes.NewReader(data))
+		res, err := readNDJSON(bytes.NewReader(data), true)
 		if err != nil {
 			return
 		}
@@ -180,7 +180,7 @@ func FuzzReadNDJSON(f *testing.F) {
 			// from real streams, which this fuzz input is not).
 			t.Skip()
 		}
-		again, err := ReadNDJSON(bytes.NewReader(buf.Bytes()))
+		again, err := readNDJSON(bytes.NewReader(buf.Bytes()), true)
 		if err != nil {
 			t.Fatalf("accepted stream failed to re-read after re-export: %v", err)
 		}
@@ -197,10 +197,10 @@ func canonicalLine(campaign, scenario, trial, meanPulls string) string {
 		`,"seed":9223372036854775807,"stabilised":true,"stabilisation_time":4,"rounds_run":18446744073709551615,"violations":0,"messages_per_round":0,"bits_per_round":0,"max_pulls":0,"mean_pulls":` + meanPulls + `}`
 }
 
-// FuzzCanonicalTrialRecord holds ReadNDJSON's hand-written fast path to
+// FuzzCanonicalTrialRecord holds readNDJSON's hand-written fast path to
 // encoding/json: whenever decodeCanonicalRecord accepts a line,
 // encoding/json decodes that line to the same record (bit for bit,
-// -0 included), and over a whole stream ReadNDJSON returns the same
+// -0 included), and over a whole stream readNDJSON returns the same
 // Result, or the same error text, as the encoding/json-only reader.
 func FuzzCanonicalTrialRecord(f *testing.F) {
 	// The golden streams' first lines, not the whole files: the fuzzer
@@ -260,10 +260,10 @@ func FuzzCanonicalTrialRecord(f *testing.F) {
 		got, gotErr := readNDJSON(bytes.NewReader(data), true)
 		want, wantErr := readNDJSON(bytes.NewReader(data), false)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("ReadNDJSON error %v, encoding/json-only reader %v", gotErr, wantErr)
+			t.Fatalf("readNDJSON error %v, encoding/json-only reader %v", gotErr, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReadNDJSON result differs from the encoding/json-only reader\n fast: %+v\n json: %+v", got, want)
+			t.Fatalf("readNDJSON result differs from the encoding/json-only reader\n fast: %+v\n json: %+v", got, want)
 		}
 	})
 }

@@ -257,7 +257,7 @@ func (c Campaign) stream(ctx context.Context, shard *ShardSpec, sinks []Sink) er
 
 	meta := CampaignMeta{Campaign: c.Name, Seed: c.Seed, Shard: shard, Scenarios: metas}
 	for _, s := range sinks {
-		if cs, ok := s.(CampaignSink); ok {
+		if cs, ok := s.(campaignSink); ok {
 			if err := cs.Begin(meta); err != nil {
 				return fmt.Errorf("harness: sink: %w", err)
 			}
@@ -431,7 +431,7 @@ func (c Campaign) stream(ctx context.Context, shard *ShardSpec, sinks []Sink) er
 		return err
 	}
 	for _, s := range sinks {
-		if cs, ok := s.(CampaignSink); ok {
+		if cs, ok := s.(campaignSink); ok {
 			if err := cs.End(); err != nil {
 				return fmt.Errorf("harness: sink: %w", err)
 			}

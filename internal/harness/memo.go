@@ -37,8 +37,8 @@ type TrajectoryKey struct {
 	Hash uint64
 }
 
-// DefaultTrajectoryMemoCapacity bounds a memo built with capacity 0.
-const DefaultTrajectoryMemoCapacity = 4096
+// defaultTrajectoryMemoCapacity bounds a memo built with capacity 0.
+const defaultTrajectoryMemoCapacity = 4096
 
 // TrajectoryMemo is the bounded, concurrency-safe memo table the
 // trials of one campaign share: trials whose trajectories merge — the
@@ -60,10 +60,10 @@ type TrajectoryMemo struct {
 }
 
 // NewTrajectoryMemo returns a memo bounded to capacity entries;
-// capacity <= 0 selects DefaultTrajectoryMemoCapacity.
+// capacity <= 0 selects defaultTrajectoryMemoCapacity.
 func NewTrajectoryMemo(capacity int) *TrajectoryMemo {
 	if capacity <= 0 {
-		capacity = DefaultTrajectoryMemoCapacity
+		capacity = defaultTrajectoryMemoCapacity
 	}
 	return &TrajectoryMemo{capacity: capacity, m: make(map[TrajectoryKey]any)}
 }

@@ -39,8 +39,8 @@ func TestTrajectoryMemoBasics(t *testing.T) {
 }
 
 func TestTrajectoryMemoDefaultCapacity(t *testing.T) {
-	if got := NewTrajectoryMemo(0).Cap(); got != DefaultTrajectoryMemoCapacity {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultTrajectoryMemoCapacity)
+	if got := NewTrajectoryMemo(0).Cap(); got != defaultTrajectoryMemoCapacity {
+		t.Fatalf("default capacity = %d, want %d", got, defaultTrajectoryMemoCapacity)
 	}
 }
 

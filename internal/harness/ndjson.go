@@ -19,7 +19,7 @@ import (
 // few hundred bytes; a megabyte-long line is not a record stream.
 const maxNDJSONLine = 1 << 20
 
-// ReadNDJSON decodes a stream of TrialRecord lines — the format
+// readNDJSON decodes a stream of TrialRecord lines — the format
 // NDJSONSink and (*Result).WriteNDJSON emit — back into a campaign
 // Result, closing the loop the streaming exports opened: shard NDJSON
 // files can now be reassembled exactly like shard JSON results.
@@ -36,7 +36,9 @@ const maxNDJSONLine = 1 << 20
 // A line in the exact form NDJSONSink writes — keys in field order, no
 // whitespace, no string escapes — is decoded by a hand-written parser;
 // any other line goes through encoding/json, so both paths accept the
-// same records and every error reads the same.
+// same records and every error reads the same. canonical switches the
+// hand-written path on; tests switch it off to hold it against the
+// encoding/json-only reader.
 //
 // Trials are re-sorted into ascending index order per scenario and the
 // statistics recomputed from the records, so reading the concatenated
@@ -47,10 +49,6 @@ const maxNDJSONLine = 1 << 20
 // order follows first appearance in the stream (a buffered shard JSON
 // carries the full grid in its scenario list, which an NDJSON stream
 // deliberately does not).
-func ReadNDJSON(rd io.Reader) (*Result, error) { return readNDJSON(rd, true) }
-
-// readNDJSON is ReadNDJSON with the canonical fast path switchable, so
-// tests can hold it against the encoding/json-only reader.
 func readNDJSON(rd io.Reader, canonical bool) (*Result, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), maxNDJSONLine)
@@ -125,14 +123,15 @@ func readNDJSON(rd io.Reader, canonical bool) (*Result, error) {
 }
 
 // ReadNDJSONFile reads a campaign Result from an NDJSON trial-record
-// file written by WriteNDJSONFile or a live NDJSONSink.
+// file written by WriteNDJSONFile or a live NDJSONSink (see readNDJSON
+// for the checks it makes).
 func ReadNDJSONFile(path string) (*Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := ReadNDJSON(f)
+	res, err := readNDJSON(f, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

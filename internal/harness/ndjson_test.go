@@ -87,7 +87,7 @@ func TestReadNDJSONShardDifferential(t *testing.T) {
 			for _, s := range streams {
 				concat.Write(s.Bytes())
 			}
-			got, err := ReadNDJSON(bytes.NewReader(concat.Bytes()))
+			got, err := readNDJSON(bytes.NewReader(concat.Bytes()), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestReadNDJSONShardDifferential(t *testing.T) {
 
 			parts := make([]*Result, k)
 			for i, s := range streams {
-				if parts[i], err = ReadNDJSON(bytes.NewReader(s.Bytes())); err != nil {
+				if parts[i], err = readNDJSON(bytes.NewReader(s.Bytes()), true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,7 +117,7 @@ func TestReadNDJSONShardDifferential(t *testing.T) {
 			for i := k - 1; i >= 0; i-- {
 				rev.Write(streams[i].Bytes())
 			}
-			got, err = ReadNDJSON(bytes.NewReader(rev.Bytes()))
+			got, err = readNDJSON(bytes.NewReader(rev.Bytes()), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestReadNDJSONRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadNDJSON(strings.NewReader(tc.input))
+			_, err := readNDJSON(strings.NewReader(tc.input), true)
 			if err == nil {
 				t.Fatalf("accepted malformed stream %q", tc.name)
 			}
@@ -176,7 +176,7 @@ func TestReadNDJSONRejectsMalformed(t *testing.T) {
 // (a natural artifact of concatenating files) are not errors.
 func TestReadNDJSONToleratesBlankLines(t *testing.T) {
 	stream := "\n" + `{"campaign":"c","campaign_seed":1,"scenario":"s","scenario_seed":2,"trial":0,"seed":3,"stabilised":false,"stabilisation_time":0,"rounds_run":4,"violations":0,"messages_per_round":0,"bits_per_round":0,"max_pulls":0,"mean_pulls":0}` + "\n\n"
-	res, err := ReadNDJSON(strings.NewReader(stream))
+	res, err := readNDJSON(strings.NewReader(stream), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,12 @@ type SinkFunc func(rec TrialRecord) error
 // Emit calls f.
 func (f SinkFunc) Emit(rec TrialRecord) error { return f(rec) }
 
-// CampaignSink is an optional Sink extension for sinks that want the
+// campaignSink is an optional Sink extension for sinks that want the
 // campaign structure before the first record and a completion signal
 // after the last. The engine calls Begin once before any Emit and End
 // once after all records have been emitted (End is not called when the
 // campaign fails).
-type CampaignSink interface {
+type campaignSink interface {
 	Sink
 	Begin(meta CampaignMeta) error
 	End() error
@@ -158,7 +158,7 @@ func (c *Collector) Emit(rec TrialRecord) error {
 	return nil
 }
 
-// End implements CampaignSink; aggregation happens in Result.
+// End implements campaignSink; aggregation happens in Result.
 func (c *Collector) End() error { return nil }
 
 // Result aggregates statistics over the collected trials and returns

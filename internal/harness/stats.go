@@ -38,10 +38,10 @@ type Stats struct {
 }
 
 // Aggregate computes scenario statistics from a slice of trials. It is
-// an Aggregator folded over the slice; streaming consumers fold trial
+// an aggregator folded over the slice; streaming consumers fold trial
 // by trial instead of materialising the slice.
 func Aggregate(trials []Trial) Stats {
-	var agg Aggregator
+	var agg aggregator
 	for _, tr := range trials {
 		agg.Add(tr.Observation)
 	}
@@ -51,7 +51,7 @@ func Aggregate(trials []Trial) Stats {
 	return agg.stats(true)
 }
 
-// Aggregator folds Observations into Stats incrementally, one trial at
+// aggregator folds Observations into Stats incrementally, one trial at
 // a time and in any grouping: folding a scenario's trials in one pass
 // and folding each shard's slice then combining the accumulators with
 // Merge produce identical statistics. Counts, sums and extrema fold in
@@ -59,10 +59,10 @@ func Aggregate(trials []Trial) Stats {
 // themselves, so the accumulator retains 8 bytes per stabilised trial
 // — the irreducible cost of exact percentiles.
 //
-// The zero Aggregator is ready to use. It is not safe for concurrent
+// The zero aggregator is ready to use. It is not safe for concurrent
 // use; the campaign engine serialises all sink emissions, so a sink
 // folding into one needs no locking.
-type Aggregator struct {
+type aggregator struct {
 	trials     int
 	stabilised int
 	minTime    uint64
@@ -79,7 +79,7 @@ type Aggregator struct {
 }
 
 // Add folds one trial's observation into the accumulator.
-func (a *Aggregator) Add(o Observation) {
+func (a *aggregator) Add(o Observation) {
 	if o.Stabilised {
 		if a.stabilised == 0 || o.StabilisationTime < a.minTime {
 			a.minTime = o.StabilisationTime
@@ -119,7 +119,7 @@ func (a *Aggregator) Add(o Observation) {
 // harness.Merge, which re-aggregates from the trial records in
 // canonical order; this method is for live dashboards folding partial
 // streams.
-func (a *Aggregator) Merge(b *Aggregator) {
+func (a *aggregator) Merge(b *aggregator) {
 	if b.trials == 0 {
 		return
 	}
@@ -156,9 +156,9 @@ func (a *Aggregator) Merge(b *Aggregator) {
 
 // Stats finalises the accumulated statistics. The accumulator remains
 // usable — more observations may be added and Stats called again.
-func (a *Aggregator) Stats() Stats { return a.stats(false) }
+func (a *aggregator) Stats() Stats { return a.stats(false) }
 
-func (a *Aggregator) stats(sortInPlace bool) Stats {
+func (a *aggregator) stats(sortInPlace bool) Stats {
 	st := Stats{
 		Trials:           a.trials,
 		Stabilised:       a.stabilised,

@@ -226,7 +226,7 @@ func BenchmarkCampaign_Streaming(b *testing.B) {
 }
 
 // TestAggregatorMergeMatchesSinglePass folds a scenario's trials as
-// shard slices combined with Aggregator.Merge and checks the result
+// shard slices combined with aggregator.Merge and checks the result
 // against the single-pass fold — counts, extrema and quantiles must be
 // identical (means agree here too; in general they may differ in the
 // last ulp, which is why byte-exact reassembly goes through
@@ -240,7 +240,7 @@ func TestAggregatorMergeMatchesSinglePass(t *testing.T) {
 	want := Aggregate(trials)
 
 	for _, cut := range []int{0, 1, len(trials) / 2, len(trials)} {
-		var lo, hi Aggregator
+		var lo, hi aggregator
 		for _, tr := range trials[:cut] {
 			lo.Add(tr.Observation)
 		}

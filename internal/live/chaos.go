@@ -13,28 +13,28 @@ import (
 type EventKind uint8
 
 const (
-	// EventCrash kills the node's goroutine at the start of the round;
+	// eventCrash kills the node's goroutine at the start of the round;
 	// until it is restarted peers keep stepping on its last broadcast
 	// state (graceful degradation, never a stall).
-	EventCrash EventKind = iota
-	// EventRestart revives a crashed node with a fresh, arbitrarily
+	eventCrash EventKind = iota
+	// eventRestart revives a crashed node with a fresh, arbitrarily
 	// seeded state and an arbitrarily seeded view of its peers — the
 	// transient-fault injection the self-stabilisation bound covers.
-	EventRestart
-	// EventStall delays the node's round work by a wall-clock duration,
+	eventRestart
+	// eventStall delays the node's round work by a wall-clock duration,
 	// making it a straggler: the synchroniser counts it faulty for every
 	// round whose deadline it misses, and it rejoins at the newest round
 	// once it wakes.
-	EventStall
+	eventStall
 )
 
 func (k EventKind) String() string {
 	switch k {
-	case EventCrash:
+	case eventCrash:
 		return "crash"
-	case EventRestart:
+	case eventRestart:
 		return "restart"
-	case EventStall:
+	case eventStall:
 		return "stall"
 	}
 	return fmt.Sprintf("event(%d)", k)
@@ -48,7 +48,7 @@ type Event struct {
 	Burst int
 	Kind  EventKind
 	Node  int
-	// Stall is the straggler delay (EventStall only).
+	// Stall is the straggler delay (eventStall only).
 	Stall time.Duration
 }
 
@@ -225,14 +225,14 @@ func NewSchedule(cfg ChaosConfig) (*Schedule, error) {
 					restartAt = crashAt
 				}
 				s.Events = append(s.Events,
-					Event{Round: crashAt, Burst: b, Kind: EventCrash, Node: v},
-					Event{Round: restartAt, Burst: b, Kind: EventRestart, Node: v},
+					Event{Round: crashAt, Burst: b, Kind: eventCrash, Node: v},
+					Event{Round: restartAt, Burst: b, Kind: eventRestart, Node: v},
 				)
 			}
 		}
 		if want["stall"] {
 			s.Events = append(s.Events, Event{
-				Round: start, Burst: b, Kind: EventStall,
+				Round: start, Burst: b, Kind: eventStall,
 				Node: rng.Intn(cfg.N), Stall: cfg.StallDur,
 			})
 		}
@@ -280,7 +280,7 @@ func (s *Schedule) Validate() error {
 		if ev.Node < 0 || ev.Node >= s.N {
 			return fmt.Errorf("live: %s event at round %d targets node %d out of range [0,%d)", ev.Kind, ev.Round, ev.Node, s.N)
 		}
-		if ev.Kind == EventStall && ev.Stall <= 0 {
+		if ev.Kind == eventStall && ev.Stall <= 0 {
 			return fmt.Errorf("live: stall event at round %d has no duration", ev.Round)
 		}
 	}
@@ -312,7 +312,7 @@ func (s *Schedule) WriteTimeline(w io.Writer) error {
 	}
 	for _, ev := range s.Events {
 		var err error
-		if ev.Kind == EventStall {
+		if ev.Kind == eventStall {
 			_, err = fmt.Fprintf(w, "event round=%d burst=%d %s node=%d dur=%s\n", ev.Round, ev.Burst, ev.Kind, ev.Node, ev.Stall)
 		} else {
 			_, err = fmt.Fprintf(w, "event round=%d burst=%d %s node=%d\n", ev.Round, ev.Burst, ev.Kind, ev.Node)

@@ -119,8 +119,8 @@ func TestScheduleValidateHandBuilt(t *testing.T) {
 		s    Schedule
 		want string
 	}{
-		{"node out of range", Schedule{N: 4, Events: []Event{{Round: 1, Kind: EventCrash, Node: 9}}}, "out of range"},
-		{"stall without duration", Schedule{N: 4, Events: []Event{{Round: 1, Kind: EventStall, Node: 0}}}, "no duration"},
+		{"node out of range", Schedule{N: 4, Events: []Event{{Round: 1, Kind: eventCrash, Node: 9}}}, "out of range"},
+		{"stall without duration", Schedule{N: 4, Events: []Event{{Round: 1, Kind: eventStall, Node: 0}}}, "no duration"},
 		{"empty window", Schedule{N: 4, Windows: []Window{{From: 5, To: 5}}}, "empty"},
 		{"wrong cut size", Schedule{N: 4, Windows: []Window{{From: 1, To: 2, Group: []int{0, 1}}}}, "cuts 2 nodes"},
 		{"delay without hold", Schedule{N: 4, Windows: []Window{{From: 1, To: 2, Delay: 0.5}}}, "0 rounds"},

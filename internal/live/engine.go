@@ -289,7 +289,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 			return
 		}
 		for _, ev := range sched.eventsAt(round) {
-			if ev.Kind == EventStall {
+			if ev.Kind == eventStall {
 				stallFor[ev.Node] = ev.Stall
 			}
 		}
@@ -359,7 +359,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 		if sched != nil {
 			for _, ev := range sched.eventsAt(round) {
 				switch ev.Kind {
-				case EventCrash:
+				case eventCrash:
 					if h := handles[ev.Node]; h != nil {
 						if h.stamp.Swap(stamp(round, slotDead)) == stamp(round, slotArrived) {
 							artefacts++
@@ -370,14 +370,14 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 						rep.Crashes++
 						track.fault(round, ev.Burst)
 					}
-				case EventRestart:
+				case eventRestart:
 					if handles[ev.Node] == nil {
 						handles[ev.Node] = rt.spawn(ev.Node, int(rep.Restarts)+1, round, stallFor[ev.Node])
 						expect[ev.Node] = true
 						rep.Restarts++
 						track.fault(round, ev.Burst)
 					}
-				case EventStall:
+				case eventStall:
 					if handles[ev.Node] != nil {
 						rep.Stalls++
 						track.fault(round, ev.Burst)

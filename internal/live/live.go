@@ -13,7 +13,7 @@
 // On top of the runtime sits a deterministic seeded chaos injector
 // (crash/restart, drop/duplicate/corrupt/delay, stragglers, partitions;
 // see Schedule) whose fault timeline replays byte-identically from a
-// seed, and a lock-free read side (ReadCell) serving counter reads
+// seed, and a lock-free read side (readCell) serving counter reads
 // concurrently without ever blocking the protocol loop. Recovery
 // latency — rounds from a burst's last actually-injected fault to
 // re-confirmed correct counting — is measured online and checked
@@ -35,10 +35,10 @@ import (
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
-// DefaultRoundTimeout is the per-barrier deadline when Config leaves it
+// defaultRoundTimeout is the per-barrier deadline when Config leaves it
 // zero: generous against scheduler noise, tight enough that a genuinely
 // dead node costs one timeout rather than a hang.
-const DefaultRoundTimeout = time.Second
+const defaultRoundTimeout = time.Second
 
 // DefaultWindowFor is the simulator's confirmation window
 // (sim.DefaultWindowFor): two full counter cycles plus slack, so
@@ -66,8 +66,8 @@ type Config struct {
 	// DefaultWindowFor(Alg.C()).
 	Window uint64
 
-	// RoundTimeout is the per-barrier deadline. Zero takes
-	// DefaultRoundTimeout. A healthy in-process run never hits it, so
+	// RoundTimeout is the per-barrier deadline. Zero takes one second
+	// (defaultRoundTimeout). A healthy in-process run never hits it, so
 	// results stay deterministic; it exists to cut stragglers loose.
 	RoundTimeout time.Duration
 
@@ -94,7 +94,7 @@ type Runtime struct {
 	horizon  uint64
 	maxDelay uint64 // largest schedule DelayBy: bounds arena epoch lifetime
 
-	cells []ReadCell
+	cells []readCell
 
 	// Shared with node goroutines. gate is the open round's arrival
 	// gate (see gateWord): nodes count their committed frames on it, and
@@ -151,7 +151,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	timeout := cfg.RoundTimeout
 	if timeout <= 0 {
-		timeout = DefaultRoundTimeout
+		timeout = defaultRoundTimeout
 	}
 	var maxDelay uint64
 	if cfg.Schedule != nil {
@@ -164,7 +164,7 @@ func New(cfg Config) (*Runtime, error) {
 		timeout:  timeout,
 		horizon:  horizon,
 		maxDelay: maxDelay,
-		cells:    make([]ReadCell, n),
+		cells:    make([]readCell, n),
 		wake:     make(chan struct{}, 1),
 	}
 	if b, ok := cfg.Alg.(alg.BatchStepper); ok && alg.IsDeterministic(cfg.Alg) {

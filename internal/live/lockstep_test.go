@@ -78,19 +78,19 @@ func lockstep(t *testing.T, cfg Config) (*Report, []obs) {
 		if sched != nil {
 			for _, ev := range sched.eventsAt(round) {
 				switch ev.Kind {
-				case EventCrash:
+				case eventCrash:
 					if nodes[ev.Node] != nil {
 						nodes[ev.Node] = nil
 						rep.Crashes++
 						track.fault(round, ev.Burst)
 					}
-				case EventRestart:
+				case eventRestart:
 					if nodes[ev.Node] == nil {
 						nodes[ev.Node] = spawn(ev.Node, int(rep.Restarts)+1)
 						rep.Restarts++
 						track.fault(round, ev.Burst)
 					}
-				case EventStall:
+				case eventStall:
 					t.Fatalf("lockstep model: stall chaos at round %d is wall-clock behaviour", round)
 				}
 			}

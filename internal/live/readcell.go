@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// ReadCell is the lock-free read side of one node's counter: the
+// readCell is the lock-free read side of one node's counter: the
 // protocol loop publishes (round, output) once per round and any number
 // of reader goroutines snapshot the pair concurrently, with neither
 // side ever blocking the other.
@@ -19,7 +19,7 @@ import (
 // helping is needed — a torn read simply retries against the writer's
 // next even state. All fields are atomics, so the cell is safe under
 // the race detector and on weakly ordered hardware.
-type ReadCell struct {
+type readCell struct {
 	seq   atomic.Uint64
 	round atomic.Uint64
 	value atomic.Int64
@@ -28,7 +28,7 @@ type ReadCell struct {
 // publish installs the node's start-of-round observation. Only the
 // owning node goroutine calls it; it never blocks and performs a
 // constant number of atomic stores regardless of reader load.
-func (c *ReadCell) publish(round uint64, value int) {
+func (c *readCell) publish(round uint64, value int) {
 	s := c.seq.Load()
 	c.seq.Store(s + 1) // odd: write in flight
 	c.round.Store(round)
@@ -40,7 +40,7 @@ func (c *ReadCell) publish(round uint64, value int) {
 // publish is in flight. ok is false until the first publish (a node
 // that has not completed a round yet has nothing to serve). Readers
 // never block the writer: the retry loop yields but takes no lock.
-func (c *ReadCell) Read() (round uint64, value int, ok bool) {
+func (c *readCell) Read() (round uint64, value int, ok bool) {
 	for {
 		s1 := c.seq.Load()
 		if s1 == 0 {

@@ -6,14 +6,14 @@ import (
 )
 
 func TestReadCellUnpublished(t *testing.T) {
-	var c ReadCell
+	var c readCell
 	if _, _, ok := c.Read(); ok {
 		t.Fatal("zero-value cell reported a published value")
 	}
 }
 
 func TestReadCellLatestWins(t *testing.T) {
-	var c ReadCell
+	var c readCell
 	c.publish(1, 10)
 	c.publish(2, 20)
 	round, value, ok := c.Read()
@@ -27,7 +27,7 @@ func TestReadCellLatestWins(t *testing.T) {
 // (round, value) pair — value always equals the function of round the
 // writer published.
 func TestReadCellNoTornReads(t *testing.T) {
-	var c ReadCell
+	var c readCell
 	const rounds = 20000
 	value := func(r uint64) int { return int(r % 97) }
 

@@ -15,7 +15,7 @@ func TestStragglerTimesOutAndRejoins(t *testing.T) {
 	a := buildAlg(t, "maxstep", 4, 0, 4)
 	sched := &Schedule{
 		Seed: 5, N: 4, Rounds: 80, Bursts: 1,
-		Events: []Event{{Round: 10, Burst: 0, Kind: EventStall, Node: 2, Stall: 120 * time.Millisecond}},
+		Events: []Event{{Round: 10, Burst: 0, Kind: eventStall, Node: 2, Stall: 120 * time.Millisecond}},
 	}
 	var lastOnTime int
 	rt, err := New(Config{
@@ -62,7 +62,7 @@ func TestFullQuorumTimeoutAborts(t *testing.T) {
 	a := buildAlg(t, "maxstep", 3, 0, 4)
 	events := make([]Event, 0, 3)
 	for i := 0; i < 3; i++ {
-		events = append(events, Event{Round: 5, Burst: 0, Kind: EventStall, Node: i, Stall: 2 * time.Second})
+		events = append(events, Event{Round: 5, Burst: 0, Kind: eventStall, Node: i, Stall: 2 * time.Second})
 	}
 	sched := &Schedule{Seed: 1, N: 3, Rounds: 50, Bursts: 1, Events: events}
 	rt, err := New(Config{Alg: a, Seed: 1, Schedule: sched, RoundTimeout: 20 * time.Millisecond})
@@ -102,8 +102,8 @@ func TestCrashedNodeRevivesCleanly(t *testing.T) {
 	sched := &Schedule{
 		Seed: 11, N: 4, Rounds: 80, Bursts: 1,
 		Events: []Event{
-			{Round: 8, Burst: 0, Kind: EventCrash, Node: 1},
-			{Round: 12, Burst: 0, Kind: EventRestart, Node: 1},
+			{Round: 8, Burst: 0, Kind: eventCrash, Node: 1},
+			{Round: 12, Burst: 0, Kind: eventRestart, Node: 1},
 		},
 	}
 	var lastOnTime int
@@ -223,8 +223,8 @@ func TestCrashRestartAdjacentRounds(t *testing.T) {
 	for r := uint64(8); r+1 < rounds; r += 4 {
 		node := int(r/4) % 2
 		events = append(events,
-			Event{Round: r, Kind: EventCrash, Node: node},
-			Event{Round: r + 1, Kind: EventRestart, Node: node})
+			Event{Round: r, Kind: eventCrash, Node: node},
+			Event{Round: r + 1, Kind: eventRestart, Node: node})
 	}
 	for _, seed := range []int64{3, 4} {
 		cfg := Config{
@@ -256,8 +256,8 @@ func TestStallAcrossCrashShutsDown(t *testing.T) {
 	sched := &Schedule{
 		Seed: 2, N: 4, Rounds: 40, Bursts: 1,
 		Events: []Event{
-			{Round: 6, Kind: EventStall, Node: 1, Stall: stall},
-			{Round: 8, Kind: EventCrash, Node: 1},
+			{Round: 6, Kind: eventStall, Node: 1, Stall: stall},
+			{Round: 8, Kind: eventCrash, Node: 1},
 		},
 	}
 	rt, err := New(Config{Alg: a, Seed: 2, Schedule: sched, RoundTimeout: 100 * time.Millisecond})

@@ -6,12 +6,12 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// ByzFunc chooses the register value that faulty node from presents to
+// byzFunc chooses the register value that faulty node from presents to
 // receiver to in a consensus round (Infinity is allowed). It is the
 // consensus-level analogue of adversary.Adversary.
-type ByzFunc func(round uint64, from, to int) uint64
+type byzFunc func(round uint64, from, to int) uint64
 
-// RunConsensus executes the full 3(F+2)-round phase king schedule on n
+// runConsensus executes the full 3(F+2)-round phase king schedule on n
 // nodes with a known common round counter — the situation Theorem 1
 // engineers via the leader-block vote. It returns the final a-registers
 // of all nodes (entries of faulty nodes are their inputs, untouched).
@@ -20,7 +20,7 @@ type ByzFunc func(round uint64, from, to int) uint64
 // tests) Lemmas 4 and 5 in isolation from the counting machinery.
 // Inputs are values in [0, c); faulty[i] marks Byzantine nodes whose
 // messages come from byz.
-func RunConsensus(n, f int, c uint64, inputs []uint64, faulty []bool, byz ByzFunc) ([]uint64, error) {
+func runConsensus(n, f int, c uint64, inputs []uint64, faulty []bool, byz byzFunc) ([]uint64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("phaseking: n = %d < 1", n)
 	}

@@ -10,6 +10,12 @@
 // internal/pull) together with the thresholds that play the roles of
 // N−F and F. This is what lets Theorem 1 and its sampled variant
 // (Theorem 4) share one verified implementation.
+//
+// The package tests also run the protocol standalone: runConsensus
+// executes the full 3(F+2)-round schedule on n nodes with a common
+// round counter, demonstrating Lemmas 4 and 5 apart from the counting
+// machinery. That run is test-only; the counters step the engine
+// themselves.
 package phaseking
 
 import (
@@ -95,10 +101,10 @@ func Increment(a, c uint64) uint64 {
 	return (a + 1) % c
 }
 
-// InstructionPhase identifies which of the three instruction sets a round
+// instructionPhase identifies which of the three instruction sets a round
 // index selects: round index R executes instruction set I_R where
 // R = 3ℓ + phase for king ℓ.
-func InstructionPhase(r uint64) uint64 { return r % 3 }
+func instructionPhase(r uint64) uint64 { return r % 3 }
 
 // KingOf returns the king index ℓ for round index R.
 func KingOf(r uint64) uint64 { return r / 3 }
@@ -119,7 +125,7 @@ func KingOf(r uint64) uint64 { return r / 3 }
 // callers may supply the map-backed alg.Tally or the slice-backed
 // alg.DenseTally of the vectorized kernel interchangeably.
 func Step(cfg Config, regs Registers, r uint64, tally alg.Counts, kingA uint64) Registers {
-	switch InstructionPhase(r) {
+	switch instructionPhase(r) {
 	case 0:
 		// I_{3ℓ}: 1. If fewer than Strong nodes sent a[v], set a[v] ← ∞.
 		//         2. increment a[v].

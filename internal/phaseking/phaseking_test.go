@@ -87,8 +87,8 @@ func TestConfigValidate(t *testing.T) {
 func TestInstructionSchedule(t *testing.T) {
 	// Round index R = 3ℓ + phase.
 	for r := uint64(0); r < 12; r++ {
-		if InstructionPhase(r) != r%3 {
-			t.Fatalf("InstructionPhase(%d) = %d", r, InstructionPhase(r))
+		if instructionPhase(r) != r%3 {
+			t.Fatalf("instructionPhase(%d) = %d", r, instructionPhase(r))
 		}
 		if KingOf(r) != r/3 {
 			t.Fatalf("KingOf(%d) = %d", r, KingOf(r))
@@ -229,7 +229,7 @@ func TestLemma4Agreement(t *testing.T) {
 			}
 			return uint64(rng.Intn(c))
 		}
-		out, err := RunConsensus(n, f, c, inputs, faulty, byz)
+		out, err := runConsensus(n, f, c, inputs, faulty, byz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestConsensusValidity(t *testing.T) {
 		inputs := []uint64{x, x, x, x}
 		faulty := []bool{false, false, true, false}
 		byz := func(round uint64, from, to int) uint64 { return uint64(rng.Intn(c)) }
-		out, err := RunConsensus(n, f, c, inputs, faulty, byz)
+		out, err := runConsensus(n, f, c, inputs, faulty, byz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,16 +281,16 @@ func TestConsensusValidity(t *testing.T) {
 func TestRunConsensusValidation(t *testing.T) {
 	inputs := []uint64{0, 0, 0, 0}
 	faulty := make([]bool, 4)
-	if _, err := RunConsensus(0, 0, 4, nil, nil, nil); err == nil {
+	if _, err := runConsensus(0, 0, 4, nil, nil, nil); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := RunConsensus(3, 1, 4, inputs[:3], faulty[:3], nil); err == nil {
+	if _, err := runConsensus(3, 1, 4, inputs[:3], faulty[:3], nil); err == nil {
 		t.Error("3f >= n should fail")
 	}
-	if _, err := RunConsensus(4, 1, 4, inputs[:2], faulty, nil); err == nil {
+	if _, err := runConsensus(4, 1, 4, inputs[:2], faulty, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := RunConsensus(4, 1, 4, []uint64{0, 0, 9, 0}, faulty, nil); err == nil {
+	if _, err := runConsensus(4, 1, 4, []uint64{0, 0, 9, 0}, faulty, nil); err == nil {
 		t.Error("out-of-range input should fail")
 	}
 }
@@ -319,7 +319,7 @@ func TestConsensusAgreementQuick(t *testing.T) {
 			}
 			return uint64(v)
 		}
-		out, err := RunConsensus(n, nf, c, inputs, faulty, byz)
+		out, err := runConsensus(n, nf, c, inputs, faulty, byz)
 		if err != nil {
 			return false
 		}

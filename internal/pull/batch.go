@@ -8,7 +8,7 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 )
 
-// BatchStepper is the sparse batch fast path of the pulling model: the
+// batchStepper is the sparse batch fast path of the pulling model: the
 // per-round analogue of alg.BatchStepper for pull algorithms. Run and
 // RunFull dispatch to StepAll when the algorithm implements it; the
 // scalar reference loop is retained and the differential suite
@@ -31,7 +31,7 @@ import (
 // Unlike the closure loop, StepAll receives no dense receive vector and
 // is expected to run in O(n·pulls) time and O(n) memory — no per-node
 // allocation, no O(n²) scratch.
-type BatchStepper interface {
+type batchStepper interface {
 	Algorithm
 	// PullsPerRound returns the constant number of pulls a correct node
 	// issues per round; the kernel uses it to account MaxPulls/MeanPulls
@@ -43,7 +43,7 @@ type BatchStepper interface {
 	StepAll(env *BatchEnv)
 }
 
-// BatchEnv is the round context handed to BatchStepper.StepAll: the
+// BatchEnv is the round context handed to batchStepper.StepAll: the
 // start-of-round states, the fault mask, the adversary and the node
 // random streams, behind an interface that charges no dense structures.
 type BatchEnv struct {
@@ -112,13 +112,13 @@ type broadcastEnvScratch struct {
 	faultyIdx []int
 }
 
-var _ BatchStepper = Broadcast{}
+var _ batchStepper = Broadcast{}
 
-// PullsPerRound implements BatchStepper: the embedding pulls all n−1
+// PullsPerRound implements batchStepper: the embedding pulls all n−1
 // peers.
 func (b Broadcast) PullsPerRound() uint64 { return uint64(b.A.N() - 1) }
 
-// StepAll implements BatchStepper.
+// StepAll implements batchStepper.
 func (b Broadcast) StepAll(env *BatchEnv) {
 	n := b.A.N()
 	sc, _ := broadcastScratch.Get().(*broadcastEnvScratch)

@@ -24,13 +24,7 @@ func CampaignScenario(name string, cfg Config, trials int) harness.Scenario {
 			if c.Abort == nil {
 				c.Abort = func() bool { return ctx.Err() != nil }
 			}
-			var r Result
-			var err error
-			if c.StopEarly {
-				r, err = Run(c)
-			} else {
-				r, err = RunFull(c)
-			}
+			r, err := run(c)
 			if err != nil {
 				return harness.Observation{}, err
 			}

@@ -20,7 +20,7 @@ func FuzzSampler(f *testing.F) {
 		if n < 2 {
 			t.Skip()
 		}
-		s, err := NewSampler(seed, n)
+		s, err := newSampler(seed, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func FuzzSampler(f *testing.F) {
 		if tgt == node {
 			t.Fatalf("node %d sampled itself", node)
 		}
-		again, err := NewSampler(seed, n)
+		again, err := newSampler(seed, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type Gossip struct {
 
 var (
 	_ Algorithm         = (*Gossip)(nil)
-	_ BatchStepper      = (*Gossip)(nil)
+	_ batchStepper      = (*Gossip)(nil)
 	_ alg.Deterministic = (*Gossip)(nil)
 )
 
@@ -55,7 +55,7 @@ func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("pull: gossip needs k >= 1 samples, got %d", k)
 	}
-	wires, err := NewSampler(wireSeed, n)
+	wires, err := newSampler(wireSeed, n)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func (g *Gossip) Deterministic() bool { return true }
 // Wiring returns the fixed sampling wiring.
 func (g *Gossip) Wiring() Sampler { return g.wires }
 
-// PullsPerRound implements BatchStepper.
+// PullsPerRound implements batchStepper.
 func (g *Gossip) PullsPerRound() uint64 { return uint64(g.k) }
 
 // Step implements Algorithm: the scalar reference transition.
@@ -100,7 +100,7 @@ func (g *Gossip) Step(v int, _ alg.State, pull Puller, _ *rand.Rand) alg.State {
 	return (best + 1) % g.c
 }
 
-// StepAll implements BatchStepper: the same transition over flat
+// StepAll implements batchStepper: the same transition over flat
 // arrays, with one pooled dense tally reused across all nodes —
 // allocation-free after warm-up, O(n·k) per round.
 func (g *Gossip) StepAll(env *BatchEnv) {

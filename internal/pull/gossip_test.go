@@ -60,7 +60,7 @@ func TestGossipPullBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(Config{
+	r, err := runEarly(Config{
 		Alg:       g,
 		Faulty:    []int{0, 32},
 		Adv:       adversary.Silent{},
@@ -76,15 +76,15 @@ func TestGossipPullBudget(t *testing.T) {
 }
 
 func TestSamplerContract(t *testing.T) {
-	if _, err := NewSampler(1, 1); err == nil {
+	if _, err := newSampler(1, 1); err == nil {
 		t.Error("sampler accepted n=1")
 	}
 	for _, n := range []int{2, 3, 17, 1000} {
-		s, err := NewSampler(99, n)
+		s, err := newSampler(99, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _ := NewSampler(99, n)
+		again, _ := newSampler(99, n)
 		for node := 0; node < n && node < 64; node++ {
 			for slot := 0; slot < 16; slot++ {
 				tgt := s.Target(node, slot)
@@ -117,11 +117,11 @@ func TestGossipDeterministicGivenSeed(t *testing.T) {
 		Seed:      13,
 		MaxRounds: 200,
 	}
-	a, err := Run(cfg)
+	a, err := runEarly(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := runEarly(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestPullKernelMatchesReference(t *testing.T) {
 	seeds := []int64{3, 44}
 	for _, cell := range pullKernelGrid(t) {
 		a := cell.build()
-		if _, ok := a.(BatchStepper); !ok {
+		if _, ok := a.(batchStepper); !ok {
 			t.Fatalf("%s: grid algorithm has no batch path", cell.name)
 		}
 		for _, advName := range pullKernelAdversaries {
@@ -95,7 +95,7 @@ func TestPullKernelMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", label, err)
 				}
-				got, err := Run(cfg)
+				got, err := runEarly(cfg)
 				if err != nil {
 					t.Fatalf("%s: batch: %v", label, err)
 				}
@@ -119,7 +119,7 @@ func TestPullKernelMatchesReferenceFull(t *testing.T) {
 		cfg := Config{
 			Alg:       a,
 			Faulty:    cell.faults,
-			Adv:       adversary.SplitVote{},
+			Adv:       splitVote,
 			Seed:      11,
 			MaxRounds: 256,
 			StopEarly: false,

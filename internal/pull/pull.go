@@ -69,13 +69,13 @@ type Config struct {
 	// OnRound observes (round, states, outputs) like sim.Config.OnRound.
 	OnRound func(round uint64, states []alg.State, outputs []int)
 	// Abort, when non-nil, is polled once per round; the run stops with
-	// ErrAborted as soon as it returns true (see sim.Config.Abort).
+	// errAborted as soon as it returns true (see sim.Config.Abort).
 	Abort func() bool
 }
 
-// ErrAborted is returned by Run/RunFull when Config.Abort requested an
-// early stop.
-var ErrAborted = errors.New("pull: run aborted")
+// errAborted is returned by RunFull and campaign trials when
+// Config.Abort requested an early stop.
+var errAborted = errors.New("pull: run aborted")
 
 // Result reports a pulling-model run.
 type Result struct {
@@ -94,23 +94,19 @@ type Result struct {
 	MaxBits uint64
 }
 
-// Run executes the configured pulling-model simulation with early stop.
-func Run(cfg Config) (Result, error) {
-	cfg.StopEarly = true
-	return run(cfg)
-}
-
 // RunFull executes for exactly MaxRounds (for violation counting).
 func RunFull(cfg Config) (Result, error) {
 	cfg.StopEarly = false
 	return run(cfg)
 }
 
-// run dispatches to the sparse batch kernel when the algorithm provides
-// one, and to the retained scalar reference loop otherwise. The
-// differential suite holds the two paths bit-identical.
+// run executes the configured pulling-model simulation, stopping early
+// when cfg.StopEarly is set. It dispatches to the sparse batch kernel
+// when the algorithm provides one, and to the retained scalar
+// reference loop otherwise. The differential suite holds the two paths
+// bit-identical.
 func run(cfg Config) (Result, error) {
-	if bs, ok := cfg.Alg.(BatchStepper); ok {
+	if bs, ok := cfg.Alg.(batchStepper); ok {
 		return runMode(cfg, bs)
 	}
 	return runMode(cfg, nil)
@@ -129,7 +125,7 @@ func deterministic(a Algorithm) bool {
 	return ok && d.Deterministic()
 }
 
-func runMode(cfg Config, batch BatchStepper) (Result, error) {
+func runMode(cfg Config, batch batchStepper) (Result, error) {
 	a := cfg.Alg
 	if a == nil {
 		return Result{}, errors.New("pull: nil algorithm")
@@ -200,7 +196,7 @@ func runMode(cfg Config, batch BatchStepper) (Result, error) {
 
 	for round := uint64(0); round < cfg.MaxRounds; round++ {
 		if cfg.Abort != nil && cfg.Abort() {
-			return Result{}, ErrAborted
+			return Result{}, errAborted
 		}
 		agree := true
 		common := -1

@@ -9,6 +9,17 @@ import (
 	"github.com/synchcount/synchcount/internal/recursion"
 )
 
+// runEarly is RunFull's early-stopping twin: the run ends once
+// stabilisation is confirmed.
+func runEarly(cfg Config) (Result, error) {
+	cfg.StopEarly = true
+	return run(cfg)
+}
+
+// splitVote is the registry's "splitvote" strategy; the adversary
+// package's own tests pin the name.
+var splitVote, _ = adversary.ByName("splitvote")
+
 func build41(t *testing.T, c int) *SampledCounter {
 	t.Helper()
 	p, err := recursion.Corollary1(1, c)
@@ -40,7 +51,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.cfg); err == nil {
+			if _, err := runEarly(tt.cfg); err == nil {
 				t.Error("expected error")
 			}
 		})
@@ -68,7 +79,7 @@ func TestBroadcastEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Alg: Broadcast{A: m}, Seed: 3, MaxRounds: 300})
+	res, err := runEarly(Config{Alg: Broadcast{A: m}, Seed: 3, MaxRounds: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +97,7 @@ func TestSampledPullBudget(t *testing.T) {
 	if got := s.PullsPerRound(); got != 41 {
 		t.Fatalf("PullsPerRound = %d, want 41", got)
 	}
-	res, err := Run(Config{Alg: s, Seed: 5, MaxRounds: 3200, Window: 80})
+	res, err := runEarly(Config{Alg: s, Seed: 5, MaxRounds: 3200, Window: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +159,7 @@ func TestSampledStabilisesWithFault(t *testing.T) {
 	bound := s.Boosted().StabilisationBound()
 	stabilised := 0
 	for seed := int64(0); seed < 3; seed++ {
-		res, err := Run(Config{
+		res, err := runEarly(Config{
 			Alg:       s,
 			Faulty:    []int{int(seed*5) % 12},
 			Adv:       adversary.Equivocate{},
@@ -191,12 +202,12 @@ func TestPseudoRandomWiringIsDeterministic(t *testing.T) {
 		t.Fatal("pseudo flag lost")
 	}
 	cfg := Config{Alg: a, Faulty: []int{2}, Adv: adversary.Silent{}, Seed: 9, MaxRounds: 3000, Window: 80}
-	ra, err := Run(cfg)
+	ra, err := runEarly(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Alg = b
-	rb, err := Run(cfg)
+	rb, err := runEarly(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestPseudoRandomCountsDeterministically(t *testing.T) {
 	res, err := RunFull(Config{
 		Alg:       s,
 		Faulty:    []int{3},
-		Adv:       adversary.SplitVote{}, // oblivious: strategy ignores the wiring
+		Adv:       splitVote, // oblivious: strategy ignores the wiring
 		Seed:      13,
 		MaxRounds: s.Boosted().StabilisationBound() + 1500,
 		Window:    80,

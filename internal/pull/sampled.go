@@ -49,7 +49,7 @@ type SampledCounter struct {
 
 var (
 	_ Algorithm    = (*SampledCounter)(nil)
-	_ BatchStepper = (*SampledCounter)(nil)
+	_ batchStepper = (*SampledCounter)(nil)
 )
 
 // NewSampled wraps the boosted counter with sampled communication.
@@ -297,7 +297,7 @@ func (s *SampledCounter) getScratch() *sampledScratch {
 	return sc
 }
 
-// StepAll implements BatchStepper: the same transition as Step for
+// StepAll implements batchStepper: the same transition as Step for
 // every correct node, in ascending order with reference pull/rng
 // ordering, over pooled flat scratch — no per-node allocation and no
 // dense receive matrix.

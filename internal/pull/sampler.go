@@ -23,9 +23,9 @@ type Sampler struct {
 	n    int
 }
 
-// NewSampler returns a sampler over [0, n); n must be at least 2 so
+// newSampler returns a sampler over [0, n); n must be at least 2 so
 // that excluding the caller leaves a non-empty range.
-func NewSampler(seed int64, n int) (Sampler, error) {
+func newSampler(seed int64, n int) (Sampler, error) {
 	if n < 2 {
 		return Sampler{}, fmt.Errorf("pull: sampler needs n >= 2, got %d", n)
 	}

@@ -50,10 +50,10 @@ type Plan struct {
 	C int
 }
 
-// Overhead returns 3(F+2)(2m)^k for one level: both the additive
+// overhead returns 3(F+2)(2m)^k for one level: both the additive
 // stabilisation-time cost of that level and the modulus granularity it
 // demands of the level below.
-func Overhead(l Level) (uint64, error) {
+func overhead(l Level) (uint64, error) {
 	if l.K < 3 {
 		return 0, fmt.Errorf("recursion: level needs k >= 3, got %d", l.K)
 	}
@@ -82,7 +82,7 @@ func (p Plan) Validate() error {
 	}
 	n, f := 1, 0
 	for i, l := range p.Levels {
-		if _, err := Overhead(l); err != nil {
+		if _, err := overhead(l); err != nil {
 			return fmt.Errorf("level %d: %w", i, err)
 		}
 		m := (l.K + 1) / 2
@@ -126,13 +126,13 @@ func Build(p Plan) (*boost.Counter, []*boost.Counter, Stats, error) {
 	mods := make([]uint64, len(p.Levels))
 	mods[len(mods)-1] = uint64(p.C)
 	for i := len(p.Levels) - 2; i >= 0; i-- {
-		oh, err := Overhead(p.Levels[i+1])
+		oh, err := overhead(p.Levels[i+1])
 		if err != nil {
 			return nil, nil, Stats{}, fmt.Errorf("level %d: %w", i+1, err)
 		}
 		mods[i] = oh
 	}
-	baseMod, err := Overhead(p.Levels[0])
+	baseMod, err := overhead(p.Levels[0])
 	if err != nil {
 		return nil, nil, Stats{}, fmt.Errorf("level 0: %w", err)
 	}
@@ -243,7 +243,7 @@ func Figure2(c int) (Plan, error) {
 // uses k_p = 4·2^{P-p} blocks per level for R_p = 2·k_p levels, taking
 // maximal admissible resilience at every level. Only tiny P (1 or 2) is
 // buildable on 64-bit state spaces; larger P yields plans whose
-// Validate/Overhead report the blow-up honestly.
+// Validate/overhead report the blow-up honestly.
 func VaryingK(phases, c int) (Plan, error) {
 	if phases < 1 {
 		return Plan{}, fmt.Errorf("recursion: VaryingK needs phases >= 1, got %d", phases)
@@ -294,13 +294,13 @@ func PredictedStats(p Plan) (Stats, error) {
 	mods := make([]uint64, len(p.Levels))
 	mods[len(mods)-1] = uint64(p.C)
 	for i := len(p.Levels) - 2; i >= 0; i-- {
-		oh, err := Overhead(p.Levels[i+1])
+		oh, err := overhead(p.Levels[i+1])
 		if err != nil {
 			return Stats{}, err
 		}
 		mods[i] = oh
 	}
-	baseMod, err := Overhead(p.Levels[0])
+	baseMod, err := overhead(p.Levels[0])
 	if err != nil {
 		return Stats{}, err
 	}
@@ -308,7 +308,7 @@ func PredictedStats(p Plan) (Stats, error) {
 	bits := codec.SpaceBits(baseMod)
 	spaceOK := true
 	for i, l := range p.Levels {
-		oh, err := Overhead(l)
+		oh, err := overhead(l)
 		if err != nil {
 			return Stats{}, err
 		}

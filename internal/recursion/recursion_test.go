@@ -7,6 +7,10 @@ import (
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
+// splitVote is the registry's "splitvote" strategy; the adversary
+// package's own tests pin the name.
+var splitVote, _ = adversary.ByName("splitvote")
+
 func TestOverhead(t *testing.T) {
 	tests := []struct {
 		l    Level
@@ -18,18 +22,18 @@ func TestOverhead(t *testing.T) {
 		{Level{K: 3, F: 0}, 384},  // 3·2·4^3
 	}
 	for _, tt := range tests {
-		got, err := Overhead(tt.l)
+		got, err := overhead(tt.l)
 		if err != nil {
-			t.Fatalf("Overhead(%+v): %v", tt.l, err)
+			t.Fatalf("overhead(%+v): %v", tt.l, err)
 		}
 		if got != tt.want {
-			t.Errorf("Overhead(%+v) = %d, want %d", tt.l, got, tt.want)
+			t.Errorf("overhead(%+v) = %d, want %d", tt.l, got, tt.want)
 		}
 	}
-	if _, err := Overhead(Level{K: 2, F: 1}); err == nil {
+	if _, err := overhead(Level{K: 2, F: 1}); err == nil {
 		t.Error("k = 2 should fail")
 	}
-	if _, err := Overhead(Level{K: 64, F: 1}); err == nil {
+	if _, err := overhead(Level{K: 64, F: 1}); err == nil {
 		t.Error("(2m)^k overflow should fail")
 	}
 }
@@ -229,12 +233,12 @@ func TestOverheadMatchesTauTimesPow(t *testing.T) {
 			for i := 0; i < k; i++ {
 				want *= uint64(2 * m)
 			}
-			got, err := Overhead(Level{K: k, F: f})
+			got, err := overhead(Level{K: k, F: f})
 			if err != nil {
-				t.Fatalf("Overhead(k=%d,f=%d): %v", k, f, err)
+				t.Fatalf("overhead(k=%d,f=%d): %v", k, f, err)
 			}
 			if got != want {
-				t.Fatalf("Overhead(k=%d,f=%d) = %d, want %d", k, f, got, want)
+				t.Fatalf("overhead(k=%d,f=%d) = %d, want %d", k, f, got, want)
 			}
 		}
 	}
@@ -365,7 +369,7 @@ func TestFigure2Stack(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Alg:       top,
 		Faulty:    faulty,
-		Adv:       adversary.SplitVote{},
+		Adv:       splitVote,
 		Seed:      4,
 		MaxRounds: st.TimeBound + 600,
 		Window:    120,

@@ -30,10 +30,10 @@ import (
 	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
-// NoDecision is reported by Machine.Decision for nodes that have not
+// noDecision is reported by Machine.Decision for nodes that have not
 // completed an epoch (or whose register was in the reset state at the
 // epoch boundary).
-const NoDecision = -1
+const noDecision = -1
 
 // InputFunc supplies node v's input for the given epoch, a value in
 // [0, V). Epoch numbers are derived from the counter value and are only
@@ -174,12 +174,12 @@ func (m *Machine) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 }
 
 // Output implements alg.Algorithm: the most recent decision, or
-// NoDecision before the first completed epoch (or after a reset-state
+// noDecision before the first completed epoch (or after a reset-state
 // epoch).
 func (m *Machine) Output(_ int, s alg.State) int {
 	dec := m.cdc.Field(s, 3)
 	if dec >= m.vals {
-		return NoDecision
+		return noDecision
 	}
 	return int(dec)
 }

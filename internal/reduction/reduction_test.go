@@ -12,6 +12,10 @@ import (
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
+// splitVote is the registry's "splitvote" strategy; the adversary
+// package's own tests pin the name.
+var splitVote, _ = adversary.ByName("splitvote")
+
 // newClock41 builds the A(4,1) counter with modulus 90 (a multiple of
 // the epoch length τ = 3(1+2) = 9).
 func newClock41(t *testing.T) *boost.Counter {
@@ -183,7 +187,7 @@ func TestRepeatedConsensusAgreementWithMixedInputs(t *testing.T) {
 					t.Fatalf("%s: epoch %d: decisions disagree: %v", advName, a.epoch, a.decisions)
 				}
 			}
-			if a.decisions[0] == NoDecision {
+			if a.decisions[0] == noDecision {
 				t.Fatalf("%s: epoch %d: no decision after stabilisation", advName, a.epoch)
 			}
 			// Validity in the unanimous epochs.
@@ -214,7 +218,7 @@ func TestBinaryConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audits := runAudit(t, m, []int{3}, adversary.SplitVote{}, 17, bound+300, bound+20)
+	audits := runAudit(t, m, []int{3}, splitVote, 17, bound+300, bound+20)
 	if len(audits) < 10 {
 		t.Fatal("too few epochs")
 	}
@@ -237,8 +241,8 @@ func TestDecisionOutputEncoding(t *testing.T) {
 	}
 	// A state whose decision field is V encodes ⊥.
 	s := m.cdc.MustPack(0, 0, 0, 4)
-	if m.Output(0, s) != NoDecision {
-		t.Fatal("decision field V must decode to NoDecision")
+	if m.Output(0, s) != noDecision {
+		t.Fatal("decision field V must decode to noDecision")
 	}
 	s = m.cdc.MustPack(0, 0, 0, 3)
 	if m.Output(0, s) != 3 {

@@ -151,12 +151,12 @@ func (cs CompareSpec) Campaign() (harness.Campaign, []CompareCell, error) {
 	}
 	var cells []CompareCell
 	for _, name := range cs.Algs {
-		spec, err := ByName(name)
+		s, err := byName(name)
 		if err != nil {
 			return harness.Campaign{}, nil, err
 		}
 		for _, f := range fs {
-			a, err := spec.Build(Params{F: f, C: cs.C})
+			a, err := s.Build(Params{F: f, C: cs.C})
 			if err != nil {
 				return harness.Campaign{}, nil, err
 			}
@@ -169,7 +169,7 @@ func (cs CompareSpec) Campaign() (harness.Campaign, []CompareCell, error) {
 			}
 			maxRounds := cs.Rounds
 			if maxRounds == 0 {
-				maxRounds = spec.MaxRounds(a)
+				maxRounds = s.MaxRounds(a)
 			}
 			cell := CompareCell{
 				Alg:           name,

@@ -1,4 +1,4 @@
-package registry
+package registry_test
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/harness"
+	"github.com/synchcount/synchcount/internal/registry"
+	"github.com/synchcount/synchcount/internal/registry/registrytest"
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
@@ -50,13 +52,26 @@ func faultPlacements(n, f int) [][]int {
 //     execution to a fixed horizon past the confirmed window and
 //     requiring zero violations.
 //
-// Registering a new algorithm with conformance cells is all it takes
-// to put it under this contract.
+// Registering a new algorithm with cells in registrytest.Cells is all
+// it takes to put it under this contract; a registered name without
+// cells fails here.
 func TestConformance(t *testing.T) {
-	for _, spec := range Specs() {
-		spec := spec
+	registered := map[string]bool{}
+	for _, name := range registry.Names() {
+		registered[name] = true
+	}
+	for name := range registrytest.Cells {
+		if !registered[name] {
+			t.Errorf("conformance cells for unregistered algorithm %q", name)
+		}
+	}
+	for _, spec := range registry.Specs() {
 		t.Run(spec.Name, func(t *testing.T) {
-			for _, cell := range spec.Conformance {
+			cells := registrytest.Cells[spec.Name]
+			if len(cells) == 0 {
+				t.Fatal("registered without conformance cells")
+			}
+			for _, cell := range cells {
 				a, err := spec.Build(cell)
 				if err != nil {
 					t.Fatalf("cell %v: %v", cell, err)

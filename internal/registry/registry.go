@@ -5,12 +5,12 @@
 // (n, f, c) parameterisation without knowing the per-package
 // constructors.
 //
-// Each Spec interprets Params with its own defaults and constraints: a
+// Each spec interprets Params with its own defaults and constraints: a
 // zero field means "use the spec default / derive it", a non-zero
 // field is a requirement the built algorithm must meet exactly. The
-// conformance cells a spec declares are the grid the conformance suite
-// runs — registering a new algorithm with cells is all it takes to put
-// it under spec coverage.
+// conformance grid lives with the tests, in registrytest.Cells: listing
+// a new algorithm's cells there is all it takes to put it under spec
+// coverage, and the conformance suite fails for a name without cells.
 package registry
 
 import (
@@ -52,8 +52,8 @@ func (p Params) withDefaults(d Params) Params {
 	return p
 }
 
-// Spec describes one registered algorithm family.
-type Spec struct {
+// spec describes one registered algorithm family.
+type spec struct {
 	// Name keys the spec; it appears in CLI flags and scenario names.
 	Name string
 	// Summary is a one-line description for listings.
@@ -69,17 +69,14 @@ type Spec struct {
 	// rounds within which stabilisation is expected overwhelmingly.
 	// Nil for algorithms implementing alg.Bound.
 	TimeBudget func(a alg.Algorithm) uint64
-	// Conformance lists the parameter cells the conformance suite
-	// exercises for this spec (kept small enough for CI).
-	Conformance []Params
 }
 
 // Build constructs the spec's algorithm: defaults are applied, the
 // algorithm is built, and any non-zero requested field is verified
 // against what was actually built.
-func (s *Spec) Build(p Params) (alg.Algorithm, error) {
+func (s *spec) Build(p Params) (alg.Algorithm, error) {
 	filled := p.withDefaults(s.Default)
-	a, err := s.Build0(filled)
+	a, err := s.build(filled)
 	if err != nil {
 		if errors.Is(err, codec.ErrSpaceTooLarge) {
 			// Name the ceiling instead of letting the deepest codec's
@@ -104,13 +101,10 @@ func (s *Spec) Build(p Params) (alg.Algorithm, error) {
 	return a, nil
 }
 
-// Build0 runs the raw constructor without defaulting or verification.
-func (s *Spec) Build0(p Params) (alg.Algorithm, error) { return s.build(p) }
-
 // MaxRounds returns the simulation horizon for an algorithm built
 // from this spec: its declared bound plus slack, or the spec's time
 // budget for bound-less (randomised) algorithms.
-func (s *Spec) MaxRounds(a alg.Algorithm) uint64 {
+func (s *spec) MaxRounds(a alg.Algorithm) uint64 {
 	if b, ok := a.(alg.Bound); ok {
 		return b.StabilisationBound() + 512
 	}
@@ -123,22 +117,18 @@ func (s *Spec) MaxRounds(a alg.Algorithm) uint64 {
 // specs is the registration table. Order is the presentation order of
 // listings and compare tables: baselines, then the source paper's
 // recursion stacks, then the 1508.02535 stacks.
-var specs []*Spec
+var specs []*spec
 
-func register(s *Spec, build func(p Params) (alg.Algorithm, error)) {
+func register(s *spec, build func(p Params) (alg.Algorithm, error)) {
 	s.build = build
 	specs = append(specs, s)
 }
 
 func init() {
-	register(&Spec{
+	register(&spec{
 		Name:    "trivial",
 		Summary: "0-resilient 1-node counter (Corollary 1 base case)",
 		Default: Params{N: 1, C: 10},
-		Conformance: []Params{
-			{N: 1, C: 2},
-			{N: 1, C: 10},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 1 {
 			return nil, fmt.Errorf("trivial counter runs on one node, not %d", p.N)
@@ -149,14 +139,10 @@ func init() {
 		return counter.NewTrivial(p.C)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "maxstep",
 		Summary: "0-resilient n-node counter stabilising in one round",
 		Default: Params{N: 4, C: 10},
-		Conformance: []Params{
-			{N: 4, C: 10},
-			{N: 9, C: 3},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.F != 0 {
 			return nil, fmt.Errorf("maxstep has resilience 0, not %d", p.F)
@@ -164,7 +150,7 @@ func init() {
 		return counter.NewMaxStep(p.N, p.C)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "randagree",
 		Summary: "folklore randomised 2-counter (Table 1 rows [6,7])",
 		Default: Params{N: 4, F: 1, C: 2},
@@ -173,10 +159,6 @@ func init() {
 			// small instances the registry exposes overwhelmingly.
 			return 1 << 16
 		},
-		Conformance: []Params{
-			{N: 4, F: 1, C: 2},
-			{N: 7, F: 2, C: 2},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.C != 2 {
 			return nil, fmt.Errorf("randagree counts modulo 2, not %d", p.C)
@@ -184,16 +166,12 @@ func init() {
 		return counter.NewRandomizedAgree(p.N, p.F)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "randbiased",
 		Summary: "threshold-biased randomised 2-counter (Table 1 row [5] spirit)",
 		Default: Params{N: 4, F: 1, C: 2},
 		TimeBudget: func(a alg.Algorithm) uint64 {
 			return 1 << 16
-		},
-		Conformance: []Params{
-			{N: 4, F: 1, C: 2},
-			{N: 7, F: 2, C: 2},
 		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.C != 2 {
@@ -202,13 +180,10 @@ func init() {
 		return counter.NewRandomizedBiased(p.N, p.F)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "corollary1",
 		Summary: "source paper Corollary 1: optimal resilience on n = 3f+1, time f^O(f)",
 		Default: Params{F: 1, C: 10},
-		Conformance: []Params{
-			{F: 1, C: 4},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 0 && p.N != 3*p.F+1 {
 			return nil, fmt.Errorf("corollary1 runs on n = 3f+1 = %d nodes, not %d", 3*p.F+1, p.N)
@@ -221,14 +196,10 @@ func init() {
 		return top, err
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "theorem2",
 		Summary: "source paper Theorem 2: fixed block count k = 4, resilience from depth",
 		Default: Params{F: 3, C: 10},
-		Conformance: []Params{
-			{F: 1, C: 6},
-			{F: 3, C: 12},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		// Depth d of the k = 4 recursion reaches resiliences 1, 3, 7,
 		// 15, ...; the requested F selects the first depth reaching it
@@ -257,13 +228,10 @@ func init() {
 		return nil, fmt.Errorf("theorem2: resilience %d out of reach", p.F)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "figure2",
 		Summary: "source paper Figure 2 stack: A(4,1) → A(12,3) → A(36,7)",
 		Default: Params{N: 36, F: 7, C: 10},
-		Conformance: []Params{
-			{C: 10},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 36 || p.F != 7 {
 			return nil, fmt.Errorf("figure2 is the fixed A(36, 7) stack, not A(%d, %d)", p.N, p.F)
@@ -276,15 +244,10 @@ func init() {
 		return top, err
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "ecount",
 		Summary: "1508.02535 balanced recursion: silent-consensus counter, O(f) time",
 		Default: Params{F: 1, C: 10},
-		Conformance: []Params{
-			{F: 1, C: 10},
-			{F: 2, C: 8},
-			{F: 3, C: 4},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		n := p.N
 		if n == 0 {
@@ -293,15 +256,10 @@ func init() {
 		return ecount.New(n, p.F, p.C)
 	})
 
-	register(&Spec{
+	register(&spec{
 		Name:    "ecount-chain",
 		Summary: "1508.02535 chain recursion: one fault peeled per level, O(f^2) time",
 		Default: Params{F: 1, C: 10},
-		Conformance: []Params{
-			{F: 1, C: 10},
-			{F: 2, C: 8},
-			{F: 3, C: 4},
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		n := p.N
 		if n == 0 {
@@ -320,15 +278,8 @@ func Names() []string {
 	return names
 }
 
-// Specs returns the registered specs in presentation order.
-func Specs() []*Spec {
-	out := make([]*Spec, len(specs))
-	copy(out, specs)
-	return out
-}
-
-// ByName looks a spec up.
-func ByName(name string) (*Spec, error) {
+// byName looks a spec up.
+func byName(name string) (*spec, error) {
 	for _, s := range specs {
 		if s.Name == name {
 			return s, nil
@@ -340,7 +291,7 @@ func ByName(name string) (*Spec, error) {
 // Build constructs the named algorithm with the given params — the
 // registry's common constructor.
 func Build(name string, p Params) (alg.Algorithm, error) {
-	s, err := ByName(name)
+	s, err := byName(name)
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,12 @@ func TestNamesAndLookup(t *testing.T) {
 		t.Fatal("registry is empty")
 	}
 	for _, want := range []string{"trivial", "maxstep", "randagree", "randbiased", "corollary1", "theorem2", "figure2", "ecount", "ecount-chain"} {
-		if _, err := ByName(want); err != nil {
-			t.Errorf("ByName(%q): %v", want, err)
+		if _, err := byName(want); err != nil {
+			t.Errorf("byName(%q): %v", want, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-		t.Fatalf("ByName(nope) = %v, want unknown-algorithm error", err)
+	if _, err := byName("nope"); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		t.Fatalf("byName(nope) = %v, want unknown-algorithm error", err)
 	}
 	seen := map[string]bool{}
 	for _, n := range names {
@@ -35,7 +35,7 @@ func TestNamesAndLookup(t *testing.T) {
 // the invariant that keeps listings, compare defaults and the
 // conformance suite runnable for every registered name.
 func TestBuildDefaults(t *testing.T) {
-	for _, spec := range Specs() {
+	for _, spec := range specs {
 		a, err := Build(spec.Name, Params{})
 		if err != nil {
 			t.Errorf("%s: default build failed: %v", spec.Name, err)
@@ -46,9 +46,6 @@ func TestBuildDefaults(t *testing.T) {
 		}
 		if spec.MaxRounds(a) == 0 {
 			t.Errorf("%s: zero simulation horizon", spec.Name)
-		}
-		if len(spec.Conformance) == 0 {
-			t.Errorf("%s: registered without conformance cells", spec.Name)
 		}
 	}
 }

@@ -25,8 +25,8 @@ type Axes struct {
 	Adversary string
 }
 
-// ParseAxes extracts the axes from a scenario name.
-func ParseAxes(scenario string) Axes {
+// parseAxes extracts the axes from a scenario name.
+func parseAxes(scenario string) Axes {
 	ax := Axes{N: -1, F: -1, C: -1, Faults: -1}
 	for _, tok := range strings.Split(scenario, "/") {
 		key, val, ok := strings.Cut(tok, "=")

@@ -144,7 +144,7 @@ func (s *Store) Query(q Query) ([]Group, error) {
 
 	var matched []*source
 	for _, k := range order {
-		if q.matches(k, ParseAxes(k.Scenario)) {
+		if q.matches(k, parseAxes(k.Scenario)) {
 			matched = append(matched, sources[k])
 		}
 	}
@@ -189,7 +189,7 @@ func (s *Store) Query(q Query) ([]Group, error) {
 	for _, b := range buckets {
 		g := Group{
 			Scenario:  b.scenario,
-			Axes:      ParseAxes(b.scenario),
+			Axes:      parseAxes(b.scenario),
 			Campaigns: len(b.srcs),
 		}
 		if len(b.srcs) == 1 {
@@ -300,9 +300,9 @@ func mergeTwo(a, b []float64) []float64 {
 // foldStats computes harness.Stats over records in their given order,
 // with the quantiles read off the pre-merged sorted run instead of
 // collecting and re-sorting the times. The counts, extrema and sums
-// replicate harness.Aggregator.Add exactly (the differential tests pin
-// this), so for records in canonical order the result is
-// byte-identical to harness.Aggregate.
+// replicate harness.Aggregate's per-trial fold exactly (the
+// differential tests pin this), so for records in canonical order the
+// result is byte-identical to harness.Aggregate.
 func foldStats(records []harness.TrialRecord, sorted []float64) harness.Stats {
 	var st harness.Stats
 	var sumTime, sumRounds float64

@@ -460,8 +460,8 @@ func TestParseAxes(t *testing.T) {
 		{"a/extra=9/b/c", Axes{Alg: "a", N: -1, F: -1, C: -1, Faults: -1, Adversary: "c"}},
 		{"", Axes{N: -1, F: -1, C: -1, Faults: -1}},
 	} {
-		if got := ParseAxes(tc.in); got != tc.want {
-			t.Errorf("ParseAxes(%q) = %+v, want %+v", tc.in, got, tc.want)
+		if got := parseAxes(tc.in); got != tc.want {
+			t.Errorf("parseAxes(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func bitsliceCells(t *testing.T) []struct {
 // forward is disabled so the deterministic cells compare the kernel
 // itself round for round rather than the engine's analytic conclusion.
 func TestBitslicedMatchesReferenceLarger(t *testing.T) {
-	advs := []adversary.Adversary{adversary.Silent{}, adversary.SplitVote{}, adversary.Equivocate{}}
+	advs := []adversary.Adversary{adversary.Silent{}, splitVote, adversary.Equivocate{}}
 	seeds := []int64{3, 44}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -107,11 +107,7 @@ func TestBitsliceCapability(t *testing.T) {
 		"randbiased": true,
 	}
 	for _, name := range registry.Names() {
-		spec, err := registry.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := spec.Build(registry.Params{})
+		a, err := registry.Build(name, registry.Params{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -143,7 +139,7 @@ func TestBitsliceCampaignConcurrent(t *testing.T) {
 			sim.CampaignScenario("randagree", sim.Config{
 				Alg:       agree,
 				Faulty:    spreadFaults(100, 33),
-				Adv:       adversary.SplitVote{},
+				Adv:       splitVote,
 				MaxRounds: 256,
 				StopEarly: true,
 			}, 32),

@@ -22,7 +22,7 @@ func randomizedConfig(t *testing.T) Config {
 	return Config{
 		Alg:       a,
 		Faulty:    []int{2},
-		Adv:       adversary.SplitVote{},
+		Adv:       splitVote,
 		Seed:      7,
 		MaxRounds: 1 << 16,
 	}
@@ -130,8 +130,8 @@ func TestAbortStopsRun(t *testing.T) {
 		return rounds > 10
 	}
 	_, err := Run(cfg)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
+	if !errors.Is(err, errAborted) {
+		t.Fatalf("err = %v, want errAborted", err)
 	}
 	if rounds > 11 {
 		t.Fatalf("run continued for %d abort polls after the stop request", rounds)
@@ -158,7 +158,7 @@ func TestCampaignScenarioFuncBuildsFreshConfigs(t *testing.T) {
 		Workers: 4,
 		Scenarios: []harness.Scenario{
 			CampaignScenarioFunc("greedy", 8, func(int) (Config, error) {
-				adv, err := adversary.NewGreedy(a, adversary.SplitVote{}, 4)
+				adv, err := adversary.NewGreedy(a, splitVote, 4)
 				if err != nil {
 					return Config{}, err
 				}

@@ -14,7 +14,14 @@ import (
 // and the BenchmarkKernel_* comparisons hold the vectorized kernel
 // bit-identical to — and measure it against — this path. It honours
 // cfg.StopEarly as set by the caller.
-func RunReference(cfg Config) (Result, error) { return runMode(cfg, scalarRound) }
+func RunReference(cfg Config) (Result, error) { return runMode(cfg, scalarRound, false) }
+
+// RunVectorized runs the simulation on the vectorized kernel with the
+// bit-sliced path off, honouring cfg.StopEarly as set by the caller:
+// the kernel differential suite and the BenchmarkKernel_* pairs hold
+// that path apart from the bit-sliced one, which has its own
+// BenchmarkBitslice_* pairs (bitslice_bench_test.go).
+func RunVectorized(cfg Config) (Result, error) { return runMode(cfg, nil, false) }
 
 // scalarRound is the historical scalar loop: a fresh O(n) receive
 // vector per receiver, one adversary call per (faulty sender, receiver)
@@ -80,3 +87,10 @@ func CheckMemoEntry(k harness.TrajectoryKey, v any) error {
 	}
 	return nil
 }
+
+// LoadTrajectoryMemo and SaveTrajectoryMemo are the stream forms under
+// the -memo file functions, for the memo-file tests.
+var (
+	LoadTrajectoryMemo = loadTrajectoryMemo
+	SaveTrajectoryMemo = saveTrajectoryMemo
+)

@@ -13,7 +13,7 @@ import (
 // A deterministic algorithm (alg.IsDeterministic) under a snapshottable
 // adversary with a finite period (adversary.SnapshotPeriodOf) evolves
 // the global configuration — the state vector plus any hidden words the
-// algorithm exposes via alg.ConfigCapturer — as a pure function of
+// algorithm exposes through alg.AppendConfig — as a pure function of
 // (configuration, round mod period). Every such trajectory is
 // eventually periodic, yet long-horizon RunFull verification tails and
 // count-mod-c-forever replays grind through every round of the cycle.

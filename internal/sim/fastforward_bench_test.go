@@ -69,29 +69,29 @@ func benchFFECountChain(b *testing.B, n, f int) alg.Algorithm {
 // tail whose cycle (λ = 360) the engine confirms after ~1k rounds and
 // concludes analytically.
 func BenchmarkFF_Off_ECount_n16_f3_RunFull16k(b *testing.B) {
-	benchFF(b, benchFFECount(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, false)
+	benchFF(b, benchFFECount(b, 16, 3), splitVote, benchSpread(16, 3), 1<<14, false)
 }
 
 func BenchmarkFF_On_ECount_n16_f3_RunFull16k(b *testing.B) {
-	benchFF(b, benchFFECount(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, true)
+	benchFF(b, benchFFECount(b, 16, 3), splitVote, benchSpread(16, 3), 1<<14, true)
 }
 
 // The chain recursion at the same cell: deeper stack, same short block
 // clocks.
 func BenchmarkFF_Off_ECountChain_n16_f3_RunFull16k(b *testing.B) {
-	benchFF(b, benchFFECountChain(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, false)
+	benchFF(b, benchFFECountChain(b, 16, 3), splitVote, benchSpread(16, 3), 1<<14, false)
 }
 
 func BenchmarkFF_On_ECountChain_n16_f3_RunFull16k(b *testing.B) {
-	benchFF(b, benchFFECountChain(b, 16, 3), adversary.SplitVote{}, benchSpread(16, 3), 1<<14, true)
+	benchFF(b, benchFFECountChain(b, 16, 3), splitVote, benchSpread(16, 3), 1<<14, true)
 }
 
 // The large-network cell (λ = 1080, confirmed ≈ round 3.1k): 2^15
 // rounds so the analytic tail dominates.
 func BenchmarkFF_Off_ECount_n64_f7_RunFull32k(b *testing.B) {
-	benchFF(b, benchFFECount(b, 64, 7), adversary.SplitVote{}, benchSpread(64, 7), 1<<15, false)
+	benchFF(b, benchFFECount(b, 64, 7), splitVote, benchSpread(64, 7), 1<<15, false)
 }
 
 func BenchmarkFF_On_ECount_n64_f7_RunFull32k(b *testing.B) {
-	benchFF(b, benchFFECount(b, 64, 7), adversary.SplitVote{}, benchSpread(64, 7), 1<<15, true)
+	benchFF(b, benchFFECount(b, 64, 7), splitVote, benchSpread(64, 7), 1<<15, true)
 }

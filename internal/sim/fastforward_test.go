@@ -10,8 +10,13 @@ import (
 	"github.com/synchcount/synchcount/internal/ecount"
 	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/registry"
+	"github.com/synchcount/synchcount/internal/registry/registrytest"
 	"github.com/synchcount/synchcount/internal/sim"
 )
+
+// splitVote is the registry's "splitvote" strategy; the adversary
+// package's own tests pin the name.
+var splitVote, _ = adversary.ByName("splitvote")
 
 // ffEligibleAdversaries are the built-in strategies the fast-forward
 // engine may cycle-detect under (snapshottable, period 1).
@@ -57,26 +62,19 @@ func TestFastForwardMatchesSlowPath(t *testing.T) {
 	seeds := []int64{3, 44}
 	advNames := append(append([]string(nil), ffEligibleAdversaries...), "equivocate")
 	for _, name := range registry.Names() {
-		spec, err := registry.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells := spec.Conformance
+		cells := registrytest.Cells[name]
 		if testing.Short() && len(cells) > 1 {
 			cells = cells[:1]
 		}
 		for _, cell := range cells {
-			a, err := spec.Build(cell)
+			a, err := registry.Build(name, cell)
 			if err != nil {
 				t.Fatalf("%s(%v): %v", name, cell, err)
 			}
 			// Long enough past stabilisation for cycles to confirm and
 			// the analytic tail to engage on the small cells; equality
 			// must hold round for round regardless.
-			maxRounds := spec.MaxRounds(a)
-			if maxRounds > 2048 {
-				maxRounds = 2048
-			}
+			maxRounds := cappedHorizon(a, 2048)
 			faults := spreadFaults(a.N(), a.F())
 			for _, advName := range advNames {
 				adv, err := adversary.ByName(advName)
@@ -240,7 +238,7 @@ func TestFastForwardMemoSharing(t *testing.T) {
 	base := sim.Config{
 		Alg:       a,
 		Faulty:    faults,
-		Adv:       adversary.SplitVote{},
+		Adv:       splitVote,
 		MaxRounds: 1 << 14,
 		Memo:      memo,
 		MemoAlg:   "ecount/n=16/f=3/c=8",
@@ -283,14 +281,18 @@ func TestFastForwardEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	random, err := adversary.ByName("random")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		label string
 		cfg   sim.Config
 		want  bool
 	}{
 		{"deterministic+silent", sim.Config{Alg: det, Adv: adversary.Silent{}}, true},
-		{"deterministic+splitvote", sim.Config{Alg: det, Adv: adversary.SplitVote{}}, true},
-		{"deterministic+random", sim.Config{Alg: det, Adv: adversary.Random{}}, false},
+		{"deterministic+splitvote", sim.Config{Alg: det, Adv: splitVote}, true},
+		{"deterministic+random", sim.Config{Alg: det, Adv: random}, false},
 		{"deterministic+equivocate", sim.Config{Alg: det, Adv: adversary.Equivocate{}}, false},
 		{"default adversary (equivocate)", sim.Config{Alg: det}, false},
 		{"deterministic+greedy", sim.Config{Alg: det, Adv: greedy}, false},

@@ -32,12 +32,11 @@ func benchKernel(b *testing.B, a alg.Algorithm, adv adversary.Adversary, faults 
 		Seed:      5,
 		MaxRounds: benchRounds,
 		StopEarly: false,
-		// Keep these pairs measuring the vectorized path: capable
-		// algorithms would otherwise take the bit-sliced path, which
-		// has its own BenchmarkBitslice_* pairs (bitslice_bench_test.go).
-		NoBitSlice: true,
 	}
-	run := sim.RunFull
+	// Keep these pairs measuring the vectorized path: capable
+	// algorithms would otherwise take the bit-sliced path, which has
+	// its own BenchmarkBitslice_* pairs (bitslice_bench_test.go).
+	run := sim.RunVectorized
 	if !vectorized {
 		run = sim.RunReference
 	}
@@ -91,11 +90,11 @@ func benchECount(b *testing.B) alg.Algorithm {
 }
 
 func BenchmarkKernel_Reference_ECount_n64_f7(b *testing.B) {
-	benchKernel(b, benchECount(b), adversary.SplitVote{}, benchSpread(64, 7), false)
+	benchKernel(b, benchECount(b), splitVote, benchSpread(64, 7), false)
 }
 
 func BenchmarkKernel_Vectorized_ECount_n64_f7(b *testing.B) {
-	benchKernel(b, benchECount(b), adversary.SplitVote{}, benchSpread(64, 7), true)
+	benchKernel(b, benchECount(b), splitVote, benchSpread(64, 7), true)
 }
 
 // Splitvote shows every receiver one of two rows, so the vectorized
@@ -126,11 +125,11 @@ func benchFigure2(b *testing.B) alg.Algorithm {
 }
 
 func BenchmarkKernel_Reference_Figure2_n36_f7(b *testing.B) {
-	benchKernel(b, benchFigure2(b), adversary.SplitVote{}, benchSpread(36, 7), false)
+	benchKernel(b, benchFigure2(b), splitVote, benchSpread(36, 7), false)
 }
 
 func BenchmarkKernel_Vectorized_Figure2_n36_f7(b *testing.B) {
-	benchKernel(b, benchFigure2(b), adversary.SplitVote{}, benchSpread(36, 7), true)
+	benchKernel(b, benchFigure2(b), splitVote, benchSpread(36, 7), true)
 }
 
 func benchSpread(n, f int) []int { return spreadFaults(n, f) }

@@ -7,6 +7,7 @@ import (
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/registry"
+	"github.com/synchcount/synchcount/internal/registry/registrytest"
 	"github.com/synchcount/synchcount/internal/sim"
 )
 
@@ -30,36 +31,40 @@ func spreadFaults(n, f int) []int {
 	return out
 }
 
+// cappedHorizon is the registry's simulation horizon for a, its
+// declared bound plus 512 rounds, capped at limit. Bound-less
+// (randomised) algorithms get the cap: their registry time budgets are
+// far longer.
+func cappedHorizon(a alg.Algorithm, limit uint64) uint64 {
+	if b, ok := a.(alg.Bound); ok && b.StabilisationBound()+512 < limit {
+		return b.StabilisationBound() + 512
+	}
+	return limit
+}
+
 // TestKernelMatchesReference is the three-way differential suite:
 // every registered algorithm, under every adversary class, across a
 // seeded grid, must produce byte-identical sim.Results from the
-// scalar reference loop, the vectorized kernel (sim.Run with
-// NoBitSlice) and — for algorithms qualifying via alg.BitSliceStepper
-// — the bit-sliced kernel (plain sim.Run). This is the contract that
+// scalar reference loop, the vectorized kernel (sim.RunVectorized)
+// and — for algorithms qualifying via alg.BitSliceStepper — the
+// bit-sliced kernel (plain sim.Run). This is the contract that
 // lets the kernels replace the reference loop underneath every golden
 // file in the repository.
 func TestKernelMatchesReference(t *testing.T) {
 	seeds := []int64{3, 44}
 	for _, name := range registry.Names() {
-		spec, err := registry.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells := spec.Conformance
+		cells := registrytest.Cells[name]
 		if testing.Short() && len(cells) > 1 {
 			cells = cells[:1]
 		}
 		for _, cell := range cells {
-			a, err := spec.Build(cell)
+			a, err := registry.Build(name, cell)
 			if err != nil {
 				t.Fatalf("%s(%v): %v", name, cell, err)
 			}
-			maxRounds := spec.MaxRounds(a)
-			if maxRounds > 768 {
-				// Equality must hold round for round, so a truncated
-				// horizon loses no coverage and keeps the grid fast.
-				maxRounds = 768
-			}
+			// Equality must hold round for round, so a truncated
+			// horizon loses no coverage and keeps the grid fast.
+			maxRounds := cappedHorizon(a, 768)
 			faults := spreadFaults(a.N(), a.F())
 			for _, advName := range kernelAdversaries {
 				adv, greedy := kernelAdversary(t, advName, a)
@@ -91,8 +96,7 @@ func TestKernelMatchesReference(t *testing.T) {
 					if greedy != nil {
 						cfg.Adv = greedy()
 					}
-					cfg.NoBitSlice = true
-					got, err := sim.Run(cfg)
+					got, err := sim.RunVectorized(cfg)
 					if err != nil {
 						t.Fatalf("%s: vectorized: %v", label, err)
 					}
@@ -103,7 +107,6 @@ func TestKernelMatchesReference(t *testing.T) {
 						if greedy != nil {
 							cfg.Adv = greedy()
 						}
-						cfg.NoBitSlice = false
 						got, err := sim.Run(cfg)
 						if err != nil {
 							t.Fatalf("%s: bit-sliced: %v", label, err)
@@ -112,7 +115,6 @@ func TestKernelMatchesReference(t *testing.T) {
 							t.Errorf("%s: bit-sliced kernel diverged:\n  bit-sliced %+v\n  reference  %+v", label, got, want)
 						}
 					}
-					cfg.NoBitSlice = false
 				}
 			}
 		}
@@ -155,7 +157,7 @@ func TestKernelMatchesReferenceStopEarlyOff(t *testing.T) {
 		cfg := sim.Config{
 			Alg:       a,
 			Faulty:    spreadFaults(a.N(), a.F()),
-			Adv:       adversary.SplitVote{},
+			Adv:       splitVote,
 			Seed:      11,
 			MaxRounds: 512,
 			StopEarly: false,

@@ -32,9 +32,9 @@ type trajectoryEntryJSON struct {
 	Common []int       `json:"common"`
 }
 
-// SaveTrajectoryMemo writes the memo's confirmed cycles to w in the
+// saveTrajectoryMemo writes the memo's confirmed cycles to w in the
 // deterministic NDJSON format of harness.(*TrajectoryMemo).Save.
-func SaveTrajectoryMemo(w io.Writer, m *harness.TrajectoryMemo) error {
+func saveTrajectoryMemo(w io.Writer, m *harness.TrajectoryMemo) error {
 	return m.Save(w, func(v any) (json.RawMessage, error) {
 		e, ok := v.(*trajectoryEntry)
 		if !ok {
@@ -53,7 +53,7 @@ func SaveTrajectoryMemo(w io.Writer, m *harness.TrajectoryMemo) error {
 	})
 }
 
-// LoadTrajectoryMemo reads a stream written by SaveTrajectoryMemo into
+// loadTrajectoryMemo reads a stream written by saveTrajectoryMemo into
 // m, returning how many facts are now stored. Every entry is
 // cross-checked — the key's configuration hash must match the stored
 // configuration under the current hash function — so a corrupted file,
@@ -61,7 +61,7 @@ func SaveTrajectoryMemo(w io.Writer, m *harness.TrajectoryMemo) error {
 // loudly instead of poisoning bit-identical replay. (The hash is still
 // only a filter: the simulator verifies the full configuration on
 // every memo hit.)
-func LoadTrajectoryMemo(r io.Reader, m *harness.TrajectoryMemo) (int, error) {
+func loadTrajectoryMemo(r io.Reader, m *harness.TrajectoryMemo) (int, error) {
 	return m.Load(r, func(k harness.TrajectoryKey, data json.RawMessage) (any, error) {
 		var in trajectoryEntryJSON
 		if err := json.Unmarshal(data, &in); err != nil {
@@ -89,7 +89,7 @@ func LoadTrajectoryMemo(r io.Reader, m *harness.TrajectoryMemo) (int, error) {
 // memo artifact.
 func SaveTrajectoryMemoFile(path string, m *harness.TrajectoryMemo) error {
 	return harness.AtomicWriteFile(path, func(w io.Writer) error {
-		return SaveTrajectoryMemo(w, m)
+		return saveTrajectoryMemo(w, m)
 	})
 }
 
@@ -102,7 +102,7 @@ func LoadTrajectoryMemoFile(path string, m *harness.TrajectoryMemo) (int, error)
 		return 0, err
 	}
 	defer f.Close()
-	n, err := LoadTrajectoryMemo(f, m)
+	n, err := loadTrajectoryMemo(f, m)
 	if err != nil {
 		return n, fmt.Errorf("%s: %w", path, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/ecount"
 	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/sim"
@@ -28,7 +27,7 @@ func memoFixture(t testing.TB) (*harness.TrajectoryMemo, []sim.Config) {
 		cfg := sim.Config{
 			Alg:       a,
 			Faulty:    spreadFaults(16, 3),
-			Adv:       adversary.SplitVote{},
+			Adv:       splitVote,
 			MaxRounds: 1 << 14,
 			Seed:      seed,
 			Memo:      memo,

@@ -73,17 +73,9 @@ type Config struct {
 	OnRound func(round uint64, states []alg.State, outputs []int)
 
 	// Abort, when non-nil, is polled once per round; the run stops with
-	// ErrAborted as soon as it returns true. The campaign engine uses it
+	// errAborted as soon as it returns true. The campaign engine uses it
 	// to propagate context cancellation into long runs.
 	Abort func() bool
-
-	// NoBitSlice disables the bit-sliced stepping path. By default,
-	// algorithms implementing alg.BitSliceStepper with SliceBits() > 0
-	// (the binary and small-modulus stacks) step all correct nodes via
-	// word-parallel vote logic on transposed bit-planes; results are
-	// bit-identical either way. The kernel benchmarks set it to keep
-	// the Reference/Vectorized pairs measuring the vectorized path.
-	NoBitSlice bool
 
 	// NoFastForward disables the periodicity-aware fast-forward engine
 	// (see internal/sim/fastforward.go). By default eligible runs —
@@ -108,9 +100,9 @@ type Config struct {
 	MemoAlg string
 }
 
-// ErrAborted is returned by Run/RunFull when Config.Abort requested an
+// errAborted is returned by Run/RunFull when Config.Abort requested an
 // early stop.
-var ErrAborted = errors.New("sim: run aborted")
+var errAborted = errors.New("sim: run aborted")
 
 // Result reports the outcome of a run.
 type Result struct {
@@ -159,17 +151,22 @@ func RunFull(cfg Config) (Result, error) {
 // patches of the ≤ f faulty slots — O(n·(f+1)) message fan-out instead
 // of the O(n²) per-receiver copies of a naive loop — with batch
 // stepping for algorithms implementing alg.BatchStepper.
-func run(cfg Config) (Result, error) { return runMode(cfg, nil) }
+// Algorithms implementing alg.BitSliceStepper with SliceBits() > 0
+// (the binary and small-modulus stacks) step all correct nodes via
+// word-parallel vote logic on transposed bit-planes instead; results
+// are bit-identical either way.
+func run(cfg Config) (Result, error) { return runMode(cfg, nil, true) }
 
 // roundFunc delivers one round of messages and steps every correct
 // node from sc.states into sc.next.
 type roundFunc func(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error
 
-// runMode runs the simulation on the kernel, or — when scalar is
-// non-nil — on that round function alone, with the bit-sliced path and
-// fast-forward off: the test-only scalar reference loop of
-// export_test.go enters here.
-func runMode(cfg Config, scalar roundFunc) (Result, error) {
+// runMode runs the simulation on the kernel, taking the bit-sliced
+// path when bitSlice is set and the algorithm qualifies, or — when
+// scalar is non-nil — on that round function alone, with the
+// bit-sliced path and fast-forward off. The test-only scalar reference
+// loop and vectorized-only kernel of export_test.go enter here.
+func runMode(cfg Config, scalar roundFunc, bitSlice bool) (Result, error) {
 	a := cfg.Alg
 	if a == nil {
 		return Result{}, errors.New("sim: nil algorithm")
@@ -267,7 +264,7 @@ func runMode(cfg Config, scalar roundFunc) (Result, error) {
 	if scalar == nil {
 		batch, _ = a.(alg.BatchStepper)
 		sc.preparePatches(n)
-		if !cfg.NoBitSlice {
+		if bitSlice {
 			if bs, ok := a.(alg.BitSliceStepper); ok {
 				if bits := bs.SliceBits(); bits > 0 {
 					sliced = bs
@@ -287,7 +284,7 @@ func runMode(cfg Config, scalar roundFunc) (Result, error) {
 
 	for round := uint64(0); round < cfg.MaxRounds; round++ {
 		if cfg.Abort != nil && cfg.Abort() {
-			return Result{}, ErrAborted
+			return Result{}, errAborted
 		}
 		if ff != nil {
 			if ring, ok := ff.probe(round, states); ok {

@@ -16,6 +16,12 @@
 // paper notes is amenable to synthesis for small parameters but "does
 // not scale". Two bits of the table are forced by unanimity persistence
 // (see prune), which cuts the space by 16 before model checking.
+//
+// Search over this class is the production entry point (the synth
+// subcommand and the facade's Synthesise). The two-role extension,
+// where each node applies the table of its role (parity, leader or
+// half), lives in the package tests only: it backs their negative
+// results at n = 4–6 with f = 1, and no command runs it.
 package synth
 
 import (
@@ -27,9 +33,9 @@ import (
 	"github.com/synchcount/synchcount/internal/verify"
 )
 
-// MaxN bounds the exhaustive search: 2^(2n) candidates at n = 12 is
+// maxN bounds the exhaustive search: 2^(2n) candidates at n = 12 is
 // already 16M model-checker runs.
-const MaxN = 12
+const maxN = 12
 
 // Symmetric is an anonymous single-bit candidate algorithm: the
 // transition table next[s][ones] for own bit s and count of ones among
@@ -42,11 +48,11 @@ type Symmetric struct {
 var _ alg.Algorithm = (*Symmetric)(nil)
 var _ alg.Deterministic = (*Symmetric)(nil)
 
-// NewSymmetric builds the candidate encoded by bits: bit (s*n + ones) of
+// newSymmetric builds the candidate encoded by bits: bit (s*n + ones) of
 // the word is g(s, ones).
-func NewSymmetric(n, f int, bits uint32) (*Symmetric, error) {
-	if n < 2 || n > MaxN {
-		return nil, fmt.Errorf("synth: n = %d outside [2, %d]", n, MaxN)
+func newSymmetric(n, f int, bits uint32) (*Symmetric, error) {
+	if n < 2 || n > maxN {
+		return nil, fmt.Errorf("synth: n = %d outside [2, %d]", n, maxN)
 	}
 	if f < 0 || 3*f >= n {
 		return nil, fmt.Errorf("synth: resilience f = %d needs 0 <= 3f < n = %d", f, n)
@@ -123,7 +129,7 @@ func (s *Symmetric) Complement() *Symmetric {
 			bits |= uint32(v) << (uint(own)*uint(s.n) + uint(ones))
 		}
 	}
-	out, _ := NewSymmetric(s.n, s.f, bits)
+	out, _ := newSymmetric(s.n, s.f, bits)
 	return out
 }
 
@@ -151,7 +157,7 @@ type Options struct {
 // ordered by ascending worst-case stabilisation time (ties: ascending
 // table encoding).
 func Search(n, f int, opts Options) ([]Found, error) {
-	if _, err := NewSymmetric(n, f, 0); err != nil {
+	if _, err := newSymmetric(n, f, 0); err != nil {
 		return nil, err
 	}
 	total := uint64(1) << (2 * n)
@@ -160,7 +166,7 @@ func Search(n, f int, opts Options) ([]Found, error) {
 		if opts.Progress != nil && bits%(1<<12) == 0 {
 			opts.Progress(bits, total)
 		}
-		cand, _ := NewSymmetric(n, f, uint32(bits))
+		cand, _ := newSymmetric(n, f, uint32(bits))
 		if !prune(cand) {
 			continue
 		}

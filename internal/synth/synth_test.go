@@ -8,16 +8,16 @@ import (
 )
 
 func TestNewSymmetricValidation(t *testing.T) {
-	if _, err := NewSymmetric(1, 0, 0); err == nil {
+	if _, err := newSymmetric(1, 0, 0); err == nil {
 		t.Error("n = 1 should fail")
 	}
-	if _, err := NewSymmetric(13, 1, 0); err == nil {
-		t.Error("n > MaxN should fail")
+	if _, err := newSymmetric(13, 1, 0); err == nil {
+		t.Error("n > maxN should fail")
 	}
-	if _, err := NewSymmetric(4, 2, 0); err == nil {
+	if _, err := newSymmetric(4, 2, 0); err == nil {
 		t.Error("3f >= n should fail")
 	}
-	if _, err := NewSymmetric(6, 1, 0); err != nil {
+	if _, err := newSymmetric(6, 1, 0); err != nil {
 		t.Errorf("n=6 f=1 should be accepted: %v", err)
 	}
 }
@@ -26,7 +26,7 @@ func TestSymmetricEntryAndStep(t *testing.T) {
 	// Table: g(0, ones) = bits[ones], g(1, ones) = bits[n+ones].
 	// Encode g(0,0)=1, g(0,2)=1, g(1,1)=1 for n = 3.
 	bits := uint32(1)<<0 | uint32(1)<<2 | uint32(1)<<(3+1)
-	s, err := NewSymmetric(3, 0, bits)
+	s, err := newSymmetric(3, 0, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSymmetricEntryAndStep(t *testing.T) {
 }
 
 func TestComplementInvolution(t *testing.T) {
-	s, err := NewSymmetric(5, 1, 0x2f3)
+	s, err := newSymmetric(5, 1, 0x2f3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestComplementInvolution(t *testing.T) {
 
 func TestPruneKeepsOnlyPersistentTables(t *testing.T) {
 	// g(0,0) must be 1 for any correct candidate with f = 0.
-	s, _ := NewSymmetric(3, 0, 0)
+	s, _ := newSymmetric(3, 0, 0)
 	if prune(s) {
 		t.Fatal("all-zero table must be pruned")
 	}
@@ -151,9 +151,9 @@ func TestNoTwoRoleSingleBitCountersSmall(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		for _, rc := range []struct {
 			name string
-			fn   RoleFunc
-		}{{"parity", RoleParity}, {"leader", RoleLeader}, {"half", RoleHalf(n)}} {
-			found, err := SearchTwoRole(n, 1, rc.fn, rc.name, Options{Limit: 1})
+			fn   roleFunc
+		}{{"parity", roleParity}, {"leader", roleLeader}, {"half", roleHalf(n)}} {
+			found, err := searchTwoRole(n, 1, rc.fn, rc.name, Options{Limit: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestNoTwoRoleSingleBitCountersN6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive n=6 two-role search in -short mode")
 	}
-	found, err := SearchTwoRole(6, 1, RoleParity, "parity", Options{Limit: 1})
+	found, err := searchTwoRole(6, 1, roleParity, "parity", Options{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestNoTwoRoleSingleBitCountersN6(t *testing.T) {
 
 func TestSearchTwoRoleFaultFree(t *testing.T) {
 	// Positive control for the two-role search path.
-	found, err := SearchTwoRole(3, 0, RoleLeader, "leader", Options{Limit: 3})
+	found, err := searchTwoRole(3, 0, roleLeader, "leader", Options{Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +191,21 @@ func TestSearchTwoRoleFaultFree(t *testing.T) {
 }
 
 func TestTwoRoleValidation(t *testing.T) {
-	if _, err := NewTwoRole(4, 1, func(int) int { return 2 }, "bad", 0); err == nil {
+	if _, err := newTwoRole(4, 1, func(int) int { return 2 }, "bad", 0); err == nil {
 		t.Error("role outside {0,1} should fail")
 	}
-	if _, err := NewTwoRole(13, 1, RoleParity, "parity", 0); err == nil {
-		t.Error("n > MaxN should fail")
+	if _, err := newTwoRole(13, 1, roleParity, "parity", 0); err == nil {
+		t.Error("n > maxN should fail")
 	}
 }
 
 func TestStrings(t *testing.T) {
-	s, _ := NewSymmetric(4, 1, 0xff)
+	s, _ := newSymmetric(4, 1, 0xff)
 	if str := s.String(); len(str) == 0 {
 		t.Error("empty Symmetric string")
 	}
-	tr, _ := NewTwoRole(4, 1, RoleParity, "parity", 0xff)
+	tr, _ := newTwoRole(4, 1, roleParity, "parity", 0xff)
 	if str := tr.String(); len(str) == 0 {
-		t.Error("empty TwoRole string")
+		t.Error("empty twoRole string")
 	}
 }

@@ -34,6 +34,13 @@
 // repository and every 2-state algorithm with h(s) = s has this
 // property; a hypothetical counter that keeps adversary-dependent
 // scratch bits after stabilising would be rejected.
+//
+// Check is the package's one entry point; the synthesis search
+// (internal/synth) and the facade's Verify call it. The package tests
+// also carry checkPersistence, the Lemma 5 analogue of 1503.06702:
+// from every unanimous configuration the next state must be unique and
+// count on, which scales to randomised counters far beyond Check's
+// reach. It is test-only; no command runs it.
 package verify
 
 import (
@@ -101,8 +108,8 @@ func Check(a alg.Algorithm, opts Options) (Result, error) {
 	var res Result
 	res.OK = true
 	n := a.N()
-	for _, fs := range FaultSets(n, a.F()) {
-		r, err := CheckFaultSet(a, fs, opts)
+	for _, fs := range faultSets(n, a.F()) {
+		r, err := checkFaultSet(a, fs, opts)
 		if err != nil {
 			return Result{}, err
 		}
@@ -118,9 +125,9 @@ func Check(a alg.Algorithm, opts Options) (Result, error) {
 	return res, nil
 }
 
-// FaultSets enumerates all subsets of [n] of size at most f, the empty
+// faultSets enumerates all subsets of [n] of size at most f, the empty
 // set included.
-func FaultSets(n, f int) [][]int {
+func faultSets(n, f int) [][]int {
 	var out [][]int
 	var rec func(start int, cur []int)
 	rec = func(start int, cur []int) {
@@ -136,8 +143,8 @@ func FaultSets(n, f int) [][]int {
 	return out
 }
 
-// CheckFaultSet model-checks the algorithm under one fixed fault set.
-func CheckFaultSet(a alg.Algorithm, faultSet []int, opts Options) (Result, error) {
+// checkFaultSet model-checks the algorithm under one fixed fault set.
+func checkFaultSet(a alg.Algorithm, faultSet []int, opts Options) (Result, error) {
 	opts.setDefaults()
 	if !alg.IsDeterministic(a) {
 		return Result{}, errors.New("verify: only deterministic algorithms can be model-checked")

@@ -9,19 +9,19 @@ import (
 )
 
 func TestFaultSets(t *testing.T) {
-	fs := FaultSets(4, 1)
+	fs := faultSets(4, 1)
 	// {} + 4 singletons.
 	if len(fs) != 5 {
-		t.Fatalf("FaultSets(4,1): %d sets, want 5", len(fs))
+		t.Fatalf("faultSets(4,1): %d sets, want 5", len(fs))
 	}
-	fs = FaultSets(4, 2)
+	fs = faultSets(4, 2)
 	// {} + 4 + C(4,2)=6.
 	if len(fs) != 11 {
-		t.Fatalf("FaultSets(4,2): %d sets, want 11", len(fs))
+		t.Fatalf("faultSets(4,2): %d sets, want 11", len(fs))
 	}
-	fs = FaultSets(3, 0)
+	fs = faultSets(3, 0)
 	if len(fs) != 1 || len(fs[0]) != 0 {
-		t.Fatalf("FaultSets(3,0) = %v, want [[]]", fs)
+		t.Fatalf("faultSets(3,0) = %v, want [[]]", fs)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestNaiveMajorityIsRejected(t *testing.T) {
 func TestNaiveMajorityPassesFaultFree(t *testing.T) {
 	// The same algorithm is fine when no fault occurs: restricting to the
 	// empty fault set must succeed.
-	res, err := CheckFaultSet(naiveMajority{}, nil, Options{})
+	res, err := checkFaultSet(naiveMajority{}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestLimits(t *testing.T) {
 
 func TestCheckFaultSetValidation(t *testing.T) {
 	triv, _ := counter.NewTrivial(4)
-	if _, err := CheckFaultSet(triv, []int{5}, Options{}); err == nil {
+	if _, err := checkFaultSet(triv, []int{5}, Options{}); err == nil {
 		t.Fatal("out-of-range fault node accepted")
 	}
-	if _, err := CheckFaultSet(triv, []int{0}, Options{}); err == nil {
+	if _, err := checkFaultSet(triv, []int{0}, Options{}); err == nil {
 		t.Fatal("all-faulty network accepted")
 	}
 }
