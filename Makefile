@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 26
+PR ?= 28
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -30,7 +30,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 # The live-engine tests live-smoke repeats at GOMAXPROCS 1, 2 and 4.
 LIVE_INTERLEAVE_TESTS = TestEngineDifferential|TestStragglerTimesOutAndRejoins|TestCrashedNodeRevivesCleanly|TestFullQuorumTimeoutAborts|TestEngineStallBehavioural|TestLateFrameCountedStaleOnceNeverRead|TestCrashRestartAdjacentRounds|TestStallAcrossCrashShutsDown|TestSharedStepEngages
 
-.PHONY: build test race bench bench-test bench-json bench-smoke bench-diff fuzz-smoke shard-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
+.PHONY: build test race bench bench-test bench-json bench-smoke bench-diff fuzz-smoke shard-smoke memo-smoke compare-smoke resultdb-smoke pull-smoke kernel-race-smoke live-smoke lint fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,23 @@ shard-smoke:
 	cmp $$tmp/full.json $$tmp/merged.json && \
 	cmp $$tmp/full.ndjson $$tmp/merged.ndjson && \
 	echo "shard-smoke: sharded merge is byte-identical to the unsharded run"
+
+# A persisted fast-forward memo across processes: one -full campaign
+# runs cold and saves its confirmed cycles, then again warm from the
+# same file. The warm run must be byte-identical to the cold one, and
+# the file must hold at least one cycle line. This shape's cycles
+# (2,304 rounds) outgrow the engine's per-round configuration history,
+# so they are stored with their checkpoint configuration alone.
+memo-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sc=$$tmp/synchcount; \
+	args="-alg optimal -f 1 -c 4 -faults 2 -full -rounds 8192 -trials 8 -memo $$tmp/m.ndjson"; \
+	$(GO) build -o $$sc ./cmd/synchcount && \
+	$$sc countsim $$args -json $$tmp/cold.json >/dev/null && \
+	$$sc countsim $$args -json $$tmp/warm.json >/dev/null && \
+	cmp $$tmp/cold.json $$tmp/warm.json && \
+	test "$$(wc -l < $$tmp/m.ndjson)" -ge 2 && \
+	echo "memo-smoke: warm run is byte-identical to the cold one; the memo holds $$(($$(wc -l < $$tmp/m.ndjson) - 1)) cycles"
 
 # One compare campaign as two shards in separate processes, merged,
 # and diffed byte-for-byte — JSON, NDJSON and the comparison table —
@@ -257,4 +274,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint race fuzz-smoke bench bench-test pull-smoke kernel-race-smoke shard-smoke compare-smoke resultdb-smoke bench-smoke live-smoke
+ci: build vet fmt-check lint race fuzz-smoke bench bench-test pull-smoke kernel-race-smoke shard-smoke memo-smoke compare-smoke resultdb-smoke bench-smoke live-smoke

@@ -85,6 +85,13 @@ func runCountsim(args []string, stdout io.Writer) error {
 		}
 	}
 
+	// The memo id names every parameter of the build, so a -memo file
+	// shared across invocations never hands one build another's cycles.
+	memoID := fmt.Sprintf("%s/n=%d/f=%d/c=%d", *algName, a.N(), a.F(), a.C())
+	if *algName == "scalable" {
+		memoID += fmt.Sprintf("/k=%d/depth=%d", *k, *depth)
+	}
+
 	// The config is built freshly per trial: the greedy adversary keeps
 	// per-round lookahead state and must not be shared across the
 	// campaign's concurrent workers.
@@ -100,7 +107,7 @@ func runCountsim(args []string, stdout io.Writer) error {
 		// Deterministic runs under snapshottable adversaries detect
 		// their configuration cycle and conclude analytically, sharing
 		// detected cycles across the campaign's trials.
-		dist.ApplySim(&cfg, *algName)
+		dist.ApplySim(&cfg, memoID)
 		switch {
 		case *advName == "saboteur":
 			if cnt == nil {

@@ -82,7 +82,7 @@ func runFig2(args []string, stdout io.Writer) error {
 	}
 	// The saboteur is snapshottable and the stack deterministic, so
 	// eligible trials cycle-detect instead of simulating every round.
-	dist.ApplySim(&cfg, "figure2")
+	dist.ApplySim(&cfg, fmt.Sprintf("figure2/c=%d", *c))
 	if *advName == "saboteur" {
 		cfg.Adv = synchcount.Saboteur(top)
 	} else {

@@ -219,6 +219,23 @@ func TestCountsimShardMerge(t *testing.T) {
 	}
 }
 
+// TestCountsimMemoKeyedByBuild: a -memo file written by one build must
+// not change the results of another build that shares it. Optimal
+// resilience at c=8 and c=12 runs on the same four nodes, and without
+// c in the memo key the c=12 run took the c=8 cycles (801 violations
+// instead of 0).
+func TestCountsimMemoKeyedByBuild(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	args := strings.Fields("countsim -alg optimal -f 1 -faults 2 -full -rounds 8192 -trials 8")
+	mustRun(t, append(args, "-c", "8", "-memo", p("m.ndjson"))...)
+	mustRun(t, append(args, "-c", "12", "-memo", p("m.ndjson"), "-json", p("warm.json"))...)
+	mustRun(t, append(args, "-c", "12", "-json", p("cold.json"))...)
+	if readFile(t, p("warm.json")) != readFile(t, p("cold.json")) {
+		t.Error("a memo file from the c=8 build changed the c=12 results")
+	}
+}
+
 // TestPullbench runs a short pulling-model sweep and one scale cell.
 func TestPullbench(t *testing.T) {
 	out := mustRun(t, "pullbench", "-trials", "1", "-horizon", "300")

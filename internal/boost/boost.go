@@ -54,7 +54,6 @@ type Counter struct {
 
 	k, m    int
 	n, nTot int // base nodes per block, total nodes N = k*n
-	f       int // base resilience (from base.F())
 	fBoost  int // constructed resilience F
 	cOut    uint64
 
@@ -65,7 +64,6 @@ type Counter struct {
 
 	cdc    *codec.Codec // fields: base state, a ∈ [C+1] (C = ∞), d ∈ {0,1}
 	pkCfg  phaseking.Config
-	baseC  uint64 // base counter modulus c
 	detBit bool
 
 	// pool recycles the batch-stepping working set (see batch.go)
@@ -129,13 +127,11 @@ func New(base alg.Algorithm, p Params) (*Counter, error) {
 		m:      m,
 		n:      n,
 		nTot:   bigN,
-		f:      f,
 		fBoost: p.F,
 		cOut:   uint64(p.C),
 		tau:    tau,
 		bound:  bound,
 		cdc:    cdc,
-		baseC:  c,
 		pkCfg: phaseking.Config{
 			C: uint64(p.C),
 			Thresholds: phaseking.Thresholds{

@@ -70,7 +70,7 @@ func Register(fs *flag.FlagSet, stdout io.Writer) *Options {
 // OnRound-traced run would only ever be empty.
 func (o *Options) RegisterMemo(fs *flag.FlagSet) {
 	fs.StringVar(&o.memoFile, "memo", "",
-		"persist the fast-forward trajectory memo to this file: confirmed cycles load before the run (when the file exists) and save back after, so repeat campaigns start warm")
+		"persist the fast-forward trajectory memo to this file, one line per confirmed cycle: the cycles load before the run (when the file exists) and save back after, so repeat campaigns start warm")
 }
 
 // NDJSONRequested reports whether -ndjson was set. Command modes that
@@ -81,8 +81,9 @@ func (o *Options) NDJSONRequested() bool { return o.ndjson != "" }
 // ApplySim wires the invocation's shared trajectory memo cache into one
 // broadcast-model simulation config — the one call every campaign
 // command makes per config it builds. algID identifies the algorithm
-// build in memo keys; configs of different builds must pass distinct
-// ids. Safe for concurrent use by per-trial config factories. A -memo
+// build in memo keys; configs of different builds — in one invocation
+// or in invocations sharing a -memo file — must pass distinct ids.
+// Safe for concurrent use by per-trial config factories. A -memo
 // load failure surfaces from Run (which checks before any trial
 // executes), not here.
 func (o *Options) ApplySim(cfg *sim.Config, algID string) {
@@ -103,7 +104,7 @@ func (o *Options) ensureMemo() {
 		if _, err := os.Stat(o.memoFile); errors.Is(err, os.ErrNotExist) {
 			return // first run starts cold and saves the file after
 		}
-		if _, err := sim.LoadTrajectoryMemoFile(o.memoFile, o.memo); err != nil {
+		if _, err := o.memo.LoadFile(o.memoFile); err != nil {
 			o.memoErr = err
 		}
 	})
@@ -277,7 +278,7 @@ func (o *Options) Run(ctx context.Context, c harness.Campaign) (*harness.Result,
 	// the memo is append-only) so the next invocation starts warm. The
 	// write is atomic — a failure preserves the previous memo file.
 	if o.memoFile != "" {
-		if err := sim.SaveTrajectoryMemoFile(o.memoFile, o.memo); err != nil {
+		if err := o.memo.SaveFile(o.memoFile); err != nil {
 			return nil, fmt.Errorf("saving -memo: %w", err)
 		}
 	}

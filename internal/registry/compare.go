@@ -59,7 +59,7 @@ type CompareSpec struct {
 	NoFastForward bool
 	// Memo optionally supplies the trajectory memo the campaign's
 	// trials share — a caller-owned memo survives the campaign, so it
-	// can be persisted (sim.SaveTrajectoryMemoFile) and reloaded to
+	// can be persisted (TrajectoryMemo.SaveFile) and reloaded to
 	// start repeat campaigns warm. Nil builds a fresh per-campaign
 	// memo; ignored under NoFastForward.
 	Memo *harness.TrajectoryMemo

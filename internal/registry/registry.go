@@ -56,19 +56,12 @@ func (p Params) withDefaults(d Params) Params {
 type spec struct {
 	// Name keys the spec; it appears in CLI flags and scenario names.
 	Name string
-	// Summary is a one-line description for listings.
-	Summary string
 	// Default fills zero Params fields. A Default field of 0 means the
 	// build derives that parameter itself (e.g. N from F).
 	Default Params
 	// build constructs the algorithm for defaulted params (set at
 	// registration).
 	build func(p Params) (alg.Algorithm, error)
-	// TimeBudget bounds simulation length for algorithms that expose
-	// no stabilisation bound (randomised baselines): the number of
-	// rounds within which stabilisation is expected overwhelmingly.
-	// Nil for algorithms implementing alg.Bound.
-	TimeBudget func(a alg.Algorithm) uint64
 }
 
 // Build constructs the spec's algorithm: defaults are applied, the
@@ -102,14 +95,13 @@ func (s *spec) Build(p Params) (alg.Algorithm, error) {
 }
 
 // MaxRounds returns the simulation horizon for an algorithm built
-// from this spec: its declared bound plus slack, or the spec's time
-// budget for bound-less (randomised) algorithms.
+// from this spec: its declared bound plus slack, or 2^16 rounds for
+// bound-less (randomised) algorithms — their expected stabilisation
+// is 2^Θ(n-f), which the budget covers overwhelmingly on the small
+// instances the registry exposes.
 func (s *spec) MaxRounds(a alg.Algorithm) uint64 {
 	if b, ok := a.(alg.Bound); ok {
 		return b.StabilisationBound() + 512
-	}
-	if s.TimeBudget != nil {
-		return s.TimeBudget(a)
 	}
 	return 1 << 16
 }
@@ -125,9 +117,9 @@ func register(s *spec, build func(p Params) (alg.Algorithm, error)) {
 }
 
 func init() {
+	// 0-resilient 1-node counter (Corollary 1 base case).
 	register(&spec{
 		Name:    "trivial",
-		Summary: "0-resilient 1-node counter (Corollary 1 base case)",
 		Default: Params{N: 1, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 1 {
@@ -139,9 +131,9 @@ func init() {
 		return counter.NewTrivial(p.C)
 	})
 
+	// 0-resilient n-node counter stabilising in one round.
 	register(&spec{
 		Name:    "maxstep",
-		Summary: "0-resilient n-node counter stabilising in one round",
 		Default: Params{N: 4, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.F != 0 {
@@ -150,15 +142,10 @@ func init() {
 		return counter.NewMaxStep(p.N, p.C)
 	})
 
+	// Folklore randomised 2-counter (Table 1 rows [6,7]).
 	register(&spec{
 		Name:    "randagree",
-		Summary: "folklore randomised 2-counter (Table 1 rows [6,7])",
 		Default: Params{N: 4, F: 1, C: 2},
-		TimeBudget: func(a alg.Algorithm) uint64 {
-			// Expected stabilisation is 2^Θ(n-f); the budget covers the
-			// small instances the registry exposes overwhelmingly.
-			return 1 << 16
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.C != 2 {
 			return nil, fmt.Errorf("randagree counts modulo 2, not %d", p.C)
@@ -166,13 +153,10 @@ func init() {
 		return counter.NewRandomizedAgree(p.N, p.F)
 	})
 
+	// Threshold-biased randomised 2-counter (Table 1 row [5] spirit).
 	register(&spec{
 		Name:    "randbiased",
-		Summary: "threshold-biased randomised 2-counter (Table 1 row [5] spirit)",
 		Default: Params{N: 4, F: 1, C: 2},
-		TimeBudget: func(a alg.Algorithm) uint64 {
-			return 1 << 16
-		},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.C != 2 {
 			return nil, fmt.Errorf("randbiased counts modulo 2, not %d", p.C)
@@ -180,9 +164,9 @@ func init() {
 		return counter.NewRandomizedBiased(p.N, p.F)
 	})
 
+	// Source paper Corollary 1: optimal resilience on n = 3f+1, time f^O(f).
 	register(&spec{
 		Name:    "corollary1",
-		Summary: "source paper Corollary 1: optimal resilience on n = 3f+1, time f^O(f)",
 		Default: Params{F: 1, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 0 && p.N != 3*p.F+1 {
@@ -196,9 +180,9 @@ func init() {
 		return top, err
 	})
 
+	// Source paper Theorem 2: fixed block count k = 4, resilience from depth.
 	register(&spec{
 		Name:    "theorem2",
-		Summary: "source paper Theorem 2: fixed block count k = 4, resilience from depth",
 		Default: Params{F: 3, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		// Depth d of the k = 4 recursion reaches resiliences 1, 3, 7,
@@ -228,9 +212,9 @@ func init() {
 		return nil, fmt.Errorf("theorem2: resilience %d out of reach", p.F)
 	})
 
+	// Source paper Figure 2 stack: A(4,1) → A(12,3) → A(36,7).
 	register(&spec{
 		Name:    "figure2",
-		Summary: "source paper Figure 2 stack: A(4,1) → A(12,3) → A(36,7)",
 		Default: Params{N: 36, F: 7, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		if p.N != 36 || p.F != 7 {
@@ -244,9 +228,9 @@ func init() {
 		return top, err
 	})
 
+	// 1508.02535 balanced recursion: silent-consensus counter, O(f) time.
 	register(&spec{
 		Name:    "ecount",
-		Summary: "1508.02535 balanced recursion: silent-consensus counter, O(f) time",
 		Default: Params{F: 1, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		n := p.N
@@ -256,9 +240,9 @@ func init() {
 		return ecount.New(n, p.F, p.C)
 	})
 
+	// 1508.02535 chain recursion: one fault peeled per level, O(f^2) time.
 	register(&spec{
 		Name:    "ecount-chain",
-		Summary: "1508.02535 chain recursion: one fault peeled per level, O(f^2) time",
 		Default: Params{F: 1, C: 10},
 	}, func(p Params) (alg.Algorithm, error) {
 		n := p.N

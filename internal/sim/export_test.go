@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"github.com/synchcount/synchcount/internal/harness"
-
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
 )
@@ -69,28 +67,3 @@ func SetConfigHashForTest(h func([]State) uint64) (restore func()) {
 
 // State re-exports alg.State for the hash-override hook signature.
 type State = uint64
-
-// CheckMemoEntry reports why a loaded trajectory-memo value is not a
-// well-formed fact for its key: it must be a trajectory entry whose
-// configuration hashes to the key's hash and whose observation ring is
-// non-empty. FuzzLoadTrajectoryMemo holds every accepted entry to it.
-func CheckMemoEntry(k harness.TrajectoryKey, v any) error {
-	e, ok := v.(*trajectoryEntry)
-	if !ok {
-		return fmt.Errorf("value is %T, not a trajectory entry", v)
-	}
-	if h := ffHash(e.config); h != k.Hash {
-		return fmt.Errorf("configuration hashes to %d, key says %d", h, k.Hash)
-	}
-	if len(e.ring) == 0 {
-		return fmt.Errorf("empty observation ring")
-	}
-	return nil
-}
-
-// LoadTrajectoryMemo and SaveTrajectoryMemo are the stream forms under
-// the -memo file functions, for the memo-file tests.
-var (
-	LoadTrajectoryMemo = loadTrajectoryMemo
-	SaveTrajectoryMemo = saveTrajectoryMemo
-)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"github.com/synchcount/synchcount/internal/adversary"
@@ -39,12 +40,14 @@ import (
 //     break-free and the streak runs forever, or breaks recur
 //     per-cycle and the violation count extrapolates linearly.
 //  3. Cross-trial memoisation: campaigns share a bounded
-//     harness.TrajectoryMemo keyed by (algorithm id, faulty set,
-//     adversary, round phase, configuration hash). A confirmed cycle
-//     is published under every configuration on it (up to a size cap),
-//     so trials whose trajectories merge — strided fault-placement
-//     grids, Run-then-RunFull conformance replays — jump straight to
-//     the analytic conclusion without re-detecting the cycle.
+//     harness.TrajectoryMemo that stores each confirmed cycle once,
+//     under (algorithm id, faulty set, adversary), with its
+//     configurations (every one up to a size cap, else the checkpoint
+//     alone) indexed by (round phase, configuration hash). Trials
+//     whose trajectories merge — strided fault-placement grids,
+//     Run-then-RunFull conformance replays — jump straight to the
+//     analytic conclusion without re-detecting the cycle, and a saved
+//     memo file grows linearly in the cycle length.
 //
 // Ineligible runs — randomised algorithms, rng- or round-driven
 // adversaries (random, equivocate), the stateful greedy lookahead,
@@ -67,28 +70,10 @@ const (
 
 	// ffMemoConfigLimit bounds the per-round configuration history
 	// kept for memo publication. Cycles longer than this are still
-	// fast-forwarded, but published under their checkpoint
-	// configuration only instead of under every phase.
+	// fast-forwarded, but published with their checkpoint
+	// configuration only instead of every one.
 	ffMemoConfigLimit = 1 << 10
 )
-
-// ffObs is one round's observation: whether all correct nodes agreed,
-// and on which output value. It is exactly what Detector.Observe
-// consumes, so a recorded cycle of observations replays the detector
-// bit for bit.
-type ffObs struct {
-	agree  bool
-	common int
-}
-
-// trajectoryEntry is the memoised fact published for a configuration
-// on a confirmed cycle: the configuration itself (for verification)
-// and the observations of one full cycle starting at it. Entries are
-// immutable after publication and shared read-only across trials.
-type trajectoryEntry struct {
-	config []alg.State
-	ring   []ffObs
-}
 
 // ffEngine is the per-run fast-forward state. It lives in runScratch
 // so its buffers recycle with the rest of the working set.
@@ -97,7 +82,7 @@ type ffEngine struct {
 	faulty []bool
 	period uint64
 	memo   *harness.TrajectoryMemo
-	key    harness.TrajectoryKey // Alg/Faulty/Adversary prefilled
+	key    harness.TrajectoryKey
 	dead   bool
 
 	// Brent checkpoint.
@@ -110,12 +95,11 @@ type ffEngine struct {
 	// cur is the configuration of the round currently being probed.
 	cur []alg.State
 	// ring records the observations of rounds [cpRound, now).
-	ring []ffObs
+	ring []harness.TrajectoryObs
 	// cfgFlat records the configurations of rounds [cpRound, now) in
-	// row-major form for memo publication; abandoned (cfgOverflow)
-	// past ffMemoConfigLimit rounds.
-	cfgFlat     []alg.State
-	cfgOverflow bool
+	// row-major form for memo publication, up to ffMemoConfigLimit
+	// rows.
+	cfgFlat []alg.State
 }
 
 // fastForwardEligible reports whether a run may fast-forward and under
@@ -149,7 +133,6 @@ func (ff *ffEngine) arm(cfg *Config, adv adversary.Adversary, faulty []bool) *ff
 	ff.power = 1
 	ff.ring = ff.ring[:0]
 	ff.cfgFlat = ff.cfgFlat[:0]
-	ff.cfgOverflow = false
 	ff.memo = nil
 	if cfg.Memo != nil && cfg.MemoAlg != "" {
 		ff.memo = cfg.Memo
@@ -193,7 +176,7 @@ func faultyKey(faulty []bool) string {
 // power schedule. On a confirmed cycle it returns the observation ring
 // of one full cycle starting at the current round; the caller then
 // concludes the run analytically via finishFastForward.
-func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
+func (ff *ffEngine) probe(round uint64, states []alg.State) ([]harness.TrajectoryObs, bool) {
 	if ff.dead {
 		return nil, false
 	}
@@ -213,13 +196,8 @@ func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
 	h := ffHash(ff.cur)
 
 	if ff.memo != nil {
-		k := ff.key
-		k.Phase = round % ff.period
-		k.Hash = h
-		if v, ok := ff.memo.Get(k); ok {
-			if e, ok := v.(*trajectoryEntry); ok && configsEqual(e.config, ff.cur) {
-				return e.ring, true
-			}
+		if ring, ok := ff.memo.Lookup(ff.key, round%ff.period, h, ff.cur); ok {
+			return ring, true
 		}
 	}
 
@@ -227,7 +205,7 @@ func (ff *ffEngine) probe(round uint64, states []alg.State) ([]ffObs, bool) {
 		ff.setCheckpoint(round, h)
 		return nil, false
 	}
-	if h == ff.cpHash && (round-ff.cpRound)%ff.period == 0 && configsEqual(ff.cp, ff.cur) {
+	if h == ff.cpHash && (round-ff.cpRound)%ff.period == 0 && slices.Equal(ff.cp, ff.cur) {
 		// Confirmed: configuration (and adversary phase) repeat, so
 		// the execution from round replays the window [cpRound, round)
 		// forever. len(ring) == round-cpRound by construction: one
@@ -260,7 +238,6 @@ func (ff *ffEngine) setCheckpoint(round uint64, h uint64) {
 	ff.cp = append(ff.cp[:0], ff.cur...)
 	ff.ring = ff.ring[:0]
 	ff.cfgFlat = ff.cfgFlat[:0]
-	ff.cfgOverflow = false
 }
 
 // record appends the observation of the probed round — probe then
@@ -270,66 +247,37 @@ func (ff *ffEngine) record(agree bool, common int) {
 	if ff.dead || !ff.haveCP {
 		return
 	}
-	ff.ring = append(ff.ring, ffObs{agree: agree, common: common})
-	if ff.memo != nil && !ff.cfgOverflow {
-		if len(ff.ring) > ffMemoConfigLimit {
-			ff.cfgOverflow = true
-			ff.cfgFlat = ff.cfgFlat[:0]
-		} else {
-			ff.cfgFlat = append(ff.cfgFlat, ff.cur...)
-		}
+	ff.ring = append(ff.ring, harness.TrajectoryObs{Agree: agree, Common: common})
+	if ff.memo != nil && len(ff.ring) <= ffMemoConfigLimit {
+		ff.cfgFlat = append(ff.cfgFlat, ff.cur...)
 	}
 }
 
-// publish stores the confirmed cycle in the campaign memo: one entry
-// per configuration on the cycle when the configuration history is
-// complete (each phase shares one doubled observation ring, so the
-// publication is O(L · words) memory, not O(L²)), or the checkpoint
-// configuration alone when the cycle outgrew the history cap.
-func (ff *ffEngine) publish(ring []ffObs) {
-	if ff.memo == nil {
+// publish stores the confirmed cycle in the campaign memo with the
+// configurations recorded since the checkpoint: every one of the
+// cycle's, or the checkpoint's alone when the cycle outgrew the
+// history cap.
+func (ff *ffEngine) publish(ring []harness.TrajectoryObs) {
+	if ff.memo == nil || len(ring) == 0 {
 		return
 	}
-	L := len(ring)
-	if L == 0 {
-		return
-	}
-	ringD := make([]ffObs, 2*L)
-	copy(ringD, ring)
-	copy(ringD[L:], ring)
 	words := len(ff.cur)
-	if !ff.cfgOverflow && words > 0 && len(ff.cfgFlat) == L*words {
-		flat := make([]alg.State, len(ff.cfgFlat))
-		copy(flat, ff.cfgFlat)
-		for j := 0; j < L; j++ {
-			cfg := flat[j*words : (j+1)*words : (j+1)*words]
-			k := ff.key
-			k.Phase = (ff.cpRound + uint64(j)) % ff.period
-			k.Hash = ffHash(cfg)
-			if !ff.memo.Add(k, &trajectoryEntry{config: cfg, ring: ringD[j : j+L : j+L]}) {
-				return // memo full: keep what fit
-			}
-		}
-		return
+	flat := ff.cfgFlat
+	if len(ring) > ffMemoConfigLimit {
+		flat = flat[:words]
 	}
-	cp := make([]alg.State, len(ff.cp))
-	copy(cp, ff.cp)
-	k := ff.key
-	k.Phase = ff.cpRound % ff.period
-	k.Hash = ff.cpHash
-	ff.memo.Add(k, &trajectoryEntry{config: cp, ring: ringD[:L:L]})
-}
-
-func configsEqual(a, b []alg.State) bool {
-	if len(a) != len(b) {
-		return false
+	flat = slices.Clone(flat)
+	rows := make([][]alg.State, len(flat)/words)
+	for j := range rows {
+		rows[j] = flat[j*words : (j+1)*words : (j+1)*words]
 	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+	ff.memo.Add(harness.TrajectoryCycle{
+		Key:    ff.key,
+		Period: ff.period,
+		Start:  ff.cpRound % ff.period,
+		Rows:   rows,
+		Ring:   ring,
+	})
 }
 
 // finishFastForward concludes a run whose observations from round
@@ -360,7 +308,7 @@ func configsEqual(a, b []alg.State) bool {
 //     is periodic with period L (it depends only on consecutive
 //     observation pairs), so the violation count extrapolates as
 //     full-cycles × per-cycle count plus a partial-cycle prefix.
-func finishFastForward(det *Detector, ring []ffObs, start uint64, cfg *Config, c int, res Result) Result {
+func finishFastForward(det *Detector, ring []harness.TrajectoryObs, start uint64, cfg *Config, c int, res Result) Result {
 	maxRounds, stopEarly := cfg.MaxRounds, cfg.StopEarly
 	L := uint64(len(ring))
 	window := det.Window()
@@ -370,7 +318,7 @@ func finishFastForward(det *Detector, ring []ffObs, start uint64, cfg *Config, c
 	for ; t < maxRounds && t-start < warmup; t++ {
 		o := ring[(t-start)%L]
 		res.RoundsRun = t + 1
-		if det.Observe(t, o.agree, o.common) {
+		if det.Observe(t, o.Agree, o.Common) {
 			res.Stabilised = true
 			res.StabilisationTime = det.Time()
 			res.Violations = det.Violations()
@@ -390,13 +338,13 @@ func finishFastForward(det *Detector, ring []ffObs, start uint64, cfg *Config, c
 	pairOK := func(k uint64) bool {
 		prev := ring[(k+L-1)%L]
 		cur := ring[k]
-		return cur.agree && (!prev.agree || cur.common == (prev.common+1)%c)
+		return cur.Agree && (!prev.Agree || cur.Common == (prev.Common+1)%c)
 	}
 	breakFree := true
 	for k := uint64(0); k < L; k++ {
 		prev := ring[(k+L-1)%L]
 		cur := ring[k]
-		if !(cur.agree && prev.agree && cur.common == (prev.common+1)%c) {
+		if !(cur.Agree && prev.Agree && cur.Common == (prev.Common+1)%c) {
 			breakFree = false
 			break
 		}

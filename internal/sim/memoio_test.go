@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,45 +45,96 @@ func memoFixture(t testing.TB) (*harness.TrajectoryMemo, []sim.Config) {
 	return memo, cfgs
 }
 
+// saveMemo returns the memo's saved form.
+func saveMemo(t testing.TB, m *harness.TrajectoryMemo) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// savedCycle mirrors one cycle line of a saved memo.
+type savedCycle struct {
+	Period uint64     `json:"period"`
+	Start  uint64     `json:"start"`
+	Rows   [][]uint64 `json:"rows"`
+	Agree  []bool     `json:"agree"`
+	Common []int      `json:"common"`
+}
+
+// savedCycles decodes the cycle lines of a saved memo.
+func savedCycles(t testing.TB, data []byte) []savedCycle {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	cycles := make([]savedCycle, len(lines)-1)
+	for i, line := range lines[1:] {
+		if err := json.Unmarshal(line, &cycles[i]); err != nil {
+			t.Fatalf("cycle line %d: %v", i+2, err)
+		}
+	}
+	return cycles
+}
+
 // TestTrajectoryMemoSaveLoadRoundTrip: saving, loading into a fresh
 // memo and saving again must be lossless and byte-deterministic — the
 // property that makes memo files diffable artifacts.
 func TestTrajectoryMemoSaveLoadRoundTrip(t *testing.T) {
 	memo, _ := memoFixture(t)
-
-	var first bytes.Buffer
-	if err := sim.SaveTrajectoryMemo(&first, memo); err != nil {
-		t.Fatal(err)
-	}
+	first := saveMemo(t, memo)
 	loaded := harness.NewTrajectoryMemo(0)
-	n, err := sim.LoadTrajectoryMemo(bytes.NewReader(first.Bytes()), loaded)
+	n, err := loaded.Load(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != memo.Len() || loaded.Len() != memo.Len() {
-		t.Fatalf("loaded %d entries into a memo of %d, want %d", n, loaded.Len(), memo.Len())
+		t.Fatalf("loaded %d rows into a memo of %d, want %d", n, loaded.Len(), memo.Len())
 	}
-	var second bytes.Buffer
-	if err := sim.SaveTrajectoryMemo(&second, loaded); err != nil {
-		t.Fatal(err)
+	if second := saveMemo(t, loaded); !bytes.Equal(first, second) {
+		t.Fatalf("save -> load -> save is not a fixed point\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("save -> load -> save is not a fixed point\n--- first ---\n%s\n--- second ---\n%s", first.Bytes(), second.Bytes())
+}
+
+// TestTrajectoryMemoFileIsLinear pins the file to one line per
+// confirmed cycle, each holding the cycle's configurations and one
+// observation ring: the fixture's four 360-round cycles save in under
+// 300 kB (one line per configuration, each with its own ring, took
+// 4 MB).
+func TestTrajectoryMemoFileIsLinear(t *testing.T) {
+	memo, _ := memoFixture(t)
+	data := saveMemo(t, memo)
+	cycles := savedCycles(t, data)
+	if len(cycles) != 4 {
+		t.Fatalf("saved %d cycle lines, want 4", len(cycles))
+	}
+	rows := 0
+	for i, c := range cycles {
+		if len(c.Rows) != len(c.Agree) {
+			t.Errorf("cycle %d saved %d configurations for a ring of %d", i, len(c.Rows), len(c.Agree))
+		}
+		rows += len(c.Rows)
+	}
+	if rows != memo.Len() {
+		t.Errorf("saved %d configurations, memo indexes %d", rows, memo.Len())
+	}
+	if len(data) >= 300_000 {
+		t.Errorf("saved memo is %d bytes, want < 300000", len(data))
 	}
 }
 
 // TestTrajectoryMemoWarmStart: a process that loads a saved memo must
 // produce bit-identical results to the process that built it — and
-// actually use the loaded facts.
+// actually use the loaded cycles.
 func TestTrajectoryMemoWarmStart(t *testing.T) {
 	memo, cfgs := memoFixture(t)
 	path := filepath.Join(t.TempDir(), "memo.ndjson")
-	if err := sim.SaveTrajectoryMemoFile(path, memo); err != nil {
+	if err := memo.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 
 	warm := harness.NewTrajectoryMemo(0)
-	if _, err := sim.LoadTrajectoryMemoFile(path, warm); err != nil {
+	if _, err := warm.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range cfgs {
@@ -109,115 +161,123 @@ func TestTrajectoryMemoWarmStart(t *testing.T) {
 }
 
 // TestTrajectoryMemoLoadRejectsCorrupt: a tampered or foreign memo
-// file must be rejected loudly — loading it silently would poison
-// bit-identical replay.
+// file must be rejected loudly, naming the offending line — loading it
+// silently would poison bit-identical replay.
 func TestTrajectoryMemoLoadRejectsCorrupt(t *testing.T) {
 	memo, _ := memoFixture(t)
-	var buf bytes.Buffer
-	if err := sim.SaveTrajectoryMemo(&buf, memo); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(strings.TrimRight(buf.String(), "\n"), "\n")
+	lines := strings.SplitAfter(strings.TrimRight(string(saveMemo(t, memo)), "\n"), "\n")
 	if len(lines) < 2 {
-		t.Fatalf("saved memo has %d lines, want header + entries", len(lines))
+		t.Fatalf("saved memo has %d lines, want header + cycles", len(lines))
 	}
-
-	t.Run("hash mismatch", func(t *testing.T) {
-		// Re-key one entry under a different hash: the stored
-		// configuration no longer hashes to it.
-		entry := lines[1]
-		idx := strings.Index(entry, `"hash":"`)
-		if idx < 0 {
-			t.Fatalf("no hash field in %q", entry)
+	// edit rewrites the first cycle line through f.
+	edit := func(t *testing.T, f func(c map[string]any)) string {
+		dec := json.NewDecoder(strings.NewReader(lines[1]))
+		dec.UseNumber()
+		var c map[string]any
+		if err := dec.Decode(&c); err != nil {
+			t.Fatal(err)
 		}
-		digit := entry[idx+len(`"hash":"`):][:1]
-		flipped := "1"
-		if digit == "1" {
-			flipped = "2"
+		f(c)
+		out, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		corrupt := lines[0] + entry[:idx+len(`"hash":"`)] + flipped + entry[idx+len(`"hash":"`)+1:]
-		m := harness.NewTrajectoryMemo(0)
-		if _, err := sim.LoadTrajectoryMemo(strings.NewReader(corrupt), m); err == nil || !strings.Contains(err.Error(), "stale or corrupt") {
-			t.Fatalf("tampered hash accepted (err=%v)", err)
-		}
-	})
+		return lines[0] + string(out) + "\n"
+	}
+	for _, tc := range []struct {
+		name, want string
+		f          func(c map[string]any)
+	}{
+		{"zero period", "period", func(c map[string]any) { c["period"] = 0 }},
+		{"start outside period", "period", func(c map[string]any) { c["start"] = c["period"] }},
+		{"no rows", "0 configuration rows", func(c map[string]any) { c["rows"] = []any{} }},
+		{"more rows than ring", "configuration rows", func(c map[string]any) {
+			rows := c["rows"].([]any)
+			c["rows"] = append(rows, rows[0])
+		}},
+		{"ragged row", "words", func(c map[string]any) {
+			rows := c["rows"].([]any)
+			row := rows[1].([]any)
+			rows[1] = row[:len(row)-1]
+		}},
+		{"empty ring", "ring", func(c map[string]any) { c["agree"], c["common"] = []any{}, []any{} }},
+		{"ring columns disagree", "ring", func(c map[string]any) { c["common"] = c["common"].([]any)[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := harness.NewTrajectoryMemo(0)
+			_, err := m.Load(strings.NewReader(edit(t, tc.f)))
+			if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corrupt cycle accepted or not named (err=%v)", err)
+			}
+			if m.Len() != 0 {
+				t.Fatalf("memo holds %d rows after a rejected line", m.Len())
+			}
+		})
+	}
 	t.Run("wrong schema", func(t *testing.T) {
-		m := harness.NewTrajectoryMemo(0)
-		in := `{"schema":"somebody-elses/v9"}` + "\n" + lines[1]
-		if _, err := sim.LoadTrajectoryMemo(strings.NewReader(in), m); err == nil || !strings.Contains(err.Error(), "schema") {
-			t.Fatalf("foreign schema accepted (err=%v)", err)
+		for _, schema := range []string{"somebody-elses/v9", "synchcount-trajectory-memo/v1"} {
+			m := harness.NewTrajectoryMemo(0)
+			in := `{"schema":"` + schema + `"}` + "\n" + lines[1]
+			if _, err := m.Load(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "schema") {
+				t.Fatalf("schema %s accepted (err=%v)", schema, err)
+			}
 		}
 	})
 	t.Run("truncated entry", func(t *testing.T) {
 		m := harness.NewTrajectoryMemo(0)
 		in := lines[0] + lines[1][:len(lines[1])/2]
-		if _, err := sim.LoadTrajectoryMemo(strings.NewReader(in), m); err == nil {
+		if _, err := m.Load(strings.NewReader(in)); err == nil {
 			t.Fatal("truncated entry accepted")
-		}
-	})
-	t.Run("empty ring", func(t *testing.T) {
-		m := harness.NewTrajectoryMemo(0)
-		entry := lines[1]
-		idx := strings.Index(entry, `"value":`)
-		if idx < 0 {
-			t.Fatalf("no value field in %q", entry)
-		}
-		in := lines[0] + entry[:idx] + `"value":{"config":[],"agree":[],"common":[]}}` + "\n"
-		if _, err := sim.LoadTrajectoryMemo(strings.NewReader(in), m); err == nil || !strings.Contains(err.Error(), "ring") {
-			t.Fatalf("empty observation ring accepted (err=%v)", err)
 		}
 	})
 	t.Run("missing file", func(t *testing.T) {
 		m := harness.NewTrajectoryMemo(0)
-		_, err := sim.LoadTrajectoryMemoFile(filepath.Join(t.TempDir(), "absent.ndjson"), m)
+		_, err := m.LoadFile(filepath.Join(t.TempDir(), "absent.ndjson"))
 		if !os.IsNotExist(err) {
 			t.Fatalf("want os.IsNotExist, got %v", err)
 		}
 	})
 }
 
-// FuzzLoadTrajectoryMemo feeds arbitrary bytes to LoadTrajectoryMemo,
-// seeded with a real saved memo and its truncations. Loading must
-// never panic, every entry it accepts must be a well-formed fact for
-// its key (CheckMemoEntry), and whatever was accepted must save and
-// load again without loss.
+// FuzzLoadTrajectoryMemo feeds arbitrary bytes to the memo loader,
+// seeded with the whole saved fixture and its truncations. Loading
+// must never panic, every cycle it accepts must pass the loader's
+// validation (period, start phase, row count and width, ring), and
+// whatever was accepted must save and load again without loss.
 func FuzzLoadTrajectoryMemo(f *testing.F) {
 	memo, _ := memoFixture(f)
-	var buf bytes.Buffer
-	if err := sim.SaveTrajectoryMemo(&buf, memo); err != nil {
-		f.Fatal(err)
-	}
-	// The whole fixture saves to megabytes; its header and first three
-	// entries are a real memo file of a size the fuzzer can mutate.
-	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
-	if len(lines) < 4 {
-		f.Fatalf("saved memo has %d lines, want header + 3 entries", len(lines))
-	}
-	saved := bytes.Join(lines[:4], nil)
+	saved := saveMemo(f, memo)
 	f.Add(saved)
-	f.Add(lines[0]) // the header alone
+	f.Add(saved[:bytes.IndexByte(saved, '\n')+1]) // the header alone
 	for _, cut := range []int{0, 1, len(saved) / 3, len(saved) / 2, len(saved) - 1} {
 		f.Add(saved[:cut])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := harness.NewTrajectoryMemo(0)
-		n, _ := sim.LoadTrajectoryMemo(bytes.NewReader(data), m)
-		if m.Len() > n {
-			t.Fatalf("memo holds %d entries but Load reported %d", m.Len(), n)
+		n, _ := m.Load(bytes.NewReader(data))
+		if m.Len() != n {
+			t.Fatalf("memo indexes %d rows but Load reported %d", m.Len(), n)
 		}
-		m.Range(func(k harness.TrajectoryKey, v any) bool {
-			if err := sim.CheckMemoEntry(k, v); err != nil {
-				t.Fatalf("accepted entry %+v: %v", k, err)
+		out := saveMemo(t, m)
+		for i, c := range savedCycles(t, out) {
+			L := len(c.Agree)
+			switch {
+			case c.Period == 0 || c.Start >= c.Period:
+				t.Fatalf("accepted cycle %d: start phase %d outside period %d", i, c.Start, c.Period)
+			case L == 0 || len(c.Common) != L:
+				t.Fatalf("accepted cycle %d: ring of %d agree, %d common", i, L, len(c.Common))
+			case len(c.Rows) == 0 || len(c.Rows) > L:
+				t.Fatalf("accepted cycle %d: %d rows for a ring of %d", i, len(c.Rows), L)
 			}
-			return true
-		})
-		var out bytes.Buffer
-		if err := sim.SaveTrajectoryMemo(&out, m); err != nil {
-			t.Fatalf("re-saving accepted entries: %v", err)
+			for j, row := range c.Rows {
+				if len(row) != len(c.Rows[0]) {
+					t.Fatalf("accepted cycle %d: row %d has %d words, row 0 has %d", i, j, len(row), len(c.Rows[0]))
+				}
+			}
 		}
 		again := harness.NewTrajectoryMemo(0)
-		if n2, err := sim.LoadTrajectoryMemo(&out, again); err != nil || n2 != m.Len() {
-			t.Fatalf("reloading accepted entries: %d of %d (err %v)", n2, m.Len(), err)
+		if n2, err := again.Load(bytes.NewReader(out)); err != nil || n2 != m.Len() {
+			t.Fatalf("reloading accepted cycles: %d of %d rows (err %v)", n2, m.Len(), err)
 		}
 	})
 }
