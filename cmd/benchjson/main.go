@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output into the
 // repository's benchmark-trajectory JSON artifacts (BENCH_<pr>.json)
-// and doubles as the CI regression gate for the vectorized round
-// kernel and the fast-forward engine.
+// and doubles as the CI regression gate for the round kernels and the
+// fast-forward engine.
 //
 // It reads benchmark output on stdin, parses every benchmark line into
 // name/iterations/metrics, and pairs same-machine comparison rows into
@@ -23,26 +23,17 @@
 //     bit-sliced vote kernel)
 //
 // Other rows — the BenchmarkLive_* round-engine cells among them — are
-// recorded unpaired and tracked across artifacts by -baseline:
+// recorded unpaired:
 //
 //	go test -run '^$' -bench '^Benchmark(Kernel|FF|Pull|Bitslice|Live)_' -benchmem \
 //	./internal/sim ./internal/pull ./internal/live | benchjson -pr 12 -out BENCH_12.json
 //
-// With -min-speedup S (kernel pairs), -min-ff-speedup S (fastforward
-// pairs), -min-pull-speedup S (pull pairs) and -min-bitslice-speedup S
-// (bitslice pairs) it exits non-zero when any paired case speeds up
-// by less than S× — the `make bench-smoke` CI job runs the benchmarks
-// at a reduced count and uses this to catch regressions without
-// flaking on absolute timings, since both sides of a pair run on the
-// same machine in the same invocation.
-//
-// With -baseline BENCH_<k>.json it additionally diffs the current run
-// against a previous trajectory artifact benchmark by benchmark,
-// reporting per-benchmark speedups (baseline ns/op ÷ current ns/op)
-// for every name present in both — the `make bench-diff` mode. Those
-// diffs compare *across* runs (and possibly machines), so they are
-// informational by default; -min-speedup also gates them when
-// -baseline is given.
+// With -gate it exits non-zero when any pair speeds up by less than
+// its kind's floor in the pairings table, or when a kind has no pairs
+// at all — the `make bench-smoke` CI job runs the benchmarks at a
+// reduced count and uses this to catch regressions without flaking on
+// absolute timings, since both sides of a pair run on the same machine
+// in the same invocation.
 package main
 
 import (
@@ -50,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -79,28 +71,16 @@ type Comparison struct {
 	VecNsPerRound float64 `json:"vectorized_ns_per_round,omitempty"`
 }
 
-// BaselineDiff is one benchmark's cross-artifact comparison: the
-// committed baseline's ns/op against this run's, for every benchmark
-// name present in both.
-type BaselineDiff struct {
-	Name       string  `json:"name"`
-	BaselineNs float64 `json:"baseline_ns_per_op"`
-	CurrentNs  float64 `json:"current_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
 // Report is the BENCH_<pr>.json schema.
 type Report struct {
-	Schema        string         `json:"schema"`
-	PR            int            `json:"pr"`
-	Goos          string         `json:"goos,omitempty"`
-	Goarch        string         `json:"goarch,omitempty"`
-	CPU           string         `json:"cpu,omitempty"`
-	Pkg           string         `json:"pkg,omitempty"`
-	Benchmarks    []Benchmark    `json:"benchmarks"`
-	Comparisons   []Comparison   `json:"comparisons"`
-	BaselinePR    int            `json:"baseline_pr,omitempty"`
-	BaselineDiffs []BaselineDiff `json:"baseline_diffs,omitempty"`
+	Schema      string       `json:"schema"`
+	PR          int          `json:"pr"`
+	Goos        string       `json:"goos,omitempty"`
+	Goarch      string       `json:"goarch,omitempty"`
+	CPU         string       `json:"cpu,omitempty"`
+	Pkg         string       `json:"pkg,omitempty"`
+	Benchmarks  []Benchmark  `json:"benchmarks"`
+	Comparisons []Comparison `json:"comparisons"`
 }
 
 const (
@@ -122,11 +102,7 @@ const (
 func main() {
 	pr := flag.Int("pr", 0, "PR number stamped into the artifact")
 	out := flag.String("out", "", "output path for the JSON artifact ('-' for stdout, empty for check-only)")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail unless every kernel Reference/Vectorized pair (and, with -baseline, every baseline diff) speeds up at least this much")
-	minFFSpeedup := flag.Float64("min-ff-speedup", 0, "fail unless every fast-forward Off/On pair speeds up at least this much")
-	minPullSpeedup := flag.Float64("min-pull-speedup", 0, "fail unless every pull Reference/Sparse pair speeds up at least this much")
-	minBitsliceSpeedup := flag.Float64("min-bitslice-speedup", 0, "fail unless every bitslice Reference/Sliced pair speeds up at least this much")
-	baseline := flag.String("baseline", "", "previous BENCH_<k>.json artifact to diff this run against benchmark by benchmark")
+	gateFloors := flag.Bool("gate", false, "fail unless every pair speeds up at least its kind's floor (kernel 1.5x, fastforward 5x, pull 1.5x, bitslice 2x)")
 	flag.Parse()
 
 	report, err := parse(bufio.NewScanner(os.Stdin))
@@ -137,12 +113,6 @@ func main() {
 
 	if len(report.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin (run with -bench and pipe the output here)"))
-	}
-
-	if *baseline != "" {
-		if err := diffBaseline(report, *baseline); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *out != "" {
@@ -158,89 +128,40 @@ func main() {
 		}
 	}
 
-	failed := false
-	gate := func(kind, flagName string, min float64) {
-		if min <= 0 {
-			return
+	if *gateFloors {
+		if err := gate(report.Comparisons, os.Stderr); err != nil {
+			fatal(err)
 		}
+	}
+}
+
+// gate holds every comparison to its kind's floor, logging one line
+// per pair to w. It fails when a pair falls below its floor, or when a
+// kind has no pairs at all (a renamed benchmark must not switch its
+// gate off silently).
+func gate(comparisons []Comparison, w io.Writer) error {
+	failed := false
+	for _, p := range pairings {
 		found := false
-		for _, c := range report.Comparisons {
-			if c.Kind != kind {
+		for _, c := range comparisons {
+			if c.Kind != p.kind {
 				continue
 			}
 			found = true
 			status := "ok"
-			if c.Speedup < min {
+			if c.Speedup < p.floor {
 				status = "FAIL"
 				failed = true
 			}
-			fmt.Fprintf(os.Stderr, "bench-smoke: %-11s %-28s speedup %6.2fx (min %.2fx) %s\n",
-				kind, c.Case, c.Speedup, min, status)
+			fmt.Fprintf(w, "bench-smoke: %-11s %-28s speedup %6.2fx (min %.2fx) %s\n",
+				p.kind, c.Case, c.Speedup, p.floor, status)
 		}
 		if !found {
-			fatal(fmt.Errorf("%s set but no %s pairs found", flagName, kind))
+			return fmt.Errorf("-gate set but no %s pairs found", p.kind)
 		}
-	}
-	gate(kindKernel, "-min-speedup", *minSpeedup)
-	gate(kindFastForward, "-min-ff-speedup", *minFFSpeedup)
-	gate(kindPull, "-min-pull-speedup", *minPullSpeedup)
-	gate(kindBitslice, "-min-bitslice-speedup", *minBitsliceSpeedup)
-	for _, d := range report.BaselineDiffs {
-		status := ""
-		if *minSpeedup > 0 {
-			status = " ok"
-			if d.Speedup < *minSpeedup {
-				status = " FAIL"
-				failed = true
-			}
-		}
-		fmt.Fprintf(os.Stderr, "bench-diff: %-44s vs PR %d: %12.0f -> %12.0f ns/op  %6.2fx%s\n",
-			d.Name, report.BaselinePR, d.BaselineNs, d.CurrentNs, d.Speedup, status)
 	}
 	if failed {
-		fatal(fmt.Errorf("speedup regression: at least one comparison below its gate"))
-	}
-}
-
-// diffBaseline loads a previous trajectory artifact and records the
-// per-benchmark ns/op speedup of this run against it for every
-// benchmark name present in both. Diffs cross runs and possibly
-// machines, so absent an explicit gate they are reported, not
-// enforced.
-func diffBaseline(report *Report, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("baseline %s holds no benchmarks", path)
-	}
-	baseNs := make(map[string]float64, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		if ns := b.Metrics["ns/op"]; ns > 0 {
-			baseNs[b.Name] = ns
-		}
-	}
-	report.BaselinePR = base.PR
-	for _, b := range report.Benchmarks {
-		cur := b.Metrics["ns/op"]
-		prev, ok := baseNs[b.Name]
-		if !ok || cur <= 0 {
-			continue
-		}
-		report.BaselineDiffs = append(report.BaselineDiffs, BaselineDiff{
-			Name:       b.Name,
-			BaselineNs: prev,
-			CurrentNs:  cur,
-			Speedup:    prev / cur,
-		})
-	}
-	if len(report.BaselineDiffs) == 0 {
-		return fmt.Errorf("baseline %s shares no benchmarks with this run", path)
+		return fmt.Errorf("speedup regression: at least one comparison below its floor")
 	}
 	return nil
 }
@@ -303,16 +224,21 @@ func parseBenchLine(line string) (Benchmark, error) {
 	return b, nil
 }
 
-// pairings lists the slow/fast prefix pairs and their comparison kind.
+// pairings lists the slow/fast prefix pairs, their comparison kind and
+// the speedup floor -gate holds every pair of the kind to. The floors
+// sit well under the committed trajectory (kernel >= 5x, fast-forward
+// >= 8x, pull >= 2.4x, bitslice >= 2.9x in BENCH_26.json), so they
+// catch large regressions without flaking on scheduler noise.
 var pairings = []struct {
-	kind string
-	slow string
-	fast string
+	kind  string
+	slow  string
+	fast  string
+	floor float64
 }{
-	{kindKernel, refPrefix, vecPrefix},
-	{kindFastForward, ffOffPrefix, ffOnPrefix},
-	{kindPull, pullRefPrefix, pullSpPrefix},
-	{kindBitslice, bsRefPrefix, bsSlPrefix},
+	{kindKernel, refPrefix, vecPrefix, 1.5},
+	{kindFastForward, ffOffPrefix, ffOnPrefix, 5},
+	{kindPull, pullRefPrefix, pullSpPrefix, 1.5},
+	{kindBitslice, bsRefPrefix, bsSlPrefix, 2},
 }
 
 // pair matches the slow-side row of each pairing with its fast-side

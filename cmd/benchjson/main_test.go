@@ -2,9 +2,8 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -125,61 +124,33 @@ func TestPairKinds(t *testing.T) {
 	}
 }
 
-// TestDiffBaseline checks the -baseline mode: benchmarks shared with
-// the previous artifact produce per-benchmark speedups — the unpaired
-// live cells included, which is how their trajectory carries on from
-// BENCH_10.json — and disjoint or empty baselines fail loudly.
-func TestDiffBaseline(t *testing.T) {
-	report, err := parse(bufio.NewScanner(strings.NewReader(ffSample)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	writeBaseline := func(name string, b Report) string {
-		data, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
+// TestGateFloors holds -gate to the pairings table: for every kind, a
+// pair just below the kind's floor fails and one at the floor passes,
+// and a run with no pairs of the kind fails loudly instead of skipping
+// its gate.
+func TestGateFloors(t *testing.T) {
+	atFloor := func() []Comparison {
+		var cs []Comparison
+		for _, p := range pairings {
+			cs = append(cs, Comparison{Case: "Cell", Kind: p.kind, Speedup: p.floor})
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+		return cs
 	}
-	base := writeBaseline("base.json", Report{
-		PR: 4,
-		Benchmarks: []Benchmark{
-			{Name: "BenchmarkKernel_Vectorized_ECount_n64_f7", Metrics: map[string]float64{"ns/op": 87663754}},
-			{Name: "BenchmarkLive_Optimized_FaultFree_n32", Metrics: map[string]float64{"ns/op": 6799787}},
-			{Name: "BenchmarkOnlyInBaseline", Metrics: map[string]float64{"ns/op": 1}},
-		},
-	})
-	if err := diffBaseline(report, base); err != nil {
-		t.Fatal(err)
+	if err := gate(atFloor(), io.Discard); err != nil {
+		t.Fatalf("every pair at its floor: %v", err)
 	}
-	if report.BaselinePR != 4 {
-		t.Fatalf("baseline PR = %d, want 4", report.BaselinePR)
-	}
-	if len(report.BaselineDiffs) != 2 {
-		t.Fatalf("diffs = %+v, want exactly the two shared benchmarks", report.BaselineDiffs)
-	}
-	d := report.BaselineDiffs[0]
-	if d.Name != "BenchmarkKernel_Vectorized_ECount_n64_f7" || d.Speedup < 1.9 || d.Speedup > 2.1 {
-		t.Fatalf("diff = %+v, want ~2x on the shared benchmark", d)
-	}
-	if d := report.BaselineDiffs[1]; d.Name != "BenchmarkLive_Optimized_FaultFree_n32" || d.Speedup != 1 {
-		t.Fatalf("diff = %+v, want the unchanged live cell at 1x", d)
-	}
-
-	disjoint := writeBaseline("disjoint.json", Report{
-		Benchmarks: []Benchmark{{Name: "BenchmarkElsewhere", Metrics: map[string]float64{"ns/op": 5}}},
-	})
-	fresh, _ := parse(bufio.NewScanner(strings.NewReader(ffSample)))
-	if err := diffBaseline(fresh, disjoint); err == nil {
-		t.Fatal("disjoint baseline must fail")
-	}
-	empty := writeBaseline("empty.json", Report{})
-	if err := diffBaseline(fresh, empty); err == nil {
-		t.Fatal("empty baseline must fail")
+	for i, p := range pairings {
+		t.Run(p.kind, func(t *testing.T) {
+			below := atFloor()
+			below[i].Speedup = math.Nextafter(p.floor, 0)
+			if err := gate(below, io.Discard); err == nil {
+				t.Errorf("%s pair at %.17g passed its %g floor", p.kind, below[i].Speedup, p.floor)
+			}
+			missing := append(atFloor()[:i:i], atFloor()[i+1:]...)
+			err := gate(missing, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "no "+p.kind+" pairs") {
+				t.Errorf("no %s pairs: err = %v, want a loud failure", p.kind, err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package synchcount_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"sort"
@@ -383,8 +384,9 @@ func Example_consensus() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tau := uint64(3 * (svc.F() + 2)) // one phase king sweep per epoch
 	fmt.Printf("replicated commit service: %d replicas, %d Byzantine, epoch = %d ticks\n",
-		svc.N(), svc.F(), svc.Tau())
+		svc.N(), svc.F(), tau)
 	fmt.Printf("self-stabilises within %d ticks of any glitch\n\n", bound)
 
 	byz := 3
@@ -405,10 +407,10 @@ func Example_consensus() {
 				return
 			}
 			val := uint64(svc.ClockValue(0, states[0]))
-			if val%svc.Tau() != 0 || val/svc.Tau() == 0 {
+			if val%tau != 0 || val/tau == 0 {
 				return
 			}
-			r := epochResult{epoch: val/svc.Tau() - 1}
+			r := epochResult{epoch: val/tau - 1}
 			for u, d := range outputs {
 				if u != byz {
 					r.decisions = append(r.decisions, d)
@@ -485,7 +487,8 @@ func Example_consensus() {
 // and split into shards — and checks that they agree byte for byte.
 // Trial seeds depend only on a trial's grid position, so the streamed
 // NDJSON equals the buffered export, a ShardSpec survives its JSON
-// round trip, and merging a 3-way split reproduces the unsharded JSON.
+// round trip, and the streams of a 3-way split, in shard order, make
+// up the unsharded NDJSON.
 // The Corollary 1 counter runs under two adversaries, as
 // `synchcount countsim -shard` slices its grid.
 func Example_sharding() {
@@ -521,10 +524,7 @@ func Example_sharding() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var wantJSON, wantNDJSON bytes.Buffer
-	if err := full.WriteJSON(&wantJSON); err != nil {
-		log.Fatal(err)
-	}
+	var wantNDJSON bytes.Buffer
 	if err := full.WriteNDJSON(&wantNDJSON); err != nil {
 		log.Fatal(err)
 	}
@@ -551,14 +551,14 @@ func Example_sharding() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		data, err := spec.JSON()
+		data, err := json.Marshal(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if specs[i], err = synchcount.ParseShardSpec(data); err != nil {
 			log.Fatal(err)
 		}
-		again, err := specs[i].JSON()
+		again, err := json.Marshal(specs[i])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -566,27 +566,16 @@ func Example_sharding() {
 	}
 	fmt.Println("shard specs round-trip through JSON:", roundTrips)
 
-	var parts []*synchcount.CampaignResult
+	var sharded bytes.Buffer
 	for _, spec := range specs {
 		for _, sl := range spec.Slices {
 			fmt.Printf("shard %d/%d: %s trials [%d, %d)\n", spec.Shard, spec.Of, sl.Scenario, sl.From, sl.To)
 		}
-		res, err := campaign(1).RunShard(ctx, spec)
-		if err != nil {
+		if err := campaign(1).StreamShard(ctx, spec, synchcount.CampaignNDJSONSink(&sharded)); err != nil {
 			log.Fatal(err)
 		}
-		parts = append(parts, res)
 	}
-
-	merged, err := synchcount.MergeCampaignResults(parts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := merged.WriteJSON(&got); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("3-way merge equals unsharded JSON:", bytes.Equal(wantJSON.Bytes(), got.Bytes()))
+	fmt.Println("3 shard streams make up the unsharded NDJSON:", bytes.Equal(wantNDJSON.Bytes(), sharded.Bytes()))
 
 	// Output:
 	// splitvote  trial 0: stabilised at round 2
@@ -602,7 +591,7 @@ func Example_sharding() {
 	// shard 0/3: splitvote trials [0, 2)
 	// shard 1/3: splitvote trials [2, 5)
 	// shard 2/3: equivocate trials [0, 3)
-	// 3-way merge equals unsharded JSON: true
+	// 3 shard streams make up the unsharded NDJSON: true
 }
 
 // Example_registry lists the algorithm registry: every registered

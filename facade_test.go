@@ -2,62 +2,56 @@ package synchcount
 
 import (
 	"go/ast"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// facadeCallerFiles are the files whose synchcount.<Name> uses justify
-// an export: the examples, the integration and benchmark tests, and the
-// non-test files of the command.
-func facadeCallerFiles(t *testing.T) []string {
-	t.Helper()
-	files := []string{"example_test.go", "integration_test.go", "bench_test.go"}
-	cmd, err := filepath.Glob(filepath.Join("cmd", "synchcount", "*.go"))
+// TestFacadeExportsHaveCallers keeps the facade to one spelling per
+// capability. Every exported identifier of the root package must be
+// used by a caller — the examples, the integration and benchmark tests
+// (one external test package) or the command — or be named in the
+// signature of an export that is. A function that only forwards to a
+// method of its own parameter is a second spelling of that method and
+// is rejected even when it has callers.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	const modPath = "github.com/synchcount/synchcount"
+	c := newCensus(".", modPath)
+	facade := c.load(t, modPath)
+	tests, err := c.check(modPath+"_test", []string{"example_test.go", "integration_test.go", "bench_test.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range cmd {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	return files
-}
-
-// TestFacadeExportsHaveCallers keeps the facade to one spelling per
-// capability. Every exported identifier of synchcount.go must be used
-// as synchcount.<Name> by a caller file, or be named in the signature
-// of an export that is. A function that only forwards to a method of
-// its own parameter is a second spelling of that method and is
-// rejected even when it has callers.
-func TestFacadeExportsHaveCallers(t *testing.T) {
-	c := newExportCensus(t, ".", "github.com/synchcount/synchcount", []string{"."})
-	c.addCallers(t, facadeCallerFiles(t))
-	facade := c.pkgs["github.com/synchcount/synchcount"]
+	c.addCallers(tests)
+	c.addCallers(c.load(t, modPath+"/cmd/synchcount"))
 
 	var offenders []string
-	for _, name := range c.offenders() {
-		offenders = append(offenders, strings.TrimPrefix(name, "github.com/synchcount/synchcount.")+" (no caller)")
+	for _, name := range c.unreachedExports([]*censusPackage{facade}) {
+		offenders = append(offenders, strings.TrimPrefix(name, modPath+".")+" (no caller)")
 	}
-	for name, fn := range facade.funcs {
-		if m := forwardsToParamMethod(fn); m != "" && facade.used[name] {
-			offenders = append(offenders, name+" (second spelling of "+m+")")
+	for _, f := range facade.files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+				continue
+			}
+			if m := forwardsToParamMethod(fn); m != "" {
+				offenders = append(offenders, fn.Name.Name+" (second spelling of "+m+")")
+			}
 		}
 	}
 	sort.Strings(offenders)
 	if len(offenders) > 0 {
-		t.Errorf("%d of %d facade exports do not earn their place:\n  %s",
-			len(offenders), len(facade.exports), strings.Join(offenders, "\n  "))
+		t.Errorf("%d facade exports do not earn their place:\n  %s",
+			len(offenders), strings.Join(offenders, "\n  "))
 	}
 }
 
 // forwardsToParamMethod returns "param.Method" when fn's body is a
 // single return of a method call on one of fn's own parameters, and ""
-// otherwise (fn is nil for a non-function export).
+// otherwise.
 func forwardsToParamMethod(fn *ast.FuncDecl) string {
-	if fn == nil || fn.Body == nil || len(fn.Body.List) != 1 {
+	if fn.Body == nil || len(fn.Body.List) != 1 {
 		return ""
 	}
 	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)

@@ -55,9 +55,7 @@ type View struct {
 }
 
 // AppendCorrectStates appends the states of all correct nodes, in node
-// order, to dst and returns the extended slice. It is the
-// allocation-free variant of CorrectStates for callers that hold a
-// scratch buffer.
+// order, to dst and returns the extended slice.
 func (v *View) AppendCorrectStates(dst []alg.State) []alg.State {
 	for i, s := range v.States {
 		if !v.Faulty[i] {
@@ -65,13 +63,6 @@ func (v *View) AppendCorrectStates(dst []alg.State) []alg.State {
 		}
 	}
 	return dst
-}
-
-// CorrectStates returns the states of all correct nodes in node order.
-// The slice is freshly allocated; hot paths use AppendCorrectStates or
-// the View's per-round cache instead.
-func (v *View) CorrectStates() []alg.State {
-	return v.AppendCorrectStates(make([]alg.State, 0, len(v.States)))
 }
 
 // correctStates returns the correct-state vector for the current

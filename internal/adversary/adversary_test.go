@@ -136,9 +136,9 @@ func TestFlipComplementsMajority(t *testing.T) {
 
 func TestCorrectStates(t *testing.T) {
 	v := newView([]alg.State{1, 2, 3, 4}, []bool{true, false, true, false}, 10, 7)
-	got := v.CorrectStates()
+	got := v.correctStates()
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("CorrectStates = %v, want [2 4]", got)
+		t.Errorf("correctStates = %v, want [2 4]", got)
 	}
 }
 

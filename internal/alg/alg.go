@@ -103,9 +103,6 @@ func (t *Tally) Reset() {
 // Count returns how many proposals were recorded for v.
 func (t *Tally) Count(v uint64) int { return t.counts[v] }
 
-// Total returns the number of proposals recorded.
-func (t *Tally) Total() int { return t.total }
-
 // Majority returns the value proposed by strictly more than half of all n
 // proposals, in the paper's sense: "majority(x) = a if a is contained in x
 // more than kn/2 times, and * otherwise". The boolean result reports

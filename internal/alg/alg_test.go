@@ -11,8 +11,8 @@ func TestTallyBasics(t *testing.T) {
 	tl.Add(3)
 	tl.Add(3)
 	tl.Add(5)
-	if tl.Total() != 3 {
-		t.Fatalf("Total = %d, want 3", tl.Total())
+	if tl.total != 3 {
+		t.Fatalf("Total = %d, want 3", tl.total)
 	}
 	if tl.Count(3) != 2 || tl.Count(5) != 1 || tl.Count(9) != 0 {
 		t.Fatalf("unexpected counts: %d %d %d", tl.Count(3), tl.Count(5), tl.Count(9))
@@ -22,7 +22,7 @@ func TestTallyBasics(t *testing.T) {
 		t.Fatalf("Majority = %d,%v want 3,true", v, ok)
 	}
 	tl.Reset()
-	if tl.Total() != 0 || tl.Count(3) != 0 {
+	if tl.total != 0 || tl.Count(3) != 0 {
 		t.Fatal("Reset did not clear tally")
 	}
 }

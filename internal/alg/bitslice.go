@@ -129,17 +129,6 @@ func (pl *BitPlanes) ClearPatch() {
 	}
 }
 
-// SetPatch records that faulty sender j (ascending Senders index)
-// presented state s to receiver v this round. The lane must have been
-// cleared (ClearPatch) since the previous round.
-func (pl *BitPlanes) SetPatch(j, v int, s State) {
-	w, bit := v>>6, uint(v&63)
-	base := j * pl.B
-	for b := 0; b < pl.B; b++ {
-		pl.Patch[base+b][w] |= (s >> uint(b) & 1) << bit
-	}
-}
-
 // ScatterRows transposes a full round's patch matrix (Patches.Values
 // layout: one row of NumFaulty values per correct receiver, nil rows
 // for faulty receivers) into the patch planes in one pass, overwriting
@@ -215,12 +204,12 @@ func (pl *BitPlanes) ScatterRows(values [][]State, space uint64) {
 // path beside the scalar reference loop and the vectorized
 // BatchStepper: algorithms that implement it step all correct nodes of
 // a round from the transposed planes with word-parallel vote logic.
-// StepAllSliced must be observationally identical to StepAll on the
-// equivalent horizontal inputs — same next states, same per-node rng
-// draw order (receivers ascending) — which the kernel differential
+// StepAllSliced must be observationally identical to per-node Step on
+// the equivalent horizontal inputs — same next states, same per-node
+// rng draw order (receivers ascending) — which the kernel differential
 // suite pins against the scalar reference.
 type BitSliceStepper interface {
-	BatchStepper
+	Algorithm
 	// SliceBits reports how many bit-planes this instance needs, or 0
 	// when it does not qualify for the bit-sliced path (state wider
 	// than MaxSliceBits, or a state layout the planes cannot express).

@@ -165,62 +165,43 @@ func TestBitPlanesPackAndPatch(t *testing.T) {
 					t.Fatalf("n=%d: lane %d correct-mask %v, want %v", n, v, correct, !faulty[v])
 				}
 			}
-			// Scatter a random patch matrix and read it back.
+			// ScatterRows transposes a random patch matrix, overwriting
+			// stale words without a ClearPatch: a correct receiver's
+			// lane reads back its forgery mod space, every other lane
+			// (faulty receivers, the tail of the last word) reads 0.
+			for i := range pl.patchFlat {
+				pl.patchFlat[i] = ^uint64(0) // stale garbage to overwrite
+			}
 			patch := make([][]uint64, nf)
+			values := make([][]State, n)
 			for j := range patch {
 				patch[j] = make([]uint64, n)
-				for v := 0; v < n; v++ {
-					if faulty[v] {
-						continue
-					}
-					patch[j][v] = rng.Uint64() % space
-					pl.SetPatch(j, v, patch[j][v])
-				}
 			}
-			for j := 0; j < nf; j++ {
-				for v := 0; v < n; v++ {
-					if faulty[v] {
-						continue
-					}
-					var got uint64
-					for bb := 0; bb < b; bb++ {
-						got |= (pl.Patch[j*b+bb][v>>6] >> uint(v&63) & 1) << uint(bb)
-					}
-					if got != patch[j][v] {
-						t.Fatalf("n=%d b=%d: patch (%d,%d) unpacks to %d, want %d", n, b, j, v, got, patch[j][v])
-					}
-				}
-			}
-			// ScatterRows must transpose the whole matrix identically
-			// to the per-value SetPatch scatter, overwriting stale
-			// words without a ClearPatch.
-			var bulk BitPlanes
-			bulk.Provision(n, b, faulty)
-			for i := range bulk.patchFlat {
-				bulk.patchFlat[i] = ^uint64(0) // stale garbage to overwrite
-			}
-			values := make([][]State, n)
 			for v := 0; v < n; v++ {
 				if faulty[v] {
 					continue
 				}
 				row := make([]State, nf)
 				for j := range row {
+					patch[j][v] = rng.Uint64() % space
 					// Unreduced forgeries: ScatterRows owns the mod-space
 					// reduction, so congruent inputs must scatter alike.
 					row[j] = patch[j][v] + space*uint64(rng.Intn(3))
 				}
 				values[v] = row
 			}
-			bulk.ScatterRows(values, space)
-			for i := range bulk.Patch {
-				for w := range bulk.Patch[i] {
-					want := pl.Patch[i][w]
-					if tail := n & 63; w == pl.W-1 && tail != 0 {
-						want &= 1<<uint(tail) - 1 // SetPatch never wrote tail lanes either
+			pl.ScatterRows(values, space)
+			for j := 0; j < nf; j++ {
+				for v := 0; v < 64*pl.W; v++ {
+					var got, want uint64
+					for bb := 0; bb < b; bb++ {
+						got |= (pl.Patch[j*b+bb][v>>6] >> uint(v&63) & 1) << uint(bb)
 					}
-					if bulk.Patch[i][w] != want {
-						t.Fatalf("n=%d b=%d: ScatterRows plane %d word %d = %#x, want %#x", n, b, i, w, bulk.Patch[i][w], want)
+					if v < n {
+						want = patch[j][v]
+					}
+					if got != want {
+						t.Fatalf("n=%d b=%d: patch (%d,%d) unpacks to %d, want %d", n, b, j, v, got, want)
 					}
 				}
 			}

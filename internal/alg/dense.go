@@ -140,9 +140,6 @@ func (t *DenseTally) Count(v uint64) int {
 	}
 }
 
-// Total returns the number of proposals recorded.
-func (t *DenseTally) Total() int { return t.total }
-
 // Majority returns the value held by strictly more than half of all
 // proposals, exactly like Tally.Majority.
 func (t *DenseTally) Majority() (uint64, bool) {
@@ -228,7 +225,6 @@ func (t *DenseTally) Plurality() (uint64, int) {
 // protocol logic.
 type Counts interface {
 	Count(v uint64) int
-	Total() int
 	MinValueWithCountAbove(threshold int) (uint64, bool)
 }
 

@@ -46,8 +46,8 @@ func TestDenseTallyMatchesTally(t *testing.T) {
 
 func checkTallyEquiv(t *testing.T, dense *DenseTally, ref *Tally, keys []uint64, threshold int) {
 	t.Helper()
-	if dense.Total() != ref.Total() {
-		t.Fatalf("Total: dense %d, ref %d", dense.Total(), ref.Total())
+	if dense.total != ref.total {
+		t.Fatalf("Total: dense %d, ref %d", dense.total, ref.total)
 	}
 	for _, k := range keys {
 		if dense.Count(k) != ref.Count(k) {
@@ -76,7 +76,7 @@ func TestDenseTallySparseFallback(t *testing.T) {
 	tl.Add(7)
 	tl.Add(7)
 	tl.Add(1 << 39)
-	if tl.Count(7) != 2 || tl.Count(1<<39) != 1 || tl.Total() != 3 {
+	if tl.Count(7) != 2 || tl.Count(1<<39) != 1 || tl.total != 3 {
 		t.Fatal("sparse counting broken")
 	}
 	if v, ok := tl.Majority(); !ok || v != 7 {
@@ -99,7 +99,7 @@ func TestDenseTallyResizeReuse(t *testing.T) {
 	tl.Add(^uint64(0))
 	tl.Add(1 << 30) // sparse
 	tl.Resize(16)
-	if tl.Total() != 0 || tl.Count(3) != 0 || tl.Count(^uint64(0)) != 0 || tl.Count(1<<30) != 0 {
+	if tl.total != 0 || tl.Count(3) != 0 || tl.Count(^uint64(0)) != 0 || tl.Count(1<<30) != 0 {
 		t.Fatal("Resize did not clear the tally")
 	}
 	tl.Add(15)
@@ -116,7 +116,7 @@ func TestDenseTallyShrinkDirty(t *testing.T) {
 	tl := NewDenseTally(100)
 	tl.Add(99) // dirty, near the top of the old domain
 	tl.Resize(10)
-	if tl.Total() != 0 || tl.Count(99) != 0 {
+	if tl.total != 0 || tl.Count(99) != 0 {
 		t.Fatal("shrinking Resize did not clear the tally")
 	}
 	tl.Add(9)

@@ -204,10 +204,6 @@ func (b *Counter) BlockOf(v int) int { return v / b.n }
 // IndexInBlock returns the within-block index j of node v = (i, j).
 func (b *Counter) IndexInBlock(v int) int { return v % b.n }
 
-// BlockMod returns c_i = τ(2m)^{i+1}, the modulus at which block i reads
-// its counter.
-func (b *Counter) BlockMod(i int) uint64 { return b.blockMod[i] }
-
 // Step implements alg.Algorithm. Node v = (i, j) performs, in order:
 // (1) the update of its block algorithm A_i, (2) the leader/counter vote
 // computing R, and (3) instruction set I_R of the phase king protocol.
@@ -237,15 +233,11 @@ func (b *Counter) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 	return b.cdc.MustPack(newBase, aField, dField)
 }
 
-// VoteR exposes the three-level majority vote for analysis and testing:
-// given the full vector of states a node received, it returns the round
-// counter R that node derives. All correct nodes receive identical
-// vectors from correct senders, so Lemma 3 is a statement about how this
-// function behaves across per-receiver variations of the faulty entries.
-func (b *Counter) VoteR(recv []alg.State) uint64 { return b.voteR(recv) }
-
 // voteR computes the common round counter R from a full receive vector:
-// bⁱ = majority{b[i,j]}, B = majority{bⁱ}, R = majority{r[B,j]}.
+// bⁱ = majority{b[i,j]}, B = majority{bⁱ}, R = majority{r[B,j]}. All
+// correct nodes receive identical vectors from correct senders, so
+// Lemma 3 is a statement about how this function behaves across
+// per-receiver variations of the faulty entries.
 func (b *Counter) voteR(recv []alg.State) uint64 {
 	blockVotes := make([]uint64, b.k)
 	tally := alg.NewTally(b.n)

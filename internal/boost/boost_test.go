@@ -140,8 +140,8 @@ func TestBlockGeometry(t *testing.T) {
 	// Block moduli: c_i = τ(2m)^{i+1} = 9·4^{i+1}.
 	want := []uint64{36, 144, 576, 2304}
 	for i, w := range want {
-		if got := b.BlockMod(i); got != w {
-			t.Fatalf("BlockMod(%d) = %d, want %d", i, got, w)
+		if got := b.blockMod[i]; got != w {
+			t.Fatalf("blockMod[%d] = %d, want %d", i, got, w)
 		}
 	}
 }
@@ -153,10 +153,10 @@ func TestLeaderPointerLemma1(t *testing.T) {
 	b := new41(t, 8)
 	base := b.Base()
 	for i := 0; i < b.K(); i++ {
-		ci := b.BlockMod(i)
+		ci := b.blockMod[i]
 		prev := b.Tau() // c_{-1} = τ
 		if i > 0 {
-			prev = b.BlockMod(i - 1)
+			prev = b.blockMod[i-1]
 		}
 		// Walk the counter for two full cycles; record maximal runs.
 		runs := make(map[uint64]uint64) // pointer -> longest run
@@ -199,7 +199,7 @@ func TestLeaderDecodeMatchesDefinition(t *testing.T) {
 		i := b.BlockOf(u)
 		val := uint64(rng.Int63n(2304))
 		r, y, ptr := b.Leader(u, val) // trivial base: state == counter value
-		ci := b.BlockMod(i)
+		ci := b.blockMod[i]
 		wantVal := val % ci
 		if r != wantVal%tau || y != wantVal/tau {
 			t.Fatalf("val %d block %d: (r,y) = (%d,%d), want (%d,%d)",

@@ -50,7 +50,7 @@ func TestLemma3VoteConsistency(t *testing.T) {
 			recv := make([]alg.State, 4)
 			copy(recv, states)
 			recv[byz] = uint64(rng.Int63n(int64(b.StateSpace())))
-			if got := b.VoteR(recv); got != r {
+			if got := b.voteR(recv); got != r {
 				t.Logf("seed %d: receiver %d computed R=%d, want %d (beta=%d byz=%d)",
 					seed, receiver, got, r, beta, byz)
 				return false
@@ -84,7 +84,7 @@ func TestLemma3Increments(t *testing.T) {
 				}
 				states[u] = st
 			}
-			rs = append(rs, b.VoteR(states))
+			rs = append(rs, b.voteR(states))
 		}
 		if rs[1] != (rs[0]+1)%b.Tau() {
 			t.Fatalf("trial %d: R went %d -> %d, want +1 mod %d", trial, rs[0], rs[1], b.Tau())

@@ -63,9 +63,6 @@ func New(radices ...uint64) (*Codec, error) {
 // Space returns |X|, the number of distinct encodable states.
 func (c *Codec) Space() uint64 { return c.space }
 
-// Bits returns ceil(log2 |X|), the paper's space complexity measure.
-func (c *Codec) Bits() int { return SpaceBits(c.space) }
-
 // Fields returns the number of fields.
 func (c *Codec) Fields() int { return len(c.strides) - 1 }
 
@@ -101,32 +98,12 @@ func (c *Codec) MustPack(fields ...uint64) uint64 {
 	return v
 }
 
-// Unpack decodes state v into its fields, appending to dst (which may be
-// nil). Values v >= Space() — which only an adversary can produce when a
+// Field extracts a single field from the dense value without allocating.
+// Values v >= Space() — which only an adversary can produce when a
 // construction layers codecs — decode as v mod Space(), so that decoding
 // is total.
-func (c *Codec) Unpack(v uint64, dst []uint64) []uint64 {
-	for i := 0; i < c.Fields(); i++ {
-		dst = append(dst, c.Field(v, i))
-	}
-	return dst
-}
-
-// Field extracts a single field from the dense value without allocating.
-// Like Unpack it decodes v >= Space() as v mod Space().
 func (c *Codec) Field(v uint64, i int) uint64 {
 	return v % c.strides[i+1] / c.strides[i]
-}
-
-// WithField returns v mod Space() with field i replaced by x (reduced
-// mod the radix).
-func (c *Codec) WithField(v uint64, i int, x uint64) uint64 {
-	if v >= c.space {
-		v %= c.space
-	}
-	lo, hi := c.strides[i], c.strides[i+1]
-	old := v % hi / lo
-	return v + (x%(hi/lo)-old)*lo
 }
 
 // stateWordSize is the wire size of one encoded state word: the dense
@@ -164,7 +141,7 @@ func AppendStateWord(dst []byte, v, space uint64) ([]byte, error) {
 // bit-flipped or wholly forged — so every failure mode is an error,
 // never a panic and never a silently reduced value: a receiver that
 // wants the adversarial mod-space reduction applies it explicitly via
-// (*Codec).Unpack after deciding the frame is authentic.
+// (*Codec).Field after deciding the frame is authentic.
 func DecodeStateWord(b []byte, space uint64) (uint64, error) {
 	if len(b) < stateWordSize {
 		return 0, fmt.Errorf("%w: got %d of %d bytes", errShortStateWord, len(b), stateWordSize)
@@ -178,19 +155,6 @@ func DecodeStateWord(b []byte, space uint64) (uint64, error) {
 		return 0, fmt.Errorf("codec: decoded state %d outside space %d", v, space)
 	}
 	return v, nil
-}
-
-// AppendState appends the wire encoding of a state of this codec's
-// space; see AppendStateWord.
-func (c *Codec) AppendState(dst []byte, v uint64) ([]byte, error) {
-	return AppendStateWord(dst, v, c.space)
-}
-
-// DecodeState decodes and validates one wire state word of this codec's
-// space; see DecodeStateWord. The returned word is in [0, Space()), so
-// Unpack on it yields in-range fields.
-func (c *Codec) DecodeState(b []byte) (uint64, error) {
-	return DecodeStateWord(b, c.space)
 }
 
 // SpaceBits returns ceil(log2 space): the number of bits needed to store

@@ -48,15 +48,14 @@ func TestSpaceAndBits(t *testing.T) {
 		if c.Space() != tt.space {
 			t.Errorf("Space(%v) = %d, want %d", tt.radices, c.Space(), tt.space)
 		}
-		if c.Bits() != tt.bits {
-			t.Errorf("Bits(%v) = %d, want %d", tt.radices, c.Bits(), tt.bits)
+		if got := SpaceBits(c.Space()); got != tt.bits {
+			t.Errorf("SpaceBits(%v) = %d, want %d", tt.radices, got, tt.bits)
 		}
 	}
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	c := mustNew(3, 5, 2, 7)
-	var fields []uint64
 	for a := uint64(0); a < 3; a++ {
 		for b := uint64(0); b < 5; b++ {
 			for d := uint64(0); d < 2; d++ {
@@ -65,7 +64,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 					if v >= c.Space() {
 						t.Fatalf("packed value %d out of space %d", v, c.Space())
 					}
-					fields = c.Unpack(v, fields[:0])
+					fields := c.unpack(v)
 					if fields[0] != a || fields[1] != b || fields[2] != d || fields[3] != e {
 						t.Fatalf("round trip (%d,%d,%d,%d) -> %v", a, b, d, e, fields)
 					}
@@ -121,36 +120,14 @@ func TestField(t *testing.T) {
 	}
 }
 
-func TestWithField(t *testing.T) {
-	c := mustNew(6, 11, 4)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		v := uint64(rng.Int63n(int64(c.Space())))
-		i := rng.Intn(3)
-		x := uint64(rng.Int63n(int64(c.Radix(i))))
-		w := c.WithField(v, i, x)
-		if got := c.Field(w, i); got != x {
-			t.Fatalf("WithField then Field = %d, want %d", got, x)
-		}
-		for j := 0; j < 3; j++ {
-			if j == i {
-				continue
-			}
-			if c.Field(w, j) != c.Field(v, j) {
-				t.Fatalf("WithField disturbed field %d", j)
-			}
-		}
-	}
-}
-
 func TestUnpackTotalOnAdversarialValues(t *testing.T) {
 	// Values beyond the space must decode without panicking (adversaries
 	// in layered constructions can hand us arbitrary words).
 	c := mustNew(3, 5)
 	for _, v := range []uint64{15, 16, 1 << 40, ^uint64(0)} {
-		fields := c.Unpack(v, nil)
+		fields := c.unpack(v)
 		if fields[0] >= 3 || fields[1] >= 5 {
-			t.Fatalf("Unpack(%d) produced out-of-range fields %v", v, fields)
+			t.Fatalf("unpack(%d) produced out-of-range fields %v", v, fields)
 		}
 	}
 }
@@ -163,7 +140,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out := c.Unpack(v, nil)
+		out := c.unpack(v)
 		for i := range fields {
 			if out[i] != fields[i] {
 				return false
@@ -185,8 +162,8 @@ func TestMaxSpaceBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(2^62) = %v, want ok", err)
 	}
-	if c.Space() != MaxSpace || c.Bits() != 62 {
-		t.Fatalf("New(2^62): space %d bits %d, want 2^62 and 62", c.Space(), c.Bits())
+	if c.Space() != MaxSpace || SpaceBits(c.Space()) != 62 {
+		t.Fatalf("New(2^62): space %d bits %d, want 2^62 and 62", c.Space(), SpaceBits(c.Space()))
 	}
 	// The extreme states round-trip.
 	if v := c.MustPack(MaxSpace - 1); v != MaxSpace-1 {
@@ -299,17 +276,17 @@ func TestStateWordErrors(t *testing.T) {
 	}
 }
 
-func TestCodecStateMethods(t *testing.T) {
+func TestStateWordAtSpaceEdge(t *testing.T) {
 	cdc := mustNew(6, 5)
-	b, err := cdc.AppendState(nil, 29)
+	b, err := AppendStateWord(nil, 29, cdc.Space())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := cdc.DecodeState(b)
+	v, err := DecodeStateWord(b, cdc.Space())
 	if err != nil || v != 29 {
-		t.Fatalf("DecodeState = %d, %v; want 29", v, err)
+		t.Fatalf("DecodeStateWord = %d, %v; want 29", v, err)
 	}
-	if _, err := cdc.AppendState(nil, 30); err == nil {
-		t.Error("AppendState accepted a value outside the codec space")
+	if _, err := AppendStateWord(nil, 30, cdc.Space()); err == nil {
+		t.Error("AppendStateWord accepted a value outside the codec space")
 	}
 }

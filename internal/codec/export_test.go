@@ -11,18 +11,13 @@ func (c *Codec) fieldReference(v uint64, i int) uint64 {
 	return v % c.Radix(i)
 }
 
-// withFieldReference is WithField's former loop, which rebuilt field
-// i's place value from the radices on every call; WithField is held
-// equal to it by FuzzField.
-func (c *Codec) withFieldReference(v uint64, i int, x uint64) uint64 {
-	v %= c.space
-	lo := uint64(1)
-	for j := 0; j < i; j++ {
-		lo *= c.Radix(j)
+// unpack decodes every field of v in order, each through Field.
+func (c *Codec) unpack(v uint64) []uint64 {
+	out := make([]uint64, c.Fields())
+	for i := range out {
+		out[i] = c.Field(v, i)
 	}
-	r := c.Radix(i)
-	old := v / lo % r
-	return v + (x%r-old)*lo
+	return out
 }
 
 // mustNew is New for statically known-good radices; it panics on error.

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzCodecDecode fuzzes the untrusted wire-decode path: arbitrary,
 // truncated or corrupted bytes fed to DecodeStateWord must either
-// return a loud error or a word the codec can Unpack into in-range
+// return a loud error or a word the codec can decode into in-range
 // fields — and must never panic. In-space words must round-trip
 // byte-exactly through AppendStateWord.
 func FuzzCodecDecode(f *testing.F) {
@@ -40,9 +40,9 @@ func FuzzCodecDecode(f *testing.F) {
 			}
 			// The codec layer must then unpack it into in-range fields.
 			if cdc, cdcErr := New(space); cdcErr == nil {
-				for i, x := range cdc.Unpack(v, nil) {
+				for i, x := range cdc.unpack(v) {
 					if x >= cdc.Radix(i) {
-						t.Fatalf("Unpack(%d): field %d = %d out of range", v, i, x)
+						t.Fatalf("unpack(%d): field %d = %d out of range", v, i, x)
 					}
 				}
 			}
@@ -53,8 +53,8 @@ func FuzzCodecDecode(f *testing.F) {
 }
 
 // FuzzPackUnpack fuzzes the mixed-radix round trip: any in-range tuple
-// must survive Pack/Unpack, and any word — in range or not — must
-// Unpack into in-range fields without panicking.
+// must survive Pack and Field, and any word — in range or not — must
+// decode into in-range fields without panicking.
 func FuzzPackUnpack(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(2303), uint64(960), uint64(1), uint64(10))
@@ -69,7 +69,7 @@ func FuzzPackUnpack(f *testing.F) {
 		if v >= cdc.Space() {
 			t.Fatalf("packed %d outside space %d", v, cdc.Space())
 		}
-		out := cdc.Unpack(v, nil)
+		out := cdc.unpack(v)
 		for i := range fields {
 			if out[i] != fields[i] {
 				t.Fatalf("round trip %v -> %v", fields, out)
@@ -77,28 +77,27 @@ func FuzzPackUnpack(f *testing.F) {
 		}
 		// Arbitrary (possibly out-of-space) words must decode totally.
 		junk := a ^ b<<20 ^ c<<40 ^ d<<55
-		out = cdc.Unpack(junk, out[:0])
-		for i, x := range out {
+		for i, x := range cdc.unpack(junk) {
 			if x >= cdc.Radix(i) {
-				t.Fatalf("Unpack(%d): field %d = %d out of range", junk, i, x)
+				t.Fatalf("unpack(%d): field %d = %d out of range", junk, i, x)
 			}
 		}
 	})
 }
 
 // FuzzField holds the stride decode to the division loop it replaced
-// (fieldReference, withFieldReference) on codecs of one to four
-// fields — radix-1 fields and products up to MaxSpace included — and
-// on arbitrary words, out-of-space ones such as ^uint64(0) included:
-// the stride table must give back the radices and their product, and
-// Field and WithField must equal the oracle for every field index.
+// (fieldReference) on codecs of one to four fields — radix-1 fields
+// and products up to MaxSpace included — and on arbitrary words,
+// out-of-space ones such as ^uint64(0) included: the stride table must
+// give back the radices and their product, and Field must equal the
+// oracle for every field index.
 func FuzzField(f *testing.F) {
-	f.Add(uint8(4), uint64(24510873600-1), uint64(27), uint64(27), uint64(8), uint64(123456789), uint64(5))
-	f.Add(uint8(3), uint64(0), uint64(6), uint64(0), uint64(0), ^uint64(0), uint64(3))
-	f.Add(uint8(0), MaxSpace-1, uint64(0), uint64(0), uint64(0), MaxSpace+7, ^uint64(0))
-	f.Add(uint8(1), uint64(1<<31-1), uint64(1<<31-1), uint64(0), uint64(0), ^uint64(0), uint64(1<<40))
-	f.Add(uint8(3), uint64(35), uint64(9), uint64(9), uint64(60), uint64(439200), uint64(0))
-	f.Fuzz(func(t *testing.T, fields uint8, r0, r1, r2, r3, v, x uint64) {
+	f.Add(uint8(4), uint64(24510873600-1), uint64(27), uint64(27), uint64(8), uint64(123456789))
+	f.Add(uint8(3), uint64(0), uint64(6), uint64(0), uint64(0), ^uint64(0))
+	f.Add(uint8(0), MaxSpace-1, uint64(0), uint64(0), uint64(0), MaxSpace+7)
+	f.Add(uint8(1), uint64(1<<31-1), uint64(1<<31-1), uint64(0), uint64(0), ^uint64(0))
+	f.Add(uint8(3), uint64(35), uint64(9), uint64(9), uint64(60), uint64(439200))
+	f.Fuzz(func(t *testing.T, fields uint8, r0, r1, r2, r3, v uint64) {
 		raw := []uint64{r0, r1, r2, r3}[:int(fields%4)+1]
 		radices := make([]uint64, len(raw))
 		space := uint64(1)
@@ -121,9 +120,6 @@ func FuzzField(f *testing.F) {
 			}
 			if got, want := c.Field(v, i), c.fieldReference(v, i); got != want {
 				t.Fatalf("radices %v: Field(%d, %d) = %d, reference %d", radices, v, i, got, want)
-			}
-			if got, want := c.WithField(v, i, x), c.withFieldReference(v, i, x); got != want {
-				t.Fatalf("radices %v: WithField(%d, %d, %d) = %d, reference %d", radices, v, i, x, got, want)
 			}
 		}
 	})

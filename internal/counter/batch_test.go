@@ -8,8 +8,30 @@ import (
 	"github.com/synchcount/synchcount/internal/alg/algtest"
 )
 
-// TestBatchStepMatchesStep holds every counter's StepAll to the
-// per-node transition over random configurations. The randomised
+// batchKernel returns the counter's all-nodes transition: StepAll for
+// an alg.BatchStepper, and for a counter without one (the randomised
+// counters) StepAllSliced over planes built from the same round, the
+// way the simulator's kernel builds them. It returns nil when the
+// counter has neither.
+func batchKernel(a alg.Algorithm) func(next, base []alg.State, p *alg.Patches, rngs []*rand.Rand) {
+	if bs, ok := a.(alg.BatchStepper); ok {
+		return bs.StepAll
+	}
+	ss, ok := a.(alg.BitSliceStepper)
+	if !ok || ss.SliceBits() == 0 {
+		return nil
+	}
+	return func(next, base []alg.State, p *alg.Patches, rngs []*rand.Rand) {
+		var pl alg.BitPlanes
+		pl.Provision(len(base), ss.SliceBits(), p.Faulty)
+		pl.PackStates(base)
+		pl.ScatterRows(p.Values, ss.StateSpace())
+		ss.StepAllSliced(next, &pl, p, rngs)
+	}
+}
+
+// TestBatchStepMatchesStep holds every counter's all-nodes kernel to
+// the per-node transition over random configurations. The randomised
 // counters run with per-node rngs seeded identically on both sides:
 // equal shared bit counts must lead to the exact same draw sequence.
 // The trials cycle through algtest.RowSharings, so MaxStep's
@@ -30,9 +52,9 @@ func TestBatchStepMatchesStep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.a
-			bs, ok := a.(alg.BatchStepper)
-			if !ok {
-				t.Fatalf("%T does not implement alg.BatchStepper", a)
+			stepAll := batchKernel(a)
+			if stepAll == nil {
+				t.Fatalf("%T has neither a batch nor a bit-sliced kernel", a)
 			}
 			n := a.N()
 			space := a.StateSpace()
@@ -91,13 +113,13 @@ func TestBatchStepMatchesStep(t *testing.T) {
 				for v := range gotNext {
 					gotNext[v] = algtest.Untouched
 				}
-				bs.StepAll(gotNext, states, p, batchRngs)
+				stepAll(gotNext, states, p, batchRngs)
 				for v := 0; v < n; v++ {
 					if faulty[v] && gotNext[v] != algtest.Untouched {
-						t.Fatalf("trial %d: StepAll wrote faulty node %d", trial, v)
+						t.Fatalf("trial %d: batch kernel wrote faulty node %d", trial, v)
 					}
 					if !faulty[v] && gotNext[v] != wantNext[v] {
-						t.Fatalf("trial %d: node %d: StepAll %d, Step %d (faults %v)",
+						t.Fatalf("trial %d: node %d: batch kernel %d, Step %d (faults %v)",
 							trial, v, gotNext[v], wantNext[v], senders)
 					}
 				}

@@ -13,9 +13,9 @@ import (
 // alg.BitSliceStepper — votes are counted with carry-save adders over
 // whole 64-lane words and the ≤ f faulty slots per receiver fold in
 // as transposed patch planes. Every StepAllSliced is observationally
-// identical to StepAll (and hence to per-node Step), including the
-// order and number of rng draws, which the kernel differential suite
-// pins against the scalar reference.
+// identical to per-node Step, including the order and number of rng
+// draws, which the kernel differential suite pins against the scalar
+// reference.
 var (
 	_ alg.BitSliceStepper = (*Trivial)(nil)
 	_ alg.BitSliceStepper = (*MaxStep)(nil)

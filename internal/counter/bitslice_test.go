@@ -42,10 +42,10 @@ func buildRound(rng *rand.Rand, n, nf int, space uint64, bits int) (base []alg.S
 		row := make([]alg.State, nf)
 		for j := range row {
 			row[j] = rng.Uint64() % space
-			pl.SetPatch(j, v, row[j])
 		}
 		values[v] = row
 	}
+	pl.ScatterRows(values, space)
 	p = &alg.Patches{Faulty: faulty, Senders: senders, Values: values}
 	return base, p, pl
 }
@@ -63,8 +63,9 @@ func seededRngs(rng *rand.Rand, n int) (a, b []*rand.Rand) {
 	return a, b
 }
 
-// stepPair runs StepAll and StepAllSliced on identical inputs and
-// requires identical next states and identical subsequent rng draws.
+// stepPair runs StepAllSliced and per-node Step on identical inputs
+// and requires identical next states and identical subsequent rng
+// draws.
 func stepPair(t *testing.T, label string, a alg.BitSliceStepper, rng *rand.Rand, n, nf int) {
 	t.Helper()
 	bits := a.SliceBits()
@@ -73,8 +74,45 @@ func stepPair(t *testing.T, label string, a alg.BitSliceStepper, rng *rand.Rand,
 	}
 	space := a.StateSpace()
 	base, p, pl := buildRound(rng, n, nf, space, bits)
-	rngsBatch, rngsSliced := seededRngs(rng, n)
+	rngsScalar, rngsSliced := seededRngs(rng, n)
 
+	sentinel := ^alg.State(0)
+	nextSliced := make([]alg.State, n)
+	for v := range nextSliced {
+		nextSliced[v] = sentinel
+	}
+	a.StepAllSliced(nextSliced, pl, p, rngsSliced)
+
+	recv := make([]alg.State, n)
+	for v := 0; v < n; v++ {
+		if p.Faulty[v] {
+			if nextSliced[v] != sentinel {
+				t.Fatalf("%s: sliced path wrote faulty entry %d", label, v)
+			}
+			continue
+		}
+		copy(recv, base)
+		p.Apply(recv, v)
+		if want := a.Step(v, recv, rngsScalar[v]); nextSliced[v] != want {
+			t.Fatalf("%s: node %d stepped to %d, scalar Step says %d", label, v, nextSliced[v], want)
+		}
+		if got, want := rngsSliced[v].Int63(), rngsScalar[v].Int63(); got != want {
+			t.Fatalf("%s: node %d rng stream diverged after stepping", label, v)
+		}
+	}
+}
+
+// batchPair runs StepAllSliced and StepAll on identical inputs. The
+// simulator takes the sliced kernel when it provisions planes and the
+// batch kernel otherwise, so a counter with both must step alike
+// under either.
+func batchPair(t *testing.T, label string, a interface {
+	alg.BitSliceStepper
+	alg.BatchStepper
+}, rng *rand.Rand, n, nf int) {
+	t.Helper()
+	base, p, pl := buildRound(rng, n, nf, a.StateSpace(), a.SliceBits())
+	rngsBatch, rngsSliced := seededRngs(rng, n)
 	sentinel := ^alg.State(0)
 	nextBatch := make([]alg.State, n)
 	nextSliced := make([]alg.State, n)
@@ -84,24 +122,17 @@ func stepPair(t *testing.T, label string, a alg.BitSliceStepper, rng *rand.Rand,
 	}
 	a.StepAll(nextBatch, base, p, rngsBatch)
 	a.StepAllSliced(nextSliced, pl, p, rngsSliced)
-
 	for v := 0; v < n; v++ {
-		if p.Faulty[v] {
-			if nextSliced[v] != sentinel {
-				t.Fatalf("%s: sliced path wrote faulty entry %d", label, v)
-			}
-			continue
-		}
 		if nextSliced[v] != nextBatch[v] {
 			t.Fatalf("%s: node %d stepped to %d, batch path says %d", label, v, nextSliced[v], nextBatch[v])
 		}
-		if got, want := rngsSliced[v].Int63(), rngsBatch[v].Int63(); got != want {
+		if !p.Faulty[v] && rngsSliced[v].Int63() != rngsBatch[v].Int63() {
 			t.Fatalf("%s: node %d rng stream diverged after stepping", label, v)
 		}
 	}
 }
 
-func TestRandomizedSlicedMatchesBatch(t *testing.T) {
+func TestRandomizedSlicedMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(200)
@@ -124,7 +155,7 @@ func TestRandomizedSlicedMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestMaxStepSlicedMatchesBatch(t *testing.T) {
+func TestMaxStepSlicedMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, c := range []int{2, 3, 4, 5, 10, 100, 255, 256} {
 		for trial := 0; trial < 60; trial++ {
@@ -139,7 +170,7 @@ func TestMaxStepSlicedMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestTrivialSlicedMatchesBatch(t *testing.T) {
+func TestTrivialSlicedMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, c := range []int{2, 3, 10, 256} {
 		tr, err := NewTrivial(c)
@@ -152,38 +183,30 @@ func TestTrivialSlicedMatchesBatch(t *testing.T) {
 	}
 }
 
-// stepPair covers StepAll vs StepAllSliced; this pins StepAll's own
-// equivalence anchor, per-node Step, on the same fabricated rounds so
-// the three-path chain is closed inside the package too (the sim
-// differential suite closes it end to end).
-func TestSlicedMatchesScalarStep(t *testing.T) {
+func TestMaxStepSlicedMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 100; trial++ {
-		n := 4 + rng.Intn(150)
-		f := rng.Intn((n-1)/3 + 1)
-		if 3*f >= n {
-			f = (n - 1) / 3
+	for _, c := range []int{2, 3, 4, 5, 10, 100, 255, 256} {
+		for trial := 0; trial < 60; trial++ {
+			n := 1 + rng.Intn(200)
+			nf := rng.Intn(n)
+			m, err := NewMaxStep(n, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batchPair(t, fmt.Sprintf("maxstep n=%d c=%d nf=%d trial=%d", n, c, nf, trial), m, rng, n, nf)
 		}
-		a, err := NewRandomizedAgree(n, f)
+	}
+}
+
+func TestTrivialSlicedMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []int{2, 3, 10, 256} {
+		tr, err := NewTrivial(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nf := rng.Intn(n)
-		base, p, pl := buildRound(rng, n, nf, a.StateSpace(), a.SliceBits())
-		rngsScalar, rngsSliced := seededRngs(rng, n)
-		nextSliced := make([]alg.State, n)
-		a.StepAllSliced(nextSliced, pl, p, rngsSliced)
-		recv := make([]alg.State, n)
-		for v := 0; v < n; v++ {
-			if p.Faulty[v] {
-				continue
-			}
-			copy(recv, base)
-			p.Apply(recv, v)
-			want := a.Step(v, recv, rngsScalar[v])
-			if nextSliced[v] != want {
-				t.Fatalf("trial %d: node %d sliced %d, scalar Step %d", trial, v, nextSliced[v], want)
-			}
+		for _, nf := range []int{0, 1} {
+			batchPair(t, fmt.Sprintf("trivial c=%d nf=%d", c, nf), tr, rng, 1, nf)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestBatchStepMatchesStep(t *testing.T) {
 			n := a.N()
 			space := a.StateSpace()
 			rng := rand.New(rand.NewSource(31))
-			traj := trajectory(a, int(a.StabilisationBound()+a.Period()))
+			traj := trajectory(a, int(a.StabilisationBound()+a.period))
 			var sweeps int
 			for trial := 0; trial < 96; trial++ {
 				// Odd trials start from a sweep configuration, where
@@ -159,7 +159,7 @@ func TestStepAllClockReadThresholds(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound := int(e.StabilisationBound())
-		traj := trajectory(e, bound+3*int(e.Period()))
+		traj := trajectory(e, bound+3*int(e.period))
 		for bi := 0; bi < 2; bi++ {
 			lo, nb := e.blockRange(bi)
 			q := e.quora[bi]
@@ -167,7 +167,7 @@ func TestStepAllClockReadThresholds(t *testing.T) {
 			// window start, so pointer 1 matches it.
 			want := (e.windowStart(bi) + 1) % e.period
 			at := -1
-			for r := bound; r < bound+int(e.Period()); r++ {
+			for r := bound; r < bound+int(e.period); r++ {
 				if got, ok := e.readClockReference(bi, traj[r]); ok && got == want {
 					at = r
 					break
@@ -176,7 +176,7 @@ func TestStepAllClockReadThresholds(t *testing.T) {
 			if at < 0 {
 				t.Fatalf("%s: block %d never reads %d after stabilising", g.name, bi, want)
 			}
-			withPointer := func(s alg.State) alg.State { return e.cdc.WithField(s, fieldP0+bi, 1) }
+			withPointer := func(s alg.State) alg.State { return withField(e.cdc, s, fieldP0+bi, 1) }
 			for k := 0; k <= min(e.f, nb); k++ {
 				for c := min(1, nb-k); c <= nb-k; c++ {
 					// Members [0, c) vote the plurality value, members

@@ -41,7 +41,8 @@ import (
 // v + r (mod mod) at instruction r in an undisturbed execution. This
 // is exactly what the derived counter needs — agreement on a value
 // that advances by one per round — and one-shot consensus on static
-// inputs is recovered by unshifting the frame (Decide).
+// inputs is recovered by unshifting the frame: subtracting Rounds()
+// modulo mod after a full sweep.
 //
 // Silence (the property the composition of the paper rests on): when
 // every correct node's register holds the same value with the
@@ -87,24 +88,9 @@ func newConsensus(n, f int, mod uint64) (*consensus, error) {
 	return c, nil
 }
 
-// N returns the number of participating nodes.
-func (c *consensus) N() int { return c.n }
-
-// F returns the tolerated number of Byzantine faults.
-func (c *consensus) F() int { return c.f }
-
-// Mod returns the agreement modulus.
-func (c *consensus) Mod() uint64 { return c.mod }
-
 // Rounds returns the sweep length 3(f+2): three rounds for each of the
 // f+2 king candidates, of which at least two are correct.
 func (c *consensus) Rounds() uint64 { return 3 * uint64(c.f+2) }
-
-// Init returns registers encoding input v at instruction 0 of the
-// counting frame, with the confidence bit clear.
-func (c *consensus) Init(v uint64) phaseking.Registers {
-	return phaseking.Registers{A: v % c.mod, D: 0}
-}
 
 // StepCounts executes instruction r (reduced modulo Rounds()) on regs,
 // given the round's tally of decoded register reports (keys as
@@ -121,16 +107,6 @@ func (c *consensus) StepCounts(regs phaseking.Registers, r uint64, tally alg.Cou
 // consumed by StepCounts: finite proposals are their own key,
 // anything at or above the modulus is the reset state ⊥ (Infinity).
 func (c *consensus) DecodeReport(a uint64) uint64 { return c.decode(a) }
-
-// Decide unshifts the counting frame after a full sweep: a register
-// that ran instructions 0..Rounds()-1 decided the value it would have
-// held at instruction 0. The reset state decides the default 0.
-func (c *consensus) Decide(regs phaseking.Registers) uint64 {
-	if regs.A == phaseking.Infinity || regs.A >= c.mod {
-		return 0
-	}
-	return (regs.A + c.mod - c.Rounds()%c.mod) % c.mod
-}
 
 // decode maps an encoded register report to the tally key space of
 // internal/phaseking: finite proposals are their own key, everything

@@ -12,7 +12,7 @@ import (
 // per-receiver values drawn by byz. It returns the final registers of
 // the correct nodes (entries of faulty nodes are zero).
 func runSweep(c *consensus, regs []phaseking.Registers, faulty []bool, byz func(rng *rand.Rand) uint64, rng *rand.Rand) []phaseking.Registers {
-	n := c.N()
+	n := c.n
 	next := make([]phaseking.Registers, n)
 	for r := uint64(0); r < c.Rounds(); r++ {
 		for v := 0; v < n; v++ {
@@ -24,7 +24,7 @@ func runSweep(c *consensus, regs []phaseking.Registers, faulty []bool, byz func(
 				if faulty[u] {
 					observed[u] = byz(rng)
 				} else {
-					observed[u], _ = regs[u].Encode(c.Mod())
+					observed[u], _ = regs[u].Encode(c.mod)
 				}
 			}
 			next[v] = c.Step(regs[v], r, observed)
@@ -49,7 +49,7 @@ func TestConsensusUnanimousValidityAndSilence(t *testing.T) {
 				}
 				regs := make([]phaseking.Registers, tc.n)
 				for v := range regs {
-					regs[v] = c.Init(input)
+					regs[v] = phaseking.Registers{A: input % c.mod}
 				}
 				// Track silence: with unanimous inputs no correct
 				// register may ever reset or diverge from the counting
@@ -60,10 +60,10 @@ func TestConsensusUnanimousValidityAndSilence(t *testing.T) {
 					if faulty[v] {
 						continue
 					}
-					if got := c.Decide(regs[v]); got != input {
+					if got := c.decide(regs[v]); got != input {
 						t.Fatalf("n=%d f=%d input=%d: node %d decided %d", tc.n, tc.f, input, v, got)
 					}
-					want := (snapshot[v].A + c.Rounds()) % c.Mod()
+					want := (snapshot[v].A + c.Rounds()) % c.mod
 					if regs[v].A != want {
 						t.Fatalf("n=%d f=%d input=%d: node %d left the counting frame: a=%d want %d",
 							tc.n, tc.f, input, v, regs[v].A, want)
@@ -88,7 +88,7 @@ func TestConsensusAgreementMixedInputs(t *testing.T) {
 			}
 			regs := make([]phaseking.Registers, tc.n)
 			for v := range regs {
-				regs[v] = c.Init(uint64(rng.Intn(8)))
+				regs[v] = phaseking.Registers{A: uint64(rng.Intn(8)) % c.mod}
 				if rng.Intn(4) == 0 {
 					regs[v].A = phaseking.Infinity // adversarial initial reset
 				}
@@ -100,9 +100,9 @@ func TestConsensusAgreementMixedInputs(t *testing.T) {
 				if faulty[v] {
 					continue
 				}
-				d := c.Decide(regs[v])
-				if d >= c.Mod() {
-					t.Fatalf("decision %d outside [0,%d)", d, c.Mod())
+				d := c.decide(regs[v])
+				if d >= c.mod {
+					t.Fatalf("decision %d outside [0,%d)", d, c.mod)
 				}
 				if first {
 					decision, first = d, false
@@ -142,13 +142,13 @@ func TestConsensusSilenceArbitraryScheduling(t *testing.T) {
 				if faulty[u] {
 					observed[u] = rng.Uint64() % 20
 				} else {
-					observed[u], _ = regs[u].Encode(c.Mod())
+					observed[u], _ = regs[u].Encode(c.mod)
 				}
 			}
 			next[v] = c.Step(regs[v], uint64(rng.Intn(int(c.Rounds()))), observed)
 		}
 		copy(regs, next)
-		val = (val + 1) % c.Mod()
+		val = (val + 1) % c.mod
 		for v := range regs {
 			if faulty[v] {
 				continue

@@ -208,15 +208,6 @@ func (e *Counter) Deterministic() bool { return true }
 // recursion.
 func (e *Counter) StabilisationBound() uint64 { return e.bound }
 
-// Tau returns the consensus sweep length 3(f+2).
-func (e *Counter) Tau() uint64 { return e.tau }
-
-// Period returns the block counter modulus 4τ.
-func (e *Counter) Period() uint64 { return e.period }
-
-// Blocks returns the two block counters.
-func (e *Counter) Blocks() [2]alg.Algorithm { return e.sub }
-
 // BlockOf returns the block index of node v.
 func (e *Counter) BlockOf(v int) int {
 	if v < e.n0 {
@@ -373,24 +364,4 @@ func (e *Counter) Output(_ int, s alg.State) int {
 // Registers decodes the consensus-layer registers from a packed state.
 func (e *Counter) Registers(s alg.State) phaseking.Registers {
 	return phaseking.DecodeRegisters(e.cdc.Field(s, fieldA), e.cdc.Field(s, fieldD), e.c)
-}
-
-// BlockState extracts the block-counter state from a packed state.
-func (e *Counter) BlockState(s alg.State) alg.State { return e.cdc.Field(s, fieldBlock) }
-
-// SweepPointer extracts block i's sweep pointer from a packed state;
-// ok is false when the pointer is idle.
-func (e *Counter) SweepPointer(i int, s alg.State) (uint64, bool) {
-	p := e.cdc.Field(s, fieldP0+i)
-	return p, p < e.tau
-}
-
-// Encode packs a block-counter state and consensus registers into a
-// node state; exposed for tests and construction-aware adversaries.
-func (e *Counter) Encode(v int, blockState alg.State, regs phaseking.Registers) (alg.State, error) {
-	if blockState >= e.sub[e.BlockOf(v)].StateSpace() {
-		return 0, fmt.Errorf("ecount: block state %d outside space %d", blockState, e.sub[e.BlockOf(v)].StateSpace())
-	}
-	aField, dField := regs.Encode(e.c)
-	return e.cdc.Pack(blockState, e.pointerIdle(), e.pointerIdle(), aField, dField)
 }

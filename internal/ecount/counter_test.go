@@ -250,8 +250,8 @@ func TestConfidentAgreementPersists(t *testing.T) {
 // leaving the block state and sweep pointers as they are.
 func withRegisters(a *Counter, s alg.State, regs phaseking.Registers) alg.State {
 	aField, dField := regs.Encode(a.c)
-	s = a.cdc.WithField(s, fieldA, aField)
-	return a.cdc.WithField(s, fieldD, dField)
+	s = withField(a.cdc, s, fieldA, aField)
+	return withField(a.cdc, s, fieldD, dField)
 }
 
 func TestOutputTotal(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/codec"
 	"github.com/synchcount/synchcount/internal/phaseking"
 )
 
@@ -113,4 +114,25 @@ func (c *consensus) Step(regs phaseking.Registers, r uint64, observed []uint64) 
 		kingA = c.decode(observed[king])
 	}
 	return phaseking.Step(c.cfg, regs, r, tally, kingA)
+}
+
+// decide unshifts the counting frame after a full sweep: a register
+// that ran instructions 0..Rounds()-1 decided the value it would have
+// held at instruction 0. The reset state decides the default 0.
+func (c *consensus) decide(regs phaseking.Registers) uint64 {
+	if regs.A == phaseking.Infinity || regs.A >= c.mod {
+		return 0
+	}
+	return (regs.A + c.mod - c.Rounds()%c.mod) % c.mod
+}
+
+// withField returns v mod cdc's space with field i replaced by x
+// (reduced mod the field's radix).
+func withField(cdc *codec.Codec, v uint64, i int, x uint64) uint64 {
+	fields := make([]uint64, cdc.Fields())
+	for j := range fields {
+		fields[j] = cdc.Field(v, j)
+	}
+	fields[i] = x % cdc.Radix(i)
+	return cdc.MustPack(fields...)
 }

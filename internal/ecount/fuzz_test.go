@@ -83,13 +83,13 @@ func FuzzECountTransition(f *testing.F) {
 		for i, s := range recv {
 			observed[i] = s
 		}
-		regs := cons.Step(phaseking.Registers{A: recv[v] % (cons.Mod() + 1), D: recv[v] & 1}, uint64(node), observed)
-		aField, dField := regs.Encode(cons.Mod())
-		if aField > cons.Mod() || dField > 1 {
+		regs := cons.Step(phaseking.Registers{A: recv[v] % (cons.mod + 1), D: recv[v] & 1}, uint64(node), observed)
+		aField, dField := regs.Encode(cons.mod)
+		if aField > cons.mod || dField > 1 {
 			t.Fatalf("consensus registers escaped their encoding: a'=%d d=%d", aField, dField)
 		}
-		if d := cons.Decide(regs); d >= cons.Mod() {
-			t.Fatalf("decision %d outside [0, %d)", d, cons.Mod())
+		if d := cons.decide(regs); d >= cons.mod {
+			t.Fatalf("decision %d outside [0, %d)", d, cons.mod)
 		}
 	})
 }
@@ -119,7 +119,7 @@ func FuzzECountStepAll(f *testing.F) {
 			f.Fatal(err)
 		}
 		counters[i] = e
-		trajs[i] = trajectory(e, int(e.StabilisationBound()+e.Period()))
+		trajs[i] = trajectory(e, int(e.StabilisationBound()+e.period))
 	}
 	raw := make([]byte, 8*64)
 	rand.New(rand.NewSource(5)).Read(raw)

@@ -80,10 +80,10 @@ func sweepView(e *Counter, traj [][]alg.State, rng *rand.Rand) []alg.State {
 		if rng.Intn(4) == 0 {
 			a = uint64(rng.Intn(int(e.c) + 1))
 		}
-		s = e.cdc.WithField(s, fieldP0, p[0])
-		s = e.cdc.WithField(s, fieldP1, p[1])
-		s = e.cdc.WithField(s, fieldA, a)
-		recv[u] = e.cdc.WithField(s, fieldD, uint64(rng.Intn(2)))
+		s = withField(e.cdc, s, fieldP0, p[0])
+		s = withField(e.cdc, s, fieldP1, p[1])
+		s = withField(e.cdc, s, fieldA, a)
+		recv[u] = withField(e.cdc, s, fieldD, uint64(rng.Intn(2)))
 	}
 	return recv
 }
@@ -121,9 +121,9 @@ func randomView(e *Counter, traj [][]alg.State, rng *rand.Rand) []alg.State {
 func matches(e *Counter, v int, recv []alg.State) int {
 	n := 0
 	for b := 0; b < 2; b++ {
-		p, active := e.SweepPointer(b, recv[v])
+		p := e.cdc.Field(recv[v], fieldP0+b)
 		r, ok := e.readClockReference(b, recv)
-		if active && ok && r == (e.windowStart(b)+p)%e.period {
+		if p < e.tau && ok && r == (e.windowStart(b)+p)%e.period {
 			n++
 		}
 	}
@@ -138,7 +138,7 @@ func TestStepMatchesReference(t *testing.T) {
 	for _, sh := range stepShapes(t) {
 		e := sh.e
 		t.Run(sh.name, func(t *testing.T) {
-			traj := trajectory(e, int(e.StabilisationBound()+e.Period()))
+			traj := trajectory(e, int(e.StabilisationBound()+e.period))
 			rng := rand.New(rand.NewSource(int64(e.n*10 + e.f)))
 			var seen [3]int
 			for trial := 0; trial < 1500; trial++ {
@@ -166,7 +166,7 @@ func TestStepConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := trajectory(e, int(e.StabilisationBound()+e.Period()))
+	traj := trajectory(e, int(e.StabilisationBound()+e.period))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -200,7 +200,7 @@ func stepViews(t testing.TB) (e *Counter, sweep, free []alg.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := trajectory(e, int(e.StabilisationBound()+e.Period()))
+	traj := trajectory(e, int(e.StabilisationBound()+e.period))
 	for _, cfg := range traj[e.StabilisationBound():] {
 		if matches(e, 0, cfg) > 0 {
 			if sweep == nil {

@@ -3,10 +3,20 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
 )
+
+// runShard buffers the campaign slice pinned by spec into a Result.
+func runShard(ctx context.Context, c Campaign, spec ShardSpec) (*Result, error) {
+	col := NewCollector()
+	if err := c.StreamShard(ctx, spec, col); err != nil {
+		return nil, err
+	}
+	return col.Result(), nil
+}
 
 // diffCampaign is a grid whose observations derive purely from the
 // trial seed, with uneven scenario sizes so shard boundaries fall both
@@ -119,7 +129,7 @@ func TestDifferentialStreamingShardingBuffered(t *testing.T) {
 						// Round-trip the spec through its JSON
 						// serialisation, as a cross-process
 						// orchestrator would.
-						data, err := spec.JSON()
+						data, err := json.Marshal(spec)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -167,7 +177,7 @@ func TestMergeSurvivesFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := diffCampaign(2).RunShard(ctx, spec)
+		res, err := runShard(ctx, diffCampaign(2), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +209,7 @@ func TestReadJSONRejectsNonResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specJSON, err := spec.JSON()
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +256,7 @@ func TestMergePartialThenRemainder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := diffCampaign(1).RunShard(ctx, spec)
+		res, err := runShard(ctx, diffCampaign(1), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +336,7 @@ func TestShardSpecRejectsMismatchedCampaign(t *testing.T) {
 			spec := spec
 			spec.Slices = append([]ShardSlice(nil), spec.Slices...)
 			tc.mutate(&spec, &c)
-			if _, err := c.RunShard(ctx, spec); err == nil {
+			if _, err := runShard(ctx, c, spec); err == nil {
 				t.Fatal("mismatched shard spec was accepted")
 			}
 		})

@@ -178,18 +178,6 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	return col.Result(), nil
 }
 
-// RunShard executes only the campaign slice pinned by spec, buffering
-// it into a Result whose scenarios list the whole grid but whose trial
-// records cover the shard's trial ranges only. Merging the Results of
-// a complete shard split reproduces Run's Result byte for byte.
-func (c Campaign) RunShard(ctx context.Context, spec ShardSpec) (*Result, error) {
-	col := NewCollector()
-	if err := c.stream(ctx, &spec, []Sink{col}); err != nil {
-		return nil, err
-	}
-	return col.Result(), nil
-}
-
 // Stream executes the campaign, delivering every completed trial to the
 // sinks instead of buffering it. Records are emitted in deterministic
 // order (scenarios in grid order, trials in ascending index order) from
@@ -220,9 +208,9 @@ func (c Campaign) scenarioMetas() []ScenarioMeta {
 	return metas
 }
 
-// stream is the engine core shared by Run, RunShard, Stream and
-// StreamShard: a worker pool racing through the (possibly sharded) job
-// list, and a collector goroutine re-serialising completions into
+// stream is the engine core shared by Run, Stream and StreamShard: a
+// worker pool racing through the (possibly sharded) job list, and a
+// collector goroutine re-serialising completions into
 // deterministic order before fanning them out to the sinks. A
 // semaphore sized reorderWindow(workers) bounds how far completion may
 // run ahead of emission, which bounds the engine's memory use.
@@ -255,7 +243,7 @@ func (c Campaign) stream(ctx context.Context, shard *ShardSpec, sinks []Sink) er
 		totalOwned += m.Owned
 	}
 
-	meta := CampaignMeta{Campaign: c.Name, Seed: c.Seed, Shard: shard, Scenarios: metas}
+	meta := CampaignMeta{Campaign: c.Name, Seed: c.Seed, Scenarios: metas}
 	for _, s := range sinks {
 		if cs, ok := s.(campaignSink); ok {
 			if err := cs.Begin(meta); err != nil {

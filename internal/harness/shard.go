@@ -105,10 +105,6 @@ func ParseShardSpec(data []byte) (ShardSpec, error) {
 	return spec, nil
 }
 
-// JSON renders the spec in its interchange format, the inverse of
-// ParseShardSpec.
-func (s ShardSpec) JSON() ([]byte, error) { return json.Marshal(s) }
-
 // check validates the spec's internal consistency independent of any
 // campaign.
 func (s ShardSpec) check() error {

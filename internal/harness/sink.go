@@ -55,8 +55,6 @@ type CampaignMeta struct {
 	// Campaign is the campaign name; Seed its master seed.
 	Campaign string
 	Seed     int64
-	// Shard is non-nil when only a shard of the campaign is running.
-	Shard *ShardSpec
 	// Scenarios lists every scenario of the campaign in grid order,
 	// including scenarios the current shard owns no trials of.
 	Scenarios []ScenarioMeta

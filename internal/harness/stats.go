@@ -37,31 +37,21 @@ type Stats struct {
 	BitsPerRound     uint64 `json:"bits_per_round"`
 }
 
-// Aggregate computes scenario statistics from a slice of trials. It is
-// an aggregator folded over the slice; streaming consumers fold trial
-// by trial instead of materialising the slice.
+// Aggregate computes scenario statistics from a slice of trials by
+// folding an aggregator over it.
 func Aggregate(trials []Trial) Stats {
 	var agg aggregator
 	for _, tr := range trials {
 		agg.Add(tr.Observation)
 	}
-	// The throwaway accumulator's times may be sorted in place — no
-	// caller sees it again, and the copy Stats makes would double the
-	// cost of aggregating million-trial scenarios.
-	return agg.stats(true)
+	return agg.stats()
 }
 
-// aggregator folds Observations into Stats incrementally, one trial at
-// a time and in any grouping: folding a scenario's trials in one pass
-// and folding each shard's slice then combining the accumulators with
-// Merge produce identical statistics. Counts, sums and extrema fold in
-// O(1) space; the exact quantiles require the stabilisation times
-// themselves, so the accumulator retains 8 bytes per stabilised trial
-// — the irreducible cost of exact percentiles.
-//
-// The zero aggregator is ready to use. It is not safe for concurrent
-// use; the campaign engine serialises all sink emissions, so a sink
-// folding into one needs no locking.
+// aggregator folds Observations into Stats one trial at a time. Counts,
+// sums and extrema fold in O(1) space; the exact quantiles require the
+// stabilisation times themselves, so the accumulator retains 8 bytes
+// per stabilised trial — the irreducible cost of exact percentiles.
+// The zero aggregator is ready to use.
 type aggregator struct {
 	trials     int
 	stabilised int
@@ -111,54 +101,9 @@ func (a *aggregator) Add(o Observation) {
 	}
 }
 
-// Merge folds another accumulator into a. Counts, extrema and
-// quantiles (which are sorted before use) are exactly those of a
-// single-pass fold; the floating-point sums behind the means are added
-// shard-wise, so they can differ from a single-pass fold in the last
-// ulp. Byte-exact shard reassembly therefore goes through
-// harness.Merge, which re-aggregates from the trial records in
-// canonical order; this method is for live dashboards folding partial
-// streams.
-func (a *aggregator) Merge(b *aggregator) {
-	if b.trials == 0 {
-		return
-	}
-	if a.trials == 0 || b.minRounds < a.minRounds {
-		a.minRounds = b.minRounds
-	}
-	if b.maxRounds > a.maxRounds {
-		a.maxRounds = b.maxRounds
-	}
-	if b.stabilised > 0 {
-		if a.stabilised == 0 || b.minTime < a.minTime {
-			a.minTime = b.minTime
-		}
-		if b.maxTime > a.maxTime {
-			a.maxTime = b.maxTime
-		}
-	}
-	a.trials += b.trials
-	a.stabilised += b.stabilised
-	a.sumTime += b.sumTime
-	a.times = append(a.times, b.times...)
-	a.sumRounds += b.sumRounds
-	a.violations += b.violations
-	if b.maxPulls > a.maxPulls {
-		a.maxPulls = b.maxPulls
-	}
-	if b.messages > a.messages {
-		a.messages = b.messages
-	}
-	if b.bits > a.bits {
-		a.bits = b.bits
-	}
-}
-
-// Stats finalises the accumulated statistics. The accumulator remains
-// usable — more observations may be added and Stats called again.
-func (a *aggregator) Stats() Stats { return a.stats(false) }
-
-func (a *aggregator) stats(sortInPlace bool) Stats {
+// stats finalises the accumulated statistics, sorting the retained
+// times in place: the accumulator is spent.
+func (a *aggregator) stats() Stats {
 	st := Stats{
 		Trials:           a.trials,
 		Stabilised:       a.stabilised,
@@ -176,15 +121,10 @@ func (a *aggregator) stats(sortInPlace bool) Stats {
 	}
 	if a.stabilised > 0 {
 		st.MeanTime = a.sumTime / float64(a.stabilised)
-		times := a.times
-		if !sortInPlace {
-			times = make([]float64, len(a.times))
-			copy(times, a.times)
-		}
-		sort.Float64s(times)
-		st.MedianTime = Percentile(times, 50)
-		st.P95Time = Percentile(times, 95)
-		st.P99Time = Percentile(times, 99)
+		sort.Float64s(a.times)
+		st.MedianTime = Percentile(a.times, 50)
+		st.P95Time = Percentile(a.times, 95)
+		st.P99Time = Percentile(a.times, 99)
 	}
 	return st
 }

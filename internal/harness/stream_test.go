@@ -225,41 +225,6 @@ func BenchmarkCampaign_Streaming(b *testing.B) {
 	}
 }
 
-// TestAggregatorMergeMatchesSinglePass folds a scenario's trials as
-// shard slices combined with aggregator.Merge and checks the result
-// against the single-pass fold — counts, extrema and quantiles must be
-// identical (means agree here too; in general they may differ in the
-// last ulp, which is why byte-exact reassembly goes through
-// harness.Merge instead).
-func TestAggregatorMergeMatchesSinglePass(t *testing.T) {
-	res, err := diffCampaign(1).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials := res.Scenarios[0].Trials
-	want := Aggregate(trials)
-
-	for _, cut := range []int{0, 1, len(trials) / 2, len(trials)} {
-		var lo, hi aggregator
-		for _, tr := range trials[:cut] {
-			lo.Add(tr.Observation)
-		}
-		for _, tr := range trials[cut:] {
-			hi.Add(tr.Observation)
-		}
-		lo.Merge(&hi)
-		got := lo.Stats()
-		if got != want {
-			t.Fatalf("cut=%d: merged fold %+v differs from single pass %+v", cut, got, want)
-		}
-		// The merged accumulator must stay usable: folding nothing more
-		// and finalising again is idempotent.
-		if again := lo.Stats(); again != got {
-			t.Fatalf("cut=%d: second Stats() call changed the result", cut)
-		}
-	}
-}
-
 // BenchmarkCampaign_Buffered is the counterpoint: the buffered path
 // necessarily retains every trial, so its numbers bound what streaming
 // saves.

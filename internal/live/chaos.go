@@ -336,13 +336,6 @@ func (s *Schedule) WriteTimeline(w io.Writer) error {
 	return nil
 }
 
-// Timeline returns the canonical rendering as a string.
-func (s *Schedule) Timeline() string {
-	var b strings.Builder
-	_ = s.WriteTimeline(&b)
-	return b.String()
-}
-
 // maxDelayBy returns the deepest delay any window in the schedule can
 // impose on a frame. The engine sizes its arena ring by it: an epoch's
 // bytes may be referenced until every round a held frame could still

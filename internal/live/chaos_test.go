@@ -19,6 +19,16 @@ func fullChaosConfig(seed int64) ChaosConfig {
 	}
 }
 
+// timeline renders s canonically.
+func timeline(t *testing.T, s *Schedule) string {
+	t.Helper()
+	var b strings.Builder
+	if err := s.WriteTimeline(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // The replayability contract: the same (seed, config) must generate a
 // byte-identical timeline every time — this is what lets two soak runs
 // be compared line by line.
@@ -31,14 +41,14 @@ func TestScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Timeline() != b.Timeline() {
-		t.Fatalf("same seed produced different timelines:\n%s\nvs\n%s", a.Timeline(), b.Timeline())
+	if timeline(t, a) != timeline(t, b) {
+		t.Fatalf("same seed produced different timelines:\n%s\nvs\n%s", timeline(t, a), timeline(t, b))
 	}
 	c, err := NewSchedule(fullChaosConfig(43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Timeline() == c.Timeline() {
+	if timeline(t, a) == timeline(t, c) {
 		t.Fatal("different seeds produced the identical timeline")
 	}
 }

@@ -13,13 +13,11 @@
 // On top of the runtime sits a deterministic seeded chaos injector
 // (crash/restart, drop/duplicate/corrupt/delay, stragglers, partitions;
 // see Schedule) whose fault timeline replays byte-identically from a
-// seed, and a lock-free read side (readCell) serving counter reads
-// concurrently without ever blocking the protocol loop. Recovery
-// latency — rounds from a burst's last actually-injected fault to
-// re-confirmed correct counting — is measured online and checked
-// against the stack's declared stabilisation bound, which is what turns
-// the repository's simulated lockstep artefact into a deployable
-// self-stabilising clock service with a testable contract.
+// seed. Recovery latency — rounds from a burst's last actually-injected
+// fault to re-confirmed correct counting — is measured online and
+// checked against the stack's declared stabilisation bound, which is
+// what turns the repository's simulated lockstep artefact into a
+// deployable self-stabilising clock service with a testable contract.
 package live
 
 import (
@@ -94,8 +92,6 @@ type Runtime struct {
 	horizon  uint64
 	maxDelay uint64 // largest schedule DelayBy: bounds arena epoch lifetime
 
-	cells []readCell
-
 	// Shared with node goroutines. gate is the open round's arrival
 	// gate (see gateWord): nodes count their committed frames on it, and
 	// the one whose frame completes the round sends the single token on
@@ -164,7 +160,6 @@ func New(cfg Config) (*Runtime, error) {
 		timeout:  timeout,
 		horizon:  horizon,
 		maxDelay: maxDelay,
-		cells:    make([]readCell, n),
 		wake:     make(chan struct{}, 1),
 	}
 	if b, ok := cfg.Alg.(alg.BatchStepper); ok && alg.IsDeterministic(cfg.Alg) {
@@ -178,19 +173,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	return rt, nil
 }
-
-// Read serves node's current (round, counter value) from its lock-free
-// read cell. It is safe to call from any goroutine at any time,
-// including while Run is executing, and never blocks the protocol loop.
-func (rt *Runtime) Read(node int) (round uint64, value int, ok bool) {
-	if node < 0 || node >= rt.n {
-		return 0, 0, false
-	}
-	return rt.cells[node].Read()
-}
-
-// N returns the network size.
-func (rt *Runtime) N() int { return rt.n }
 
 // Run drives the network to the configured horizon and returns the
 // measured report. On a synchroniser abort (every live node missing a

@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,9 +29,7 @@ func declaredBound(t *testing.T, a alg.Algorithm) uint64 {
 }
 
 // A fault-free live run must stabilise and then count correctly to the
-// horizon, with every node making every barrier — while concurrent
-// readers hammer the lock-free read cells (this test is the read-side
-// race-detector workout).
+// horizon, with every node making every barrier.
 func TestLiveFaultFreeStabilises(t *testing.T) {
 	a := buildAlg(t, "maxstep", 6, 0, 4)
 	var lastOnTime int
@@ -49,31 +46,7 @@ func TestLiveFaultFreeStabilises(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := 0; i < rt.N(); i++ {
-					if _, v, ok := rt.Read(i); ok && (v < 0 || v >= a.C()) {
-						t.Errorf("node %d served counter value %d outside [0,%d)", i, v, a.C())
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	rep, err := rt.Run(context.Background())
-	close(stop)
-	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +61,6 @@ func TestLiveFaultFreeStabilises(t *testing.T) {
 	}
 	if lastOnTime != a.N() {
 		t.Fatalf("last round had %d/%d nodes on time", lastOnTime, a.N())
-	}
-	for i := 0; i < rt.N(); i++ {
-		round, _, ok := rt.Read(i)
-		if !ok || round != 59 {
-			t.Fatalf("node %d read cell at round %d (ok=%v), want 59", i, round, ok)
-		}
 	}
 }
 

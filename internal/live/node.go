@@ -55,11 +55,10 @@ func sleepOrQuit(quit chan struct{}, d time.Duration) bool {
 // bytes go through decodeFrame, and frames that fail it count as loss —
 // into its view of every peer (peers it has not heard from this round
 // are stepped on their last authenticated state), then steps on that
-// view in place, publishes to its lock-free read cell, and eagerly
-// writes the next round's frame into its slot and commits it (arrive).
-// The synchroniser has read the slot for the previous round before it
-// delivered the handoff that triggers the overwrite, so the slot's
-// buffer is reused without a copy.
+// view in place and eagerly writes the next round's frame into its
+// slot and commits it (arrive). The synchroniser has read the slot for
+// the previous round before it delivered the handoff that triggers the
+// overwrite, so the slot's buffer is reused without a copy.
 //
 // When the merge copied the full column and accepted no private patch
 // that changes it, and the synchroniser stepped that column for the
@@ -148,7 +147,6 @@ func (rt *Runtime) nodeLoop(h *nodeHandle, state alg.State, rng *rand.Rand, last
 
 	send := func() {
 		h.out = a.Output(h.id, state)
-		rt.cells[h.id].publish(round, h.out)
 		h.frame = appendFrame(h.frame[:0], h.id, round, state, space)
 		rt.arrive(h, round)
 	}

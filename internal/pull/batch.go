@@ -66,9 +66,6 @@ func (e *BatchEnv) reset(view *adversary.View, adv adversary.Adversary, states, 
 	e.sc = sc
 }
 
-// N returns the network size.
-func (e *BatchEnv) N() int { return len(e.states) }
-
 // Faulty reports whether node v is Byzantine.
 func (e *BatchEnv) Faulty(v int) bool { return e.faulty[v] }
 

@@ -10,7 +10,7 @@ import (
 
 // Gossip is the million-node workload of the sparse pull kernel: a
 // fixed-wiring k-sample plurality c-counter in the pulling model. Each
-// round every node pulls its k fixed sampled neighbours (the Sampler
+// round every node pulls its k fixed sampled neighbours (the sampler
 // wiring — the Corollary 5 pattern of drawing wires once and reusing
 // them forever), takes the plurality of the sampled counter values with
 // smallest-value tie-breaking, and outputs plurality+1 mod c.
@@ -25,12 +25,12 @@ import (
 // correct nodes agree they count in lockstep forever — any later
 // violation needs a node whose k fixed samples are majority-faulty.
 // Unlike the construction counters it offers no worst-case resilience
-// bound: F() reports the fault budget it is run with, not a guarantee.
+// bound.
 type Gossip struct {
-	n, f, k int
-	c       uint64
-	wires   Sampler
-	pool    sync.Pool // *alg.DenseTally, shared across concurrent trials
+	n, k  int
+	c     uint64
+	wires sampler
+	pool  sync.Pool // *alg.DenseTally, shared across concurrent trials
 }
 
 var (
@@ -41,7 +41,8 @@ var (
 
 // NewGossip builds the k-sample plurality counter on n nodes with
 // modulus c; wireSeed fixes the sampling wiring. f is the fault budget
-// recorded for reporting (the dynamic has no proven resilience bound).
+// the caller runs it with, checked against n (the dynamic has no
+// proven resilience bound).
 func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("pull: gossip needs n >= 2, got %d", n)
@@ -59,20 +60,14 @@ func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gossip{n: n, f: f, k: k, c: uint64(c), wires: wires}, nil
+	return &Gossip{n: n, k: k, c: uint64(c), wires: wires}, nil
 }
 
 // N implements Algorithm.
 func (g *Gossip) N() int { return g.n }
 
-// F implements Algorithm: the fault budget the counter is run with.
-func (g *Gossip) F() int { return g.f }
-
 // C implements Algorithm.
 func (g *Gossip) C() int { return int(g.c) }
-
-// K returns the per-node sample count.
-func (g *Gossip) K() int { return g.k }
 
 // StateSpace implements Algorithm: the state is the counter value.
 func (g *Gossip) StateSpace() uint64 { return g.c }
@@ -83,9 +78,6 @@ func (g *Gossip) Output(_ int, s alg.State) int { return int(s % g.c) }
 // Deterministic implements alg.Deterministic: all randomness lives in
 // the construction-time wiring.
 func (g *Gossip) Deterministic() bool { return true }
-
-// Wiring returns the fixed sampling wiring.
-func (g *Gossip) Wiring() Sampler { return g.wires }
 
 // PullsPerRound implements batchStepper.
 func (g *Gossip) PullsPerRound() uint64 { return uint64(g.k) }

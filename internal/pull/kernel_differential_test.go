@@ -46,7 +46,7 @@ func pullKernelGrid(t *testing.T) []struct {
 		build  func() Algorithm
 		faults []int
 	}{
-		{"broadcast/boost", func() Algorithm { return Broadcast{A: build41(t, 8).Boosted()} }, []int{1}},
+		{"broadcast/boost", func() Algorithm { return Broadcast{A: build41(t, 8).top} }, []int{1}},
 		{"broadcast/randagree", randAgree, pullSpread(12, 2)},
 		{"sampled/fresh", func() Algorithm { return build123(t, 8, 8, false, 0) }, []int{2, 9}},
 		{"sampled/pseudo", func() Algorithm { return build123(t, 8, 8, true, 17) }, []int{2, 9}},

@@ -32,9 +32,8 @@ type Puller func(target int) alg.State
 
 // Algorithm is a counting algorithm in the pulling model.
 type Algorithm interface {
-	// N, F, C and StateSpace mirror alg.Algorithm.
+	// N, C and StateSpace mirror alg.Algorithm.
 	N() int
-	F() int
 	C() int
 	StateSpace() uint64
 	// Step runs one round for the node: it may pull any targets (cost:
@@ -111,11 +110,6 @@ func run(cfg Config) (Result, error) {
 	}
 	return runMode(cfg, nil)
 }
-
-// runReference forces the scalar reference loop regardless of batch
-// support; the differential suite and the BenchmarkPull_* pairs measure
-// the kernel against it.
-func runReference(cfg Config) (Result, error) { return runMode(cfg, nil) }
 
 // deterministic reports whether a pull algorithm declares itself
 // deterministic (never consults the node rng); such runs skip per-node
@@ -309,9 +303,6 @@ var _ Algorithm = Broadcast{}
 
 // N implements Algorithm.
 func (b Broadcast) N() int { return b.A.N() }
-
-// F implements Algorithm.
-func (b Broadcast) F() int { return b.A.F() }
 
 // C implements Algorithm.
 func (b Broadcast) C() int { return b.A.C() }

@@ -156,7 +156,7 @@ func TestSampledStabilisesWithFault(t *testing.T) {
 		t.Skip("sampled 12-node simulation in -short mode")
 	}
 	s := build123(t, 8, 24, false, 0)
-	bound := s.Boosted().StabilisationBound()
+	bound := s.top.StabilisationBound()
 	stabilised := 0
 	for seed := int64(0); seed < 3; seed++ {
 		res, err := runEarly(Config{
@@ -198,7 +198,7 @@ func TestPseudoRandomWiringIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Pseudo() || !b.Pseudo() {
+	if !a.pseudo || !b.pseudo {
 		t.Fatal("pseudo flag lost")
 	}
 	cfg := Config{Alg: a, Faulty: []int{2}, Adv: adversary.Silent{}, Seed: 9, MaxRounds: 3000, Window: 80}
@@ -230,7 +230,7 @@ func TestPseudoRandomCountsDeterministically(t *testing.T) {
 		Faulty:    []int{3},
 		Adv:       splitVote, // oblivious: strategy ignores the wiring
 		Seed:      13,
-		MaxRounds: s.Boosted().StabilisationBound() + 1500,
+		MaxRounds: s.top.StabilisationBound() + 1500,
 		Window:    80,
 	})
 	if err != nil {
@@ -248,11 +248,11 @@ func TestPseudoRandomCountsDeterministically(t *testing.T) {
 // (Theorem 4's S(P) = S(A) + ⌈log(C+1)⌉ + 1, same as Theorem 1).
 func TestSampledStateSpaceUnchanged(t *testing.T) {
 	s := build41(t, 8)
-	if s.StateSpace() != s.Boosted().StateSpace() {
-		t.Fatalf("state space changed: %d vs %d", s.StateSpace(), s.Boosted().StateSpace())
+	if s.StateSpace() != s.top.StateSpace() {
+		t.Fatalf("state space changed: %d vs %d", s.StateSpace(), s.top.StateSpace())
 	}
-	if s.N() != 4 || s.F() != 1 || s.C() != 8 {
-		t.Fatalf("N,F,C = %d,%d,%d", s.N(), s.F(), s.C())
+	if s.N() != 4 || s.C() != 8 {
+		t.Fatalf("N,C = %d,%d", s.N(), s.C())
 	}
 }
 

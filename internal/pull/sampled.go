@@ -110,16 +110,6 @@ func (s *SampledCounter) tallyWire(v, idx int) int {
 	return int(s.wires[v*s.wireStride+s.top.K()*s.m+idx])
 }
 
-// M returns the sample size.
-func (s *SampledCounter) M() int { return s.m }
-
-// Pseudo reports whether the fixed-wiring (Corollary 5) variant is
-// active.
-func (s *SampledCounter) Pseudo() bool { return s.pseudo }
-
-// Boosted returns the underlying deterministic construction.
-func (s *SampledCounter) Boosted() *boost.Counter { return s.top }
-
 // PullsPerRound returns the deterministic per-node pull count:
 // (n−1) + k·M + M + 1.
 func (s *SampledCounter) PullsPerRound() uint64 {
@@ -135,9 +125,6 @@ func (s *SampledCounter) Deterministic() bool {
 
 // N implements Algorithm.
 func (s *SampledCounter) N() int { return s.top.N() }
-
-// F implements Algorithm.
-func (s *SampledCounter) F() int { return s.top.F() }
 
 // C implements Algorithm.
 func (s *SampledCounter) C() int { return s.top.C() }

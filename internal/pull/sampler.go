@@ -2,7 +2,7 @@ package pull
 
 import "fmt"
 
-// Sampler is the stateless fixed-wiring neighbour sampler behind the
+// sampler is the stateless fixed-wiring neighbour sampler behind the
 // large-n pulling cells: Target(node, slot) maps a (node, slot) pair to
 // a pseudo-random neighbour in [0, n) \ {node} by finalising a
 // SplitMix64 mix of the seed and the pair. Because the wiring is a pure
@@ -18,26 +18,23 @@ import "fmt"
 // The draw is a modulo reduction of a 64-bit word, so it carries a
 // selection bias of at most 2^-33 for any n < 2^31 — far below
 // anything a simulation could resolve.
-type Sampler struct {
+type sampler struct {
 	seed uint64
 	n    int
 }
 
 // newSampler returns a sampler over [0, n); n must be at least 2 so
 // that excluding the caller leaves a non-empty range.
-func newSampler(seed int64, n int) (Sampler, error) {
+func newSampler(seed int64, n int) (sampler, error) {
 	if n < 2 {
-		return Sampler{}, fmt.Errorf("pull: sampler needs n >= 2, got %d", n)
+		return sampler{}, fmt.Errorf("pull: sampler needs n >= 2, got %d", n)
 	}
-	return Sampler{seed: uint64(seed), n: n}, nil
+	return sampler{seed: uint64(seed), n: n}, nil
 }
-
-// N returns the population size.
-func (s Sampler) N() int { return s.n }
 
 // Target returns the fixed wire target of (node, slot): a value in
 // [0, n) different from node, deterministic in (seed, node, slot).
-func (s Sampler) Target(node, slot int) int {
+func (s sampler) Target(node, slot int) int {
 	z := s.seed + uint64(node)*0x9e3779b97f4a7c15 + uint64(slot)*0xd1b54a32d192ed03
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -115,12 +115,6 @@ func (m *Machine) F() int { return m.f }
 // C implements alg.Algorithm: the input/decision domain size.
 func (m *Machine) C() int { return int(m.vals) }
 
-// Tau returns the epoch length τ = 3(f+2).
-func (m *Machine) Tau() uint64 { return m.tau }
-
-// Clock returns the underlying counting algorithm.
-func (m *Machine) Clock() alg.Algorithm { return m.clock }
-
 // StateSpace implements alg.Algorithm.
 func (m *Machine) StateSpace() uint64 { return m.cdc.Space() }
 
@@ -145,7 +139,7 @@ func (m *Machine) Step(v int, recv []alg.State, rng *rand.Rand) alg.State {
 
 	// (2) Phase king over the consensus registers, scheduled by the
 	// clock value all correct nodes share after stabilisation.
-	clockVal := uint64(m.clock.Output(v, m.cdc.Field(recv[v], 0)))
+	clockVal := uint64(m.ClockValue(v, recv[v]))
 	r := clockVal % m.tau
 	tally := alg.NewTally(n)
 	for u := 0; u < n; u++ {
@@ -187,11 +181,6 @@ func (m *Machine) Output(_ int, s alg.State) int {
 // ClockValue decodes the underlying counter value from a packed state.
 func (m *Machine) ClockValue(node int, s alg.State) int {
 	return m.clock.Output(node, m.cdc.Field(s, 0))
-}
-
-// EpochPhase returns R ∈ [τ], the position within the current epoch.
-func (m *Machine) EpochPhase(node int, s alg.State) uint64 {
-	return uint64(m.ClockValue(node, s)) % m.tau
 }
 
 func (m *Machine) registers(s alg.State) phaseking.Registers {

@@ -73,14 +73,11 @@ func TestParameters(t *testing.T) {
 	if m.N() != 4 || m.F() != 1 || m.C() != 5 {
 		t.Fatalf("N,F,C = %d,%d,%d", m.N(), m.F(), m.C())
 	}
-	if m.Tau() != 9 {
-		t.Fatalf("Tau = %d, want 9", m.Tau())
+	if m.tau != 9 {
+		t.Fatalf("tau = %d, want 9", m.tau)
 	}
 	if !m.Deterministic() {
 		t.Error("machine over a deterministic clock must be deterministic")
-	}
-	if m.Clock() != alg.Algorithm(clock) {
-		t.Error("Clock() must return the underlying counter")
 	}
 }
 
@@ -118,10 +115,10 @@ func runAudit(t *testing.T, m *Machine, faulty []int, adv adversary.Adversary, s
 				ref++
 			}
 			val := uint64(m.ClockValue(ref, states[ref]))
-			if val%m.Tau() != 0 || val/m.Tau() == 0 {
+			if val%m.tau != 0 || val/m.tau == 0 {
 				return
 			}
-			a := epochAudit{round: round, epoch: val/m.Tau() - 1}
+			a := epochAudit{round: round, epoch: val/m.tau - 1}
 			for u, out := range outputs {
 				if !isFaulty[u] {
 					a.decisions = append(a.decisions, out)
@@ -250,7 +247,7 @@ func TestDecisionOutputEncoding(t *testing.T) {
 	}
 }
 
-func TestEpochPhase(t *testing.T) {
+func TestClockValue(t *testing.T) {
 	clock := newClock41(t)
 	m, err := New(clock, 4, constInput(0))
 	if err != nil {
@@ -264,8 +261,5 @@ func TestEpochPhase(t *testing.T) {
 	packed := m.cdc.MustPack(st, 0, 0, 0)
 	if got := m.ClockValue(0, packed); got != 31 {
 		t.Fatalf("ClockValue = %d, want 31", got)
-	}
-	if got := m.EpochPhase(0, packed); got != 31%9 {
-		t.Fatalf("EpochPhase = %d, want %d", got, 31%9)
 	}
 }

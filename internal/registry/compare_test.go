@@ -170,11 +170,11 @@ func TestCompareDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			part, err := campaign.RunShard(context.Background(), sp)
-			if err != nil {
+			col := harness.NewCollector()
+			if err := campaign.StreamShard(context.Background(), sp, col); err != nil {
 				t.Fatal(err)
 			}
-			parts = append(parts, part)
+			parts = append(parts, col.Result())
 		}
 		merged, err := harness.Merge(parts...)
 		if err != nil {

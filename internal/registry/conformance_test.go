@@ -76,12 +76,15 @@ func TestConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cell %v: %v", cell, err)
 				}
-				// Every registered stack must ride the vectorized round
-				// kernel: per-node Step remains the semantic reference,
-				// but a registered algorithm without the batch hook
-				// silently degrades every campaign to the slow path.
-				if _, ok := a.(alg.BatchStepper); !ok {
-					t.Fatalf("cell %v: %T does not implement alg.BatchStepper", cell, a)
+				// Every registered stack must ride a fast round kernel,
+				// vectorized or bit-sliced: per-node Step remains the
+				// semantic reference, but a registered algorithm with
+				// neither hook silently degrades every campaign to the
+				// slow path.
+				_, batch := a.(alg.BatchStepper)
+				sliced, ok := a.(alg.BitSliceStepper)
+				if !batch && !(ok && sliced.SliceBits() > 0) {
+					t.Fatalf("cell %v: %T implements neither alg.BatchStepper nor a qualifying alg.BitSliceStepper", cell, a)
 				}
 				bound, hasBound := uint64(0), false
 				if b, ok := a.(alg.Bound); ok {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
-	"github.com/synchcount/synchcount/internal/counter"
 	"github.com/synchcount/synchcount/internal/ecount"
 	"github.com/synchcount/synchcount/internal/recursion"
 	"github.com/synchcount/synchcount/internal/sim"
@@ -49,33 +48,6 @@ func benchKernel(b *testing.B, a alg.Algorithm, adv adversary.Adversary, faults 
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(benchRounds), "ns/round")
-}
-
-// The headline cell of the acceptance bar: a BatchStepper algorithm at
-// n = 64, f = 15. The recursive constructions cannot encode that cell
-// on 64-bit state spaces (ecount's balanced split tops out at f = 7
-// for n = 64 before hitting the 2^62 codec limit), so the folklore
-// randomised counter — a batch stepper whose shared statistic is the
-// pair of bit counts — carries it, with the deepest feasible
-// construction cells benchmarked alongside.
-func benchRandAgree(b *testing.B) alg.Algorithm {
-	b.Helper()
-	a, err := counter.NewRandomizedAgree(64, 15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
-}
-
-// The silent (crash) adversary costs O(1) per message, so this pair
-// isolates the kernel itself: fan-out plus stepping, not adversary
-// message synthesis (which both loops pay identically).
-func BenchmarkKernel_Reference_RandAgree_n64_f15(b *testing.B) {
-	benchKernel(b, benchRandAgree(b), adversary.Silent{}, benchSpread(64, 15), false)
-}
-
-func BenchmarkKernel_Vectorized_RandAgree_n64_f15(b *testing.B) {
-	benchKernel(b, benchRandAgree(b), adversary.Silent{}, benchSpread(64, 15), true)
 }
 
 // The deepest 1508.02535 balanced recursion that fits n = 64 on 64-bit

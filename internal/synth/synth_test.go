@@ -51,9 +51,9 @@ func TestComplementInvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := s.Complement().Complement()
+	back := s.complement().complement()
 	if back.Bits() != s.Bits() {
-		t.Fatalf("Complement is not an involution: %#x -> %#x", s.Bits(), back.Bits())
+		t.Fatalf("complement is not an involution: %#x -> %#x", s.Bits(), back.Bits())
 	}
 }
 
@@ -94,7 +94,7 @@ func TestSearchFaultFreeFindsCounters(t *testing.T) {
 		if !res.OK || res.WorstTime != fd.WorstTime {
 			t.Fatalf("re-verification mismatch for %s", fd.Alg)
 		}
-		comp, err := verify.Check(fd.Alg.Complement(), verify.Options{})
+		comp, err := verify.Check(fd.Alg.complement(), verify.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,8 +99,8 @@ func SimulateMany(cfg SimConfig, trials int) (SimStats, error) { return sim.RunM
 // concurrently over a worker pool with deterministic per-trial seed
 // derivation, context cancellation, streaming sinks, cross-process
 // sharding and JSON/CSV/NDJSON export. A Campaign runs itself: Run
-// buffers every trial, Stream feeds sinks, and Shard/RunShard split the
-// grid across processes.
+// buffers every trial, Stream feeds sinks, and Shard/StreamShard split
+// the grid across processes.
 type (
 	// Campaign is a grid of scenarios executed as one parallel batch.
 	Campaign = harness.Campaign
@@ -124,14 +124,6 @@ type (
 	// serialises to JSON losslessly for cross-process orchestration.
 	ShardSpec = harness.ShardSpec
 )
-
-// MergeCampaignResults reassembles per-shard campaign results exactly:
-// merging a complete shard split is byte-identical to the unsharded
-// run, quantile statistics included. Partial merges are valid and can
-// be merged again with the remaining shards.
-func MergeCampaignResults(parts ...*CampaignResult) (*CampaignResult, error) {
-	return harness.Merge(parts...)
-}
 
 // CampaignNDJSONSink returns a sink streaming one JSON line per trial
 // to w, byte-identical to CampaignResult.WriteNDJSON of the same

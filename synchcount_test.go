@@ -201,8 +201,8 @@ func TestRepeatedConsensusAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.N() != 4 || svc.C() != 3 || svc.Tau() != 9 {
-		t.Fatalf("service parameters: N=%d C=%d Tau=%d", svc.N(), svc.C(), svc.Tau())
+	if svc.N() != 4 || svc.F() != 1 || svc.C() != 3 {
+		t.Fatalf("service parameters: N=%d F=%d C=%d", svc.N(), svc.F(), svc.C())
 	}
 }
 
