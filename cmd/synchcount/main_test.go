@@ -54,6 +54,8 @@ func TestGolden(t *testing.T) {
 		{"fig1", []string{"fig1"}},
 		{"fig2", []string{"fig2"}},
 		{"synth", []string{"synth", "-q"}},
+		{"pullbench", []string{"pullbench", "-trials", "2"}},
+		{"pullbench-pseudo", []string{"pullbench", "-trials", "2", "-pseudo"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			got := mustRun(t, tc.args...)
