@@ -4,7 +4,7 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 29
+PR ?= 30
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
@@ -12,7 +12,7 @@ PR ?= 29
 # Reference/Sliced pairs, and the unpaired live round-engine and
 # resultdb ingest cells (recorded in the artifact only).
 BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live|Store)_
-BENCH_PKGS = ./internal/sim ./internal/pull ./internal/live ./internal/resultdb
+BENCH_PKGS = ./internal/sim ./internal/live ./internal/resultdb
 
 # staticcheck release the lint job pins; `make lint` soft-skips when the
 # binary is absent locally (the repo never installs tools on your
@@ -175,7 +175,7 @@ resultdb-smoke:
 # allocation budget and a 5-minute wall budget — a dense recv matrix
 # (8n^2 B = 74 GB) cannot pass it.
 pull-smoke:
-	$(GO) test -run='^TestPullKernel' ./internal/pull
+	$(GO) test -run='^TestPullKernel' ./internal/sim
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/synchcount ./cmd/synchcount && \
 	timeout 300 $$tmp/synchcount pullbench -scale -scale-n 100000 -trials 2 -budget-mb 64

@@ -26,7 +26,7 @@
 // recorded unpaired:
 //
 //	go test -run '^$' -bench '^Benchmark(Kernel|FF|Pull|Bitslice|Live)_' -benchmem \
-//	./internal/sim ./internal/pull ./internal/live | benchjson -pr 12 -out BENCH_12.json
+//	./internal/sim ./internal/live | benchjson -pr 12 -out BENCH_12.json
 //
 // With -gate it exits non-zero when any pair speeds up by less than
 // its kind's floor in the pairings table, or when a kind has no pairs

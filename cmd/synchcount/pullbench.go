@@ -50,8 +50,8 @@ func runPullbench(args []string, stdout io.Writer) error {
 		scaleC   = campaigncli.AtLeast(fs, "scale-c", 8, 2, "counter modulus for -scale")
 		budgetMB = campaigncli.AtLeast(fs, "budget-mb", 0.0, 0, "with -scale: fail if any cell allocates more than this many MB per trial (0 = report only)")
 	)
-	// Pulling-model runs use internal/pull, which the fast-forward
-	// engine does not ride, so there is no -memo here.
+	// The fast-forward engine does not ride pulling-model runs, so
+	// there is no -memo here.
 	dist := campaigncli.Register(fs, stdout)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -206,7 +206,7 @@ func runScale(out io.Writer, scaleN string, k, c, trials int, seed int64, horiz 
 		for i := range faults {
 			faults[i] = i * n / f
 		}
-		g, err := synchcount.NewGossip(n, f, c, k, seed*1000003+int64(n))
+		g, err := synchcount.NewGossip(n, c, k, seed*1000003+int64(n))
 		if err != nil {
 			return err
 		}

@@ -20,11 +20,10 @@
 // run, because trial seeds depend only on grid position.
 //
 // The package is deliberately model-agnostic: a Scenario is just a
-// TrialFunc returning an Observation, so the broadcast simulator
-// (internal/sim), the pulling-model simulator (internal/pull) and any
-// future workload can all ride the same engine. Those packages provide
-// CampaignScenario adaptors; this package depends only on the standard
-// library.
+// TrialFunc returning an Observation, so both message models of the
+// simulator (internal/sim) and any future workload can all ride the
+// same engine. The simulator provides the campaign scenario adaptors;
+// this package depends only on the standard library.
 package harness
 
 import (

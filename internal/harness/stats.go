@@ -4,7 +4,7 @@ import "sort"
 
 // Stats aggregates the trials of one scenario. Stabilisation-time
 // statistics (Min/Max/Mean/Median/P95/P99) are computed over stabilised
-// trials only, matching the historical sim.Stats convention; the
+// trials only, matching the historical RunMany convention; the
 // remaining fields aggregate over all trials.
 type Stats struct {
 	// Trials is the number of trials run.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // Gossip is the million-node workload of the sparse pull kernel: a
@@ -34,21 +35,16 @@ type Gossip struct {
 }
 
 var (
-	_ Algorithm         = (*Gossip)(nil)
-	_ batchStepper      = (*Gossip)(nil)
+	_ sim.PullAlgorithm = (*Gossip)(nil)
 	_ alg.Deterministic = (*Gossip)(nil)
 )
 
 // NewGossip builds the k-sample plurality counter on n nodes with
-// modulus c; wireSeed fixes the sampling wiring. f is the fault budget
-// the caller runs it with, checked against n (the dynamic has no
-// proven resilience bound).
-func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
+// modulus c; wireSeed fixes the sampling wiring. The dynamic has no
+// proven resilience bound, so it takes no fault budget.
+func NewGossip(n, c, k int, wireSeed int64) (*Gossip, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("pull: gossip needs n >= 2, got %d", n)
-	}
-	if f < 0 || f >= n {
-		return nil, fmt.Errorf("pull: gossip fault budget %d out of range [0,%d)", f, n)
 	}
 	if c < 2 {
 		return nil, fmt.Errorf("pull: gossip needs modulus c >= 2, got %d", c)
@@ -63,27 +59,27 @@ func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
 	return &Gossip{n: n, k: k, c: uint64(c), wires: wires}, nil
 }
 
-// N implements Algorithm.
+// N implements sim.PullAlgorithm.
 func (g *Gossip) N() int { return g.n }
 
-// C implements Algorithm.
+// C implements sim.PullAlgorithm.
 func (g *Gossip) C() int { return int(g.c) }
 
-// StateSpace implements Algorithm: the state is the counter value.
+// StateSpace implements sim.PullAlgorithm: the state is the counter value.
 func (g *Gossip) StateSpace() uint64 { return g.c }
 
-// Output implements Algorithm.
+// Output implements sim.PullAlgorithm.
 func (g *Gossip) Output(_ int, s alg.State) int { return int(s % g.c) }
 
 // Deterministic implements alg.Deterministic: all randomness lives in
 // the construction-time wiring.
 func (g *Gossip) Deterministic() bool { return true }
 
-// PullsPerRound implements batchStepper.
+// PullsPerRound implements the sparse batch path.
 func (g *Gossip) PullsPerRound() uint64 { return uint64(g.k) }
 
-// Step implements Algorithm: the scalar reference transition.
-func (g *Gossip) Step(v int, _ alg.State, pull Puller, _ *rand.Rand) alg.State {
+// Step implements sim.PullAlgorithm: the scalar reference transition.
+func (g *Gossip) Step(v int, _ alg.State, pull sim.Puller, _ *rand.Rand) alg.State {
 	t := alg.NewTally(g.k)
 	for i := 0; i < g.k; i++ {
 		t.Add(pull(g.wires.Target(v, i)))
@@ -92,10 +88,10 @@ func (g *Gossip) Step(v int, _ alg.State, pull Puller, _ *rand.Rand) alg.State {
 	return (best + 1) % g.c
 }
 
-// StepAll implements batchStepper: the same transition over flat
+// StepAll implements the sparse batch path: the same transition over flat
 // arrays, with one pooled dense tally reused across all nodes —
 // allocation-free after warm-up, O(n·k) per round.
-func (g *Gossip) StepAll(env *BatchEnv) {
+func (g *Gossip) StepAll(env *sim.PullEnv) {
 	t, _ := g.pool.Get().(*alg.DenseTally)
 	if t == nil {
 		t = alg.NewDenseTally(g.c)

@@ -4,35 +4,43 @@ import (
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/adversary"
+	"github.com/synchcount/synchcount/internal/sim"
 )
+
+// pullSpread places f faults evenly across n nodes.
+func pullSpread(n, f int) []int {
+	out := make([]int, 0, f)
+	for j := 0; j < f; j++ {
+		out = append(out, j*n/f)
+	}
+	return out
+}
 
 func TestNewGossipValidation(t *testing.T) {
 	cases := []struct {
-		n, f, c, k int
+		n, c, k int
 	}{
-		{1, 0, 8, 4},   // too few nodes
-		{10, -1, 8, 4}, // negative faults
-		{10, 10, 8, 4}, // all faulty
-		{10, 1, 1, 4},  // degenerate modulus
-		{10, 1, 8, 0},  // no samples
+		{1, 8, 4},  // too few nodes
+		{10, 1, 4}, // degenerate modulus
+		{10, 8, 0}, // no samples
 	}
 	for _, cse := range cases {
-		if _, err := NewGossip(cse.n, cse.f, cse.c, cse.k, 1); err == nil {
-			t.Errorf("NewGossip(%d,%d,%d,%d) accepted", cse.n, cse.f, cse.c, cse.k)
+		if _, err := NewGossip(cse.n, cse.c, cse.k, 1); err == nil {
+			t.Errorf("NewGossip(%d,%d,%d) accepted", cse.n, cse.c, cse.k)
 		}
 	}
-	if _, err := NewGossip(300, 3, 8, 16, 1); err != nil {
+	if _, err := NewGossip(300, 8, 16, 1); err != nil {
 		t.Fatalf("valid gossip rejected: %v", err)
 	}
 }
 
 func TestGossipStabilisesAndCounts(t *testing.T) {
-	g, err := NewGossip(300, 3, 8, 16, 42)
+	g, err := NewGossip(300, 8, 16, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		r, err := RunFull(Config{
+		r, err := sim.RunPullFull(sim.PullConfig{
 			Alg:       g,
 			Faulty:    pullSpread(300, 3),
 			Adv:       adversary.Equivocate{},
@@ -56,11 +64,11 @@ func TestGossipStabilisesAndCounts(t *testing.T) {
 }
 
 func TestGossipPullBudget(t *testing.T) {
-	g, err := NewGossip(64, 2, 4, 9, 3)
+	g, err := NewGossip(64, 4, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := runEarly(Config{
+	r, err := runEarly(sim.PullConfig{
 		Alg:       g,
 		Faulty:    []int{0, 32},
 		Adv:       adversary.Silent{},
@@ -106,11 +114,11 @@ func TestSamplerContract(t *testing.T) {
 // fixed wiring buys: the whole trajectory is a function of (wiring,
 // seed), so rerunning a configuration reproduces the Result exactly.
 func TestGossipDeterministicGivenSeed(t *testing.T) {
-	g, err := NewGossip(200, 2, 6, 12, 7)
+	g, err := NewGossip(200, 6, 12, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	cfg := sim.PullConfig{
 		Alg:       g,
 		Faulty:    []int{10, 110},
 		Adv:       adversary.Equivocate{},

@@ -1,19 +1,22 @@
 package pull
 
 import (
+	"context"
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/adversary"
-	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/counter"
+	"github.com/synchcount/synchcount/internal/harness"
 	"github.com/synchcount/synchcount/internal/recursion"
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
-// runEarly is RunFull's early-stopping twin: the run ends once
-// stabilisation is confirmed.
-func runEarly(cfg Config) (Result, error) {
+// runEarly is sim.RunPullFull's early-stopping twin: the run ends once
+// stabilisation is confirmed. It runs the campaign adaptor's trial at
+// cfg.Seed, which is exactly one run of cfg.
+func runEarly(cfg sim.PullConfig) (harness.Observation, error) {
 	cfg.StopEarly = true
-	return run(cfg)
+	return sim.PullCampaignScenario("early", cfg, 1).Run(context.Background(), 0, cfg.Seed)
 }
 
 // splitVote is the registry's "splitvote" strategy; the adversary
@@ -37,27 +40,6 @@ func build41(t *testing.T, c int) *SampledCounter {
 	return s
 }
 
-func TestRunValidation(t *testing.T) {
-	s := build41(t, 8)
-	tests := []struct {
-		name string
-		cfg  Config
-	}{
-		{"nil alg", Config{MaxRounds: 10}},
-		{"zero rounds", Config{Alg: s}},
-		{"faulty out of range", Config{Alg: s, MaxRounds: 10, Faulty: []int{99}}},
-		{"faulty duplicate", Config{Alg: s, MaxRounds: 10, Faulty: []int{1, 1}}},
-		{"bad init", Config{Alg: s, MaxRounds: 10, Init: []alg.State{1}}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := runEarly(tt.cfg); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
 func TestNewSampledValidation(t *testing.T) {
 	if _, err := NewSampled(nil, 8, false, 0); err == nil {
 		t.Error("nil top should fail")
@@ -79,7 +61,7 @@ func TestBroadcastEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runEarly(Config{Alg: Broadcast{A: m}, Seed: 3, MaxRounds: 300})
+	res, err := runEarly(sim.PullConfig{Alg: Broadcast{A: m}, Seed: 3, MaxRounds: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +79,7 @@ func TestSampledPullBudget(t *testing.T) {
 	if got := s.PullsPerRound(); got != 41 {
 		t.Fatalf("PullsPerRound = %d, want 41", got)
 	}
-	res, err := runEarly(Config{Alg: s, Seed: 5, MaxRounds: 3200, Window: 80})
+	res, err := runEarly(sim.PullConfig{Alg: s, Seed: 5, MaxRounds: 3200, Window: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +141,7 @@ func TestSampledStabilisesWithFault(t *testing.T) {
 	bound := s.top.StabilisationBound()
 	stabilised := 0
 	for seed := int64(0); seed < 3; seed++ {
-		res, err := runEarly(Config{
+		res, err := runEarly(sim.PullConfig{
 			Alg:       s,
 			Faulty:    []int{int(seed*5) % 12},
 			Adv:       adversary.Equivocate{},
@@ -201,7 +183,7 @@ func TestPseudoRandomWiringIsDeterministic(t *testing.T) {
 	if !a.pseudo || !b.pseudo {
 		t.Fatal("pseudo flag lost")
 	}
-	cfg := Config{Alg: a, Faulty: []int{2}, Adv: adversary.Silent{}, Seed: 9, MaxRounds: 3000, Window: 80}
+	cfg := sim.PullConfig{Alg: a, Faulty: []int{2}, Adv: adversary.Silent{}, Seed: 9, MaxRounds: 3000, Window: 80}
 	ra, err := runEarly(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +207,7 @@ func TestPseudoRandomCountsDeterministically(t *testing.T) {
 		t.Skip("sampled 12-node simulation in -short mode")
 	}
 	s := build123(t, 8, 24, true, 7)
-	res, err := RunFull(Config{
+	res, err := sim.RunPullFull(sim.PullConfig{
 		Alg:       s,
 		Faulty:    []int{3},
 		Adv:       splitVote, // oblivious: strategy ignores the wiring
@@ -274,7 +256,7 @@ func TestUndersampledFailsOccasionally(t *testing.T) {
 	}
 	violations := uint64(0)
 	for seed := int64(0); seed < 6; seed++ {
-		res, err := RunFull(Config{
+		res, err := sim.RunPullFull(sim.PullConfig{
 			Alg:       s,
 			Faulty:    []int{0},
 			Adv:       adversary.Equivocate{},

@@ -9,6 +9,7 @@ import (
 	"github.com/synchcount/synchcount/internal/alg"
 	"github.com/synchcount/synchcount/internal/boost"
 	"github.com/synchcount/synchcount/internal/phaseking"
+	"github.com/synchcount/synchcount/internal/sim"
 )
 
 // SampledCounter is the randomised pulling-model counter of Theorem 4:
@@ -47,10 +48,7 @@ type SampledCounter struct {
 	pool sync.Pool // *sampledScratch, shared across concurrent trials
 }
 
-var (
-	_ Algorithm    = (*SampledCounter)(nil)
-	_ batchStepper = (*SampledCounter)(nil)
-)
+var _ sim.PullAlgorithm = (*SampledCounter)(nil)
 
 // NewSampled wraps the boosted counter with sampled communication.
 // samples is M; pseudo selects the Corollary 5 fixed-wiring variant,
@@ -123,22 +121,22 @@ func (s *SampledCounter) Deterministic() bool {
 	return s.pseudo && alg.IsDeterministic(s.top)
 }
 
-// N implements Algorithm.
+// N implements sim.PullAlgorithm.
 func (s *SampledCounter) N() int { return s.top.N() }
 
-// C implements Algorithm.
+// C implements sim.PullAlgorithm.
 func (s *SampledCounter) C() int { return s.top.C() }
 
-// StateSpace implements Algorithm: identical to the deterministic
+// StateSpace implements sim.PullAlgorithm: identical to the deterministic
 // construction — sampling costs no extra state (the paper's S(P) =
 // S(A) + ⌈log(C+1)⌉ + 1).
 func (s *SampledCounter) StateSpace() uint64 { return s.top.StateSpace() }
 
-// Output implements Algorithm.
+// Output implements sim.PullAlgorithm.
 func (s *SampledCounter) Output(node int, st alg.State) int { return s.top.Output(node, st) }
 
-// Step implements Algorithm.
-func (s *SampledCounter) Step(v int, own alg.State, pull Puller, rng *rand.Rand) alg.State {
+// Step implements sim.PullAlgorithm.
+func (s *SampledCounter) Step(v int, own alg.State, pull sim.Puller, rng *rand.Rand) alg.State {
 	top := s.top
 	k := top.K()
 	n := top.N() / k
@@ -284,11 +282,11 @@ func (s *SampledCounter) getScratch() *sampledScratch {
 	return sc
 }
 
-// StepAll implements batchStepper: the same transition as Step for
+// StepAll implements the sparse batch path: the same transition as Step for
 // every correct node, in ascending order with reference pull/rng
 // ordering, over pooled flat scratch — no per-node allocation and no
 // dense receive matrix.
-func (s *SampledCounter) StepAll(env *BatchEnv) {
+func (s *SampledCounter) StepAll(env *sim.PullEnv) {
 	top := s.top
 	k := top.K()
 	N := top.N()

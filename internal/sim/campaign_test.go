@@ -69,14 +69,15 @@ func TestCampaignDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // legacyRunMany is the pre-harness sequential implementation of
-// RunMany, kept verbatim as the regression oracle: the campaign-backed
-// wrapper must reproduce its seed derivation and aggregation exactly.
-func legacyRunMany(cfg Config, trials int) (Stats, error) {
+// RunMany, kept as the regression oracle: the campaign-backed wrapper
+// must reproduce its seed derivation and the five statistics it
+// aggregates exactly.
+func legacyRunMany(cfg Config, trials int) (harness.Stats, error) {
 	if trials <= 0 {
-		return Stats{}, errors.New("sim: trials must be positive")
+		return harness.Stats{}, errors.New("sim: trials must be positive")
 	}
 	seeder := rand.New(rand.NewSource(cfg.Seed))
-	var st Stats
+	var st harness.Stats
 	st.Trials = trials
 	var sum float64
 	for i := 0; i < trials; i++ {
@@ -84,7 +85,7 @@ func legacyRunMany(cfg Config, trials int) (Stats, error) {
 		c.Seed = seeder.Int63()
 		r, err := Run(c)
 		if err != nil {
-			return Stats{}, err
+			return harness.Stats{}, err
 		}
 		if !r.Stabilised {
 			continue
@@ -112,9 +113,16 @@ func TestRunManyMatchesLegacyLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunMany(cfg, 12)
+		all, err := RunMany(cfg, 12)
 		if err != nil {
 			t.Fatal(err)
+		}
+		got := harness.Stats{
+			Trials:     all.Trials,
+			Stabilised: all.Stabilised,
+			MinTime:    all.MinTime,
+			MaxTime:    all.MaxTime,
+			MeanTime:   all.MeanTime,
 		}
 		if got != want {
 			t.Fatalf("seed %d: RunMany = %+v, legacy loop = %+v", seed, got, want)

@@ -12,7 +12,11 @@ import (
 // and the BenchmarkKernel_* comparisons hold the vectorized kernel
 // bit-identical to — and measure it against — this path. It honours
 // cfg.StopEarly as set by the caller.
-func RunReference(cfg Config) (Result, error) { return runMode(cfg, scalarRound, false) }
+func RunReference(cfg Config) (Result, error) {
+	return runMode(cfg, func(adv adversary.Adversary, view *adversary.View, sc *runScratch) error {
+		return scalarRound(cfg.Alg, adv, view, sc)
+	}, false)
+}
 
 // RunVectorized runs the simulation on the vectorized kernel with the
 // bit-sliced path off, honouring cfg.StopEarly as set by the caller:
@@ -24,8 +28,8 @@ func RunVectorized(cfg Config) (Result, error) { return runMode(cfg, nil, false)
 // scalarRound is the historical scalar loop: a fresh O(n) receive
 // vector per receiver, one adversary call per (faulty sender, receiver)
 // pair and one interface Step call per correct node.
-func scalarRound(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error {
-	states, next, recv, faulty := sc.states, sc.next, sc.recv, sc.faulty
+func scalarRound(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch) error {
+	states, next, recv, faulty, space := sc.states, sc.next, sc.recv, sc.faulty, view.Space
 	for v := range states {
 		if faulty[v] {
 			next[v] = states[v]
@@ -45,6 +49,22 @@ func scalarRound(a alg.Algorithm, adv adversary.Adversary, view *adversary.View,
 	}
 	return nil
 }
+
+// RunPull runs the pulling model on the sparse batch round where the
+// algorithm has one, honouring cfg.StopEarly as set by the caller.
+func RunPull(cfg PullConfig) (PullResult, error) { return runPull(cfg, false) }
+
+// RunPullReference runs the pulling model on the per-node closure
+// reference loop regardless of batch support, honouring cfg.StopEarly:
+// the pull differential suite and the BenchmarkPull_* pairs measure the
+// sparse batch round against it.
+func RunPullReference(cfg PullConfig) (PullResult, error) { return runPull(cfg, true) }
+
+// PullBatchStepper names the sparse batch interface for the external
+// test package, which asserts that every batch algorithm of
+// internal/pull implements it (a signature drift would otherwise fall
+// back to the reference loop silently).
+type PullBatchStepper = pullBatchStepper
 
 // FastForwardEligible exposes the fast-forward gate to the external
 // test package: the eligibility tests pin exactly which configurations

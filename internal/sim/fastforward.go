@@ -281,7 +281,7 @@ func (ff *ffEngine) publish(ring []harness.TrajectoryObs) {
 }
 
 // finishFastForward concludes a run whose observations from round
-// `start` on provably replay ring forever, producing a Result
+// `start` on provably replay ring forever, producing a verdict
 // bit-identical to simulating every remaining round.
 //
 // Phase 1 (warm-up) feeds the detector the recorded observations for
@@ -308,8 +308,8 @@ func (ff *ffEngine) publish(ring []harness.TrajectoryObs) {
 //     is periodic with period L (it depends only on consecutive
 //     observation pairs), so the violation count extrapolates as
 //     full-cycles × per-cycle count plus a partial-cycle prefix.
-func finishFastForward(det *Detector, ring []harness.TrajectoryObs, start uint64, cfg *Config, c int, res Result) Result {
-	maxRounds, stopEarly := cfg.MaxRounds, cfg.StopEarly
+func finishFastForward(det *Detector, ring []harness.TrajectoryObs, start uint64, spec *runSpec, c int, res verdict) verdict {
+	maxRounds, stopEarly := spec.maxRounds, spec.stopEarly
 	L := uint64(len(ring))
 	window := det.Window()
 	warmup := 2*L + window + 2

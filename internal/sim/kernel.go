@@ -29,8 +29,8 @@ import (
 // ascending, faulty senders ascending within each receiver — so
 // strategies drawing from the shared adversary rng produce identical
 // streams, and the whole round is bit-identical to the reference loop.
-func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceStepper, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error {
-	n := len(sc.states)
+func kernelRound(a alg.Algorithm, batch alg.BatchStepper, sliced alg.BitSliceStepper, adv adversary.Adversary, view *adversary.View, sc *runScratch) error {
+	n, space := len(sc.states), view.Space
 	base := sc.recv
 	if sliced == nil {
 		// The bit-sliced path reads states from the transposed planes
@@ -171,11 +171,18 @@ func (s *runScratch) classifyRows() {
 	p.Class = s.rowClass
 }
 
-// preparePatches provisions the per-round patch matrix for the current
-// fault mask: the ascending faulty-sender index list and one
-// len(Senders) row per correct receiver, all carved out of a single
-// pooled backing array.
+// preparePatches provisions the broadcast kernel's working set for the
+// current fault mask: the shared receive base, the row-class labels,
+// the ascending faulty-sender index list and one len(Senders) patch row
+// per correct receiver, all carved out of a single pooled backing
+// array.
 func (s *runScratch) preparePatches(n int) {
+	if cap(s.recv) < n {
+		s.recv = make([]alg.State, n)
+		s.rowClass = make([]int32, n)
+	}
+	s.recv = s.recv[:n]
+	s.rowClass = s.rowClass[:n]
 	s.faultyIdx = s.faultyIdx[:0]
 	for u, f := range s.faulty {
 		if f {

@@ -1,11 +1,25 @@
-package pull
+package sim_test
 
 import (
 	"fmt"
 	"testing"
 
 	"github.com/synchcount/synchcount/internal/adversary"
+	"github.com/synchcount/synchcount/internal/alg"
+	"github.com/synchcount/synchcount/internal/boost"
 	"github.com/synchcount/synchcount/internal/counter"
+	"github.com/synchcount/synchcount/internal/pull"
+	"github.com/synchcount/synchcount/internal/recursion"
+	"github.com/synchcount/synchcount/internal/sim"
+)
+
+// Every batch algorithm of internal/pull takes the sparse batch round; a
+// signature drift would otherwise fall back to the reference loop
+// silently.
+var (
+	_ sim.PullBatchStepper = pull.Broadcast{}
+	_ sim.PullBatchStepper = (*pull.Gossip)(nil)
+	_ sim.PullBatchStepper = (*pull.SampledCounter)(nil)
 )
 
 // pullKernelAdversaries are the strategies the pull equivalence grid
@@ -15,13 +29,61 @@ import (
 // batch path's pull-ordering contract.
 var pullKernelAdversaries = []string{"silent", "random", "splitvote", "equivocate"}
 
-// pullSpread places f faults evenly across n nodes.
-func pullSpread(n, f int) []int {
-	out := make([]int, 0, f)
-	for j := 0; j < f; j++ {
-		out = append(out, j*n/f)
+// pullTop builds the boosted counter of the given recursion plan.
+func pullTop(t testing.TB, p recursion.Plan) *boost.Counter {
+	t.Helper()
+	top, _, _, err := recursion.Build(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return top
+}
+
+// sampled123 returns the two-level A(12,3) stack wrapped with sampling:
+// M samples per vote, fixed wiring drawn from wireSeed when pseudo.
+func sampled123(t testing.TB, c, m int, pseudo bool, wireSeed int64) *pull.SampledCounter {
+	t.Helper()
+	top := pullTop(t, recursion.Plan{Levels: []recursion.Level{{K: 4, F: 1}, {K: 3, F: 3}}, C: c})
+	s, err := pull.NewSampled(top, m, pseudo, wireSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// top41 returns the boosted A(4,1) counter with modulus 8.
+func top41(t testing.TB) *boost.Counter {
+	t.Helper()
+	p, err := recursion.Corollary1(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pullTop(t, p)
+}
+
+func TestPullRunValidation(t *testing.T) {
+	s, err := pull.NewSampled(top41(t), 8, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name string
+		cfg  sim.PullConfig
+	}{
+		{"nil alg", sim.PullConfig{MaxRounds: 10}},
+		{"zero rounds", sim.PullConfig{Alg: s}},
+		{"faulty out of range", sim.PullConfig{Alg: s, MaxRounds: 10, Faulty: []int{99}}},
+		{"faulty duplicate", sim.PullConfig{Alg: s, MaxRounds: 10, Faulty: []int{1, 1}}},
+		{"bad init", sim.PullConfig{Alg: s, MaxRounds: 10, Init: []alg.State{1}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.cfg.StopEarly = true
+			if _, err := sim.RunPull(tt.cfg); err == nil {
+				t.Error("expected error")
+			}
+		})
+	}
 }
 
 // pullKernelGrid enumerates one (algorithm, faults) cell per sparse
@@ -30,49 +92,46 @@ func pullSpread(n, f int) []int {
 // coins and with fixed wiring, and the fixed-wiring gossip dynamic.
 func pullKernelGrid(t *testing.T) []struct {
 	name   string
-	build  func() Algorithm
+	build  func() sim.PullAlgorithm
 	faults []int
 } {
 	t.Helper()
-	randAgree := func() Algorithm {
+	randAgree := func() sim.PullAlgorithm {
 		a, err := counter.NewRandomizedAgree(12, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Broadcast{A: a}
+		return pull.Broadcast{A: a}
 	}
 	return []struct {
 		name   string
-		build  func() Algorithm
+		build  func() sim.PullAlgorithm
 		faults []int
 	}{
-		{"broadcast/boost", func() Algorithm { return Broadcast{A: build41(t, 8).top} }, []int{1}},
-		{"broadcast/randagree", randAgree, pullSpread(12, 2)},
-		{"sampled/fresh", func() Algorithm { return build123(t, 8, 8, false, 0) }, []int{2, 9}},
-		{"sampled/pseudo", func() Algorithm { return build123(t, 8, 8, true, 17) }, []int{2, 9}},
-		{"gossip", func() Algorithm {
-			g, err := NewGossip(64, 6, 8, 12, 5)
+		{"broadcast/boost", func() sim.PullAlgorithm { return pull.Broadcast{A: top41(t)} }, []int{1}},
+		{"broadcast/randagree", randAgree, spreadFaults(12, 2)},
+		{"sampled/fresh", func() sim.PullAlgorithm { return sampled123(t, 8, 8, false, 0) }, []int{2, 9}},
+		{"sampled/pseudo", func() sim.PullAlgorithm { return sampled123(t, 8, 8, true, 17) }, []int{2, 9}},
+		{"gossip", func() sim.PullAlgorithm {
+			g, err := pull.NewGossip(64, 8, 12, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
-		}, pullSpread(64, 6)},
+		}, spreadFaults(64, 6)},
 	}
 }
 
 // TestPullKernelMatchesReference is the sparse-vs-reference
 // differential suite: every batch implementation, under every built-in
 // adversary class, across a seeded grid, must produce byte-identical
-// Results from the batch kernel (Run) and the retained scalar reference
-// loop. This is the contract that lets the sparse kernel replace the
+// Results from the batch round and the retained closure reference
+// loop. This is the contract that lets the sparse round replace the
 // closure loop underneath every pulling-model campaign.
 func TestPullKernelMatchesReference(t *testing.T) {
 	seeds := []int64{3, 44}
 	for _, cell := range pullKernelGrid(t) {
 		a := cell.build()
-		if _, ok := a.(batchStepper); !ok {
-			t.Fatalf("%s: grid algorithm has no batch path", cell.name)
-		}
 		for _, advName := range pullKernelAdversaries {
 			if advName != "silent" && len(cell.faults) == 0 {
 				continue
@@ -83,7 +142,7 @@ func TestPullKernelMatchesReference(t *testing.T) {
 			}
 			for _, seed := range seeds {
 				label := fmt.Sprintf("%s/%s/seed=%d", cell.name, advName, seed)
-				cfg := Config{
+				cfg := sim.PullConfig{
 					Alg:       a,
 					Faulty:    cell.faults,
 					Adv:       adv,
@@ -91,11 +150,11 @@ func TestPullKernelMatchesReference(t *testing.T) {
 					MaxRounds: 192,
 					StopEarly: true,
 				}
-				want, err := runReference(cfg)
+				want, err := sim.RunPullReference(cfg)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", label, err)
 				}
-				got, err := runEarly(cfg)
+				got, err := sim.RunPull(cfg)
 				if err != nil {
 					t.Fatalf("%s: batch: %v", label, err)
 				}
@@ -108,7 +167,7 @@ func TestPullKernelMatchesReference(t *testing.T) {
 }
 
 // TestPullKernelMatchesReferenceFull double-checks equality on the
-// RunFull path (violations accounting after stabilisation) for one
+// RunPullFull path (violations accounting after stabilisation) for one
 // deterministic and one randomised batch algorithm.
 func TestPullKernelMatchesReferenceFull(t *testing.T) {
 	for _, cell := range pullKernelGrid(t) {
@@ -116,7 +175,7 @@ func TestPullKernelMatchesReferenceFull(t *testing.T) {
 			continue
 		}
 		a := cell.build()
-		cfg := Config{
+		cfg := sim.PullConfig{
 			Alg:       a,
 			Faulty:    cell.faults,
 			Adv:       splitVote,
@@ -124,16 +183,16 @@ func TestPullKernelMatchesReferenceFull(t *testing.T) {
 			MaxRounds: 256,
 			StopEarly: false,
 		}
-		want, err := runReference(cfg)
+		want, err := sim.RunPullReference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunFull(cfg)
+		got, err := sim.RunPullFull(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("%s: RunFull diverged:\n  batch     %+v\n  reference %+v", cell.name, got, want)
+			t.Errorf("%s: RunPullFull diverged:\n  batch     %+v\n  reference %+v", cell.name, got, want)
 		}
 	}
 }
@@ -141,29 +200,27 @@ func TestPullKernelMatchesReferenceFull(t *testing.T) {
 // TestPullKernelObserverParity pins the batch path under an OnRound
 // observer (the unpooled scratch route) against the reference trace.
 func TestPullKernelObserverParity(t *testing.T) {
-	g, err := NewGossip(48, 4, 6, 8, 9)
+	g, err := pull.NewGossip(48, 6, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := func(ref bool) []uint64 {
 		var rows []uint64
-		cfg := Config{
+		cfg := sim.PullConfig{
 			Alg:       g,
-			Faulty:    pullSpread(48, 4),
+			Faulty:    spreadFaults(48, 4),
 			Adv:       adversary.Equivocate{},
 			Seed:      7,
 			MaxRounds: 64,
 			OnRound: func(round uint64, states []uint64, outputs []int) {
-				for _, s := range states {
-					rows = append(rows, s)
-				}
+				rows = append(rows, states...)
 			},
 		}
 		var runErr error
 		if ref {
-			_, runErr = runReference(cfg)
+			_, runErr = sim.RunPullReference(cfg)
 		} else {
-			_, runErr = RunFull(cfg)
+			_, runErr = sim.RunPullFull(cfg)
 		}
 		if runErr != nil {
 			t.Fatal(runErr)

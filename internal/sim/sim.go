@@ -1,23 +1,28 @@
-// Package sim is the synchronous full-information network simulator.
+// Package sim is the synchronous network simulator, for both message
+// models of the paper.
 //
-// It implements exactly the model of Section 2 of the paper: computation
+// The broadcast model is exactly the model of Section 2: computation
 // proceeds in lock-step rounds; in each round every processor broadcasts
 // its state, receives the vector of all n states, and applies its
-// transition function. Initial states are arbitrary (here: adversarially
-// seeded or uniformly random), and up to f Byzantine nodes may present
-// different states to different receivers, as chosen by an
-// adversary.Adversary.
+// transition function (Config, Run, RunFull). In the pulling model of
+// Section 5 each processor instead pulls the states of the few nodes it
+// chooses, and a run also measures the per-node message and bit
+// complexity (PullConfig, RunPullFull); the pulling-model algorithms
+// live in internal/pull. Initial states are arbitrary (here:
+// adversarially seeded or uniformly random), and up to f Byzantine
+// nodes may present different states to different receivers, as chosen
+// by an adversary.Adversary.
 //
-// The simulator also performs online stabilisation detection: it finds
-// the earliest round t such that from t onward all correct nodes output
-// the same value and increment it by one modulo c each round.
+// Both models run on one skeleton (rounds.go): validation, pooled
+// scratch, seed derivation, initial states and online stabilisation
+// detection — finding the earliest round t such that from t onward all
+// correct nodes output the same value and increment it by one modulo c
+// each round. A model supplies only its round function.
 package sim
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 
 	"github.com/synchcount/synchcount/internal/adversary"
 	"github.com/synchcount/synchcount/internal/alg"
@@ -100,10 +105,6 @@ type Config struct {
 	MemoAlg string
 }
 
-// errAborted is returned by Run/RunFull when Config.Abort requested an
-// early stop.
-var errAborted = errors.New("sim: run aborted")
-
 // Result reports the outcome of a run.
 type Result struct {
 	// Stabilised reports whether a correct-counting streak of at least
@@ -157,203 +158,55 @@ func RunFull(cfg Config) (Result, error) {
 // are bit-identical either way.
 func run(cfg Config) (Result, error) { return runMode(cfg, nil, true) }
 
-// roundFunc delivers one round of messages and steps every correct
-// node from sc.states into sc.next.
-type roundFunc func(a alg.Algorithm, adv adversary.Adversary, view *adversary.View, sc *runScratch, space uint64) error
-
-// runMode runs the simulation on the kernel, taking the bit-sliced
-// path when bitSlice is set and the algorithm qualifies, or — when
-// scalar is non-nil — on that round function alone, with the
-// bit-sliced path and fast-forward off. The test-only scalar reference
-// loop and vectorized-only kernel of export_test.go enter here.
+// runMode runs the broadcast model on the run skeleton: on the kernel,
+// taking the bit-sliced path when bitSlice is set and the algorithm
+// qualifies, or — when scalar is non-nil — on that round function
+// alone, with the bit-sliced path and fast-forward off. The test-only
+// scalar reference loop and vectorized-only kernel of export_test.go
+// enter here.
 func runMode(cfg Config, scalar roundFunc, bitSlice bool) (Result, error) {
 	a := cfg.Alg
-	if a == nil {
-		return Result{}, errors.New("sim: nil algorithm")
-	}
-	if cfg.MaxRounds == 0 {
-		return Result{}, errors.New("sim: MaxRounds must be positive")
-	}
-	n := a.N()
-	c := a.C()
-	if c < 2 {
-		return Result{}, fmt.Errorf("sim: algorithm has counter modulus %d < 2", c)
-	}
-	// The O(n) working set comes from the scratch pool so campaign
-	// trials reuse per-worker slices and RNGs instead of re-allocating
-	// them every run. Runs with an OnRound observer get private
-	// allocations: the observer sees the states/outputs slices and may
-	// retain them (trace recording), which recycling would corrupt.
-	var sc *runScratch
-	if cfg.OnRound == nil {
-		sc = getScratch(n)
-		defer putScratch(sc)
-	} else {
-		sc = newScratch(n)
-	}
-	faulty := sc.faulty
-	for _, i := range cfg.Faulty {
-		if i < 0 || i >= n {
-			return Result{}, fmt.Errorf("sim: faulty node %d out of range [0,%d)", i, n)
-		}
-		if faulty[i] {
-			return Result{}, fmt.Errorf("sim: faulty node %d listed twice", i)
-		}
-		faulty[i] = true
-	}
-	adv := cfg.Adv
-	if adv == nil {
-		adv = adversary.Equivocate{}
-	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultWindowFor(c)
-	}
-
-	// Independent, reproducible randomness streams. Deterministic
-	// algorithms never touch the per-node streams, so their (costly)
-	// reseeding is skipped — the node seeds are the tail of the master
-	// derivation, leaving all other streams bit-identical.
-	advBase := sc.seedAll(cfg.Seed, n, !alg.IsDeterministic(a))
-	initRng, advRng := sc.initRng, sc.advRng
-
-	space := a.StateSpace()
-	states := sc.states
-	if cfg.Init != nil {
-		if len(cfg.Init) != n {
-			return Result{}, fmt.Errorf("sim: Init has %d states, want %d", len(cfg.Init), n)
-		}
-		for i, s := range cfg.Init {
-			if s >= space {
-				return Result{}, fmt.Errorf("sim: Init[%d] = %d outside state space %d", i, s, space)
-			}
-			states[i] = s
-		}
-	} else {
-		for i := range states {
-			states[i] = uniformState(initRng, space)
-		}
-	}
-
-	next := sc.next
-	outputs := sc.outputs
-
-	correctCount := 0
-	for _, f := range faulty {
-		if !f {
-			correctCount++
-		}
-	}
-	res := Result{
-		Overloaded:       len(cfg.Faulty) > a.F(),
-		MessagesPerRound: uint64(correctCount) * uint64(n-1),
-		BitsPerRound:     uint64(correctCount) * uint64(n-1) * uint64(alg.StateBits(a)),
-	}
-
-	view := &adversary.View{
-		States: states,
-		Faulty: faulty,
-		Space:  space,
-		Rng:    advRng,
-	}
-	view.SetBaseSeed(advBase)
-
-	var batch alg.BatchStepper
-	var sliced alg.BitSliceStepper
-	var ff *ffEngine
-	if scalar == nil {
-		batch, _ = a.(alg.BatchStepper)
+	v, err := runRounds(&runSpec{
+		alg: a, faulty: cfg.Faulty, adv: cfg.Adv, seed: cfg.Seed,
+		maxRounds: cfg.MaxRounds, window: cfg.Window, init: cfg.Init,
+		stopEarly: cfg.StopEarly, onRound: cfg.OnRound, abort: cfg.Abort,
+	}, func(sc *runScratch, _ *adversary.View, adv adversary.Adversary) (roundFunc, *ffEngine) {
+		n := a.N()
+		sc.provisionStreams(n)
 		sc.preparePatches(n)
-		if bitSlice {
-			if bs, ok := a.(alg.BitSliceStepper); ok {
-				if bits := bs.SliceBits(); bits > 0 {
-					sliced = bs
-					sc.planes.Provision(n, bits, sc.faulty)
-				}
-			}
-		}
-		// The fast-forward engine only rides the kernel; the scalar
-		// reference loop stays the plain semantic baseline the
-		// differential suites compare both against.
-		if ff = sc.ff.arm(&cfg, adv, faulty); ff != nil {
-			defer sc.ff.disarm()
-		}
-	}
-
-	det := NewDetector(c, window)
-
-	for round := uint64(0); round < cfg.MaxRounds; round++ {
-		if cfg.Abort != nil && cfg.Abort() {
-			return Result{}, errAborted
-		}
-		if ff != nil {
-			if ring, ok := ff.probe(round, states); ok {
-				// The execution from this round on provably replays the
-				// recorded cycle: conclude detector semantics to
-				// MaxRounds analytically, bit-identical to simulating.
-				return finishFastForward(det, ring, round, &cfg, c, res), nil
-			}
-		}
-		// Observe outputs of the start-of-round configuration.
-		agree := true
-		common := -1
-		for i := 0; i < n; i++ {
-			outputs[i] = a.Output(i, states[i])
-			if faulty[i] {
-				continue
-			}
-			if common == -1 {
-				common = outputs[i]
-			} else if outputs[i] != common {
-				agree = false
-			}
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(round, states, outputs)
-		}
-		res.RoundsRun = round + 1
-		if det.Observe(round, agree, common) {
-			res.Stabilised = true
-			res.StabilisationTime = det.Time()
-			res.Violations = det.Violations()
-			if cfg.StopEarly {
-				return res, nil
-			}
-		}
-		if ff != nil {
-			ff.record(agree, common)
-		}
-
-		// Deliver messages and step every correct node.
-		view.Round = round
-		var err error
 		if scalar != nil {
-			err = scalar(a, adv, view, sc, space)
-		} else {
-			err = kernelRound(a, batch, sliced, adv, view, sc, space)
+			// The fast-forward engine only rides the kernel; the scalar
+			// reference loop stays the plain semantic baseline the
+			// differential suites compare both against.
+			return scalar, nil
 		}
-		if err != nil {
-			return Result{}, err
+		batch, _ := a.(alg.BatchStepper)
+		var sliced alg.BitSliceStepper
+		if bs, ok := a.(alg.BitSliceStepper); ok && bitSlice {
+			if bits := bs.SliceBits(); bits > 0 {
+				sliced = bs
+				sc.planes.Provision(n, bits, sc.faulty)
+			}
 		}
-		copy(states, next)
+		round := func(adv adversary.Adversary, view *adversary.View, sc *runScratch) error {
+			return kernelRound(a, batch, sliced, adv, view, sc)
+		}
+		return round, sc.ff.arm(&cfg, adv, sc.faulty)
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	res.Violations = det.Violations()
-	return res, nil
-}
-
-// uniformState draws a uniform initial state; see alg.UniformState for
-// the overflow-safe draw rule shared with the adversary package.
-func uniformState(rng *rand.Rand, space uint64) alg.State {
-	return alg.UniformState(rng, space)
-}
-
-// Stats aggregates stabilisation times across repeated runs.
-type Stats struct {
-	Trials     int
-	Stabilised int
-	MinTime    uint64
-	MaxTime    uint64
-	MeanTime   float64
+	n := uint64(a.N())
+	messages := (n - uint64(len(cfg.Faulty))) * (n - 1)
+	return Result{
+		Stabilised:        v.Stabilised,
+		StabilisationTime: v.StabilisationTime,
+		RoundsRun:         v.RoundsRun,
+		Violations:        v.Violations,
+		Overloaded:        len(cfg.Faulty) > a.F(),
+		MessagesPerRound:  messages,
+		BitsPerRound:      messages * uint64(alg.StateBits(a)),
+	}, nil
 }
 
 // RunMany runs the configuration across `trials` seeds derived from
@@ -365,9 +218,9 @@ type Stats struct {
 // Config may hold components that are not safe for concurrent use (the
 // greedy lookahead adversary caches per-round state); parallel callers
 // should build a Campaign with per-trial configs via CampaignScenarioFunc.
-func RunMany(cfg Config, trials int) (Stats, error) {
+func RunMany(cfg Config, trials int) (harness.Stats, error) {
 	if trials <= 0 {
-		return Stats{}, errors.New("sim: trials must be positive")
+		return harness.Stats{}, errors.New("sim: trials must be positive")
 	}
 	cfg.StopEarly = true
 	res, err := harness.Campaign{
@@ -377,14 +230,7 @@ func RunMany(cfg Config, trials int) (Stats, error) {
 		Scenarios: []harness.Scenario{CampaignScenario("runmany", cfg, trials)},
 	}.Run(context.Background())
 	if err != nil {
-		return Stats{}, err
+		return harness.Stats{}, err
 	}
-	s := res.Scenarios[0].Stats
-	return Stats{
-		Trials:     s.Trials,
-		Stabilised: s.Stabilised,
-		MinTime:    s.MinTime,
-		MaxTime:    s.MaxTime,
-		MeanTime:   s.MeanTime,
-	}, nil
+	return res.Scenarios[0].Stats, nil
 }

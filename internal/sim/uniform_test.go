@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/synchcount/synchcount/internal/alg"
 )
 
 // TestUniformStateHugeSpaces is the regression test for the Int63n
 // overflow: rng.Int63n(int64(space)) panics for spaces above 2^63
 // (int64(space) goes negative). Spaces up to 2^62 are what the codec
-// admits today, but uniformState must be total over the full uint64
+// admits today, but alg.UniformState must be total over the full uint64
 // range — the chain split already reaches the codec ceiling and the
 // next doubling crosses the Int63n boundary.
 func TestUniformStateHugeSpaces(t *testing.T) {
@@ -20,7 +22,7 @@ func TestUniformStateHugeSpaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, space := range spaces {
 		for i := 0; i < 2048; i++ {
-			s := uniformState(rng, space)
+			s := alg.UniformState(rng, space)
 			if s >= space {
 				t.Fatalf("space %d: drew %d out of range", space, s)
 			}
@@ -37,7 +39,7 @@ func TestUniformStateKeepsHistoricalStream(t *testing.T) {
 		b := rand.New(rand.NewSource(99))
 		for i := 0; i < 512; i++ {
 			want := uint64(a.Int63n(int64(space)))
-			if got := uniformState(b, space); got != want {
+			if got := alg.UniformState(b, space); got != want {
 				t.Fatalf("space %d draw %d: got %d, want %d (historical stream broken)", space, i, got, want)
 			}
 		}
@@ -51,7 +53,7 @@ func TestUniformStateDeterministic(t *testing.T) {
 	a := rand.New(rand.NewSource(5))
 	b := rand.New(rand.NewSource(5))
 	for i := 0; i < 512; i++ {
-		if x, y := uniformState(a, space), uniformState(b, space); x != y {
+		if x, y := alg.UniformState(a, space), alg.UniformState(b, space); x != y {
 			t.Fatalf("draw %d: %d != %d", i, x, y)
 		}
 	}

@@ -78,8 +78,6 @@ type (
 	SimConfig = sim.Config
 	// SimResult reports a broadcast-model run.
 	SimResult = sim.Result
-	// SimStats aggregates repeated runs.
-	SimStats = sim.Stats
 )
 
 // Simulate runs one broadcast-model simulation with early stop on
@@ -93,7 +91,7 @@ func SimulateFull(cfg SimConfig) (SimResult, error) { return sim.RunFull(cfg) }
 // SimulateMany aggregates stabilisation statistics across derived seeds.
 // It runs sequentially for compatibility; use a Campaign for parallel
 // trial execution and richer statistics.
-func SimulateMany(cfg SimConfig, trials int) (SimStats, error) { return sim.RunMany(cfg, trials) }
+func SimulateMany(cfg SimConfig, trials int) (CampaignStats, error) { return sim.RunMany(cfg, trials) }
 
 // Campaign engine (see internal/harness): a grid of scenarios executed
 // concurrently over a worker pool with deterministic per-trial seed
@@ -152,7 +150,7 @@ func SimScenarioFunc(name string, trials int, build func(trial int) (SimConfig, 
 // PullScenario adapts a pulling-model PullConfig to a campaign scenario
 // of `trials` trials.
 func PullScenario(name string, cfg PullConfig, trials int) Scenario {
-	return pull.CampaignScenario(name, cfg, trials)
+	return sim.PullCampaignScenario(name, cfg, trials)
 }
 
 // Recursive construction plans (see internal/recursion).
@@ -289,15 +287,16 @@ func Greedy(a Algorithm, inner Adversary, samples int) (Adversary, error) {
 	return adversary.NewGreedy(a, inner, samples)
 }
 
-// Pulling model (Section 5; see internal/pull).
+// Pulling model (Section 5; the run loop is internal/sim's, the
+// algorithms are internal/pull's).
 type (
 	// PullAlgorithm is a counting algorithm in the pulling model.
-	PullAlgorithm = pull.Algorithm
+	PullAlgorithm = sim.PullAlgorithm
 	// PullConfig configures a pulling-model run.
-	PullConfig = pull.Config
+	PullConfig = sim.PullConfig
 	// PullResult reports a pulling-model run, including per-node message
 	// complexity.
-	PullResult = pull.Result
+	PullResult = sim.PullResult
 	// SampledCounter is the randomised counter of Theorem 4 /
 	// Corollary 5.
 	SampledCounter = pull.SampledCounter
@@ -318,16 +317,15 @@ func Sampled(c *Counter, m int, pseudo bool, wireSeed int64) (*SampledCounter, e
 func PullBroadcast(a Algorithm) PullAlgorithm { return pull.Broadcast{A: a} }
 
 // NewGossip builds the fixed-wiring k-sample plurality c-counter on n
-// nodes: the million-node workload of the sparse pull kernel. f is the
-// fault budget recorded for reporting; wireSeed fixes the sampling
-// wiring (the Corollary 5 pattern).
-func NewGossip(n, f, c, k int, wireSeed int64) (*Gossip, error) {
-	return pull.NewGossip(n, f, c, k, wireSeed)
+// nodes: the million-node workload of the sparse pull kernel. wireSeed
+// fixes the sampling wiring (the Corollary 5 pattern).
+func NewGossip(n, c, k int, wireSeed int64) (*Gossip, error) {
+	return pull.NewGossip(n, c, k, wireSeed)
 }
 
 // SimulatePullFull runs a pulling-model simulation for exactly
 // MaxRounds.
-func SimulatePullFull(cfg PullConfig) (PullResult, error) { return pull.RunFull(cfg) }
+func SimulatePullFull(cfg PullConfig) (PullResult, error) { return sim.RunPullFull(cfg) }
 
 // Consensus from counting (see internal/reduction): the paper's intro
 // notes that counting and binary consensus are interconvertible; this is
