@@ -33,6 +33,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Smoke test: run every package's benchmarks once, so a benchmark that
+# no longer builds or fails its own checks breaks CI. It measures
+# nothing; the paper's experiments are the synchcount goldens and the
+# root integration tests.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/synchcount/synchcount"
 	"github.com/synchcount/synchcount/internal/live"
 	"github.com/synchcount/synchcount/internal/registry"
 )
@@ -70,6 +72,42 @@ func TestGolden(t *testing.T) {
 					strings.Join(tc.args, " "), path, got, want)
 			}
 		})
+	}
+}
+
+// TestScalingSection asserts the shape of table1's scaling section
+// (its figures are pinned by the table1 golden). Down the rows — the
+// Theorem 2 series at depths 1–6, then the Theorem 3 phase — resilience
+// grows while bound/F never rises (stabilisation time linear in f) and
+// neither do the state bits per log²(F+1) (space O(log² f)). The
+// section's last row says two Theorem 3 phases overflow.
+func TestScalingSection(t *testing.T) {
+	if _, err := synchcount.PlanVaryingK(2, 2); err == nil {
+		t.Error("the Theorem 3 plan with P=2 fits in 64-bit integers; give it a row")
+	}
+	rows, err := scalingRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Fatalf("%d scaling rows, want depths 1-6 and one Theorem 3 phase", len(rows))
+	}
+	perF := func(r scalingRow) float64 { return float64(r.st.TimeBound) / float64(r.st.F) }
+	perLog2F := func(r scalingRow) float64 {
+		l := math.Log2(float64(r.st.F + 1))
+		return float64(r.st.StateBits) / (l * l)
+	}
+	for i := 1; i < len(rows); i++ {
+		prev, cur := rows[i-1], rows[i]
+		if cur.st.F <= prev.st.F {
+			t.Errorf("%s -> %s: F %d -> %d does not grow", prev.plan, cur.plan, prev.st.F, cur.st.F)
+		}
+		if perF(cur) > perF(prev) {
+			t.Errorf("%s -> %s: bound/F rises %.0f -> %.0f", prev.plan, cur.plan, perF(prev), perF(cur))
+		}
+		if perLog2F(cur) > perLog2F(prev) {
+			t.Errorf("%s -> %s: bits/log²(F+1) rises %.2f -> %.2f", prev.plan, cur.plan, perLog2F(prev), perLog2F(cur))
+		}
 	}
 }
 

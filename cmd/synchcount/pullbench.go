@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // runPullbench is `synchcount pullbench`: it regenerates the Section 5
-// experiments (E7, E8), per-node message complexity and reliability of
+// experiments, per-node message complexity and reliability of
 // the sampled pulling-model counters of Theorem 4 and the pseudo-random
 // variant of Corollary 5, against the deterministic broadcast
 // embedding.
@@ -142,9 +143,9 @@ func runPullbench(args []string, stdout io.Writer) error {
 	// labelled by its sample size.
 	for _, sc := range result.Scenarios {
 		st := sc.Stats
-		fmt.Fprintf(out, "%-10s %-14d %-12d %-14s %-16.0f %-14d\n",
+		fmt.Fprintf(out, "%-10s %-14d %-12d %-14s %-16s %-14d\n",
 			strings.TrimPrefix(sc.Name, "M="), st.MaxPulls, st.BitsPerRound,
-			fmt.Sprintf("%d/%d", st.Stabilised, st.Trials), st.MeanTime, st.Violations)
+			fmt.Sprintf("%d/%d", st.Stabilised, st.Trials), meanTime(st, 0), st.Violations)
 	}
 
 	fmt.Fprintln(out)
@@ -244,9 +245,9 @@ func runScale(out io.Writer, scaleN string, k, c, trials int, seed int64, horiz 
 			nsPerRound = float64(wall.Nanoseconds()) / totalRounds
 		}
 		mbPerTrial := float64(after.TotalAlloc-before.TotalAlloc) / float64(1<<20) / float64(trials)
-		fmt.Fprintf(out, "%-10d %-8d %-8d %-12s %-10.1f %-14.0f %-12.1f\n",
+		fmt.Fprintf(out, "%-10d %-8d %-8d %-12s %-10s %-14.0f %-12.1f\n",
 			n, k, f, fmt.Sprintf("%d/%d", st.Stabilised, st.Trials),
-			st.MeanTime, nsPerRound, mbPerTrial)
+			meanTime(st, 1), nsPerRound, mbPerTrial)
 		if st.Stabilised != st.Trials {
 			over = append(over, fmt.Sprintf("cell %s: only %d/%d trials stabilised", cell, st.Stabilised, st.Trials))
 		}
@@ -262,4 +263,14 @@ func runScale(out io.Writer, scaleN string, k, c, trials int, seed int64, horiz 
 		return fmt.Errorf("scale gate failed:\n  %s", strings.Join(over, "\n  "))
 	}
 	return nil
+}
+
+// meanTime formats a scenario's mean stabilisation time with prec
+// decimals, or "—" when no trial stabilised and there is nothing to
+// average.
+func meanTime(st synchcount.CampaignStats, prec int) string {
+	if st.Stabilised == 0 {
+		return "—"
+	}
+	return strconv.FormatFloat(st.MeanTime, 'f', prec, 64)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // runSynth is `synchcount synth`: it re-runs the "computational
-// algorithm design" method of [4, 5] (E10). It exhaustively enumerates
+// algorithm design" method of [4, 5]. It exhaustively enumerates
 // restricted algorithm classes for the synchronous 2-counting problem
 // at small n and f, model-checks every candidate against all fault
 // sets, initial configurations and Byzantine strategies, and prints the

@@ -9,16 +9,17 @@ import (
 
 // TestFacadeExportsHaveCallers keeps the facade to one spelling per
 // capability. Every exported identifier of the root package must be
-// used by a caller — the examples, the integration and benchmark tests
-// (one external test package) or the command — or be named in the
-// signature of an export that is. A function that only forwards to a
-// method of its own parameter is a second spelling of that method and
-// is rejected even when it has callers.
+// used by a caller — the examples and the integration tests (one
+// external test package) or the command — or be named in the signature
+// of an export that is; the package's own internal tests do not count.
+// A function that only forwards to a method of its own parameter is a
+// second spelling of that method and is rejected even when it has
+// callers.
 func TestFacadeExportsHaveCallers(t *testing.T) {
 	const modPath = "github.com/synchcount/synchcount"
 	c := newCensus(".", modPath)
 	facade := c.load(t, modPath)
-	tests, err := c.check(modPath+"_test", []string{"example_test.go", "integration_test.go", "bench_test.go"})
+	tests, err := c.check(modPath+"_test", []string{"example_test.go", "integration_test.go"})
 	if err != nil {
 		t.Fatal(err)
 	}

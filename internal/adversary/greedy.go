@@ -16,8 +16,8 @@ import (
 // among correct nodes.
 //
 // It upper-bounds what a myopic omniscient attacker can do and is used
-// in the bound-tightness ablations (E5). It is NOT safe for concurrent
-// use: it caches one round's assignment at a time, matching the
+// in the bound-tightness integration tests. It is NOT safe for
+// concurrent use: it caches one round's assignment at a time, matching the
 // single-threaded simulators in this repository. For the same reason —
 // hidden mutable state plus draws from View.Rng — it deliberately does
 // NOT implement snapshottable: greedy runs never fast-forward.

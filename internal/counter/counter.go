@@ -13,10 +13,10 @@
 //     coins until a clear majority emerges, then follow it. One state bit,
 //     expected stabilisation time 2^Θ(n-f).
 //   - RandomizedBiased: a threshold-biased variant in the spirit of the
-//     randomised algorithm of [5] (see DESIGN.md; the exact algorithm of
-//     [5] is not printed in this paper, so this is a documented
-//     substitution preserving the qualitative behaviour: one or two state
-//     bits, faster-than-naive expected stabilisation for f << n).
+//     randomised algorithm of [5] (the exact algorithm of [5] is not
+//     printed in this paper, so this is a documented substitution
+//     preserving the qualitative behaviour: one or two state bits,
+//     faster-than-naive expected stabilisation for f << n).
 package counter
 
 import (

@@ -107,7 +107,14 @@ type Stats struct {
 	// TimeBound is the predicted stabilisation bound: the sum of the
 	// per-level overheads 3(F+2)(2m)^k (the trivial base has T = 0).
 	TimeBound uint64
-	// StateBits is the exact space complexity S of the final algorithm.
+	// StateBits is the space complexity S of the final algorithm, in
+	// one of two senses. Build reports the built counter's packed
+	// ⌈log₂|X|⌉ (alg.StateBits). PredictedStats, which builds nothing,
+	// reports Theorem 1's additive sum: ⌈log₂ c₀⌉ for the trivial base
+	// plus ⌈log₂(C+1)⌉ + 1 per level, where each level's fields are
+	// rounded up separately. The sum is never smaller; for the k = 4
+	// plans of depth 1–3 at modulus 2 it is one bit larger (15 against
+	// 14 at depth 1).
 	StateBits int
 	// StateSpace is |X| of the final algorithm.
 	StateSpace uint64

@@ -25,9 +25,9 @@
 //     the paper's Table 1;
 //   - a synchronous-network simulator with a Byzantine adversary suite
 //     and online stabilisation detection;
-//   - an exhaustive model checker and an algorithm synthesiser for small
-//     instances, reproducing the "computer-designed algorithms" method
-//     the paper builds upon.
+//   - an algorithm synthesiser that exhaustively model-checks every
+//     candidate on small instances, reproducing the "computer-designed
+//     algorithms" method the paper builds upon.
 //
 // Quick start:
 //
@@ -57,7 +57,6 @@ import (
 	"github.com/synchcount/synchcount/internal/registry"
 	"github.com/synchcount/synchcount/internal/sim"
 	"github.com/synchcount/synchcount/internal/synth"
-	"github.com/synchcount/synchcount/internal/verify"
 )
 
 // Core abstractions (see internal/alg for full documentation).
@@ -217,17 +216,14 @@ func PlanFixedK(k, depth, c int) (Plan, error) { return recursion.FixedK(k, dept
 func PlanVaryingK(phases, c int) (Plan, error) { return recursion.VaryingK(phases, c) }
 
 // PredictPlan computes a plan's parameters (N, F, time bound, state
-// bits) without instantiating it.
+// bits) without instantiating it. Its state bits are Theorem 1's
+// per-level sum, which can exceed the built counter's StateBits.
 func PredictPlan(p Plan) (PlanStats, error) { return recursion.PredictedStats(p) }
 
 // Baseline algorithms (Table 1 rows; see internal/counter).
 
 // TrivialCounter returns the 0-resilient single-node c-counter.
 func TrivialCounter(c int) (Algorithm, error) { return counter.NewTrivial(c) }
-
-// FaultFreeCounter returns the 0-resilient n-node c-counter that
-// stabilises in one round.
-func FaultFreeCounter(n, c int) (Algorithm, error) { return counter.NewMaxStep(n, c) }
 
 // RandomizedAgree returns the folklore randomised 2-counter of Table 1
 // rows [6,7]: one state bit, expected stabilisation 2^Θ(n-f).
@@ -346,22 +342,14 @@ func RepeatedConsensus(clock Algorithm, vals int, inputs ConsensusInput) (*Conse
 	return reduction.New(clock, vals, inputs)
 }
 
-// Verification and synthesis (see internal/verify, internal/synth).
+// Synthesis (see internal/synth; every candidate is model-checked by
+// internal/verify).
 type (
-	// VerifyOptions bound the exhaustive model checker.
-	VerifyOptions = verify.Options
-	// VerifyResult reports exact worst-case stabilisation time or a
-	// counterexample execution.
-	VerifyResult = verify.Result
 	// SynthOptions tune the synthesiser's exhaustive search.
 	SynthOptions = synth.Options
 	// SynthFound is one synthesised and verified counter.
 	SynthFound = synth.Found
 )
-
-// Verify exhaustively model-checks a small deterministic algorithm
-// against every fault set, initial configuration and Byzantine strategy.
-func Verify(a Algorithm, opts VerifyOptions) (VerifyResult, error) { return verify.Check(a, opts) }
 
 // Synthesise searches the anonymous single-bit algorithm class for
 // correct 2-counters on n nodes with resilience f, re-running the
