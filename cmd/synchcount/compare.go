@@ -19,7 +19,7 @@ import (
 //
 //	synchcount compare -algs ecount,theorem2 -f 3 -trials 50
 //	synchcount compare -algs ecount,ecount-chain,corollary1 -f 1 -adversaries silent,splitvote,equivocate
-//	synchcount compare -algs randagree,randbiased -c 2 -trials 200 -table cmp.csv
+//	synchcount compare -algs randagree -c 2 -trials 200 -table cmp.csv
 //
 // Large comparisons split across processes or machines and stream,
 // exactly like every other campaign subcommand:

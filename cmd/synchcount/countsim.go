@@ -30,9 +30,9 @@ import (
 func runCountsim(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("countsim", flag.ContinueOnError)
 	var (
-		algName   = fs.String("alg", "optimal", "algorithm: optimal | scalable | figure2 | randagree | randbiased")
-		f         = fs.Int("f", 1, "resilience (optimal, randagree, randbiased)")
-		n         = fs.Int("n", 4, "nodes (randagree, randbiased)")
+		algName   = fs.String("alg", "optimal", "algorithm: optimal | scalable | figure2 | randagree")
+		f         = fs.Int("f", 1, "resilience (optimal, randagree)")
+		n         = fs.Int("n", 4, "nodes (randagree)")
 		k         = fs.Int("k", 4, "blocks per level (scalable)")
 		depth     = fs.Int("depth", 2, "recursion depth (scalable)")
 		c         = fs.Int("c", 10, "counter modulus")
@@ -208,9 +208,6 @@ func buildAlgorithm(name string, n, f, k, depth, c int) (synchcount.Algorithm, *
 		return cnt, cnt, err
 	case "randagree":
 		a, err := synchcount.RandomizedAgree(n, f)
-		return a, nil, err
-	case "randbiased":
-		a, err := synchcount.RandomizedBiased(n, f)
 		return a, nil, err
 	default:
 		return nil, nil, fmt.Errorf("unknown algorithm %q", name)

@@ -259,6 +259,39 @@ func TestCountsimShardMerge(t *testing.T) {
 	}
 }
 
+// TestCountsimAlgorithms runs each -alg that no other test drives for
+// two trials, and checks that a name countsim does not build is
+// rejected rather than silently mapped to another stack.
+func TestCountsimAlgorithms(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    string
+		wantErr string
+	}{
+		{name: "scalable", args: "-alg scalable -k 4 -depth 1"},
+		{name: "figure2", args: "-alg figure2"},
+		{name: "randagree", args: "-alg randagree -n 4 -f 1"},
+		{name: "randbiased", args: "-alg randbiased -n 4 -f 1", wantErr: "unknown algorithm"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"countsim", "-trials", "2"}, strings.Fields(tc.args)...)
+			out, err := runCmd(args...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("countsim %s = %v, want an error containing %q", tc.args, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("countsim %s: %v", tc.args, err)
+			}
+			if !strings.Contains(out, "result      : 2/2 stabilised") {
+				t.Fatalf("countsim %s did not stabilise:\n%s", tc.args, out)
+			}
+		})
+	}
+}
+
 // TestCountsimMemoKeyedByBuild: a -memo file written by one build must
 // not change the results of another build that shares it. Optimal
 // resilience at c=8 and c=12 runs on the same four nodes, and without

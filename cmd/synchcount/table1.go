@@ -60,34 +60,29 @@ func runTable1(args []string, stdout io.Writer) error {
 	}
 
 	randomRows := []struct {
-		label  string
-		n, f   int
-		biased bool
+		label string
+		n, f  int
 	}{
-		{"randomised [6,7] (n=4,f=1)", 4, 1, false},
-		{"randomised [6,7] (n=7,f=2)", 7, 2, false},
-		{"randomised [6,7] (n=10,f=3)", 10, 3, false},
-		{"randomised [6,7] (n=13,f=4)", 13, 4, false},
-		{"randomised ~[5] biased (n=7,f=2)", 7, 2, true},
+		{"randomised [6,7] (n=4,f=1)", 4, 1},
+		{"randomised [6,7] (n=7,f=2)", 7, 2},
+		{"randomised [6,7] (n=10,f=3)", 10, 3},
+		{"randomised [6,7] (n=13,f=4)", 13, 4},
 	}
 	var rows []measuredRow
 	for _, r := range randomRows {
-		row, err := randomRow(*trials, *seed, r.label, r.n, r.f, r.biased)
+		row, err := randomRow(*trials, *seed, r.label, r.n, r.f)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
 	}
-	optRow, err := optimalRow(dist, *trials, *seed)
-	if err != nil {
-		return err
-	}
-	rows = append(rows, optRow)
+	// Depth 1 is Corollary 1 at f=1: recursion.Corollary1(1, 2) plans
+	// the same single k=4 level, so one row measures both.
 	for _, levels := range []struct {
 		label string
 		depth int
 	}{
-		{"this work A(4,1)", 1},
+		{"Corollary 1 = this work A(4,1)", 1},
 		{"this work A(12,3)", 2},
 		{"this work A(36,7) fig.2", 3},
 	} {
@@ -181,14 +176,8 @@ func runTable1(args []string, stdout io.Writer) error {
 	return printScaling(out)
 }
 
-func randomRow(trials int, seed int64, label string, n, f int, biased bool) (measuredRow, error) {
-	var a synchcount.Algorithm
-	var err error
-	if biased {
-		a, err = synchcount.RandomizedBiased(n, f)
-	} else {
-		a, err = synchcount.RandomizedAgree(n, f)
-	}
+func randomRow(trials int, seed int64, label string, n, f int) (measuredRow, error) {
+	a, err := synchcount.RandomizedAgree(n, f)
 	if err != nil {
 		return measuredRow{}, err
 	}
@@ -214,39 +203,6 @@ func randomRow(trials int, seed int64, label string, n, f int, biased bool) (mea
 		det:       "no",
 		suffix: func(st synchcount.CampaignStats) string {
 			return fmt.Sprintf("(measured, %d/%d trials)", st.Stabilised, st.Trials)
-		},
-	}, nil
-}
-
-func optimalRow(dist *campaigncli.Options, trials int, seed int64) (measuredRow, error) {
-	cnt, err := synchcount.OptimalResilience(1, 2)
-	if err != nil {
-		return measuredRow{}, err
-	}
-	bound, _ := synchcount.StabilisationBound(cnt)
-	init, err := cnt.WorstInit()
-	if err != nil {
-		return measuredRow{}, err
-	}
-	cfg := synchcount.SimConfig{
-		Alg:       cnt,
-		Faulty:    []int{0},
-		Adv:       synchcount.Saboteur(cnt),
-		Init:      init,
-		Seed:      seed,
-		MaxRounds: bound + 512,
-		Window:    128,
-		StopEarly: true,
-	}
-	dist.ApplySim(&cfg, "corollary1/n=4/f=1/c=2")
-	return measuredRow{
-		scenario:  synchcount.SimScenario("Corollary 1 (n=4,f=1)", cfg, trials),
-		label:     "Corollary 1 (n=4,f=1)",
-		resil:     "f<n/3",
-		stateBits: synchcount.StateBits(cnt),
-		det:       "yes",
-		suffix: func(synchcount.CampaignStats) string {
-			return fmt.Sprintf("(measured vs bound %d; saboteur+worst init)", bound)
 		},
 	}, nil
 }

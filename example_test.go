@@ -596,7 +596,7 @@ func Example_sharding() {
 
 // Example_registry lists the algorithm registry: every registered
 // stack, built from its default (n, f, c), with its predicted
-// stabilisation bound. The randomised baselines expose no bound.
+// stabilisation bound. The randomised baseline exposes no bound.
 func Example_registry() {
 	fmt.Printf("%-12s %4s %3s %4s  %s\n", "algorithm", "n", "f", "c", "bound")
 	for _, name := range synchcount.RegisteredAlgorithms() {
@@ -616,7 +616,6 @@ func Example_registry() {
 	// trivial         1   0   10  0
 	// maxstep         4   0   10  1
 	// randagree       4   1    2  -
-	// randbiased      4   1    2  -
 	// corollary1      4   1   10  2304
 	// theorem2       16   3   10  6144
 	// figure2        36   7   10  4992

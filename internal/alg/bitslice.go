@@ -207,7 +207,10 @@ func (pl *BitPlanes) ScatterRows(values [][]State, space uint64) {
 // StepAllSliced must be observationally identical to per-node Step on
 // the equivalent horizontal inputs — same next states, same per-node
 // rng draw order (receivers ascending) — which the kernel differential
-// suite pins against the scalar reference.
+// suite pins against the scalar reference. The implementations are the
+// counter package's trivial, MaxStep and RandomizedAgree counters; the
+// recursive constructions pack wide multi-field states and stay on
+// BatchStepper.
 type BitSliceStepper interface {
 	Algorithm
 	// SliceBits reports how many bit-planes this instance needs, or 0

@@ -1,59 +1,20 @@
 package alg
 
-// Configuration capture and hashing for the simulator's
-// periodicity-aware fast-forward engine (internal/sim).
+// Configuration hashing for the simulator's periodicity-aware
+// fast-forward engine (internal/sim).
 //
 // A deterministic algorithm under a snapshottable adversary evolves the
 // global configuration as a pure function, so every trajectory is
 // eventually periodic. The engine detects the cycle by hashing the
 // configuration every round and fast-forwards the verification tail
-// analytically. Two pieces live here because they belong to the
-// algorithm formalism, not the simulator:
+// analytically. The configuration is the dense state vector alone: the
+// (X, g, h) formalism makes per-node state explicit — Step is a pure
+// function of the received vector.
 //
-//   - configCapturer, the Snapshot/Restore-style hook for algorithms
-//     whose configuration is not fully explicit in the dense state
-//     vector. The (X, g, h) formalism makes per-node state explicit —
-//     Step is a pure function of the received vector — so every
-//     built-in construction needs nothing; the hook exists so a future
-//     algorithm carrying hidden per-node words can still opt into
-//     fast-forwarding instead of being silently mis-cycled.
-//   - HashConfig / hashConfigWord, the cheap incremental configuration
-//     hash. Collisions are harmless — the engine verifies every hash
-//     match by full configuration comparison before trusting it — so
-//     the hash only needs to be fast and well-mixed, not
-//     cryptographic.
-
-// configCapturer is implemented by algorithms whose full configuration
-// is not the explicit state vector alone. AppendConfig appends every
-// hidden word that influences future transitions to dst and returns
-// the extended slice; the fast-forward engine includes the words in
-// configuration hashing and in the full comparison that verifies cycle
-// candidates. The number of appended words must be constant for a
-// given algorithm instance, and restoring the appended words plus the
-// state vector must fully determine the future execution.
-//
-// Appended words must not depend on the identity or stored states of
-// faulty nodes: the engine canonicalises faulty slots so that
-// trajectories agreeing on the correct nodes can merge across trials.
-//
-// None of the built-in constructions implement it: the alg.State
-// encoding already carries the complete per-node state.
-type configCapturer interface {
-	AppendConfig(dst []State) []State
-}
-
-// AppendConfig appends the full configuration of a run — the state
-// vector plus any hidden words the algorithm exposes through
-// configCapturer — to dst and returns the extended slice. This is the
-// configuration the fast-forward engine hashes, checkpoints and
-// compares.
-func AppendConfig(a Algorithm, states []State, dst []State) []State {
-	dst = append(dst, states...)
-	if cc, ok := a.(configCapturer); ok {
-		dst = cc.AppendConfig(dst)
-	}
-	return dst
-}
+// HashConfig / hashConfigWord are the cheap incremental configuration
+// hash. Collisions are harmless — the engine verifies every hash match
+// by full configuration comparison before trusting it — so the hash
+// only needs to be fast and well-mixed, not cryptographic.
 
 // configHashOffset/configHashPrime are the FNV-1a 64-bit parameters;
 // each word is avalanched through a splitmix64-style finalizer before

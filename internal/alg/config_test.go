@@ -56,41 +56,3 @@ func TestHashConfigSensitivity(t *testing.T) {
 		t.Fatal("prefix collided with the full vector")
 	}
 }
-
-// appendAlg is a stub algorithm with hidden configuration words.
-type appendAlg struct {
-	Algorithm
-	hidden []State
-}
-
-func (a appendAlg) AppendConfig(dst []State) []State { return append(dst, a.hidden...) }
-
-// plainAlg implements Algorithm minimally and carries no hidden state.
-type plainAlg struct{}
-
-func (plainAlg) N() int                              { return 2 }
-func (plainAlg) F() int                              { return 0 }
-func (plainAlg) C() int                              { return 2 }
-func (plainAlg) StateSpace() uint64                  { return 2 }
-func (plainAlg) Step(int, []State, *rand.Rand) State { return 0 }
-func (plainAlg) Output(int, State) int               { return 0 }
-
-// TestAppendConfig checks the capture helper: the explicit state
-// vector always leads, and configCapturer words follow when the
-// algorithm exposes them.
-func TestAppendConfig(t *testing.T) {
-	states := []State{4, 5}
-	plain := AppendConfig(plainAlg{}, states, nil)
-	if len(plain) != 2 || plain[0] != 4 || plain[1] != 5 {
-		t.Fatalf("plain capture = %v, want [4 5]", plain)
-	}
-	withHidden := AppendConfig(appendAlg{plainAlg{}, []State{9}}, states, nil)
-	if len(withHidden) != 3 || withHidden[2] != 9 {
-		t.Fatalf("hidden capture = %v, want [4 5 9]", withHidden)
-	}
-	// dst reuse must append, not clobber.
-	reused := AppendConfig(plainAlg{}, states, make([]State, 0, 8))
-	if len(reused) != 2 {
-		t.Fatalf("reused capture = %v", reused)
-	}
-}

@@ -40,7 +40,6 @@ func TestBatchStepMatchesStep(t *testing.T) {
 	trivial, _ := NewTrivial(6)
 	maxstep, _ := NewMaxStep(7, 5)
 	agree, _ := NewRandomizedAgree(10, 3)
-	biased, _ := NewRandomizedBiased(10, 3)
 	for _, tc := range []struct {
 		name string
 		a    alg.Algorithm
@@ -48,7 +47,6 @@ func TestBatchStepMatchesStep(t *testing.T) {
 		{"trivial", trivial},
 		{"maxstep", maxstep},
 		{"randagree", agree},
-		{"randbiased", biased},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.a

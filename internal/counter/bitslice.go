@@ -20,7 +20,6 @@ var (
 	_ alg.BitSliceStepper = (*Trivial)(nil)
 	_ alg.BitSliceStepper = (*MaxStep)(nil)
 	_ alg.BitSliceStepper = (*RandomizedAgree)(nil)
-	_ alg.BitSliceStepper = (*RandomizedBiased)(nil)
 )
 
 // sliceBitsFor returns the plane count for a modulus-c state space, or
@@ -244,68 +243,6 @@ func (r *RandomizedAgree) StepAllSliced(next []alg.State, pl *alg.BitPlanes, p *
 				next[base+i] = 1
 			case m0&lane != 0:
 				next[base+i] = 0
-			default:
-				next[base+i] = uint64(rngs[base+i].Intn(2))
-			}
-		}
-	}
-}
-
-// SliceBits implements alg.BitSliceStepper: one state bit.
-func (r *RandomizedBiased) SliceBits() int { return 1 }
-
-// StepAllSliced implements alg.BitSliceStepper (see
-// RandomizedAgree.StepAllSliced); the weaker n-2f thresholds become
-// two more bit-sliced comparisons against the same vertical counts.
-func (r *RandomizedBiased) StepAllSliced(next []alg.State, pl *alg.BitPlanes, p *alg.Patches, rngs []*rand.Rand) {
-	ones := alg.PopcountMasked(pl.State[0], pl.Correct)
-	zeros := pl.CorrectCount - ones
-	nf := pl.NumFaulty
-	t1 := zeros + nf - (r.n - r.f)   // zeros >= n-f   iff k <= t1
-	t0 := (r.n - r.f) - ones         // ones  >= n-f   iff k >= t0
-	tz := zeros + nf - (r.n - 2*r.f) // zeros >= n-2f  iff k <= tz
-	to := (r.n - 2*r.f) - ones       // ones  >= n-2f  iff k >= to
-	width := bits.Len(uint(nf))
-	var cntArr [16]uint64
-	for w := 0; w < pl.W; w++ {
-		col := pl.Correct[w]
-		if col == 0 {
-			continue
-		}
-		cnt := cntArr[:width]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		verticalCounts(cnt, pl, w)
-		m1 := laneLE(cnt, t1, nf) & col
-		m0 := laneGE(cnt, t0, nf) &^ m1 & col
-		mz := laneLE(cnt, tz, nf) & col // zeros >= n-2f
-		mo := laneGE(cnt, to, nf) & col // ones  >= n-2f
-		bz := mz &^ mo &^ m1 &^ m0
-		bo := mo &^ mz &^ m1 &^ m0
-		base := w << 6
-		for mask := col; mask != 0; mask &= mask - 1 {
-			i := bits.TrailingZeros64(mask)
-			lane := uint64(1) << uint(i)
-			switch {
-			case m1&lane != 0:
-				next[base+i] = 1
-			case m0&lane != 0:
-				next[base+i] = 0
-			case bz&lane != 0:
-				rng := rngs[base+i]
-				if rng.Intn(4) < 3 {
-					next[base+i] = 1
-				} else {
-					next[base+i] = uint64(rng.Intn(2))
-				}
-			case bo&lane != 0:
-				rng := rngs[base+i]
-				if rng.Intn(4) < 3 {
-					next[base+i] = 0
-				} else {
-					next[base+i] = uint64(rng.Intn(2))
-				}
 			default:
 				next[base+i] = uint64(rngs[base+i].Intn(2))
 			}

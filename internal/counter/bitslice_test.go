@@ -147,11 +147,6 @@ func TestRandomizedSlicedMatchesStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		stepPair(t, fmt.Sprintf("randagree n=%d f=%d nf=%d trial=%d", n, f, nf, trial), agree, rng, agree.N(), nf)
-		biased, err := NewRandomizedBiased(maxInt(n, 3*f+1), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stepPair(t, fmt.Sprintf("randbiased n=%d f=%d nf=%d trial=%d", n, f, nf, trial), biased, rng, biased.N(), nf)
 	}
 }
 

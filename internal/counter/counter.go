@@ -1,6 +1,6 @@
 // Package counter provides the base-case synchronous counters from which
 // the paper's recursive construction starts, plus the randomised baseline
-// algorithms of Table 1.
+// algorithm of Table 1.
 //
 // Base cases:
 //   - Trivial: the 0-resilient 1-node counter ("trivial counters for n = 1
@@ -8,15 +8,14 @@
 //   - MaxStep: a 0-resilient n-node counter stabilising in one round, used
 //     as a fast fault-free substrate and as a model-checker fixture.
 //
-// Randomised baselines (2-counting):
+// Randomised baseline (2-counting):
 //   - RandomizedAgree: the folklore algorithm of Table 1 rows [6,7] — flip
 //     coins until a clear majority emerges, then follow it. One state bit,
 //     expected stabilisation time 2^Θ(n-f).
-//   - RandomizedBiased: a threshold-biased variant in the spirit of the
-//     randomised algorithm of [5] (the exact algorithm of [5] is not
-//     printed in this paper, so this is a documented substitution
-//     preserving the qualitative behaviour: one or two state bits,
-//     faster-than-naive expected stabilisation for f << n).
+//
+// These three counters are the only implementations of
+// alg.BitSliceStepper (bitslice.go): the simulator's bit-sliced path
+// serves trivial, maxstep and randagree and nothing else.
 package counter
 
 import (
@@ -193,66 +192,6 @@ func (r *RandomizedAgree) Output(_ int, s uint64) int { return int(s % 2) }
 
 // Deterministic implements alg.Deterministic.
 func (r *RandomizedAgree) Deterministic() bool { return false }
-
-// RandomizedBiased is a threshold-biased randomised 2-counter in the
-// spirit of [5]: when no n-f unanimity exists but exactly one value
-// reaches the weaker threshold n-2f (i.e. it could be the value of a
-// correct majority), the node follows that value with probability 3/4.
-// This biases the random walk toward agreement and depends on f rather
-// than n-f, mirroring the min{2^(2f+2)+1, ...} behaviour of [5].
-type RandomizedBiased struct {
-	n, f int
-}
-
-// NewRandomizedBiased returns the biased baseline for n nodes tolerating
-// f < n/3 faults.
-func NewRandomizedBiased(n, f int) (*RandomizedBiased, error) {
-	if err := checkResilience(n, f); err != nil {
-		return nil, err
-	}
-	return &RandomizedBiased{n: n, f: f}, nil
-}
-
-// N implements alg.Algorithm.
-func (r *RandomizedBiased) N() int { return r.n }
-
-// F implements alg.Algorithm.
-func (r *RandomizedBiased) F() int { return r.f }
-
-// C implements alg.Algorithm.
-func (r *RandomizedBiased) C() int { return 2 }
-
-// StateSpace implements alg.Algorithm.
-func (r *RandomizedBiased) StateSpace() uint64 { return 2 }
-
-// Step implements alg.Algorithm.
-func (r *RandomizedBiased) Step(_ int, recv []uint64, rng *rand.Rand) uint64 {
-	zeros, ones := bitCounts(recv)
-	switch {
-	case zeros >= r.n-r.f:
-		return 1
-	case ones >= r.n-r.f:
-		return 0
-	case zeros >= r.n-2*r.f && ones < r.n-2*r.f:
-		if rng.Intn(4) < 3 {
-			return 1
-		}
-		return uint64(rng.Intn(2))
-	case ones >= r.n-2*r.f && zeros < r.n-2*r.f:
-		if rng.Intn(4) < 3 {
-			return 0
-		}
-		return uint64(rng.Intn(2))
-	default:
-		return uint64(rng.Intn(2))
-	}
-}
-
-// Output implements alg.Algorithm.
-func (r *RandomizedBiased) Output(_ int, s uint64) int { return int(s % 2) }
-
-// Deterministic implements alg.Deterministic.
-func (r *RandomizedBiased) Deterministic() bool { return false }
 
 func bitCounts(recv []uint64) (zeros, ones int) {
 	for _, s := range recv {

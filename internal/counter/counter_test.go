@@ -163,10 +163,10 @@ func TestRandomizedValidation(t *testing.T) {
 	if _, err := NewRandomizedAgree(4, -1); err == nil {
 		t.Error("negative f should fail")
 	}
-	if _, err := NewRandomizedBiased(6, 2); err == nil {
+	if _, err := NewRandomizedAgree(6, 2); err == nil {
 		t.Error("n=6,f=2 violates f<n/3 and should fail")
 	}
-	if _, err := NewRandomizedBiased(7, 2); err != nil {
+	if _, err := NewRandomizedAgree(7, 2); err != nil {
 		t.Errorf("n=7,f=2 should be accepted: %v", err)
 	}
 }
@@ -192,23 +192,6 @@ func TestRandomizedAgreePersistence(t *testing.T) {
 	}
 }
 
-func TestRandomizedBiasedPersistence(t *testing.T) {
-	r, err := NewRandomizedBiased(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
-		bit := uint64(trial % 2)
-		recv := []uint64{bit, bit, bit, uint64(rng.Intn(2))}
-		for node := 0; node < 3; node++ {
-			if got := r.Step(node, recv, rng); got != (bit+1)%2 {
-				t.Fatalf("trial %d node %d: Step = %d, want %d", trial, node, got, (bit+1)%2)
-			}
-		}
-	}
-}
-
 func TestRandomizedBothThresholdsImpossible(t *testing.T) {
 	// With f < n/3 the two unanimity thresholds cannot both fire; this is
 	// the property that makes the deterministic branch well defined.
@@ -227,9 +210,5 @@ func TestRandomizedOutputs(t *testing.T) {
 	}
 	if alg.IsDeterministic(r) {
 		t.Error("RandomizedAgree must not claim determinism")
-	}
-	b, _ := NewRandomizedBiased(4, 1)
-	if b.Output(0, 1) != 1 {
-		t.Error("RandomizedBiased output must be the state bit")
 	}
 }

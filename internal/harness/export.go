@@ -23,13 +23,13 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // WriteJSONFile writes the JSON export to path, creating or atomically replacing
 // the file.
 func (r *Result) WriteJSONFile(path string) error {
-	return writeFile(path, r.WriteJSON)
+	return AtomicWriteFile(path, r.WriteJSON)
 }
 
 // WriteCSVFile writes the CSV export to path, creating or atomically replacing
 // the file.
 func (r *Result) WriteCSVFile(path string) error {
-	return writeFile(path, r.WriteCSV)
+	return AtomicWriteFile(path, r.WriteCSV)
 }
 
 // WriteNDJSON renders one newline-delimited JSON record per trial, in
@@ -42,7 +42,7 @@ func (r *Result) WriteNDJSON(w io.Writer) error {
 // WriteNDJSONFile writes the NDJSON export to path, creating or
 // atomically replacing the file.
 func (r *Result) WriteNDJSONFile(path string) error {
-	return writeFile(path, r.WriteNDJSON)
+	return AtomicWriteFile(path, r.WriteNDJSON)
 }
 
 // Replay emits the result's trials to the sinks in deterministic order
@@ -132,19 +132,13 @@ func ReadJSONFile(path string) (*Result, error) {
 	return res, nil
 }
 
-// writeFile writes an export atomically: the bytes land in a temp file
-// in the destination's directory and are renamed into place only after
-// a successful write and close. A failed or interrupted export can
-// therefore never destroy the previous artifact at path — os.Create
-// would have truncated it before the first byte was written.
-func writeFile(path string, write func(io.Writer) error) error {
-	return AtomicWriteFile(path, write)
-}
-
 // AtomicWriteFile writes the output of write to path via a temp file in
 // the same directory and an atomic rename, so a failure at any point
 // leaves any existing file at path untouched. The temp file is removed
-// on failure.
+// on failure. Every export is written this way: the bytes are renamed
+// into place only after a successful write and close, so a failed or
+// interrupted export can never destroy the previous artifact at path —
+// os.Create would have truncated it before the first byte was written.
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -153,17 +153,6 @@ func init() {
 		return counter.NewRandomizedAgree(p.N, p.F)
 	})
 
-	// Threshold-biased randomised 2-counter (Table 1 row [5] spirit).
-	register(&spec{
-		Name:    "randbiased",
-		Default: Params{N: 4, F: 1, C: 2},
-	}, func(p Params) (alg.Algorithm, error) {
-		if p.C != 2 {
-			return nil, fmt.Errorf("randbiased counts modulo 2, not %d", p.C)
-		}
-		return counter.NewRandomizedBiased(p.N, p.F)
-	})
-
 	// Source paper Corollary 1: optimal resilience on n = 3f+1, time f^O(f).
 	register(&spec{
 		Name:    "corollary1",

@@ -14,7 +14,7 @@ func TestNamesAndLookup(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("registry is empty")
 	}
-	for _, want := range []string{"trivial", "maxstep", "randagree", "randbiased", "corollary1", "theorem2", "figure2", "ecount", "ecount-chain"} {
+	for _, want := range []string{"trivial", "maxstep", "randagree", "corollary1", "theorem2", "figure2", "ecount", "ecount-chain"} {
 		if _, err := byName(want); err != nil {
 			t.Errorf("byName(%q): %v", want, err)
 		}

@@ -22,10 +22,6 @@ var Cells = map[string][]registry.Params{
 		{N: 4, F: 1, C: 2},
 		{N: 7, F: 2, C: 2},
 	},
-	"randbiased": {
-		{N: 4, F: 1, C: 2},
-		{N: 7, F: 2, C: 2},
-	},
 	"corollary1": {
 		{F: 1, C: 4},
 	},

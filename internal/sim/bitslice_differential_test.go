@@ -41,7 +41,6 @@ func bitsliceCells(t *testing.T) []struct {
 		{"randagree_n64_f15", mk(counter.NewRandomizedAgree(64, 15)), spreadFaults(64, 15)},
 		{"randagree_n65_f21", mk(counter.NewRandomizedAgree(65, 21)), spreadFaults(65, 21)},
 		{"randagree_n192_f63", mk(counter.NewRandomizedAgree(192, 63)), spreadFaults(192, 63)},
-		{"randbiased_n100_f33", mk(counter.NewRandomizedBiased(100, 33)), spreadFaults(100, 33)},
 		{"maxstep_n129_c2", mk(counter.NewMaxStep(129, 2)), nil},
 		{"maxstep_n256_c10", mk(counter.NewMaxStep(256, 10)), nil},
 		{"maxstep_n256_c10_overload5", mk(counter.NewMaxStep(256, 10)), spreadFaults(256, 5)},
@@ -101,10 +100,9 @@ func TestBitslicedMatchesReferenceLarger(t *testing.T) {
 // and must not claim the capability.
 func TestBitsliceCapability(t *testing.T) {
 	sliceable := map[string]bool{
-		"trivial":    true,
-		"maxstep":    true,
-		"randagree":  true,
-		"randbiased": true,
+		"trivial":   true,
+		"maxstep":   true,
+		"randagree": true,
 	}
 	for _, name := range registry.Names() {
 		a, err := registry.Build(name, registry.Params{})

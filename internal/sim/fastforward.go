@@ -13,8 +13,8 @@ import (
 //
 // A deterministic algorithm (alg.IsDeterministic) under a snapshottable
 // adversary with a finite period (adversary.SnapshotPeriodOf) evolves
-// the global configuration — the state vector plus any hidden words the
-// algorithm exposes through alg.AppendConfig — as a pure function of
+// the global configuration — the state vector, which the (X, g, h)
+// formalism makes the complete per-node state — as a pure function of
 // (configuration, round mod period). Every such trajectory is
 // eventually periodic, yet long-horizon RunFull verification tails and
 // count-mod-c-forever replays grind through every round of the cycle.
@@ -78,7 +78,6 @@ const (
 // ffEngine is the per-run fast-forward state. It lives in runScratch
 // so its buffers recycle with the rest of the working set.
 type ffEngine struct {
-	alg    alg.Algorithm
 	faulty []bool
 	period uint64
 	memo   *harness.TrajectoryMemo
@@ -125,7 +124,6 @@ func (ff *ffEngine) arm(cfg *Config, adv adversary.Adversary, faulty []bool) *ff
 	if !ok {
 		return nil
 	}
-	ff.alg = cfg.Alg
 	ff.faulty = faulty
 	ff.period = p
 	ff.dead = false
@@ -146,9 +144,8 @@ func (ff *ffEngine) arm(cfg *Config, adv adversary.Adversary, faulty []bool) *ff
 }
 
 // disarm drops references that would otherwise be retained by the
-// scratch pool across campaigns (the algorithm and the memo).
+// scratch pool across campaigns (the fault mask and the memo).
 func (ff *ffEngine) disarm() {
-	ff.alg = nil
 	ff.faulty = nil
 	ff.memo = nil
 	ff.key = harness.TrajectoryKey{}
@@ -180,7 +177,7 @@ func (ff *ffEngine) probe(round uint64, states []alg.State) ([]harness.Trajector
 	if ff.dead {
 		return nil, false
 	}
-	ff.cur = alg.AppendConfig(ff.alg, states, ff.cur[:0])
+	ff.cur = append(ff.cur[:0], states...)
 	// Canonicalise the faulty slots: a Byzantine node's stored state is
 	// frozen at its (seed-dependent) initial draw and provably inert —
 	// the kernel patches every faulty slot with the adversary's choice

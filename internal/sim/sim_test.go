@@ -98,26 +98,6 @@ func TestRandomizedAgreeStabilisesUnderEveryAdversary(t *testing.T) {
 	}
 }
 
-func TestRandomizedBiasedStabilises(t *testing.T) {
-	r, err := counter.NewRandomizedBiased(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunMany(Config{
-		Alg:       r,
-		Faulty:    []int{1, 5},
-		Adv:       splitVote,
-		Seed:      99,
-		MaxRounds: 50000,
-	}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stabilised < 9 {
-		t.Errorf("only %d/10 trials stabilised", res.Stabilised)
-	}
-}
-
 // stuckAlg agrees instantly but never increments: stabilisation detection
 // must reject it.
 type stuckAlg struct{}

@@ -149,7 +149,6 @@ func TestPersistenceOfBaselines(t *testing.T) {
 		{"maxstep", func() (alg.Algorithm, error) { return counter.NewMaxStep(4, 5) }},
 		{"randomized-agree", func() (alg.Algorithm, error) { return counter.NewRandomizedAgree(4, 1) }},
 		{"randomized-agree-7-2", func() (alg.Algorithm, error) { return counter.NewRandomizedAgree(7, 2) }},
-		{"randomized-biased", func() (alg.Algorithm, error) { return counter.NewRandomizedBiased(7, 2) }},
 	}
 	for _, tc := range algs {
 		t.Run(tc.name, func(t *testing.T) {

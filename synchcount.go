@@ -229,10 +229,6 @@ func TrivialCounter(c int) (Algorithm, error) { return counter.NewTrivial(c) }
 // rows [6,7]: one state bit, expected stabilisation 2^Θ(n-f).
 func RandomizedAgree(n, f int) (Algorithm, error) { return counter.NewRandomizedAgree(n, f) }
 
-// RandomizedBiased returns the threshold-biased randomised 2-counter in
-// the spirit of Table 1 row [5].
-func RandomizedBiased(n, f int) (Algorithm, error) { return counter.NewRandomizedBiased(n, f) }
-
 // Follow-up constructions (arXiv:1508.02535; see internal/ecount) and
 // the algorithm registry (see internal/registry).
 type (
