@@ -192,13 +192,66 @@ func TestRandomizedAgreePersistence(t *testing.T) {
 	}
 }
 
+// TestRandomizedBothThresholdsImpossible steps RandomizedAgree on every
+// split of n received bits for n = 4..13 at f = (n-1)/3. With f < n/3 at
+// most one unanimity threshold fires, so a split that reaches one must
+// step to that side's successor whatever the coin would say: n-f or more
+// zeros give 1, n-f or more ones give 0.
 func TestRandomizedBothThresholdsImpossible(t *testing.T) {
-	// With f < n/3 the two unanimity thresholds cannot both fire; this is
-	// the property that makes the deterministic branch well defined.
 	for n := 4; n <= 13; n++ {
 		f := (n - 1) / 3
-		if 2*(n-f) <= n {
-			t.Fatalf("n=%d f=%d: thresholds can overlap — model violation", n, f)
+		r, err := NewRandomizedAgree(n, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for zeros := 0; zeros <= n; zeros++ {
+			var want uint64
+			switch {
+			case zeros >= n-f:
+				want = 1
+			case n-zeros >= n-f:
+				want = 0
+			default:
+				continue
+			}
+			recv := make([]uint64, n)
+			for i := zeros; i < n; i++ {
+				recv[i] = 1
+			}
+			for seed := int64(0); seed < 16; seed++ {
+				if got := r.Step(0, recv, rand.New(rand.NewSource(seed))); got != want {
+					t.Fatalf("n=%d f=%d zeros=%d seed=%d: Step = %d, want %d", n, f, zeros, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomizedCoinBelowThreshold: when neither value reaches n-f, the
+// node flips a fair coin, so over many draws both bits appear in roughly
+// equal numbers.
+func TestRandomizedCoinBelowThreshold(t *testing.T) {
+	for n := 4; n <= 13; n++ {
+		f := (n - 1) / 3
+		r, err := NewRandomizedAgree(n, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every split that reaches neither threshold: more than f of each bit.
+		for zeros := f + 1; zeros < n-f; zeros++ {
+			recv := make([]uint64, n)
+			for i := zeros; i < n; i++ {
+				recv[i] = 1
+			}
+			rng := rand.New(rand.NewSource(int64(n*100 + zeros)))
+			ones := 0
+			const draws = 400
+			for d := 0; d < draws; d++ {
+				ones += int(r.Step(0, recv, rng))
+			}
+			if ones < draws/4 || ones > 3*draws/4 {
+				t.Fatalf("n=%d f=%d zeros=%d: %d/%d ones, want a fair coin", n, f, zeros, ones, draws)
+			}
 		}
 	}
 }
