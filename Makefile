@@ -4,13 +4,13 @@
 GO ?= go
 
 # PR number stamped into the benchmark-trajectory artifact BENCH_$(PR).json.
-PR ?= 32
+PR ?= 33
 
 # Benchmark selector for the trajectory artifacts and the CI gates:
 # the kernel Reference/Vectorized pairs, the fast-forward Off/On pairs,
 # the pulling-model Reference/Sparse pairs, the bit-sliced
 # Reference/Sliced pairs, and the unpaired live round-engine and
-# resultdb ingest cells (recorded in the artifact only).
+# resultdb ingest and query cells (recorded in the artifact only).
 BENCH_PATTERN = ^Benchmark(Kernel|FF|Pull|Bitslice|Live|Store)_
 BENCH_PKGS = ./internal/sim ./internal/live ./internal/resultdb
 
@@ -46,7 +46,7 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Full kernel + fast-forward + pull + bitslice + live + resultdb ingest
+# Full kernel + fast-forward + pull + bitslice + live + resultdb ingest/query
 # benchmark run, recorded as the repo's benchmark trajectory artifact
 # (BENCH_$(PR).json; override with PR=n).
 bench-json:
@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalTrialRecord$$' -fuzztime=10s -fuzzminimizetime=0s ./internal/harness
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmentEncoding$$' -fuzztime=10s -fuzzminimizetime=0s ./internal/resultdb
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenStore$$' -fuzztime=10s -fuzzminimizetime=0s ./internal/resultdb
+	$(GO) test -run='^$$' -fuzz='^FuzzQueryMatchesReference$$' -fuzztime=10s -fuzzminimizetime=0s ./internal/resultdb
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadTrajectoryMemo$$' -fuzztime=10s -fuzzminimizetime=0s ./internal/sim
 
 # The smoke targets below build the synchcount binary once into their

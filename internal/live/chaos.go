@@ -56,7 +56,10 @@ type Event struct {
 // windows suppress frames crossing the group cut; loss windows decide
 // drop/corrupt/duplicate/delay per (round, sender, receiver) by a
 // seeded hash, so the same schedule replays the identical per-link
-// fault pattern on every run.
+// fault pattern on every run. Windows covering a round act on each
+// frame in schedule order, and a frame one window suppresses or drops
+// is gone: later windows neither touch nor count it, so nothing
+// crosses a cut while it stands.
 type Window struct {
 	From, To uint64
 	Burst    int

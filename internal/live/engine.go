@@ -494,12 +494,15 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 					delivered := true
 					touched := false
 					for _, w := range windows {
+						// A suppressed or dropped frame is gone: later
+						// windows neither touch nor count its edge.
 						if w.Group != nil {
 							if w.Group[s] != w.Group[v] {
 								rep.Suppressed++
 								interferedBurst = w.Burst
 								delivered = false
 								touched = true
+								break
 							}
 							continue
 						}
@@ -508,7 +511,7 @@ func (rt *Runtime) run(ctx context.Context) (*Report, error) {
 							interferedBurst = w.Burst
 							delivered = false
 							touched = true
-							continue
+							break
 						}
 						if w.Corrupt > 0 && chaosHash(seed, round, s, v, saltCorrupt) < w.Corrupt {
 							cur = ep.corrupt(cur, chaosWord(seed, round, s, v), rt.space)

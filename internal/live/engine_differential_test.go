@@ -3,9 +3,14 @@ package live
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+
+	"github.com/synchcount/synchcount/internal/alg"
 )
 
 // diffCase builds one seeded n-node soak: the algorithm, the schedule
@@ -321,5 +326,96 @@ func TestSharedStepTakesUnchangedPatches(t *testing.T) {
 				round, tc.name, got, want, ep.next[0], own)
 		}
 		state = got
+	}
+}
+
+// tagAlg is a test algorithm whose broadcasts name their sender and
+// count its steps: node v's next state is 64v plus its own step count
+// mod 64, whatever it hears. Step records each view it is handed, so a
+// test sees which peers' frames reached a node.
+type tagAlg struct {
+	n     int
+	mu    sync.Mutex
+	views [][][]alg.State
+}
+
+func newTagAlg(n int) *tagAlg { return &tagAlg{n: n, views: make([][][]alg.State, n)} }
+
+func (a *tagAlg) N() int                        { return a.n }
+func (a *tagAlg) F() int                        { return 0 }
+func (a *tagAlg) C() int                        { return 2 }
+func (a *tagAlg) StateSpace() uint64            { return uint64(64 * a.n) }
+func (a *tagAlg) Output(_ int, s alg.State) int { return int(s % 2) }
+
+func (a *tagAlg) Step(v int, recv []alg.State, _ *rand.Rand) alg.State {
+	a.mu.Lock()
+	a.views[v] = append(a.views[v], slices.Clone(recv))
+	a.mu.Unlock()
+	return alg.State(64*v) + (recv[v]%64+1)%64
+}
+
+// A partition window shares its rounds with a duplicate-and-delay
+// window. Every frame crossing the cut is suppressed once and is gone:
+// the link window neither counts nor copies it, so no state crosses the
+// cut inside the window, on the engine and on the lockstep model alike.
+// Each node's view of a peer across the cut stays the arbitrary one it
+// started with, while frames within each side keep arriving.
+func TestPartitionHoldsUnderLinkChaos(t *testing.T) {
+	const n, rounds = 4, 20
+	group := []int{0, 0, 1, 1}
+	sched := &Schedule{Seed: 5, N: n, Rounds: rounds, Bursts: 1, Windows: []Window{
+		{From: 0, To: rounds, Group: group},
+		{From: 0, To: rounds, Dup: 0.5, Delay: 0.3, DelayBy: 2},
+	}}
+	cutEdges, sideEdges := uint64(0), uint64(0)
+	for s := range group {
+		for v := range group {
+			switch {
+			case s == v:
+			case group[s] != group[v]:
+				cutEdges++
+			default:
+				sideEdges++
+			}
+		}
+	}
+	for _, engine := range []string{"lockstep", "runtime"} {
+		t.Run(engine, func(t *testing.T) {
+			a := newTagAlg(n)
+			cfg := Config{Alg: a, Seed: 5, Window: 4, Schedule: sched}
+			var rep *Report
+			if engine == "lockstep" {
+				rep, _ = lockstep(t, cfg)
+			} else {
+				rep, _ = soakRuntime(t, cfg)
+			}
+			if rep.Suppressed != cutEdges*rounds {
+				t.Errorf("suppressed %d frames, want every cut edge-round (%d)", rep.Suppressed, cutEdges*rounds)
+			}
+			if rep.Duplicated == 0 || rep.Delayed == 0 || rep.Duplicated+rep.Delayed > sideEdges*rounds {
+				t.Errorf("duplicated %d and delayed %d frames, want some of each and at most one per uncut edge-round (%d)",
+					rep.Duplicated, rep.Delayed, sideEdges*rounds)
+			}
+			for v, views := range a.views {
+				heard := false
+				for u := range group {
+					if u == v {
+						continue
+					}
+					for k, view := range views {
+						if view[u] == views[0][u] {
+							continue
+						}
+						if group[u] != group[v] {
+							t.Fatalf("node %d's step %d saw node %d's state %d across the cut", v, k, u, view[u])
+						}
+						heard = true
+					}
+				}
+				if !heard {
+					t.Errorf("node %d never heard a peer on its own side", v)
+				}
+			}
+		})
 	}
 }

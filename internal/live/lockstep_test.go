@@ -138,11 +138,14 @@ func lockstep(t *testing.T, cfg Config) (*Report, []obs) {
 				}
 				out, delivered := fr, true
 				for _, w := range windows {
+					// A suppressed or dropped frame is gone: later windows
+					// neither touch nor count its edge.
 					if w.Group != nil {
 						if w.Group[s] != w.Group[v] {
 							rep.Suppressed++
 							interferedBurst = w.Burst
 							delivered = false
+							break
 						}
 						continue
 					}
@@ -150,7 +153,7 @@ func lockstep(t *testing.T, cfg Config) (*Report, []obs) {
 						rep.Dropped++
 						interferedBurst = w.Burst
 						delivered = false
-						continue
+						break
 					}
 					if w.Corrupt > 0 && chaosHash(seed, round, s, v, saltCorrupt) < w.Corrupt {
 						out = append([]byte(nil), out...)

@@ -88,3 +88,48 @@ func BenchmarkStore_Ingest(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
+
+// BenchmarkStore_Query runs the results-store benchmark's query mix —
+// per algorithm an alg and adversary filter, a pooled one, one with an
+// f filter, and an exact scenario name plain and pooled — over the
+// 20-shard store BenchmarkStore_Ingest builds, one query per
+// iteration, with every segment already cached: the warm query path.
+func BenchmarkStore_Query(b *testing.B) {
+	dir := b.TempDir()
+	paths, _ := writeIngestShards(b, dir, 4, 5, 100)
+	store, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range rand.New(rand.NewSource(7)).Perm(len(paths)) {
+		if _, err := store.IngestFile(paths[p]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	all, err := store.Query(Query{Pool: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(51))
+	advs := []string{"crash", "equivocate", "flip", "random", "saboteur", "silent", "splitvote"}
+	pick := func() string { return advs[rng.Intn(len(advs))] }
+	scenario := func() string { return all[rng.Intn(len(all))].Scenario }
+	var mix []Query
+	for _, a := range []string{"ecount", "ecount-chain", "theorem2", "figure2"} {
+		mix = append(mix,
+			Query{Algs: []string{a}, Adversaries: []string{pick(), pick()}},
+			Query{Algs: []string{a}, Adversaries: []string{pick()}, Pool: true},
+			Query{Algs: []string{a}, Fs: []int{3}, Adversaries: []string{pick()}},
+			Query{Scenario: scenario()},
+			Query{Scenario: scenario(), Pool: true},
+		)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.Query(mix[i%len(mix)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
+}

@@ -99,6 +99,7 @@ func ingestReference(s *Store, res *harness.Result) (IngestStats, error) {
 	}
 	s.man = man
 	s.segs[seg.ID] = seg
+	s.idx.add(seg) // keeps the store's source index in step, as IngestResult does
 	stats.Segment = seg.ID
 	return stats, nil
 }

@@ -1,7 +1,9 @@
 package resultdb
 
 import (
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"github.com/synchcount/synchcount/internal/harness"
 )
@@ -41,7 +43,7 @@ type Group struct {
 	Campaign     string
 	CampaignSeed int64
 	// Scenario is the scenario name; ScenarioSeed its base seed (zero
-	// in a pooled group whose sources disagree).
+	// in a pooled group of more than one source).
 	Scenario     string
 	ScenarioSeed int64
 	// Axes are parsed from the scenario name.
@@ -109,8 +111,12 @@ func containsInt(xs []int, v int) bool {
 // per Store lifetime — a repeated query, or a query after further
 // ingests, aggregates from the in-memory cache and the per-segment
 // sorted runs without rescanning cold segments (SegmentLoads pins
-// this). Groups come back in canonical order: (campaign, campaign
-// seed, scenario), or scenario name alone when pooling.
+// this). It reads the store's source index, which caches each
+// (campaign, campaign seed, scenario)'s segment groups, scenario seed
+// and parsed axes, and the sources in canonical order; the index grows
+// by each segment as it is loaded or ingested. Groups come back in
+// canonical order: (campaign, campaign seed, scenario), or scenario
+// name alone when pooling.
 func (s *Store) Query(q Query) ([]Group, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,183 +124,171 @@ func (s *Store) Query(q Query) ([]Group, error) {
 		return nil, err
 	}
 
-	// One source per stored (campaign, seed, scenario): its segment
-	// groups in ingest order, trial sets disjoint by construction.
-	type source struct {
-		key  groupKey
-		seed int64
-		segs []*segGroup
-	}
-	sources := make(map[groupKey]*source)
-	var order []groupKey
-	for _, meta := range s.man.Segments {
-		seg := s.segs[meta.ID]
-		for gi := range seg.Groups {
-			g := &seg.Groups[gi]
-			k := groupKey{g.Campaign, g.CampaignSeed, g.Scenario}
-			src, ok := sources[k]
-			if !ok {
-				src = &source{key: k, seed: g.ScenarioSeed}
-				sources[k] = src
-				order = append(order, k)
-			}
-			src.segs = append(src.segs, g)
-		}
-	}
-
 	var matched []*source
-	for _, k := range order {
-		if q.matches(k, parseAxes(k.Scenario)) {
-			matched = append(matched, sources[k])
+	for _, src := range s.idx.sorted {
+		if q.matches(src.key, src.axes) {
+			matched = append(matched, src)
 		}
 	}
-	sort.Slice(matched, func(i, j int) bool {
-		a, b := matched[i].key, matched[j].key
-		if a.Campaign != b.Campaign {
-			return a.Campaign < b.Campaign
-		}
-		if a.CampaignSeed != b.CampaignSeed {
-			return a.CampaignSeed < b.CampaignSeed
-		}
-		return a.Scenario < b.Scenario
-	})
-
-	// Bucket sources into result groups: one per source, or one per
-	// scenario name when pooling. Sources are already canonically
-	// sorted, so bucket member order is canonical too.
-	type bucket struct {
-		scenario string
-		srcs     []*source
-	}
-	var buckets []*bucket
+	// Pooling folds the sources of one scenario name into one group; a
+	// stable sort by name keeps each group's sources canonical.
 	if q.Pool {
-		idx := make(map[string]*bucket)
-		for _, src := range matched {
-			b, ok := idx[src.key.Scenario]
-			if !ok {
-				b = &bucket{scenario: src.key.Scenario}
-				idx[src.key.Scenario] = b
-				buckets = append(buckets, b)
-			}
-			b.srcs = append(b.srcs, src)
-		}
-		sort.Slice(buckets, func(i, j int) bool { return buckets[i].scenario < buckets[j].scenario })
-	} else {
-		for _, src := range matched {
-			buckets = append(buckets, &bucket{scenario: src.key.Scenario, srcs: []*source{src}})
-		}
+		slices.SortStableFunc(matched, func(a, b *source) int { return strings.Compare(a.key.Scenario, b.key.Scenario) })
 	}
-
-	groups := make([]Group, 0, len(buckets))
-	for _, b := range buckets {
-		g := Group{
-			Scenario:  b.scenario,
-			Axes:      parseAxes(b.scenario),
-			Campaigns: len(b.srcs),
+	groups := make([]Group, 0, len(matched))
+	for i := 0; i < len(matched); {
+		j := i + 1
+		for q.Pool && j < len(matched) && matched[j].key.Scenario == matched[i].key.Scenario {
+			j++
 		}
-		if len(b.srcs) == 1 {
-			g.Campaign = b.srcs[0].key.Campaign
-			g.CampaignSeed = b.srcs[0].key.CampaignSeed
-			g.ScenarioSeed = b.srcs[0].seed
-		}
-		var runs [][]float64
-		for _, src := range b.srcs {
-			merged := mergeTrials(src.segs)
-			for _, tr := range merged {
-				g.Records = append(g.Records, harness.TrialRecord{
-					Campaign:     src.key.Campaign,
-					CampaignSeed: src.key.CampaignSeed,
-					Scenario:     src.key.Scenario,
-					ScenarioSeed: src.seed,
-					Trial:        tr,
-				})
-			}
-			for _, sg := range src.segs {
-				if len(sg.sortedTimes) > 0 {
-					runs = append(runs, sg.sortedTimes)
-				}
-			}
-		}
-		g.Stats = foldStats(g.Records, mergeRuns(runs))
-		groups = append(groups, g)
+		groups = append(groups, s.aggregate(matched[i:j]))
+		i = j
 	}
 	return groups, nil
 }
 
-// mergeTrials merges one source's per-segment trial lists — each
-// sorted by trial index, mutually disjoint — into one ascending list.
-func mergeTrials(segs []*segGroup) []harness.Trial {
-	if len(segs) == 1 {
-		return segs[0].Trials
+// aggregate builds the group of srcs, which share one scenario name and
+// come in canonical order. Callers hold s.mu.
+func (s *Store) aggregate(srcs []*source) Group {
+	first := srcs[0]
+	g := Group{
+		Scenario:  first.key.Scenario,
+		Axes:      first.axes,
+		Campaigns: len(srcs),
 	}
-	lists := make([][]harness.Trial, len(segs))
-	total := 0
-	for i, sg := range segs {
-		lists[i] = sg.Trials
-		total += len(sg.Trials)
+	if len(srcs) == 1 {
+		g.Campaign = first.key.Campaign
+		g.CampaignSeed = first.key.CampaignSeed
+		g.ScenarioSeed = first.seed
 	}
-	out := make([]harness.Trial, 0, total)
-	for len(lists) > 0 {
-		best := -1
-		for i, l := range lists {
-			if len(l) == 0 {
-				continue
+	records, times := 0, 0
+	s.runs = s.runs[:0]
+	for _, src := range srcs {
+		for _, sg := range src.groups {
+			records += len(sg.Trials)
+			if len(sg.sortedTimes) > 0 {
+				s.runs = append(s.runs, sg.sortedTimes)
+				times += len(sg.sortedTimes)
 			}
-			if best < 0 || l[0].Trial < lists[best][0].Trial {
+		}
+	}
+	if records > 0 {
+		g.Records = make([]harness.TrialRecord, 0, records)
+		for _, src := range srcs {
+			g.Records = appendRecords(g.Records, src)
+		}
+	}
+	var sorted []float64
+	switch len(s.runs) {
+	case 0:
+	case 1:
+		sorted = s.runs[0] // read in place, never appended to
+	default:
+		if cap(s.times) < times {
+			s.times = make([]float64, 0, times)
+		}
+		s.times = mergeSortedRuns(s.times[:0], s.runs)
+		sorted = s.times
+	}
+	g.Stats = foldStats(g.Records, sorted)
+	return g
+}
+
+// appendRecords appends src's trials to dst as records, ascending by
+// trial index: one k-way merge over its segment groups, each ascending
+// already. Equal indices, which only a hand-edited store can hold, come
+// out in ingest order. Whole stretches of one group are copied at a
+// time, so groups holding disjoint trial ranges merge in O(groups²).
+func appendRecords(dst []harness.TrialRecord, src *source) []harness.TrialRecord {
+	rec := harness.TrialRecord{
+		Campaign:     src.key.Campaign,
+		CampaignSeed: src.key.CampaignSeed,
+		Scenario:     src.key.Scenario,
+		ScenarioSeed: src.seed,
+	}
+	var buf [16][]harness.Trial
+	lists := buf[:0]
+	for _, sg := range src.groups {
+		if len(sg.Trials) > 0 {
+			lists = append(lists, sg.Trials)
+		}
+	}
+	for len(lists) > 0 {
+		best := 0
+		for i := 1; i < len(lists); i++ {
+			if lists[i][0].Trial < lists[best][0].Trial {
 				best = i
 			}
 		}
-		if best < 0 {
-			break
+		// The best list keeps winning while its trials stay below every
+		// earlier list's head and no greater than every later one's.
+		below, upTo := math.MaxInt, math.MaxInt
+		for i, l := range lists {
+			switch {
+			case i < best:
+				below = min(below, l[0].Trial)
+			case i > best:
+				upTo = min(upTo, l[0].Trial)
+			}
 		}
-		out = append(out, lists[best][0])
-		lists[best] = lists[best][1:]
-		if len(lists[best]) == 0 {
+		l := lists[best]
+		n := 1
+		for n < len(l) && l[n].Trial < below && l[n].Trial <= upTo {
+			n++
+		}
+		for _, tr := range l[:n] {
+			rec.Trial = tr
+			dst = append(dst, rec)
+		}
+		if n < len(l) {
+			lists[best] = l[n:]
+		} else {
 			lists = append(lists[:best], lists[best+1:]...)
 		}
 	}
-	return out
+	return dst
 }
 
-// mergeRuns merges ascending-sorted runs into one ascending slice by
-// iterative pairwise merging — O(total · log k) for k runs, no re-sort
-// of the pooled times. This is the query-time half of the store's
-// quantile design: each segment keeps its group's times sorted once,
-// and every later query only merges.
-func mergeRuns(runs [][]float64) []float64 {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	for len(runs) > 1 {
-		var next [][]float64
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				next = append(next, runs[i])
-				break
+// mergeSortedRuns appends the merge of ascending runs to dst, ascending:
+// a binary min-heap over the runs' heads, so O(total · log k) for k
+// runs, with no re-sort of the pooled times. This is the query-time
+// half of the store's quantile design: each segment keeps its group's
+// times sorted once, and every later query only merges. The runs slice
+// is reordered and its elements resliced; the runs' contents are only
+// read.
+func mergeSortedRuns(dst []float64, runs [][]float64) []float64 {
+	h := runs
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
 			}
-			next = append(next, mergeTwo(runs[i], runs[i+1]))
+			if c+1 < len(h) && h[c+1][0] < h[c][0] {
+				c++
+			}
+			if h[i][0] <= h[c][0] {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
-		runs = next
 	}
-	return runs[0]
-}
-
-func mergeTwo(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] <= b[0] {
-			out = append(out, a[0])
-			a = a[1:]
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		r := h[0]
+		dst = append(dst, r[0])
+		if len(r) > 1 {
+			h[0] = r[1:]
 		} else {
-			out = append(out, b[0])
-			b = b[1:]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		down(0)
 	}
-	out = append(out, a...)
-	return append(out, b...)
+	return dst
 }
 
 // foldStats computes harness.Stats over records in their given order,

@@ -29,6 +29,16 @@
 // while the quantiles come from merging the per-segment sorted runs —
 // segments parse once into an in-memory cache, so repeated queries
 // (and queries after further ingests) never rescan cold segments.
+//
+// Beside the cache the Store keeps a standing source index that
+// follows the manifest: for each (campaign, campaign seed, scenario),
+// its segment groups in ingest order, its scenario seed and the axes
+// parsed from its name, plus every source in canonical order. It
+// grows by a segment's groups when the segment is loaded or an ingest
+// commits it, so a batch that fails leaves it unchanged. Ingest dedup
+// finds a record's groups through it, and a query walks its sorted
+// sources, filling each group's records with one k-way merge straight
+// from the segment trials.
 package resultdb
 
 import (
@@ -39,7 +49,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -102,6 +111,59 @@ type groupKey struct {
 	Scenario     string
 }
 
+// source is one stored (campaign, campaign seed, scenario): its
+// segment groups in ingest order, whose trial sets are disjoint by
+// construction, the scenario seed its first group recorded, and the
+// axes parsed from its scenario name.
+type source struct {
+	key    groupKey
+	seed   int64
+	axes   Axes
+	groups []*segGroup
+}
+
+// compareSources orders sources canonically: by campaign, campaign
+// seed, then scenario.
+func compareSources(a, b *source) int {
+	return cmp.Or(
+		strings.Compare(a.key.Campaign, b.key.Campaign),
+		cmp.Compare(a.key.CampaignSeed, b.key.CampaignSeed),
+		strings.Compare(a.key.Scenario, b.key.Scenario),
+	)
+}
+
+// sourceIndex is the store's standing index of everything ingested:
+// every source by key and in canonical order. It follows the
+// manifest: segments holds how many of the manifest's segments it has
+// folded in, and it grows only by whole segments, when loadAll reads
+// one or an ingest commits one.
+type sourceIndex struct {
+	byKey    map[groupKey]*source
+	sorted   []*source
+	segments int
+}
+
+// add folds the next manifest segment's groups into the index.
+func (x *sourceIndex) add(seg *segment) {
+	grew := false
+	for gi := range seg.Groups {
+		g := &seg.Groups[gi]
+		k := groupKey{g.Campaign, g.CampaignSeed, g.Scenario}
+		src, ok := x.byKey[k]
+		if !ok {
+			src = &source{key: k, seed: g.ScenarioSeed, axes: parseAxes(k.Scenario)}
+			x.byKey[k] = src
+			x.sorted = append(x.sorted, src)
+			grew = true
+		}
+		src.groups = append(src.groups, g)
+	}
+	if grew {
+		slices.SortFunc(x.sorted, compareSources)
+	}
+	x.segments++
+}
+
 // Store is an open results database. It is safe for concurrent use;
 // loaded segments are cached for the lifetime of the Store, so only
 // the first query (and each ingest of new data) touches disk.
@@ -110,6 +172,12 @@ type Store struct {
 	dir  string
 	man  manifest
 	segs map[int]*segment
+	idx  sourceIndex
+
+	// Query scratch: the runs of the group being aggregated and the
+	// buffer they merge into. Neither is ever handed out.
+	runs  [][]float64
+	times []float64
 
 	segmentLoads int
 }
@@ -120,7 +188,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, segs: make(map[int]*segment)}
+	s := &Store{dir: dir, segs: make(map[int]*segment), idx: sourceIndex{byKey: make(map[groupKey]*source)}}
 	path := filepath.Join(dir, manifestFile)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -172,18 +240,18 @@ func (s *Store) SegmentLoads() int {
 // segmentFileName names segment id's file.
 func segmentFileName(id int) string { return fmt.Sprintf("seg-%06d.json", id) }
 
-// loadAll ensures every manifest segment is in the cache. Callers hold
-// s.mu.
+// loadAll ensures every manifest segment is in the cache and the
+// source index. The segments past the index are exactly the ones no
+// call has read yet: an ingest caches and indexes its own. Callers
+// hold s.mu.
 func (s *Store) loadAll() error {
-	for _, meta := range s.man.Segments {
-		if _, ok := s.segs[meta.ID]; ok {
-			continue
-		}
+	for _, meta := range s.man.Segments[s.idx.segments:] {
 		seg, err := s.readSegment(meta)
 		if err != nil {
 			return err
 		}
 		s.segs[meta.ID] = seg
+		s.idx.add(seg)
 	}
 	return nil
 }
@@ -292,20 +360,6 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 		return IngestStats{}, err
 	}
 
-	// Index the stored groups, not their records: each group's trials
-	// are strictly ascending (readSegment checks it), so a stored record
-	// is a binary search away. Groups are kept in manifest order and
-	// searched newest first.
-	stored := make(map[groupKey][]*segGroup)
-	for _, meta := range s.man.Segments {
-		seg := s.segs[meta.ID]
-		for gi := range seg.Groups {
-			g := &seg.Groups[gi]
-			gk := groupKey{g.Campaign, g.CampaignSeed, g.Scenario}
-			stored[gk] = append(stored[gk], g)
-		}
-	}
-
 	// The batch's own records are the only ones indexed by trial: per
 	// new group, the position of each added trial in its Trials.
 	type batchGroup struct {
@@ -316,8 +370,15 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 	batch := make(map[groupKey]*batchGroup)
 	var stats IngestStats
 	for _, sc := range res.Scenarios {
+		// A stored record is a binary search away in its source's
+		// groups: each group's trials are strictly ascending
+		// (readSegment checks it), searched newest first.
 		gk := groupKey{res.Campaign, res.Seed, sc.Name}
-		prior, bg := stored[gk], batch[gk]
+		var prior []*segGroup
+		if src, ok := s.idx.byKey[gk]; ok {
+			prior = src.groups
+		}
+		bg := batch[gk]
 		seed, known := int64(0), true
 		switch {
 		case bg != nil:
@@ -399,6 +460,7 @@ func (s *Store) IngestResult(res *harness.Result) (IngestStats, error) {
 	}
 	s.man = man
 	s.segs[seg.ID] = seg
+	s.idx.add(seg)
 	stats.Segment = seg.ID
 	return stats, nil
 }
@@ -428,33 +490,17 @@ func (s *Store) Campaigns() ([]CampaignInfo, error) {
 	if err := s.loadAll(); err != nil {
 		return nil, err
 	}
-	type ck struct {
-		name string
-		seed int64
-	}
-	scen := make(map[ck]map[string]int)
-	for _, meta := range s.man.Segments {
-		for _, g := range s.segs[meta.ID].Groups {
-			k := ck{g.Campaign, g.CampaignSeed}
-			if scen[k] == nil {
-				scen[k] = make(map[string]int)
-			}
-			scen[k][g.Scenario] += len(g.Trials)
+	// Canonical source order keeps each campaign's sources together.
+	infos := []CampaignInfo{}
+	for _, src := range s.idx.sorted {
+		if n := len(infos); n == 0 || infos[n-1].Campaign != src.key.Campaign || infos[n-1].Seed != src.key.CampaignSeed {
+			infos = append(infos, CampaignInfo{Campaign: src.key.Campaign, Seed: src.key.CampaignSeed})
+		}
+		info := &infos[len(infos)-1]
+		info.Scenarios++
+		for _, g := range src.groups {
+			info.Trials += len(g.Trials)
 		}
 	}
-	infos := make([]CampaignInfo, 0, len(scen))
-	for k, m := range scen {
-		info := CampaignInfo{Campaign: k.name, Seed: k.seed, Scenarios: len(m)}
-		for _, n := range m {
-			info.Trials += n
-		}
-		infos = append(infos, info)
-	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Campaign != infos[j].Campaign {
-			return infos[i].Campaign < infos[j].Campaign
-		}
-		return infos[i].Seed < infos[j].Seed
-	})
 	return infos, nil
 }
